@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     BelowThreshold,
+    CapaxError,
     CeilingExceeded,
     NoStabilization,
     PruningBoundExceeded,
@@ -197,13 +198,7 @@ def square_values_np(s: float, ks: np.ndarray) -> np.ndarray:
 
 
 def ball_values_np(a: float, ks: np.ndarray) -> np.ndarray:
-    k = ks.astype(np.int64)
-    d = np.maximum(0, (np.sqrt(9.0 + 8.0 * k.astype(float)).astype(np.int64) - 3) // 2)
-    for _ in range(3):
-        d = np.where(d * (d + 3) < 2 * k, d + 1, d)
-        d = np.where((d > 0) & ((d - 1) * (d + 2) >= 2 * k), d - 1, d)
-    assert np.all(d * (d + 3) >= 2 * k)
-    return a * d.astype(float)
+    return a * d_values_np(ks).astype(float)
 
 
 def e12_values_np(ks: np.ndarray) -> np.ndarray:
@@ -274,30 +269,17 @@ def union_capacities(series: list[CapacitySeries], K: int) -> CapacitySeries:
     return out
 
 
-def _fold_ball_at(below: list, w, s: int):
-    """max_i below[i] + w*d_{s-i} for a non-decreasing table `below`.
-
-    Within each level set {j : d_j = t} the best i is the largest, so only
-    one probe per d-value is needed: O(sqrt(s)) instead of O(s)."""
-    best = below[s]
-    t = 1
-    while True:
-        base = (t - 1) * (t + 2) // 2 + 1  # smallest index with d = t
-        if base > s:
-            return best
-        v = below[s - base] + w * t
-        if v > best:
-            best = v
-        t += 1
-
-
 def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
-    """Vectorized max-plus with one ball series over the whole table."""
+    """Vectorized max-plus with one ball series over the whole table.
+
+    Within each level set {j : d_j = t} the best split gives the ball the
+    smallest index, because `below` is non-decreasing: one shifted slice
+    per d-value."""
     S = len(below) - 1
     out = below.copy()
     t = 1
     while True:
-        base = (t - 1) * (t + 2) // 2 + 1
+        base = (t - 1) * (t + 2) // 2 + 1  # smallest index with d = t
         if base > S:
             return out
         cand = below[: S + 1 - base] + w * t
@@ -305,44 +287,57 @@ def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
         t += 1
 
 
+def _scaled(xs: list) -> tuple[int, list]:
+    """Rational data as Python ints over their common denominator; floats
+    and Quads come back as they are, over 1."""
+    if all(isinstance(x, (int, Fraction)) for x in xs):
+        den = math.lcm(*(Fraction(x).denominator for x in xs))
+        return den, [int(x * den) for x in xs]
+    return 1, list(xs)
+
+
+def _unscaled(v, den: int):
+    """The exact value of a scaled entry: ints stand for rationals over den."""
+    return Fraction(v, den) if isinstance(v, int) else v
+
+
+def _ball_table(ws: list, ds: np.ndarray) -> list:
+    """Max-plus union of the ball series w*d over the d-values `ds`.
+
+    The array's dtype follows the data: int64 for scaled rationals while
+    no entry can reach 2^62, float64 for floats, Python objects for Quads
+    and larger ints.  Every entry is at most sum(ws) * d_max."""
+    if all(isinstance(w, int) for w in ws) and sum(map(abs, ws)) * int(ds[-1]) < 2**62:
+        dtype = np.int64
+    elif all(isinstance(w, float) for w in ws):
+        dtype = float
+    else:
+        dtype = object
+    d = ds.astype(dtype)
+    if not ws:
+        return np.zeros_like(d).tolist()
+    table = d * ws[0]
+    for w in ws[1:]:
+        table = _fold_ball_np(table, w)
+    return table.tolist()
+
+
 def union_of_balls(weights: list, K: int, zero) -> list:
     """Max-plus union of ball series, one ball folded at a time."""
     if not weights:
         return [zero] * (K + 1)
-    ds = d_values_np(K)
-    if all(isinstance(w, float) for w in weights):
-        table = np.asarray(weights[0], dtype=float) * ds.astype(float)
-        for w in weights[1:]:
-            table = _fold_ball_np(table, float(w))
-        return list(table)
-    den = 1
-    ok = True
-    for w in weights:
-        if isinstance(w, int):
-            continue
-        if isinstance(w, Fraction):
-            den = den * w.denominator // math.gcd(den, w.denominator)
-        else:
-            ok = False
-            break
-    if ok and max(Fraction(w) * den for w in weights) * (d_index(K) + 1) < 2**62:
-        table = int(Fraction(weights[0]) * den) * ds
-        for w in weights[1:]:
-            table = _fold_ball_np(table, int(Fraction(w) * den))
-        return [Fraction(int(v), den) for v in table]
-    table = [weights[0] * d_index(s) for s in range(K + 1)]
-    for w in weights[1:]:
-        table = [_fold_ball_at(table, w, s) for s in range(K + 1)]
-    return table
+    den, ws = _scaled(weights)
+    return [_unscaled(v, den) for v in _ball_table(ws, d_values_np(np.arange(K + 1)))]
 
 
-def d_values_np(K: int) -> np.ndarray:
-    """d_index(0..K) as an int64 array."""
-    k = np.arange(K + 1, dtype=np.int64)
+def d_values_np(ks: np.ndarray) -> np.ndarray:
+    """d_index over an array of indices, as int64."""
+    k = ks.astype(np.int64)
     d = np.maximum(0, (np.sqrt(9.0 + 8.0 * k.astype(float)).astype(np.int64) - 3) // 2)
     for _ in range(3):
         d = np.where(d * (d + 3) < 2 * k, d + 1, d)
         d = np.where((d > 0) & ((d - 1) * (d + 2) >= 2 * k), d - 1, d)
+    assert np.all(d * (d + 3) >= 2 * k)
     return d
 
 
@@ -388,149 +383,93 @@ def concave_capacity(d: DomainDescriptor, K: int,
 class _ConvexDP:
     """Shared state for the corner-complement infimum over one tree.
 
-    Exact rational data is scaled by the weights' common denominator so
-    the max-plus tables and candidates live in plain integers; the Quad
-    and float backends take the generic path.
+    Rational data is scaled by its common denominator, so the max-plus
+    table and the candidates are Python ints; float and Quad data are
+    used as they are.
     """
 
     def __init__(self, tree: WeightTree, vol23: float, w_total: float,
                  s_ceiling: int = 200_000):
         self.head = tree.head
-        self.weights = [_as_num(w) for w in
-                        sorted(tree.weight_multiset(), key=sfloat, reverse=True)]
+        weights = [_as_num(w) for w in
+                   sorted(tree.weight_multiset(), key=sfloat, reverse=True)]
+        self.den, (self.c, *self.weights) = _scaled([_as_num(tree.head)] + weights)
         self.tail = sfloat(tree.truncation.dropped_tail_sum)
         self.vol23 = vol23  # area between the domain and its circumscribed triangle
         self.w_total = w_total  # full weight sum incl. tail, exact from the profile
         self.c_f = sfloat(self.head)
         self.s_ceiling = s_ceiling
-        self.denom = self._common_denominator()
-        if self.denom is not None:
-            self.w_int = [int(Fraction(w) * self.denom) for w in self.weights]
-            self.c_int = int(Fraction(self.head) * self.denom)
-        self.M = None  # max-plus union table (np.int64 / np.float64 / python list)
-        self.M_list = None  # generic-backend fallback table
         self._extend(64)
 
-    def _common_denominator(self):
-        vals = list(self.weights) + [self.head]
-        den = 1
-        for v in vals:
-            if isinstance(v, float):
-                return 0  # float fast path
-            if isinstance(v, int):
-                continue
-            if isinstance(v, Fraction):
-                den = den * v.denominator // math.gcd(den, v.denominator)
-            else:
-                return None  # Quad: generic path
-        if den and Fraction(self.head) * den * 1000 > 2**62:
-            return None
-        return den
-
-    def _table_len(self) -> int:
-        t = self.M if self.M is not None else self.M_list
-        return 0 if t is None else len(t)
-
     def _extend(self, S: int):
-        if S < self._table_len():
-            return
-        if self.denom is None:
-            zero = self.head - self.head
-            self.M_list = union_of_balls(self.weights, S, zero)
-            return
-        ds = d_values_np(S)
-        if self.denom == 0:
-            table = (np.asarray(self.weights[0]) * ds.astype(float)
-                     if self.weights else np.zeros(S + 1))
-            for w in self.weights[1:]:
-                table = _fold_ball_np(table, float(w))
-        else:
-            table = (self.w_int[0] * ds if self.w_int
-                     else np.zeros(S + 1, dtype=np.int64))
-            for w in self.w_int[1:]:
-                table = _fold_ball_np(table, w)
-        self.M = table
-        self.ds = d_values_np(S + 1)
-
-    def _to_scalar(self, v):
-        if self.denom is None or self.denom == 0:
-            return v
-        return Fraction(int(v), self.denom)
-
-    def _future_floor(self, k: int, s_from: int) -> float:
-        """Lower bound for every candidate at s >= s_from."""
-        c, v = self.c_f, self.vol23
-
-        def lb(t: float) -> float:
-            return (c * (math.sqrt(2 * (k + t)) - 1.5)
-                    - math.sqrt(4 * v * t) - self.w_total)
-
-        if v <= 0:
-            return lb(s_from)
-        t_star = 2 * v * k / max(c * c - 2 * v, 1e-300)
-        return lb(max(s_from, t_star)) if t_star > s_from else lb(s_from)
+        """Max-plus table M(0..S) and d(0..S), as Python lists."""
+        ds = d_values_np(np.arange(S + 1))
+        self.M = _ball_table(self.weights, ds)
+        self.ds = ds.tolist()
 
     def capacity(self, k: int):
+        """c_k = min_s c*d(k+s) - M(s), and its certified lower slack.
+
+        The scan stops at the first s at which a lower bound for every
+        candidate beyond s clears the best candidate so far.  Inside a
+        level {s : d(k+s) = t} the candidate c*t - M(s) and its lower
+        version cand - d(s)*tail do not increase with s, and the stopping
+        test is monotone in s.  So one probe at the end of each level,
+        plus a bisection of the level where the test first holds, give
+        the values of the index-by-index scan."""
         if k == 0:
             return self.head - self.head, 0.0
-        if self.denom is None:
-            return self._capacity_generic(k)
-        best = None
-        best_f = None
-        best_lo = None
-        s_done = 0
-        block = 512
-        while True:
-            s_hi = s_done + block - 1
-            while self._table_len() <= k + s_hi:
-                self._extend(max(2 * self._table_len(), k + s_hi + 16))
-            if self.denom == 0:
-                cands = self.c_f * self.ds[k + s_done: k + s_hi + 1].astype(float) \
-                    - self.M[s_done: s_hi + 1]
-            else:
-                cands = self.c_int * self.ds[k + s_done: k + s_hi + 1] \
-                    - self.M[s_done: s_hi + 1]
-            i = int(np.argmin(cands))
-            if best is None or cands[i] < best:
-                best = cands[i]
-                best_f = sfloat(self._to_scalar(best))
-            lo_block = (cands.astype(float) if self.denom else cands) \
-                - self.ds[s_done: s_hi + 1] * (self.tail * (self.denom or 1.0))
-            lo_min = float(lo_block.min()) / (self.denom or 1.0)
-            if best_lo is None or lo_min < best_lo:
-                best_lo = lo_min
-            floor = self._future_floor(k, s_hi + 1)
-            if floor >= best_f + 1e-9 * (1 + abs(best_f)):
-                return self._to_scalar(best), best_f - best_lo
-            s_done = s_hi + 1
-            if s_done > self.s_ceiling:
-                raise PruningBoundExceeded(
-                    f"no certificate after {self.s_ceiling} complement indices",
-                    best=self._to_scalar(best))
+        c, den, tail = self.c, self.den, self.tail
+        to_float = sfloat if den == 1 else (lambda x: x / den)
+        best, best_f, best_lo = None, math.inf, math.inf
+        c_f, v, w = self.c_f, self.vol23, self.w_total
+        # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
+        # candidate at index u and is smallest at t_star, so
+        # lb(max(s+1, t_star)) bounds every candidate beyond s
+        t_star = 2 * v * k / max(c_f * c_f - 2 * v, 1e-300) if v > 0 else 0.0
 
-    def _capacity_generic(self, k: int):
-        best = None
-        best_f = None
-        best_lo = None
-        s = 0
+        def stops(s: int, cand_f: float) -> bool:
+            b = cand_f if cand_f < best_f else best_f
+            u = s + 1 if s + 1 >= t_star else t_star
+            floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * u) - w
+            return floor >= b + 1e-9 * (1 + abs(b))
+
+        M, ds = self.M, self.ds
+        end = min(len(M) - 1, self.s_ceiling)  # the last index probed for now
+        t, s0 = d_index(k), 0  # the test fails at every index below s0
         while True:
-            if s >= self._table_len():
-                self._extend(max(2 * self._table_len(), s + 16))
-            cand = self.head * d_index(k + s) - self.M_list[s]
+            s1 = t * (t + 3) // 2 - k  # the level d(k+s) = t ends at s1
+            s = s1 if s1 < end else end
+            cand = c * t - M[s]
+            cand_f = to_float(cand)
+            if stops(s, cand_f):
+                lo, hi = s0, s
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if stops(mid, to_float(c * t - M[mid])):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                cand = c * t - M[lo]
+                cand_f = to_float(cand)
+                if best is None or cand < best:
+                    best, best_f = cand, cand_f
+                best_lo = min(best_lo, cand_f - ds[lo] * tail)
+                return _unscaled(best, den), best_f - best_lo
             if best is None or cand < best:
-                best = cand
-                best_f = sfloat(cand)
-            cand_lo = sfloat(cand) - d_index(s) * self.tail
-            if best_lo is None or cand_lo < best_lo:
-                best_lo = cand_lo
-            floor = self._future_floor(k, s + 1)
-            if floor >= best_f + 1e-9 * (1 + abs(best_f)):
-                return best, best_f - best_lo
-            s += 1
-            if s > self.s_ceiling:
+                best, best_f = cand, cand_f
+            if s == self.s_ceiling:
                 raise PruningBoundExceeded(
                     f"no certificate after {self.s_ceiling} complement indices",
-                    best=best)
+                    best=_unscaled(best, den))
+            if s < s1:  # grow the table only when the scan runs past its end
+                self._extend(2 * len(M))
+                M, ds = self.M, self.ds
+                end = min(len(M) - 1, self.s_ceiling)
+                s0 = s + 1
+                continue
+            best_lo = min(best_lo, cand_f - ds[s] * tail)
+            s0, t = s1 + 1, t + 1
 
 
 def convex_capacity(d: DomainDescriptor, K: int,
@@ -546,7 +485,8 @@ def convex_capacity(d: DomainDescriptor, K: int,
         profile = validate(d)
         ell = sfloat(profile.total_affine_plus)
         w_total = 3 * sfloat(t.head) - (sfloat(profile.a) + sfloat(profile.b) + ell)
-        vol23 = sfloat(t.head) ** 2 / 2.0 - sfloat(area(d))
+        # rounding can take the zero gap of a triangle below zero
+        vol23 = max(sfloat(t.head) ** 2 / 2.0 - sfloat(area(d)), 0.0)
     dp = _ConvexDP(t, vol23, w_total)
     vals, lowers = [], []
     for k in range(K + 1):
@@ -915,7 +855,10 @@ def polydisk_capacities(w, h, K: int) -> CapacitySeries:
 def series_for_domain(d: DomainDescriptor, K: int,
                       limits: TruncationLimits | None = None,
                       fast: bool = True) -> CapacitySeries:
-    """Pick the natural route for the descriptor."""
+    """Pick the natural route for the descriptor, after validating it."""
+    if K < 0:
+        raise CapaxError(f"kmax must be >= 0, got {K}")
+    validate(d)
     if d.kind == "ellipsoid":
         if d.a == d.b:
             return ball_capacities(d.a, K)

@@ -2,8 +2,9 @@
 
 Commands: weights | capacities | errors | bounds | tower | obstruct |
 selfcheck.  Exit codes: 0 ok/inconclusive, 1 error, 2 obstructed.
-Identical invocations produce byte-identical output; --threads only
-changes how capacity chunks are scheduled, never the merged result.
+Identical invocations produce byte-identical output.  --threads is
+accepted and has no effect: every series is computed in one thread, and
+the convex route runs one infimum scan for every numeric backend.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import asymptotics, capacities, domains, obstructions, tower, weights
@@ -41,34 +41,48 @@ def _scalar_arg(text: str, backend: str, eps: float):
     return text  # parsed downstream with the backend's field
 
 
+_ARITY = {"ball": 1, "ellipsoid": 2, "square": 1, "quarter_disk": 1, "superellipse": 2}
+
+
 def parse_domain(spec: str, backend: str = "exact", eps: float = 1e-9) -> domains.DomainDescriptor:
     """Inline shorthands (ball:a, ellipsoid:a,b, square:s, quarter_disk:r,
-    superellipse:p,r, weights:c;w1,w2) or @file.json."""
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return domains.descriptor_from_json(json.load(fh))
-    if ":" not in spec:
-        raise CapaxError(f"domain spec {spec!r}: expected kind:args or @file.json")
-    kind, rest = spec.split(":", 1)
-    args = [a for a in rest.split(",") if a]
-    val = lambda s: _scalar_arg(s, backend, eps)
-    if kind == "ball":
-        return domains.ball(val(args[0]), backend=backend, eps=eps)
-    if kind == "ellipsoid":
-        return domains.ellipsoid(val(args[0]), val(args[1]), backend=backend, eps=eps)
-    if kind == "square":
-        return domains.square(val(args[0]), backend=backend, eps=eps)
-    if kind == "quarter_disk":
-        return domains.quarter_disk(Fraction(args[0]), eps=eps)
-    if kind == "superellipse":
-        return domains.superellipse(Fraction(args[0]), Fraction(args[1]), eps=eps)
-    if kind == "polygon":
-        return domains.descriptor_from_json(json.loads(rest))
-    if kind == "weights":
-        head, _, tail = rest.partition(";")
-        ws = [val(w) for w in tail.split(",") if w]
-        return domains.weight_list(val(head) if head else None, ws,
-                                   backend=backend, eps=eps)
+    superellipse:p,r, weights:c;w1,w2) or @file.json.
+
+    Malformed input raises CapaxError: an unreadable file, a wrong number
+    of arguments, a malformed number or JSON document, a bad field."""
+    try:
+        if spec.startswith("@"):
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                return domains.descriptor_from_json(json.load(fh))
+        if ":" not in spec:
+            raise CapaxError(f"domain spec {spec!r}: expected kind:args or @file.json")
+        kind, rest = spec.split(":", 1)
+        args = [a for a in rest.split(",") if a]
+        if len(args) < _ARITY.get(kind, 0):
+            raise CapaxError(f"domain spec {spec!r}: {kind} needs {_ARITY[kind]} "
+                             f"argument(s), got {len(args)}")
+        val = lambda s: _scalar_arg(s, backend, eps)
+        if kind == "ball":
+            return domains.ball(val(args[0]), backend=backend, eps=eps)
+        if kind == "ellipsoid":
+            return domains.ellipsoid(val(args[0]), val(args[1]), backend=backend, eps=eps)
+        if kind == "square":
+            return domains.square(val(args[0]), backend=backend, eps=eps)
+        if kind == "quarter_disk":
+            return domains.quarter_disk(Fraction(args[0]), eps=eps)
+        if kind == "superellipse":
+            return domains.superellipse(Fraction(args[0]), Fraction(args[1]), eps=eps)
+        if kind == "polygon":
+            return domains.descriptor_from_json(json.loads(rest))
+        if kind == "weights":
+            head, _, tail = rest.partition(";")
+            ws = [val(w) for w in tail.split(",") if w]
+            return domains.weight_list(val(head) if head else None, ws,
+                                       backend=backend, eps=eps)
+    except OSError as exc:
+        raise CapaxError(f"cannot read domain file {spec[1:]!r}: {exc.strerror}") from exc
+    except (KeyError, ValueError) as exc:  # missing JSON key, malformed number or field
+        raise CapaxError(f"domain spec {spec!r}: {exc}") from exc
     raise CapaxError(f"unknown domain shorthand {kind!r}")
 
 
@@ -113,39 +127,9 @@ def cmd_weights(ns) -> int:
     return 0
 
 
-def _pointwise_closed_form(d):
-    """Per-k evaluator for domains whose series needs no shared state."""
-    if d.kind == "ellipsoid" and d.a == d.b:
-        a = d.a
-        return lambda k: a * capacities.d_index(k)
-    box = capacities._is_box(d) if d.kind == "polygon" else None
-    if box is not None:
-        w, h = box
-        return lambda k: capacities.polydisk_value(w, h, k)
-    return None
-
-
-def _series(ns, d):
-    lim = _limits(ns)
-    point = _pointwise_closed_form(d) if ns.threads and ns.threads > 1 else None
-    if point is not None:
-        # independent k-chunks evaluated in a pool, merged by index
-        chunk = max(64, (ns.kmax + 1) // ns.threads + 1)
-        ranges = [(i, min(i + chunk - 1, ns.kmax))
-                  for i in range(0, ns.kmax + 1, chunk)]
-        with ThreadPoolExecutor(max_workers=ns.threads) as pool:
-            parts = list(pool.map(
-                lambda r: [point(k) for k in range(r[0], r[1] + 1)], ranges))
-        template = capacities.series_for_domain(d, 0, lim)
-        template.values = [v for part in parts for v in part]
-        template.lower_slack = template.upper_slack = None
-        return template
-    return capacities.series_for_domain(d, ns.kmax, lim)
-
-
 def cmd_capacities(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
-    series = _series(ns, d)
+    series = capacities.series_for_domain(d, ns.kmax, _limits(ns))
     if ns.oracle:
         if not d.is_convex():
             raise CapaxError("--oracle needs a convex domain")
@@ -179,7 +163,7 @@ def _window(ns, default_hi):
 
 def cmd_errors(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
-    series = _series(ns, d)
+    series = capacities.series_for_domain(d, ns.kmax, _limits(ns))
     profile = domains.validate(d)
     has_geometry = profile.a is not None
     band = asymptotics.band_for_profile(profile) if has_geometry else None
@@ -305,7 +289,7 @@ def _add_common(p: argparse.ArgumentParser, domain: bool = True):
     p.add_argument("--eps-backend", type=float, default=1e-9,
                    help="absolute tolerance attached to float scalars")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--window", default=None, help="k0:k1 for window statistics")
     p.add_argument("--out", default=None, help="write output to a file")
 

@@ -49,9 +49,6 @@ class PicBasisSurface:
     nodes: frozenset  # frozensets {cid, cid} of adjacent curve pairs
     token_to_cid: dict = field(compare=False, default_factory=dict)
 
-    def cls_of(self, cid: int) -> tuple:
-        return self.curves[[c.cid for c in self.curves].index(cid)].cls
-
 
 def _pad(v: tuple, n: int) -> tuple:
     return v + (0,) * (n + 1 - len(v))
@@ -190,14 +187,6 @@ class TowerDivisor:
     weights: dict  # tree-node id -> weight
     tail: object = "zero"  # "zero" | ("const", kappa)
 
-    @property
-    def summable(self) -> bool:
-        return self.tail == "zero"
-
-    @property
-    def bounded(self) -> bool:
-        return True
-
 
 def canonical_divisor() -> TowerDivisor:
     return TowerDivisor(base=Fraction(-3), weights={}, tail=("const", Fraction(-1)))
@@ -228,11 +217,6 @@ def intersect(b: TowerDivisor, s: TowerDivisor):
     for p in support:
         out = out - wt(b, p) * wt(s, p)
     return out
-
-
-def k_dot_A(t: WeightTree):
-    """K_tower . A_tower = -3c + sum of node weights (truncation-exact)."""
-    return intersect(canonical_divisor(), polarisation_divisor(t))
 
 
 def k_plus_dot_A(s: PicBasisSurface):

@@ -81,18 +81,9 @@ class WeightTree:
     truncation: Truncation
     backend: str
 
-    def node_weights(self) -> list:
-        return [self.nodes[i].weight for i in sorted(self.nodes)]
-
     def weight_multiset(self) -> list:
         """All weights excluding the head, in h-order."""
         return [self.nodes[i].weight for i in linearize(self)]
-
-    def total_weight_sq(self):
-        out = None
-        for w in self.node_weights():
-            out = w * w if out is None else out + w * w
-        return out
 
     def assert_parent_dominance(self):
         def above(x, y):  # x > y beyond tolerance

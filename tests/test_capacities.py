@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capax import domains
 from capax.errors import BelowThreshold, SearchSpaceEmpty
@@ -17,6 +19,7 @@ from capax.capacities import (
     c_plus_reference,
     concave_capacity,
     convex_capacity,
+    d_index,
     dkn_upper,
     e12_values_np,
     ellipsoid_capacities,
@@ -32,9 +35,17 @@ from capax.capacities import (
 from capax.scalars import sfloat
 from capax.tower import blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, convex_weights
-from conftest import random_convex_polygon
+from conftest import convex_hull, random_convex_polygon
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def golden_triangle():
+    """The triangle (0,0), (1,0), (0,phi) over Q(sqrt 5)."""
+    from capax.scalars import Quad
+    z, one = Quad(0, 0, 5), Quad(1, 0, 5)
+    phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
+    return domains.polygon([(z, z), (one, z), (z, phi)], "convex", backend="sqrt:5")
 
 
 class TestClosedForms:
@@ -159,11 +170,7 @@ class TestConvex:
 
     def test_quad_backend_convex_route(self):
         # golden-ratio triangle through the exact quadratic-field DP
-        from capax.scalars import Quad
-        z, one = Quad(0, 0, 5), Quad(1, 0, 5)
-        phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
-        d = domains.polygon([(z, z), (one, z), (z, phi)], "convex",
-                            backend="sqrt:5")
+        d = golden_triangle()
         got = convex_capacity(d, 30, TruncationLimits(eps=1e-10))
         oracle = ellipsoid_capacities(1.0, PHI, 30)
         for k in range(31):
@@ -171,11 +178,7 @@ class TestConvex:
                 sfloat(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
 
     def test_truncated_tower_bracket(self):
-        from capax.scalars import Quad
-        z, one = Quad(0, 0, 5), Quad(1, 0, 5)
-        phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
-        d = domains.polygon([(z, z), (one, z), (z, phi)], "convex",
-                            backend="sqrt:5")
+        d = golden_triangle()
         tree = convex_weights(d, TruncationLimits(eps=1e-5))
         tw = build_tower(tree)
         oracle = ellipsoid_capacities(1.0, PHI, 9)
@@ -183,6 +186,95 @@ class TestConvex:
             res = tower_capacity(tw, k)
             lo, hi = res.bracket
             assert lo - 1e-9 <= sfloat(oracle.value(k)) <= hi + 1e-9
+
+
+def reference_scan(d, K, limits=None):
+    """The index-by-index certified infimum scan of the convex route.
+
+    c_k = min_s c*d(k+s) - M(s) over s up to the first index at which the
+    lower bound for all later candidates clears the best one; the lower
+    slack is the best value minus min_s cand(s) - d(s)*tail."""
+    tree = convex_weights(d, limits)
+    profile = domains.validate(d)
+    c, c_f = tree.head, sfloat(tree.head)
+    w_total = 3 * c_f - (sfloat(profile.a) + sfloat(profile.b)
+                         + sfloat(profile.total_affine_plus))
+    v = max(c_f ** 2 / 2.0 - sfloat(domains.area(d)), 0.0)
+    tail = sfloat(tree.truncation.dropped_tail_sum)
+    weights = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
+    M = []
+    values, slack = [c - c], [0.0]
+    for k in range(1, K + 1):
+        best, best_f, lo, s = None, math.inf, math.inf, 0
+        while True:
+            if s >= len(M):
+                M = union_of_balls(weights, 2 * len(M) or 64, c - c)
+            cand = c * d_index(k + s) - M[s]
+            if best is None or cand < best:
+                best, best_f = cand, sfloat(cand)
+            lo = min(lo, sfloat(cand) - d_index(s) * tail)
+            u = max(s + 1, 2 * v * k / (c_f * c_f - 2 * v)) if v > 0 else s + 1
+            floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * u) - w_total
+            if floor >= best_f + 1e-9 * (1 + abs(best_f)):
+                break
+            s += 1
+        values.append(best)
+        slack.append(best_f - lo)
+    return values, slack
+
+
+@st.composite
+def rational_convex_polygons(draw):
+    """Convex polygons with axis contacts: legs a, b = p/q with p <= 8 and
+    q <= 4, and up to three more vertices strictly inside [0,a) x [0,b)."""
+    leg = st.builds(Fraction, st.integers(1, 8), st.sampled_from([1, 2, 3, 4]))
+    a, b = draw(leg), draw(leg)
+    eighths = st.builds(Fraction, st.integers(1, 7), st.just(8))
+    inner = draw(st.lists(st.tuples(eighths, eighths), max_size=3))
+    zero = Fraction(0)
+    hull = convex_hull([(zero, zero), (a, zero), (zero, b)]
+                       + [(a * x, b * y) for x, y in inner])
+    return domains.polygon(hull, "convex")
+
+
+class TestConvexScan:
+    """The level-set scan against the index-by-index reference."""
+
+    def test_golden_triangle_matches_reference(self):
+        d = golden_triangle()
+        limits = TruncationLimits(eps=1e-3)
+        got = convex_capacity(d, 20, limits)
+        values, slack = reference_scan(d, 20, limits)
+        assert got.values == values
+        assert got.lower_slack == slack
+
+    @pytest.mark.parametrize("limits", [None, TruncationLimits(eps=0.3),
+                                        TruncationLimits(max_depth=1, eps=1e-9)],
+                             ids=["complete", "eps", "depth"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(d=rational_convex_polygons())
+    def test_rational_polygons_match_reference(self, limits, d):
+        got = convex_capacity(d, 20, limits)
+        values, slack = reference_scan(d, 20, limits)
+        assert got.values == values
+        assert got.lower_slack == slack
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(d=rational_convex_polygons(), eps=st.sampled_from([0.05, 0.3, 1.0]))
+    def test_truncated_bracket_contains_complete_value(self, d, eps):
+        exact = convex_capacity(d, 60)
+        truncated = convex_capacity(d, 60, TruncationLimits(eps=eps))
+        for k in range(61):
+            c = sfloat(exact.value(k))
+            assert truncated.lo(k) - 1e-9 <= c <= truncated.hi(k) + 1e-9
+
+    def test_float_backend_golden_triangle(self):
+        d = domains.polygon([(0, 0), (1, 0), (0, PHI)], "convex", backend="float")
+        got = convex_capacity(d, 30, TruncationLimits(eps=1e-10))
+        oracle = ellipsoid_capacities(1.0, PHI, 30)
+        for k in range(31):
+            assert sfloat(got.value(k)) == pytest.approx(
+                sfloat(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
 
 
 class TestEnum:

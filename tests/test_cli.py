@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,34 @@ class TestCommands:
         assert j["weights"][0] == "1"
         assert j["weights"][1] == "-1/2+1/2*sqrt"  # the golden ratio minus one
         assert j["truncation"]["complete"] is False
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["--domain", "ball:-1"],
+        ["--domain", "ball:1", "--kmax", "-3"],
+        ["--domain", "ball:"],
+        ["--domain", "ellipsoid:1"],
+        ["--domain", "ball:abc"],
+        ["--domain", "ball:1", "--backend", "sqrt:4"],
+        ["--domain", "@{missing}"],
+    ], ids=["negative-ball", "negative-kmax", "no-argument", "one-leg",
+            "not-a-number", "square-field", "missing-file"])
+    def test_bad_input_exits_one_with_message(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+        code = main(["capacities", "--kmax", "5"] + argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("capax: ")
+
+    def test_float_backend_convex_weight_list(self, capsys):
+        code, out = run(capsys, "capacities", "--domain", "weights:5;1,1,1",
+                        "--kmax", "30", "--backend", "float")
+        assert code == 0
+        _, exact = run(capsys, "capacities", "--domain", "weights:5;1,1,1", "--kmax", "30")
+        got = [float(v) for v in json.loads(out)["values"]]
+        assert got == [float(Fraction(v)) for v in json.loads(exact)["values"]]
 
 
 class TestDeterminism:
