@@ -526,32 +526,57 @@ def _owners(s: PicBasisSurface):
     return owners
 
 
-def _nef_floor(s: PicBasisSurface) -> float:
-    """min{D.A : D nef, D.H = 1} > 0; the enumeration's per-degree floor."""
-    from scipy.optimize import linprog
+def _simplex_max(c: list, rows: list, rhs: list) -> float:
+    """max c.x subject to rows.x <= rhs and x >= 0, for integer rows and
+    rhs >= 0, so the slack basis is feasible and there is no phase 1.
 
+    The constraint tableau stays exact (ints and Fractions); the objective
+    row is float.  Bland's rule (the lowest entering index, ratio ties to
+    the lowest basic index) keeps the degenerate rhs-0 rows from cycling."""
+    m, n = len(rows), len(c)
+    T = [list(r) + [int(i == j) for j in range(m)] + [b]
+         for i, (r, b) in enumerate(zip(rows, rhs))]
+    z = [-x for x in c] + [0.0] * (m + 1)  # reduced costs; z[-1] is the objective
+    basis = list(range(n, n + m))
+    tol = 1e-12 * (1.0 + max(map(abs, c), default=0.0))
+    while True:
+        col = next((j for j in range(n + m) if z[j] < -tol), None)
+        if col is None:
+            return math.fsum(c[b] * float(T[i][-1]) for i, b in enumerate(basis) if b < n)
+        r = min((i for i in range(m) if T[i][col] > 0), default=None,
+                key=lambda i: (Fraction(T[i][-1]) / T[i][col], basis[i]))
+        if r is None:
+            raise AssertionError("nef-floor LP is unbounded")
+        p = T[r][col]
+        row = T[r] = [Fraction(x) / p if x else 0 for x in T[r]] if p != 1 else T[r]
+        nz = [j for j, x in enumerate(row) if x]
+        for i in range(m):
+            f = T[i][col]
+            if i != r and f:
+                Ti = T[i]
+                for j in nz:
+                    Ti[j] -= f * row[j]
+        f = z[col]
+        for j in nz:
+            z[j] -= f * float(row[j])
+        basis[r] = col
+
+
+def _nef_floor(s: PicBasisSurface) -> float:
+    """min{D.A : D nef, D.H = 1} > 0; the enumeration's per-degree floor.
+
+    D = H - sum m_i e_i is nef when every boundary curve C has D.C >= 0,
+    i.e. sum_i -C_i m_i <= C_0 (an e-curve supplies, its owners consume),
+    so the floor is A_0 - max sum a_i m_i with a_i = -A_i >= 0."""
     n = s.n
-    if n == 0:
-        return sfloat(s.A[0])
-    a = [-(sfloat(s.A[i])) for i in range(1, n + 1)]  # a_i = -A[i] >= 0
     rows, rhs = [], []
     for c in s.curves:
         cls = tower_mod._pad(c.cls, n)
-        row = [0.0] * n
-        nonzero = False
-        for i in range(1, n + 1):
-            if cls[i] != 0:
-                row[i - 1] = -float(cls[i])  # s_i=-1 consumes, +1 supplies
-                nonzero = True
-        if nonzero or cls[0] != 0:
-            rows.append(row)
-            rhs.append(float(cls[0]))
-    res = linprog(c=[-x for x in a], A_ub=rows, b_ub=rhs,
-                  bounds=[(0, None)] * n, method="highs")
-    if not res.success:
-        raise AssertionError(f"nef-floor LP failed: {res.message}")
-    floor = sfloat(s.A[0]) - (-res.fun)
-    return max(floor, 0.0)
+        if any(cls[1:]):
+            rows.append([-x for x in cls[1:]])
+            rhs.append(cls[0])
+    a = [-sfloat(s.A[i]) for i in range(1, n + 1)]
+    return max(sfloat(s.A[0]) - _simplex_max(a, rows, rhs), 0.0)
 
 
 def f_from_self_intersections(self_ints) -> int:
@@ -587,7 +612,8 @@ class _EnumContext:
         self.a_f = [sfloat(x) for x in self.a]
         self.owners = _owners(s)
         self.curve_gamma = [tower_mod._pad(c.cls, n)[0] for c in s.curves]
-        self.floor1 = _nef_floor(s) * (1 - 1e-9)
+        self.floor = _nef_floor(s)
+        self.floor1 = self.floor * (1 - 1e-9)
         # e-curve position per blowup and the parent blowup index
         self.ecurve = [None] * (n + 1)
         curve_blowup = {}
@@ -744,7 +770,8 @@ class TowerCapacityResult:
 
 def tower_capacity(tw: Tower, k: int, stab_tol: float = 1e-9,
                    all_levels: bool = False,
-                   require_stable: bool = False) -> TowerCapacityResult:
+                   require_stable: bool = False, ub: float | None = None,
+                   ctx: _EnumContext | None = None) -> TowerCapacityResult:
     """Capacity of the tower limit, evaluated on the realized levels.
 
     Exact complete trees stabilize exactly at the last level (further
@@ -752,10 +779,14 @@ def tower_capacity(tw: Tower, k: int, stab_tol: float = 1e-9,
     truncated tail the result carries the certified bracket
     (value - d_cap * tail_sum, value): any deeper optimizer truncates to a
     feasible divisor at this level whose pairing with A grows by at most
-    its degree cap times the dropped weight sum.
+    its degree cap times the dropped weight sum.  `ctx` and `ub` are the
+    enumeration context and upper bound for the final level, as in
+    `alg_capacity_enum`.
     """
-    levels = tw.surfaces if all_levels else [tw.final]
+    ctx = ctx or _EnumContext(tw.final)
+    levels = tw.surfaces[:-1] if all_levels else []
     values = [alg_capacity_enum(surf, k) for surf in levels]
+    values.append(alg_capacity_enum(tw.final, k, ub=ub, ctx=ctx))
     for i in range(1, len(values)):
         if sfloat(values[i]) > sfloat(values[i - 1]) + 1e-12:
             raise AssertionError("tower capacities must be non-increasing in n")
@@ -766,8 +797,7 @@ def tower_capacity(tw: Tower, k: int, stab_tol: float = 1e-9,
                                    bracket=(sfloat(value), sfloat(value)),
                                    stabilized=True,
                                    per_level=values if all_levels else None)
-    floor1 = _nef_floor(tw.final)
-    d_cap = (dkn_upper(tw.final, k) / floor1) if floor1 > 0 else math.inf
+    d_cap = (dkn_upper(tw.final, k) / ctx.floor) if ctx.floor > 0 else math.inf
     slack = d_cap * tail
     result = TowerCapacityResult(value=value, level=tw.final.n,
                                  bracket=(sfloat(value) - slack, sfloat(value)),
@@ -847,7 +877,9 @@ def polydisk_value(w, h, k: int):
 
 
 def polydisk_capacities(w, h, K: int) -> CapacitySeries:
-    vals = [polydisk_value(w, h, k) for k in range(K + 1)]
+    """Rational sides run on Python ints over their common denominator."""
+    den, (ws, hs) = _scaled([w, h])
+    vals = [_unscaled(polydisk_value(ws, hs, k), den) for k in range(K + 1)]
     return CapacitySeries(method="polydisk_closed_form", values=vals,
                           backend=_backend_of_value(w), source=f"polydisk({w},{h})")
 

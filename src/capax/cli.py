@@ -48,8 +48,10 @@ def parse_domain(spec: str, backend: str = "exact", eps: float = 1e-9) -> domain
     """Inline shorthands (ball:a, ellipsoid:a,b, square:s, quarter_disk:r,
     superellipse:p,r, weights:c;w1,w2) or @file.json.
 
-    Malformed input raises CapaxError: an unreadable file, a wrong number
-    of arguments, a malformed number or JSON document, a bad field."""
+    Malformed input raises CapaxError: an unknown backend, an unreadable
+    file, a wrong number of arguments, a malformed number (1/0 too) or JSON
+    document, a bad field."""
+    domains.check_backend(backend)
     try:
         if spec.startswith("@"):
             with open(spec[1:], "r", encoding="utf-8") as fh:
@@ -81,7 +83,7 @@ def parse_domain(spec: str, backend: str = "exact", eps: float = 1e-9) -> domain
                                        backend=backend, eps=eps)
     except OSError as exc:
         raise CapaxError(f"cannot read domain file {spec[1:]!r}: {exc.strerror}") from exc
-    except (KeyError, ValueError) as exc:  # missing JSON key, malformed number or field
+    except (KeyError, ValueError, ArithmeticError) as exc:  # malformed number or field
         raise CapaxError(f"domain spec {spec!r}: {exc}") from exc
     raise CapaxError(f"unknown domain shorthand {kind!r}")
 
@@ -135,9 +137,15 @@ def cmd_capacities(ns) -> int:
             raise CapaxError("--oracle needs a convex domain")
         tree = weights.convex_weights(d, _limits(ns))
         tw = tower.build_tower(tree)
+        # one enumeration context for every k, walked down from kmax so
+        # that c_k <= c_{k+1} seeds each search, as in alg_capacity_series
+        ctx = capacities._EnumContext(tw.final)
+        results, ub = [None] * (series.kmax + 1), None
+        for k in range(series.kmax, -1, -1):
+            results[k] = capacities.tower_capacity(tw, k, ub=ub, ctx=ctx)
+            ub = sfloat(results[k].value) + 1e-9
         mismatches = []
-        for k in range(series.kmax + 1):
-            res = capacities.tower_capacity(tw, k)
+        for k, res in enumerate(results):
             # certified intervals from the two routes must intersect;
             # with exact data both are points and this is equality
             if res.bracket[1] < series.lo(k) - 1e-9 or res.bracket[0] > series.hi(k) + 1e-9:

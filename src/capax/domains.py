@@ -21,7 +21,9 @@ from fractions import Fraction
 
 from .errors import (
     AxisContactMissing,
+    CapaxError,
     EmptyDomain,
+    InvalidSpec,
     MixedBackend,
     NonConvex,
     NotInQuadrant,
@@ -30,6 +32,7 @@ from .errors import (
 from .scalars import (
     Eps,
     Quad,
+    _is_squarefree,
     backend_of,
     format_scalar,
     parse_scalar,
@@ -103,8 +106,8 @@ def polygon(vertices, orientation: str, backend: str = "exact",
     if field_d is not None:
         backend = f"sqrt:{field_d}"
     vs = tuple(
-        (parse_scalar(x, _base(backend), _d(backend), eps),
-         parse_scalar(y, _base(backend), _d(backend), eps))
+        (parse_scalar(x, check_backend(backend), _d(backend), eps),
+         parse_scalar(y, check_backend(backend), _d(backend), eps))
         for x, y in vertices
     )
     return DomainDescriptor(kind="polygon", orientation=orientation,
@@ -112,8 +115,8 @@ def polygon(vertices, orientation: str, backend: str = "exact",
 
 
 def ellipsoid(a, b, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
-    a = parse_scalar(a, _base(backend), _d(backend), eps)
-    b = parse_scalar(b, _base(backend), _d(backend), eps)
+    a = parse_scalar(a, check_backend(backend), _d(backend), eps)
+    b = parse_scalar(b, check_backend(backend), _d(backend), eps)
     return DomainDescriptor(kind="ellipsoid", a=a, b=b, backend=backend, eps=eps)
 
 
@@ -122,7 +125,7 @@ def ball(a, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
 
 
 def square(s, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
-    s = parse_scalar(s, _base(backend), _d(backend), eps)
+    s = parse_scalar(s, check_backend(backend), _d(backend), eps)
     z = s - s
     return DomainDescriptor(kind="polygon", orientation="convex",
                             vertices=((z, z), (s, z), (s, s), (z, s)),
@@ -143,7 +146,7 @@ def superellipse(p, r, eps: float = 1e-12) -> DomainDescriptor:
 
 
 def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
-    par = lambda v: parse_scalar(v, _base(backend), _d(backend), eps)
+    par = lambda v: parse_scalar(v, check_backend(backend), _d(backend), eps)
     return DomainDescriptor(
         kind="weight_list",
         head=None if head is None else par(head),
@@ -152,8 +155,16 @@ def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> Doma
     )
 
 
-def _base(backend: str) -> str:
-    return "float" if backend == "float" else ("exact" if backend == "exact" else "exact")
+def check_backend(backend: str) -> str:
+    """The scalar parser's base for a backend name: "exact" for exact and
+    sqrt:d, "float" for float.  Any other name is refused."""
+    if backend in ("exact", "float"):
+        return backend
+    if isinstance(backend, str) and backend.startswith("sqrt:") and backend[5:].isdigit():
+        if _is_squarefree(int(backend[5:])):
+            return "exact"
+    raise InvalidSpec(f"unknown backend {backend!r}: expected exact, float "
+                      "or sqrt:d with d squarefree >= 2")
 
 
 def _d(backend: str) -> int | None:
@@ -288,7 +299,7 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
             if sfloat(_cross(chain[i], chain[i + 1], chain[i + 2])) <= 0:
                 raise NonConvex("upper boundary is not convex")
     else:
-        raise ValueError(f"polygon orientation {d.orientation!r}")
+        raise InvalidSpec(f"polygon orientation {d.orientation!r}")
 
     edges = []
     zero = _zero_of(d)
@@ -576,6 +587,18 @@ def _tangent_gap(f, fp, x0, y0, x1, y1) -> float:
 # ---------------------------------------------------------------------------
 
 def descriptor_from_json(obj) -> DomainDescriptor:
+    """The descriptor a JSON document (or its text) describes.  A document
+    of the wrong shape raises InvalidSpec, never a bare Python error."""
+    try:
+        return _descriptor_from_json(obj)
+    except CapaxError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InvalidSpec(f"malformed domain descriptor: {what}") from exc
+
+
+def _descriptor_from_json(obj) -> DomainDescriptor:
     if isinstance(obj, str):
         obj = json.loads(obj)
     kind = obj["kind"]
@@ -583,6 +606,7 @@ def descriptor_from_json(obj) -> DomainDescriptor:
     backend = obj.get("backend")
     if backend is None:
         backend = f"sqrt:{field_d}" if field_d else "exact"
+    check_backend(backend)
     eps = float(obj.get("eps", 1e-9 if backend == "float" else 0.0))
     if kind == "polygon":
         return polygon(obj["vertices"], obj.get("orientation", "convex"),
@@ -595,11 +619,11 @@ def descriptor_from_json(obj) -> DomainDescriptor:
             return quarter_disk(obj["r"], eps=eps)
         if name == "superellipse":
             return superellipse(obj["p"], obj["r"], eps=eps)
-        raise ValueError(f"unknown curve family {name!r}")
+        raise InvalidSpec(f"unknown curve family {name!r}")
     if kind == "weight_list":
         return weight_list(obj.get("head"), obj.get("weights", ()),
                            backend=backend, eps=eps)
-    raise ValueError(f"unknown domain kind {kind!r}")
+    raise InvalidSpec(f"unknown domain kind {kind!r}")
 
 
 def descriptor_to_json(d: DomainDescriptor) -> dict:

@@ -5,6 +5,11 @@ class CapaxError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidSpec(CapaxError, ValueError):
+    """Malformed domain input: an unknown backend, kind or curve family, or a
+    JSON document of the wrong shape."""
+
+
 class MixedBackend(CapaxError):
     """Arithmetic attempted between scalars of incompatible backends."""
 
@@ -23,6 +28,10 @@ class NotInQuadrant(CapaxError):
 
 class AxisContactMissing(CapaxError):
     """Boundary does not meet the axes in segments [0,a] x {0} and {0} x [0,b]."""
+
+
+class DegenerateEdge(CapaxError, ValueError):
+    """An edge vector is zero within the tolerance of its scalars."""
 
 
 class EmptyDomain(CapaxError):

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import MixedBackend
+from .errors import DegenerateEdge, MixedBackend
 
 RationalLike = int | Fraction
 
@@ -382,7 +382,7 @@ def primitive_direction(dx, dy):
 
 def _primitive_rational(dx: Fraction, dy: Fraction):
     if dx == 0 and dy == 0:
-        raise ValueError("zero edge vector")
+        raise DegenerateEdge("zero edge vector")
     g = fraction_gcd(dx, dy)
     prim = (int(dx / g), int(dy / g))
     return prim, g, True
@@ -416,7 +416,8 @@ def _primitive_quad(dx, dy):
 def _primitive_float(dx: Eps, dy: Eps):
     tol = dx.eps + dy.eps + 1e-12 * (1 + abs(dx.value) + abs(dy.value))
     if abs(dx.value) <= tol and abs(dy.value) <= tol:
-        raise ValueError("zero edge vector")
+        raise DegenerateEdge(f"edge vector ({dx.value!r}, {dy.value!r}) is zero within "
+                             f"the float tolerance {tol:.3g}")
     if abs(dx.value) <= tol:
         prim = (0, 1 if dy.value > 0 else -1)
         return prim, abs(dy), True

@@ -27,7 +27,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BackendOverflow, NonConvex, TailNotDecreasing, TruncationTooCoarse
+from .errors import (BackendOverflow, DegenerateEdge, NonConvex, TailNotDecreasing,
+                     TruncationTooCoarse)
 from .scalars import Eps, format_scalar, is_exact, primitive_direction, seps, sfloat
 from .domains import (
     BoundaryProfile,
@@ -145,7 +146,12 @@ class _Recursion:
     def _drop(self, graph):
         a = graph[-1][0]
         b = graph[0][1]
-        ell = _piece_ell_plus(graph, not self.exact)
+        try:
+            ell = _piece_ell_plus(graph, not self.exact)
+        except DegenerateEdge as exc:
+            raise DegenerateEdge(
+                f"weight recursion: {exc}; the tolerance of float coordinates grows "
+                "with depth, a larger truncation eps stops sooner") from exc
         piece_sum = a + b - ell
         piece_sq = 2 * _piece_area(graph)
         self.tail_sum = piece_sum if self.tail_sum is None else self.tail_sum + piece_sum

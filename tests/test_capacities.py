@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from capax import domains
 from capax.errors import BelowThreshold, SearchSpaceEmpty
 from capax.capacities import (
+    _EnumContext,
+    _nef_floor,
     CapacitySeries,
     alg_capacity_enum,
     alg_capacity_series,
@@ -25,6 +27,7 @@ from capax.capacities import (
     ellipsoid_capacities,
     ellipsoid_values_np,
     polydisk_capacities,
+    polydisk_value,
     series_for_domain,
     square_capacities,
     square_values_np,
@@ -77,6 +80,14 @@ class TestClosedForms:
                        if (m + 1) * (n + 1) >= k + 1)
             brute.append(best)
         assert [sfloat(v) for v in s.values] == brute
+
+    @pytest.mark.parametrize("w, h", [(Fraction(1), Fraction(1)),
+                                      (Fraction(3, 2), Fraction(5, 7)), (2, Fraction(1, 3))])
+    def test_polydisk_integer_path_is_exact(self, w, h):
+        # the scaled-integer path gives the Fraction scan's values
+        s = polydisk_capacities(w, h, 300)
+        assert s.values == [polydisk_value(Fraction(w), Fraction(h), k) for k in range(301)]
+        assert all(isinstance(v, Fraction) for v in s.values)
 
     def test_numpy_forms_match_scalar(self):
         ks = np.arange(0, 400)
@@ -330,6 +341,75 @@ class TestTowerCapacity:
         res = tower_capacity(tw, 7, all_levels=True)
         vals = [sfloat(v) for v in res.per_level]
         assert vals == sorted(vals, reverse=True)
+
+
+class TestChainedOracle:
+    """tower_capacity on one shared context, walked down from kmax with
+    ub = c_{k+1} + 1e-9, gives what a fresh call per k gives."""
+
+    @pytest.mark.parametrize("make, limits, kmax", [
+        (lambda: domains.polygon([(0, 0), (4, 0), (4, 1), (2, 3), (0, 4)], "convex"),
+         None, 30),
+        (golden_triangle, TruncationLimits(eps=1e-5), 9),
+    ], ids=["fig", "golden-truncated"])
+    def test_chained_equals_fresh(self, make, limits, kmax):
+        tw = build_tower(convex_weights(make(), limits))
+        ctx, ub = _EnumContext(tw.final), None
+        for k in range(kmax, -1, -1):
+            chained = tower_capacity(tw, k, ub=ub, ctx=ctx)
+            fresh = tower_capacity(tw, k)
+            assert chained.value == fresh.value
+            assert chained.bracket == fresh.bracket
+            ub = sfloat(chained.value) + 1e-9
+
+
+# the four oracle inputs of the benchmark at seed 0: P6, the figure polygon
+# and two seeded random polygons
+BENCH_POLYGONS = [
+    [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)],
+    [(0, 0), (4, 0), (4, 1), (2, 3), (0, 4)],
+    [(0, 0), (Fraction(8, 3), 0), (Fraction(9, 4), Fraction(3, 2)), (0, 2)],
+    [(0, 0), (5, 0), (Fraction(9, 4), 1), (0, Fraction(3, 2))],
+]
+
+
+class TestNefFloor:
+    """The in-repo simplex against scipy's linprog on the same LP, on every
+    level of each tower."""
+
+    @staticmethod
+    def linprog_floor(s):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        n = s.n
+        if n == 0:
+            return sfloat(s.A[0])
+        rows, rhs = [], []
+        for c in s.curves:
+            cls = tuple(c.cls) + (0,) * (n + 1 - len(c.cls))
+            if any(cls[1:]):
+                rows.append([-float(x) for x in cls[1:]])
+                rhs.append(float(cls[0]))
+        res = linprog(c=[sfloat(s.A[i]) for i in range(1, n + 1)], A_ub=rows, b_ub=rhs,
+                      bounds=[(0, None)] * n, method="highs")
+        assert res.success
+        return max(sfloat(s.A[0]) + res.fun, 0.0)
+
+    def check(self, tw):
+        for s in tw.surfaces:
+            want = self.linprog_floor(s)
+            assert _nef_floor(s) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("vertices", BENCH_POLYGONS, ids=["p6", "fig", "rand-0", "rand-1"])
+    def test_benchmark_towers(self, vertices):
+        self.check(build_tower(convex_weights(domains.polygon(vertices, "convex"))))
+
+    def test_random_towers(self):
+        rng = random.Random(44)
+        for _ in range(40):
+            self.check(build_tower(convex_weights(random_convex_polygon(rng, max_extra=5))))
+
+    def test_golden_triangle_tower(self):
+        self.check(build_tower(convex_weights(golden_triangle(), TruncationLimits(eps=1e-5))))
 
 
 class TestCPlus:

@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import capax
+from capax import capacities, domains
 from capax.cli import main, parse_domain
+from capax.errors import CapaxError, DegenerateEdge
+from capax.weights import TruncationLimits
 
 
 @pytest.fixture
@@ -144,15 +154,39 @@ class TestInputBoundary:
         ["--domain", "ball:abc"],
         ["--domain", "ball:1", "--backend", "sqrt:4"],
         ["--domain", "@{missing}"],
+        ["--domain", "ball:1", "--backend", "foo"],
+        ["--domain", 'polygon:{"kind":"polygon","vertices":5}'],
+        ["--domain", 'polygon:{"kind":"polygon","orientation":"flat",'
+                     '"vertices":[["0","0"],["1","0"],["0","1"]]}'],
     ], ids=["negative-ball", "negative-kmax", "no-argument", "one-leg",
-            "not-a-number", "square-field", "missing-file"])
+            "not-a-number", "square-field", "missing-file", "unknown-backend",
+            "vertices-not-a-list", "unknown-orientation"])
     def test_bad_input_exits_one_with_message(self, capsys, tmp_path, argv):
-        argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+        argv = [a.format(missing=tmp_path / "missing.json") if a.startswith("@") else a
+                for a in argv]
         code = main(["capacities", "--kmax", "5"] + argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("capax: ")
+
+    @pytest.mark.parametrize("eps", ["1e-6", "1e-8"])
+    def test_float_zero_edge_is_typed(self, capsys, tmp_path, eps):
+        # integer zeros keep this float polygon on the exact recursion,
+        # where the float tolerance outgrows the pieces' edges
+        path = tmp_path / "golden-float.json"
+        path.write_text(json.dumps({
+            "kind": "polygon", "orientation": "convex", "backend": "float", "eps": 1e-12,
+            "vertices": [[0, 0], [1, 0], [0, 1.618033988749895]]}))
+        code = main(["capacities", "--domain", f"@{path}", "--backend", "float",
+                     "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("capax: weight recursion: edge vector")
+        assert "zero within the float tolerance" in captured.err
+        d = parse_domain(f"@{path}", "float")
+        with pytest.raises(DegenerateEdge):
+            capacities.series_for_domain(d, 5, TruncationLimits(eps=float(eps)))
 
     def test_float_backend_convex_weight_list(self, capsys):
         code, out = run(capsys, "capacities", "--domain", "weights:5;1,1,1",
@@ -161,6 +195,92 @@ class TestInputBoundary:
         _, exact = run(capsys, "capacities", "--domain", "weights:5;1,1,1", "--kmax", "30")
         got = [float(v) for v in json.loads(out)["values"]]
         assert got == [float(Fraction(v)) for v in json.loads(exact)["values"]]
+
+
+NUMBERS = st.sampled_from(["0", "1", "2", "3/2", "-1", "1/0", "x", "", "1e3", "0.5",
+                           "phi", "1/2+1/2*sqrt", "1*sqrt", 0, 1, 2, 1.5, 0.0, -2, None, True])
+JSON_VALUES = st.recursive(
+    NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=10)
+DESCRIPTORS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["polygon", "ellipsoid", "curve", "weight_list", "disk", 3])},
+    optional={
+        "vertices": st.lists(st.tuples(NUMBERS, NUMBERS).map(list), max_size=6) | JSON_VALUES,
+        "orientation": st.sampled_from(["convex", "concave", "flat", None, 1]),
+        "backend": st.sampled_from(["exact", "float", "sqrt:5", "sqrt:4", "foo", None, 5]),
+        "field_d": st.sampled_from([5, 4, 0, -3, "5", 1.5, None]),
+        "eps": NUMBERS, "a": NUMBERS, "b": NUMBERS, "r": NUMBERS, "p": NUMBERS,
+        "name": st.sampled_from(["quarter_disk", "superellipse", "x", None]),
+        "head": NUMBERS, "weights": st.lists(NUMBERS, max_size=4) | JSON_VALUES,
+    })
+ARGS = (st.text(alphabet="0123456789/-.,;:eE+ *sqrtphi{}[]\"@", max_size=12)
+        | st.lists(st.sampled_from(["0", "1", "2", "3/2", "-1", "1/0", "x", "", "phi", "1e3",
+                                    "0.5", "1+1*sqrt"]), max_size=5).map(",".join)
+        | st.tuples(st.sampled_from(["5", "1", "0", ""]),
+                    st.lists(st.sampled_from(["1", "2", "1/2", "-1", "x", ""]),
+                             max_size=4).map(",".join)).map(";".join))
+
+
+def _typed_or_descriptor(parse):
+    """parse() returns a descriptor that validates or raises CapaxError;
+    any other exception fails the draw."""
+    try:
+        d = parse()
+    except CapaxError:
+        return
+    assert isinstance(d, domains.DomainDescriptor)
+    try:
+        domains.validate(d)
+    except CapaxError:
+        pass
+
+
+class TestFuzz:
+    """Malformed specs and JSON shapes end in a descriptor or a CapaxError."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(obj=DESCRIPTORS | JSON_VALUES)
+    def test_descriptor_from_json(self, obj):
+        _typed_or_descriptor(lambda: domains.descriptor_from_json(obj))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["ball", "ellipsoid", "square", "quarter_disk", "superellipse",
+                                 "weights", "polygon", "nonsense", ""]),
+           sep=st.sampled_from([":", "", "@"]), rest=ARGS,
+           backend=st.sampled_from(["exact", "float", "sqrt:5", "sqrt:4", "foo", "sqrt:",
+                                    "sqrt:x"]))
+    def test_parse_domain(self, kind, sep, rest, backend):
+        _typed_or_descriptor(lambda: parse_domain(kind + sep + rest, backend))
+
+
+class TestOracleRun:
+    def test_builds_one_enum_context(self, capsys, monkeypatch, fig_file):
+        built = []
+
+        class Counting(capacities._EnumContext):
+            def __init__(self, s):
+                built.append(s.n)
+                super().__init__(s)
+
+        monkeypatch.setattr(capacities, "_EnumContext", Counting)
+        code, out = run(capsys, "capacities", "--domain", f"@{fig_file}",
+                        "--kmax", "20", "--oracle")
+        assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
+        assert len(built) == 1
+
+    def test_does_not_import_scipy(self, fig_file, tmp_path):
+        script = ("import sys, capax.cli\n"
+                  f"code = capax.cli.main(['capacities', '--domain', '@{fig_file}', "
+                  f"'--kmax', '10', '--oracle', '--out', {str(tmp_path / 'o.json')!r}])\n"
+                  "print(code, 'scipy' in sys.modules)\n")
+        src = str(Path(capax.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 class TestDeterminism:
