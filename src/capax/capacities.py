@@ -33,7 +33,7 @@ from .errors import (
     SearchSpaceEmpty,
     TruncationTooCoarse,
 )
-from .scalars import Eps, format_scalar, parse_scalar, sfloat
+from .scalars import Eps, Quad, format_scalar, parse_scalar, quad_sign, rational_parts, sfloat
 from .domains import DomainDescriptor, area, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
@@ -301,17 +301,94 @@ def _unscaled(v, den: int):
     return Fraction(v, den) if isinstance(v, int) else v
 
 
+# relative error bounds of the pair fold's float filter, each at least twice
+# the first-order rounding error: float(Quad) is within 6*2^-53 of the weight
+# and its product with t adds 2^-53 (_PAIR_REL, per unit of t); one rounded
+# sum adds 2^-53 of its result (_SUM_REL)
+_PAIR_REL = 2.0 ** -48
+_SUM_REL = 2.0 ** -51
+
+
+def _quad_pairs(ws: list, d_max: int):
+    """Weights over one field Q(sqrt d) as int pairs over a common
+    denominator D, w = (p + q*sqrt d)/D, rationals lifted with q = 0.
+
+    Returns (d, D, [(p, q, float(w))]), or None for other data or when an
+    entry sum |p_i|*t_i + |q_i|*t_i (t_i <= d_max) could reach 2^62."""
+    fields = {w.d for w in ws if isinstance(w, Quad)}
+    if len(fields) != 1 or not all(isinstance(w, (int, Fraction, Quad)) for w in ws):
+        return None
+    parts = [rational_parts(w) for w in ws]
+    den = math.lcm(*(x.denominator for pq in parts for x in pq))
+    pairs = [(int(p * den), int(q * den), float(w)) for (p, q), w in zip(parts, ws)]
+    if sum(abs(p) + abs(q) for p, q, _ in pairs) * d_max >= 2**62:
+        return None
+    return fields.pop(), den, pairs
+
+
+def _fold_ball_pairs(below: tuple, w: tuple, field: int) -> tuple:
+    """_fold_ball_np on a Q(sqrt d) table held as arrays (P, Q, F, E).
+
+    Entry j is (P_j + Q_j*sqrt d)/D exactly; F_j is a float within E_j of
+    it.  A candidate wins where the floats separate it from the entry by
+    more than both bounds and loses where they separate it the other way;
+    the near-ties left are decided by the exact sign of dp + dq*sqrt d."""
+    P, Q, F, E = below
+    p, q, f = w
+    e = _PAIR_REL * abs(f)
+    out = tuple(a.copy() for a in below)
+    S = len(P) - 1
+    t = 1
+    while True:
+        base = (t - 1) * (t + 2) // 2 + 1  # smallest index with d = t
+        if base > S:
+            return out
+        n = S + 1 - base
+        oP, oQ, oF, oE = (a[base:] for a in out)
+        cF = F[:n] + f * t
+        cE = E[:n] + e * t + _SUM_REL * np.abs(cF)
+        gap, tol = cF - oF, cE + oE
+        take = gap > tol
+        near = np.flatnonzero(np.abs(gap) <= tol)
+        if near.size:
+            dp = (P[near] + p * t - oP[near]).tolist()
+            dq = (Q[near] + q * t - oQ[near]).tolist()
+            take[near] = [quad_sign(a, b, field) > 0 for a, b in zip(dp, dq)]
+        idx = np.flatnonzero(take)
+        oP[idx] = P[idx] + p * t
+        oQ[idx] = Q[idx] + q * t
+        oF[idx] = cF[idx]
+        oE[idx] = cE[idx]
+        t += 1
+
+
+def _pair_table(field: int, den: int, pairs: list, ds: np.ndarray) -> list:
+    """_ball_table of the weights that _quad_pairs returned, as Quads."""
+    p, q, f = pairs[0]
+    F = ds * f
+    table = (ds * p, ds * q, F, ds * (_PAIR_REL * abs(f)) + _SUM_REL * np.abs(F))
+    for w in pairs[1:]:
+        table = _fold_ball_pairs(table, w, field)
+    return [Quad(Fraction(a, den), Fraction(b, den), field)
+            for a, b in zip(table[0].tolist(), table[1].tolist())]
+
+
 def _ball_table(ws: list, ds: np.ndarray) -> list:
     """Max-plus union of the ball series w*d over the d-values `ds`.
 
     The array's dtype follows the data: int64 for scaled rationals while
-    no entry can reach 2^62, float64 for floats, Python objects for Quads
-    and larger ints.  Every entry is at most sum(ws) * d_max."""
-    if all(isinstance(w, int) for w in ws) and sum(map(abs, ws)) * int(ds[-1]) < 2**62:
+    no entry can reach 2^62, float64 for floats, int64 pairs with a float
+    filter for Q(sqrt d) under the same bound (entries come back as Quads),
+    Python objects for larger data.  Every entry is at most sum(ws) * d_max."""
+    d_max = max(int(ds[-1]), 1)  # every weight itself must fit as well
+    if all(isinstance(w, int) for w in ws) and sum(map(abs, ws)) * d_max < 2**62:
         dtype = np.int64
     elif all(isinstance(w, float) for w in ws):
         dtype = float
     else:
+        quad = _quad_pairs(ws, d_max)
+        if quad is not None:
+            return _pair_table(*quad, ds)
         dtype = object
     d = ds.astype(dtype)
     if not ws:

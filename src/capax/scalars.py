@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import DegenerateEdge, MixedBackend
 
 RationalLike = int | Fraction
 
 
+@lru_cache(maxsize=None)
 def _is_squarefree(d: int) -> bool:
     if d < 2:
         return False
@@ -33,6 +34,23 @@ def _is_squarefree(d: int) -> bool:
             return False
         f += 1
     return True
+
+
+def quad_sign(p, q, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) for rational p, q and squarefree d."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    # opposite signs: compare p^2 with q^2 d
+    lhs, rhs = p * p, q * q * d
+    if p > 0:  # q < 0
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
 
 @total_ordering
@@ -147,20 +165,7 @@ class Quad:
 
     def sign(self) -> int:
         """Exact sign of p + q*sqrt(d)."""
-        p, q = self._p, self._q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with q^2 d
-        lhs, rhs = p * p, q * q * self._d
-        if p > 0:  # q < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return quad_sign(self._p, self._q, self._d)
 
     def __eq__(self, other) -> bool:
         try:

@@ -247,7 +247,7 @@ def concave_weights(d: DomainDescriptor, limits: TruncationLimits | None = None)
         raise NonConvex(f"{d.kind} domain is not concave")
     chain = list(profile.chain)
     zero = chain[0][0] - chain[0][0]
-    exact = is_exact(chain[0][0])
+    exact = d.backend != "float"
     rec = _Recursion(limits, exact, d.backend)
     roots = rec.run([(chain, None, 3, None, 1)])
     nodes, trunc = rec.finish(zero)
@@ -271,7 +271,7 @@ def convex_weights(d: DomainDescriptor, limits: TruncationLimits | None = None) 
         raise NonConvex("polygonalize smooth domains before running the recursion")
     chain = list(profile.chain)
     zero = chain[0][0] - chain[0][0]
-    exact = is_exact(chain[0][0])
+    exact = d.backend != "float"
     svals = [x + y for x, y in chain]
     c = svals[0]
     for s in svals[1:]:

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capax import domains
+from capax import capacities, domains
 from capax.errors import BelowThreshold, SearchSpaceEmpty
 from capax.capacities import (
     _EnumContext,
+    _ball_table,
     _nef_floor,
+    _quad_pairs,
     CapacitySeries,
     alg_capacity_enum,
     alg_capacity_series,
@@ -22,6 +24,7 @@ from capax.capacities import (
     concave_capacity,
     convex_capacity,
     d_index,
+    d_values_np,
     dkn_upper,
     e12_values_np,
     ellipsoid_capacities,
@@ -35,20 +38,39 @@ from capax.capacities import (
     union_capacities,
     union_of_balls,
 )
-from capax.scalars import sfloat
+from capax.scalars import Quad, format_scalar, quad_sign, sfloat
 from capax.tower import blowup, build_tower, p2_init
-from capax.weights import TruncationLimits, convex_weights
+from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, random_convex_polygon
 
 PHI = (1 + math.sqrt(5)) / 2
 
+# convex_capacity(golden_triangle(), 30, TruncationLimits(eps=1e-10)) as the
+# object-array Quad fold computed it: the formatted values and lower_slack
+GOLDEN_K30_VALUES = [
+    '0', '1', '1/2+1/2*sqrt', '2', '3/2+1/2*sqrt', '3', '1+1*sqrt', '5/2+1/2*sqrt',
+    '4', '2+1*sqrt', '7/2+1/2*sqrt', '3/2+3/2*sqrt', '5', '3+1*sqrt', '9/2+1/2*sqrt',
+    '5/2+3/2*sqrt', '6', '4+1*sqrt', '2+2*sqrt', '11/2+1/2*sqrt', '7/2+3/2*sqrt', '7',
+    '5+1*sqrt', '3+2*sqrt', '13/2+1/2*sqrt', '9/2+3/2*sqrt', '8', '5/2+5/2*sqrt',
+    '6+1*sqrt', '4+2*sqrt', '15/2+1/2*sqrt']
+GOLDEN_K30_LOWER_SLACK = [
+    0.0, 2.435389667709842e-10, 4.870779335419684e-10, 2.435389667709842e-10,
+    4.870779335419684e-10, 4.870779335419684e-10, 4.870779335419684e-10,
+    7.306169003129526e-10, 7.306169003129526e-10, 4.870779335419684e-10,
+    9.741558670839368e-10, 7.306173444021624e-10, 7.306173444021624e-10,
+    7.306173444021624e-10, 9.741558670839368e-10, 9.741558670839368e-10,
+    9.741558670839368e-10, 9.741558670839368e-10, 1.2176952779441308e-09,
+    1.2176952779441308e-09, 1.2176952779441308e-09, 9.741558670839368e-10,
+    9.741558670839368e-10, 1.4612338006259051e-09, 1.2176952779441308e-09,
+    1.2176952779441308e-09, 1.2176952779441308e-09, 1.217694389765711e-09,
+    1.217694389765711e-09, 1.4612346888043248e-09, 1.4612346888043248e-09]
 
-def golden_triangle():
+
+def golden_triangle(orientation="convex"):
     """The triangle (0,0), (1,0), (0,phi) over Q(sqrt 5)."""
-    from capax.scalars import Quad
     z, one = Quad(0, 0, 5), Quad(1, 0, 5)
     phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
-    return domains.polygon([(z, z), (one, z), (z, phi)], "convex", backend="sqrt:5")
+    return domains.polygon([(z, z), (one, z), (z, phi)], orientation, backend="sqrt:5")
 
 
 class TestClosedForms:
@@ -183,6 +205,8 @@ class TestConvex:
         # golden-ratio triangle through the exact quadratic-field DP
         d = golden_triangle()
         got = convex_capacity(d, 30, TruncationLimits(eps=1e-10))
+        assert [format_scalar(v) for v in got.values] == GOLDEN_K30_VALUES
+        assert got.lower_slack == GOLDEN_K30_LOWER_SLACK
         oracle = ellipsoid_capacities(1.0, PHI, 30)
         for k in range(31):
             assert sfloat(got.value(k)) == pytest.approx(
@@ -286,6 +310,117 @@ class TestConvexScan:
         for k in range(31):
             assert sfloat(got.value(k)) == pytest.approx(
                 sfloat(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
+
+
+def reference_ball_table(ws, ds):
+    """The object-array fold: np.maximum over the Quads themselves, one
+    shifted slice of the previous ball's table per level d = t."""
+    S = len(ds) - 1
+    table = ds.astype(object) * ws[0]
+    for w in ws[1:]:
+        below, table = table, table.copy()
+        for t in range(1, int(ds[-1]) + 1):
+            base = (t - 1) * (t + 2) // 2 + 1  # smallest index with d = t
+            np.maximum(table[base:], below[: S + 1 - base] + w * t, out=table[base:])
+    return table.tolist()
+
+
+def golden_power(n):
+    """phi^-n = |F_n*phi - F_(n+1)| in Q(sqrt 5): Fibonacci-sized p and q
+    that cancel to a small value."""
+    a, b = 0, 1  # F_n, F_(n+1)
+    for _ in range(n):
+        a, b = b, a + b
+    x = Quad(Fraction(a, 2) - b, Fraction(a, 2), 5)
+    return x if x.sign() > 0 else -x
+
+
+@st.composite
+def quad_weight_lists(draw):
+    """Positive Q(sqrt d) weight lists, d in {2, 3, 5, 7}: irrational and
+    rational (some as Fractions, some lifted with q = 0) entries, golden
+    powers for d = 5, and repeats, which give exact ties."""
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    small = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+    def irrational(pq):
+        x = Quad(pq[0], pq[1], d)
+        return x if x.sign() > 0 else -x
+
+    kinds = [st.tuples(small, small.filter(bool)).map(irrational),
+             small.filter(bool).map(abs),
+             small.filter(bool).map(lambda x: Quad.rational(abs(x), d))]
+    if d == 5:
+        kinds.append(st.integers(0, 75).map(golden_power))
+    base = draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=4))
+    ws = draw(st.permutations(base + repeats))
+    if not any(isinstance(w, Quad) for w in ws):
+        ws.append(Quad.rational(1, d))
+    return ws
+
+
+class TestQuadPairFold:
+    """The int64-pair fold of Q(sqrt d) tables against the object fold."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ws=quad_weight_lists(), K=st.integers(0, 60))
+    def test_matches_object_fold(self, ws, K):
+        ds = d_values_np(np.arange(K + 1))
+        assert _quad_pairs(ws, int(ds[-1])) is not None
+        got = _ball_table(ws, ds)
+        assert all(isinstance(x, Quad) for x in got)
+        assert got == reference_ball_table(ws, ds)
+
+    def test_golden_ties_use_the_exact_test(self, monkeypatch):
+        calls = []
+
+        def counting(p, q, d):
+            calls.append((p, q))
+            return quad_sign(p, q, d)
+
+        monkeypatch.setattr(capacities, "quad_sign", counting)
+        ds = d_values_np(np.arange(121))
+        # phi^-n + phi^-(n+1) = phi^-(n-1): candidates tie exactly
+        ws = [golden_power(n) for n in range(12)] + [golden_power(3)] * 2
+        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+        assert calls and all(p == 0 and q == 0 for p, q in calls)
+        # on the flat stretches of the unit ball's table, adding phi^-72 ~ 1e-15
+        # gives near-ties of distinct values
+        calls.clear()
+        ws = [Quad.rational(1, 5), golden_power(72)]
+        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+        assert calls and all(p or q for p, q in calls)
+
+    @pytest.mark.parametrize("w", [Quad(1, Fraction(29, 7), 5), Quad(-2, Fraction(11, 2), 5),
+                                   Quad(Fraction(13, 4), 14, 5)], ids=str)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_weights_a_rounding_apart(self, w, sign):
+        # w and w +- phi^-72 differ below the floats' rounding of the table
+        # entries: a filter without its error bound picks the wrong entry
+        ws = [w, w + sign * golden_power(72)]
+        ds = d_values_np(np.arange(41))
+        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+
+    def test_over_the_guard_takes_the_object_path(self):
+        phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
+        ws = [Quad(2 ** 58, 3, 5), phi, Quad(2 ** 58, -2 ** 57, 5), Fraction(7, 3), phi]
+        ds = d_values_np(np.arange(41))
+        assert _quad_pairs(ws, int(ds[-1])) is None
+        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+
+    def test_huge_weights_at_k0(self):
+        # with d_max = 0 the guard still keeps weights beyond int64 out of
+        # the int64 arrays (the rational case raised OverflowError)
+        assert union_of_balls([Fraction(10 ** 23), Fraction(1)], 0, Fraction(0)) == [0]
+        assert union_of_balls([Quad(2 ** 70, 1, 5)], 0, Fraction(0)) == [0]
+
+    def test_golden_concave_triangle(self):
+        d = golden_triangle("concave")
+        tree = concave_weights(d, TruncationLimits(eps=1e-8))
+        ws = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
+        ds = d_values_np(np.arange(61))
+        assert concave_capacity(d, 60, tree=tree).values == reference_ball_table(ws, ds)
 
 
 class TestEnum:

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import capax
 from capax import capacities, domains
 from capax.cli import main, parse_domain
-from capax.errors import CapaxError, DegenerateEdge
-from capax.weights import TruncationLimits
+from capax.errors import CapaxError
 
 
 @pytest.fixture
@@ -171,22 +170,21 @@ class TestInputBoundary:
         assert captured.err.startswith("capax: ")
 
     @pytest.mark.parametrize("eps", ["1e-6", "1e-8"])
-    def test_float_zero_edge_is_typed(self, capsys, tmp_path, eps):
-        # integer zeros keep this float polygon on the exact recursion,
-        # where the float tolerance outgrows the pieces' edges
-        path = tmp_path / "golden-float.json"
-        path.write_text(json.dumps({
-            "kind": "polygon", "orientation": "convex", "backend": "float", "eps": 1e-12,
-            "vertices": [[0, 0], [1, 0], [0, 1.618033988749895]]}))
-        code = main(["capacities", "--domain", f"@{path}", "--backend", "float",
-                     "--eps", eps])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err.startswith("capax: weight recursion: edge vector")
-        assert "zero within the float tolerance" in captured.err
-        d = parse_domain(f"@{path}", "float")
-        with pytest.raises(DegenerateEdge):
-            capacities.series_for_domain(d, 5, TruncationLimits(eps=float(eps)))
+    def test_float_int_zeros_match_string_zeros(self, capsys, tmp_path, eps):
+        # the descriptor's backend picks the float recursion, whatever type
+        # the JSON zeros parse to
+        outs = []
+        for zero in (0, "0"):
+            path = tmp_path / "golden-float.json"
+            path.write_text(json.dumps({
+                "kind": "polygon", "orientation": "convex", "backend": "float",
+                "eps": 1e-12,
+                "vertices": [[zero, zero], [1, zero], [zero, 1.618033988749895]]}))
+            code, out = run(capsys, "capacities", "--domain", f"@{path}",
+                            "--backend", "float", "--eps", eps)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_float_backend_convex_weight_list(self, capsys):
         code, out = run(capsys, "capacities", "--domain", "weights:5;1,1,1",

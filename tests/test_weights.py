@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from capax import domains
-from capax.errors import TailNotDecreasing
-from capax.scalars import Quad, sfloat
+from capax.errors import DegenerateEdge, TailNotDecreasing
+from capax.scalars import Eps, Quad, _primitive_float, sfloat
 from capax.weights import (
     INF_NODE,
+    _piece_ell_plus,
     TruncationLimits,
     concave_weights,
     convex_weights,
@@ -255,3 +256,27 @@ class TestFloatBackend:
         t = concave_weights(d, TruncationLimits(eps=1e-4))
         ws = [sfloat(w) for w in t.weight_multiset()]
         assert ws == pytest.approx([phi ** -j for j in range(len(ws))], abs=1e-9)
+
+    def test_int_zeros_take_the_float_recursion(self):
+        # integer zeros in a float polygon used to pick the exact recursion;
+        # the float one has the depth limit 256
+        phi = 1.618033988749895
+        for z in (0, "0"):
+            d = domains.polygon([(z, z), (1, z), (z, phi)], "convex",
+                                backend="float", eps=1e-12)
+            t = convex_weights(d, TruncationLimits(eps=1e-6))
+            assert t.truncation.max_depth == 256
+
+
+class TestZeroEdge:
+    def test_float_zero_vector(self):
+        with pytest.raises(DegenerateEdge, match="zero within the float tolerance"):
+            _primitive_float(Eps(1e-13, 1e-12), Eps(0.0, 1e-12))
+
+    def test_piece_with_a_repeated_vertex(self):
+        graph = [(Fraction(0), Fraction(2)), (Fraction(1), Fraction(1)),
+                 (Fraction(1), Fraction(1)), (Fraction(2), Fraction(0))]
+        with pytest.raises(DegenerateEdge, match="zero edge vector"):
+            _piece_ell_plus(graph, float_backend=False)
+        # the float backend reports no rational length and never classifies
+        assert _piece_ell_plus(graph, float_backend=True) == 0
