@@ -132,91 +132,61 @@ class CapacitySeries:
 
 def ball_capacities(a, K: int) -> CapacitySeries:
     """c_k(B(a)) = a*d with d minimal such that d(d+3)/2 >= k."""
-    vals = [a * d_index(k) for k in range(K + 1)]
+    vals = [a * d for d in d_values_np(np.arange(K + 1)).tolist()]
     return CapacitySeries(method="ball_closed_form", values=vals,
                           backend=_backend_of_value(a), source=f"ball({a})")
 
 
 def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
-    """(k+1)-th smallest value of {a*m + b*n}, heap-merged without a grid."""
-    zero = a - a
-    heap = [(zero, 0, 0)]
+    """(k+1)-th smallest value of {a*m + b*n}, heap-merged without a grid.
+
+    Rational legs run on Python ints over their common denominator; float
+    legs keep the step-by-step sums v + a, which fix the float values."""
+    den, (sa, sb) = _scaled([a, b])
+    heap = [(sa - sa, 0, 0)]
     vals = []
     while len(vals) <= K:
         v, m, n = heapq.heappop(heap)
-        vals.append(v)
-        heapq.heappush(heap, (v + a, m + 1, n))
+        vals.append(_unscaled(v, den))
+        heapq.heappush(heap, (v + sa, m + 1, n))
         if m == 0:
-            heapq.heappush(heap, (v + b, m, n + 1))
+            heapq.heappush(heap, (v + sb, m, n + 1))
     return CapacitySeries(method="ellipsoid_closed_form", values=vals,
                           backend=_backend_of_value(a), source=f"ellipsoid({a},{b})")
 
 
-def ellipsoid_values_np(a: float, b: float, K: int) -> np.ndarray:
-    """Float ellipsoid series to large K via a lattice grid and one sort."""
-    # choose V with #{am+bn <= V} comfortably above K+1
-    V = math.sqrt(2 * a * b * (K + 1)) + 2 * (a + b)
-    ms = np.arange(0, int(V / a) + 2, dtype=float) * a
-    ns = np.arange(0, int(V / b) + 2, dtype=float) * b
-    grid = (ms[:, None] + ns[None, :]).ravel()
-    grid = grid[grid <= V]
-    if grid.size < K + 1:
-        raise AssertionError("value cutoff too small")
-    grid.sort()
-    return grid[: K + 1]
+def polydisk_capacities(w, h, K: int) -> CapacitySeries:
+    """c_k = min{w*m + h*n : (m+1)(n+1) >= k+1}, for every k at once.
+
+    Some optimal pair has its smaller coordinate m with m*m <= 4(k+1), and
+    n = ceil((k+1)/(m+1)) - 1 is the least partner of m, so one array pass
+    per m scores both orientations on the rows it covers.  The dtype is
+    _ball_table's: rational sides run on ints over their common
+    denominator."""
+    den, (ws, hs) = _scaled([w, h])
+    dtype = _dtype([ws, hs], 2 * K + 2)  # every candidate has m + n <= 2K + 2
+    need = np.arange(1, K + 2)
+    best = None
+    m = 0
+    while m * m <= 4 * (K + 1):
+        lo = max(0, -(-m * m // 4) - 1)  # the first row with m*m <= 4(k+1)
+        nmin = ((need[lo:] + m) // (m + 1) - 1).astype(dtype)
+        for c in (ws * m + hs * nmin, hs * m + ws * nmin):
+            if best is None:
+                best = c
+            else:
+                best[lo:] = np.where(c < best[lo:], c, best[lo:])
+        m += 1
+    return CapacitySeries(method="polydisk_closed_form",
+                          values=[_unscaled(v, den) for v in best.tolist()],
+                          backend=_backend_of_value(w), source=f"polydisk({w},{h})")
 
 
 def square_capacities(s, K: int) -> CapacitySeries:
     """c_k([0,s]^2) = s * min{m+n : (m+1)(n+1) >= k+1}."""
-    vals = []
-    for k in range(K + 1):
-        vals.append(s * _square_multiplier(k))
-    return CapacitySeries(method="polydisk_closed_form", values=vals,
-                          backend=_backend_of_value(s), source=f"square({s})")
-
-
-def _square_multiplier(k: int) -> int:
-    need = k + 1
-    t = max(0, math.isqrt(4 * need) - 2)
-    while ((t + 2) * (t + 2)) // 4 < need:
-        t += 1
-    while t > 0 and ((t + 1) * (t + 1)) // 4 >= need:
-        t -= 1
-    return t
-
-
-def square_values_np(s: float, ks: np.ndarray) -> np.ndarray:
-    need = ks.astype(np.int64) + 1
-    t = np.maximum(0, (2 * np.sqrt(need.astype(float))).astype(np.int64) - 2)
-    for _ in range(4):
-        t = np.where(((t + 2) * (t + 2)) // 4 < need, t + 1, t)
-        over = (t > 0) & (((t + 1) * (t + 1)) // 4 >= need)
-        t = np.where(over, t - 1, t)
-    assert np.all(((t + 2) * (t + 2)) // 4 >= need)
-    assert np.all((((t + 1) * (t + 1)) // 4 < need) | (t == 0))
-    return s * t.astype(float)
-
-
-def ball_values_np(a: float, ks: np.ndarray) -> np.ndarray:
-    return a * d_values_np(ks).astype(float)
-
-
-def e12_values_np(ks: np.ndarray) -> np.ndarray:
-    """c_k(E(1,2)) by inverting the counting function
-    N(2t) = (t+1)^2, N(2t+1) = (t+1)(t+2)."""
-    need = ks.astype(np.int64) + 1
-    v = np.maximum(0, (2 * np.sqrt(need.astype(float))).astype(np.int64) - 3)
-    for _ in range(6):
-        v = np.where(_e12_count(v) < need, v + 1, v)
-        v = np.where((v > 0) & (_e12_count(v - 1) >= need), v - 1, v)
-    assert np.all(_e12_count(v) >= need)
-    assert np.all((v == 0) | (_e12_count(v - 1) < need))
-    return v.astype(float)
-
-
-def _e12_count(v: np.ndarray) -> np.ndarray:
-    t = v // 2
-    return np.where(v % 2 == 0, (t + 1) * (t + 1), (t + 1) * (t + 2))
+    out = polydisk_capacities(s, s, K)
+    out.source = f"square({s})"
+    return out
 
 
 def _backend_of_value(x) -> str:
@@ -373,6 +343,17 @@ def _pair_table(field: int, den: int, pairs: list, ds: np.ndarray) -> list:
             for a, b in zip(table[0].tolist(), table[1].tolist())]
 
 
+def _dtype(xs: list, n_max: int):
+    """The array dtype for sums of n_max multiples of the scaled data xs:
+    int64 for ints while sum|x| * n_max stays below 2^62, float64 for
+    floats, Python objects for anything else."""
+    if all(isinstance(x, int) for x in xs) and sum(map(abs, xs)) * n_max < 2**62:
+        return np.int64
+    if all(isinstance(x, float) for x in xs):
+        return float
+    return object
+
+
 def _ball_table(ws: list, ds: np.ndarray) -> list:
     """Max-plus union of the ball series w*d over the d-values `ds`.
 
@@ -381,15 +362,11 @@ def _ball_table(ws: list, ds: np.ndarray) -> list:
     filter for Q(sqrt d) under the same bound (entries come back as Quads),
     Python objects for larger data.  Every entry is at most sum(ws) * d_max."""
     d_max = max(int(ds[-1]), 1)  # every weight itself must fit as well
-    if all(isinstance(w, int) for w in ws) and sum(map(abs, ws)) * d_max < 2**62:
-        dtype = np.int64
-    elif all(isinstance(w, float) for w in ws):
-        dtype = float
-    else:
+    dtype = _dtype(ws, d_max)
+    if dtype is object:
         quad = _quad_pairs(ws, d_max)
         if quad is not None:
             return _pair_table(*quad, ds)
-        dtype = object
     d = ds.astype(dtype)
     if not ws:
         return np.zeros_like(d).tolist()
@@ -439,18 +416,11 @@ def concave_capacity(d: DomainDescriptor, K: int,
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
     zero = zero - zero
     vals = union_of_balls([_as_num(w) for w in weights], K, zero)
-    out = CapacitySeries(method="decomposition", values=vals,
-                         lower_slack=None, upper_slack=None)
     tail = sfloat(t.truncation.dropped_tail_sum)
-    if tail > 0:
-        extra = [d_index(k) * tail for k in range(K + 1)]
-        base = out.upper_slack or [0.0] * (K + 1)
-        out.upper_slack = [b + e for b, e in zip(base, extra)]
-    out.method = "decomposition"
-    out.backend = t.backend
-    out.source = f"concave:{d.kind}"
-    out.meta["dropped_tail_sum"] = tail
-    return out
+    upper = [d_index(k) * tail for k in range(K + 1)] if tail > 0 else None
+    return CapacitySeries(method="decomposition", values=vals, upper_slack=upper,
+                          backend=t.backend, source=f"concave:{d.kind}",
+                          meta={"dropped_tail_sum": tail})
 
 
 # ---------------------------------------------------------------------------
@@ -937,33 +907,8 @@ def _is_box(d: DomainDescriptor) -> tuple | None:
     return None
 
 
-def polydisk_value(w, h, k: int):
-    """min{w*m + h*n : (m+1)(n+1) >= k+1}; some optimal pair has its
-    smaller coordinate below sqrt(k+1), so both orientations of a short
-    scan suffice."""
-    need = k + 1
-    best = None
-    m = 0
-    while m * m <= 4 * need:
-        nmin = (need + m) // (m + 1) - 1
-        for c in (w * m + h * nmin, h * m + w * nmin):
-            if best is None or c < best:
-                best = c
-        m += 1
-    return best
-
-
-def polydisk_capacities(w, h, K: int) -> CapacitySeries:
-    """Rational sides run on Python ints over their common denominator."""
-    den, (ws, hs) = _scaled([w, h])
-    vals = [_unscaled(polydisk_value(ws, hs, k), den) for k in range(K + 1)]
-    return CapacitySeries(method="polydisk_closed_form", values=vals,
-                          backend=_backend_of_value(w), source=f"polydisk({w},{h})")
-
-
 def series_for_domain(d: DomainDescriptor, K: int,
-                      limits: TruncationLimits | None = None,
-                      fast: bool = True) -> CapacitySeries:
+                      limits: TruncationLimits | None = None) -> CapacitySeries:
     """Pick the natural route for the descriptor, after validating it."""
     if K < 0:
         raise CapaxError(f"kmax must be >= 0, got {K}")
@@ -973,10 +918,9 @@ def series_for_domain(d: DomainDescriptor, K: int,
             return ball_capacities(d.a, K)
         return ellipsoid_capacities(d.a, d.b, K)
     if d.kind == "polygon":
-        if fast:
-            box = _is_box(d)
-            if box is not None:
-                return polydisk_capacities(box[0], box[1], K)
+        box = _is_box(d)
+        if box is not None:
+            return polydisk_capacities(box[0], box[1], K)
         if d.orientation == "convex":
             return convex_capacity(d, K, limits)
         return concave_capacity(d, K, limits)

@@ -30,7 +30,7 @@ _FLOAT_CONSTANTS = {
 }
 
 
-def _scalar_arg(text: str, backend: str, eps: float):
+def _scalar_arg(text: str, backend: str):
     text = text.strip()
     if text in _FLOAT_CONSTANTS:
         if backend != "float":
@@ -63,7 +63,7 @@ def parse_domain(spec: str, backend: str = "exact", eps: float = 1e-9) -> domain
         if len(args) < _ARITY.get(kind, 0):
             raise CapaxError(f"domain spec {spec!r}: {kind} needs {_ARITY[kind]} "
                              f"argument(s), got {len(args)}")
-        val = lambda s: _scalar_arg(s, backend, eps)
+        val = lambda s: _scalar_arg(s, backend)
         if kind == "ball":
             return domains.ball(val(args[0]), backend=backend, eps=eps)
         if kind == "ellipsoid":

@@ -197,8 +197,7 @@ def _cross(o, p, q):
 def _dedupe_collinear(vs):
     """Drop repeated vertices and interior points of straight runs."""
     out = []
-    n = len(vs)
-    for i, v in enumerate(vs):
+    for v in vs:
         if out and v[0] == out[-1][0] and v[1] == out[-1][1]:
             continue
         out.append(v)
@@ -492,13 +491,15 @@ def _superellipse_points(d: DomainDescriptor, resolution: int):
     p, r = d.params
     _, f, _, _ = _curve_geometry(d)
     den = 4 * resolution * resolution * 1024
+    return _snapped_hull(r, [Fraction(i, resolution - 1) * r for i in range(1, resolution - 1)],
+                         lambda x: Fraction(math.floor(f(float(x)) * den), den))
+
+
+def _snapped_hull(r, xs, snap):
+    """Upper hull of (0,r), the points (x, snap(x)) with snap(x) > 0 and
+    (r,0), x-increasing."""
     pts = [(Fraction(0), Fraction(r))]
-    for i in range(1, resolution - 1):
-        x = Fraction(i, resolution - 1) * r
-        y = Fraction(math.floor(f(float(x)) * den), den)
-        if y <= 0:
-            continue
-        pts.append((x, y))
+    pts += [(x, y) for x in xs if (y := snap(x)) > 0]
     pts.append((Fraction(r), Fraction(0)))
     # upper hull: traversed x-increasing the chain must turn right throughout
     hull = []
@@ -517,27 +518,14 @@ def inner_grid_polygon(d: DomainDescriptor, M: int) -> PolygonalizeResult:
     if d.kind != "curve":
         raise ValueError("inner_grid_polygon applies to curve families")
     r = d.params[-1]
-    _, f, _, _ = _curve_geometry(d)
-    rf = float(r)
-    pts = [(Fraction(0), Fraction(r))]
-    for i in range(1, M):
-        x = Fraction(i, M) * r
-        y = Fraction(math.floor(f(float(x)) / rf * M), M) * r
-        if y <= 0:
-            continue
-        pts.append((x, y))
-    pts.append((Fraction(r), Fraction(0)))
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2 and sfloat(_cross(hull[-2], hull[-1], pt)) >= 0:
-            hull.pop()
-        hull.append(pt)
+    rf, f, fp, _ = _curve_geometry(d)
+    hull = _snapped_hull(r, [Fraction(i, M) * r for i in range(1, M)],
+                         lambda x: Fraction(math.floor(f(float(x)) / rf * M), M) * r)
     verts = [(Fraction(0), Fraction(0))] + list(reversed(hull))
     poly = DomainDescriptor(kind="polygon", orientation="convex",
                             vertices=tuple(verts), backend="exact")
     profile = validate(poly)
     # arc-to-chord gaps measured on true curve points, plus the grid offset
-    _, f, fp, _ = _curve_geometry(d)
     worst = 0.0
     xs = [sfloat(p[0]) for p in hull]
     for x0, x1 in zip(xs, xs[1:]):

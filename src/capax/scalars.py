@@ -448,13 +448,18 @@ _QUAD_RE = re.compile(
 
 def parse_scalar(text, backend: str = "exact", field_d: int | None = None,
                  eps: float = 0.0):
-    """Parse "p/q" or "p/q+r/s*sqrt" per the JSON conventions."""
-    if isinstance(text, (int, Fraction, Quad, Eps)):
+    """Parse "p/q" or "p/q+r/s*sqrt" per the JSON conventions.
+
+    In the float backend every number carries the tolerance `eps`, the
+    JSON integers too."""
+    if isinstance(text, (Quad, Eps)):
         return text
-    if isinstance(text, float):
+    if isinstance(text, (int, Fraction, float)):
         if backend == "float":
-            return Eps(text, eps)
-        raise MixedBackend(f"float literal {text!r} in {backend} backend")
+            return Eps(float(text), eps)
+        if isinstance(text, float):
+            raise MixedBackend(f"float literal {text!r} in {backend} backend")
+        return text
     s = str(text).strip()
     if backend == "float":
         return Eps(float(Fraction(s)) if "/" in s else float(s), eps)

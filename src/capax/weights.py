@@ -99,10 +99,23 @@ class WeightTree:
                 raise AssertionError(f"node {n.id} outweighs the head")
 
 
-def _contact_tolerance(values, eps: float) -> float:
-    scale = max((abs(sfloat(v)) for v in values), default=1.0)
-    slop = max((seps(v) for v in values), default=0.0)
-    return 2 * slop + 1e-12 * (1.0 + scale)
+def _contact(svals, gaps, exact: bool):
+    """The vertices at a cut line, from their values x+y and gaps to it:
+    (j1, j2), the first and last that touch it, and (s1, s2), where the
+    slivers end.
+
+    A float contact can take in an end of the graph that lies off the line
+    by more than rounding, inside the tolerance tags.  The sliver from that
+    end to the first (s1) or last (s2) vertex within rounding of the line
+    is a dropped piece; s1, s2 are None where the end is on the line."""
+    tol = noise = 0
+    if not exact:  # rounding of sums of the values, then their tolerance tags
+        noise = 1e-12 * (1.0 + max((abs(sfloat(v)) for v in svals), default=1.0))
+        tol = 2 * max((seps(v) for v in svals), default=0.0) + noise
+    contact = [i for i, g in enumerate(gaps) if g <= tol]
+    on_line = [i for i, g in enumerate(gaps) if g <= noise]
+    return (contact[0], contact[-1], on_line[0] if gaps[0] > noise else None,
+            on_line[-1] if gaps[-1] > noise else None)
 
 
 def _piece_area(graph):
@@ -164,7 +177,8 @@ class _Recursion:
         roots = []
         while queue:
             graph, parent, side, corner, depth = queue.popleft()
-            if len(graph) < 2:
+            if len(graph) < 2:  # nothing to peel: the point's a + b enters the tail
+                self._drop(graph)
                 continue
             if depth > self.max_depth:
                 if self.exact and self.eps == 0.0:
@@ -181,9 +195,7 @@ class _Recursion:
             if sfloat(a_ins) < self.eps:
                 self._drop(graph)
                 continue
-            tol = _contact_tolerance(svals, self.eps) if not self.exact else 0
-            contact = [i for i, s in enumerate(svals) if sfloat(s - a_ins) <= tol]
-            j1, j2 = contact[0], contact[-1]
+            j1, j2, s1, s2 = _contact(svals, [sfloat(s - a_ins) for s in svals], self.exact)
             x2, x3 = graph[j1][0], graph[j2][0]
             node_id = self.next_id
             self.next_id += 1
@@ -201,11 +213,15 @@ class _Recursion:
                 left = [(x, x + y - a_ins) for x, y in graph[: j1 + 1]]
                 queue.append((left, node_id, 2, (node_id, y_curve) if corner else None,
                               depth + 1))
+            elif s1 is not None:
+                self._drop([(x, x + y - a_ins) for x, y in graph[: s1 + 1]])
             # right piece: keeps the x-side curve
             if j2 < len(graph) - 1:
                 right = [(x + y - a_ins, y) for x, y in graph[j2:]]
                 queue.append((right, node_id, 3, (x_curve, node_id) if corner else None,
                               depth + 1))
+            elif s2 is not None:
+                self._drop([(x + y - a_ins, y) for x, y in graph[s2:]])
         return roots
 
     def finish(self, zero):
@@ -277,20 +293,21 @@ def convex_weights(d: DomainDescriptor, limits: TruncationLimits | None = None) 
     for s in svals[1:]:
         if s > c:
             c = s
-    tol = _contact_tolerance(svals, limits.resolved(exact)[1]) if not exact else 0
-    contact = [i for i, s in enumerate(svals) if sfloat(c - s) <= tol]
-    i1, i2 = contact[0], contact[-1]
+    i1, i2, s1, s2 = _contact(svals, [sfloat(c - s) for s in svals], exact)
     x2, x3 = chain[i1][0], chain[i2][0]
 
+    rec = _Recursion(limits, exact, d.backend)
     pieces = []
     if i1 > 0:  # corner piece at (0, c): hypotenuse becomes its x-axis
         left = [(x, c - x - y) for x, y in chain[: i1 + 1]]
         pieces.append((left, None, 2, ("H0", "H2"), 1))
+    elif s1 is not None:
+        rec._drop([(x, c - x - y) for x, y in chain[: s1 + 1]])
     if i2 < len(chain) - 1:  # corner piece at (c, 0)
         right = [(c - x - y, y) for x, y in chain[i2:]]
         pieces.append((right, None, 3, ("H1", "H0"), 1))
-
-    rec = _Recursion(limits, exact, d.backend)
+    elif s2 is not None:
+        rec._drop([(c - x - y, y) for x, y in chain[s2:]])
     roots = rec.run(pieces)
     nodes, trunc = rec.finish(zero)
     tree = WeightTree(head=c, head_introduced=x3 - x2, roots=tuple(roots),

@@ -21,15 +21,13 @@ from capax.asymptotics import error_values, window_extrema
 from capax.capacities import (
     alg_capacity_series,
     ball_capacities,
-    ball_values_np,
     c_plus,
     c_plus_reference,
     concave_capacity,
     convex_capacity,
-    e12_values_np,
+    d_values_np,
     ellipsoid_capacities,
-    ellipsoid_values_np,
-    square_values_np,
+    square_capacities,
     tower_capacity,
 )
 from capax.cli import main as cli_main
@@ -100,7 +98,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_ball_band():
     t0 = time.monotonic()
     ks = np.arange(10**3, 10**5 + 1)
-    e = error_values(ball_values_np(1.0, ks), ks, 0.5)
+    e = error_values(d_values_np(ks), ks, 0.5)
     st = window_extrema(e, (10**3, 10**5))
     elapsed = time.monotonic() - t0
     ok = (abs(st.minimum - (-1.5)) <= 0.01
@@ -113,7 +111,7 @@ def test_criterion_4_ball_band():
 
 def test_criterion_5_irrational_convergence():
     t0 = time.monotonic()
-    vals = ellipsoid_values_np(1.0, PHI, 10**6)
+    vals = ellipsoid_capacities(1.0, PHI, 10**6).float_values()
     ks = np.arange(10**6 + 1)
     e = vals - np.sqrt(4 * (PHI / 2) * ks)
     win = (ks >= 10**5)
@@ -137,7 +135,7 @@ def test_criterion_6_concave_band_as_stated():
     docstring for why this is expected to fail."""
     t0 = time.monotonic()
     ks = np.arange(10**2, 10**5 + 1)
-    e = e12_values_np(ks) - np.sqrt(4 * 1.0 * ks)
+    e = ellipsoid_capacities(Fraction(1), Fraction(2), 10**5).float_values()[10**2:] - np.sqrt(4 * 1.0 * ks)
     inside = (e >= -2 - 0.01) & (e <= -1 + 0.01)
     violations = [int(k) for k in ks[~inside]]
     elapsed = time.monotonic() - t0
@@ -156,7 +154,7 @@ def test_criterion_6_failure_analysis():
     t = 10..24, where e_k = -1 + 1/(4t) + O(1/t^2); from k >= 650 the
     stated band holds."""
     ks = np.arange(10**2, 10**5 + 1)
-    e = e12_values_np(ks) - np.sqrt(4 * 1.0 * ks)
+    e = ellipsoid_capacities(Fraction(1), Fraction(2), 10**5).float_values()[10**2:] - np.sqrt(4 * 1.0 * ks)
     violations = set(int(k) for k in ks[(e < -2.01) | (e > -0.99)])
     assert violations == {t * (t + 1) for t in range(10, 25)}
     assert float(e.max()) <= -1 + 1 / (4 * 10) + 1e-3
@@ -167,7 +165,7 @@ def test_criterion_6_failure_analysis():
 def test_criterion_7_square_containment():
     t0 = time.monotonic()
     ks = np.arange(10**2, 10**5 + 1)
-    e = square_values_np(1.0, ks) - np.sqrt(4 * 1.0 * ks)
+    e = square_capacities(Fraction(1), 10**5).float_values()[10**2:] - np.sqrt(4 * 1.0 * ks)
     elapsed = time.monotonic() - t0
     ok = bool(np.all((e >= -2 - 0.01) & (e <= 0 + 0.01))) and elapsed < 10.0
     assert report(7, ok, f"square e_k within [-2.01, 0.01] on [1e2,1e5] "

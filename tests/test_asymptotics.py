@@ -15,12 +15,7 @@ from capax.asymptotics import (
     gap_series,
     window_extrema,
 )
-from capax.capacities import (
-    ball_capacities,
-    ball_values_np,
-    e12_values_np,
-    ellipsoid_values_np,
-)
+from capax.capacities import ball_capacities, d_values_np, ellipsoid_capacities
 from capax.errors import VolumeMismatch, WindowOutOfRange
 from capax.scalars import Quad
 
@@ -75,7 +70,7 @@ class TestBands:
 class TestWindows:
     def test_ball_window(self):
         ks = np.arange(1000, 100001)
-        e = error_values(ball_values_np(1.0, ks), ks, 0.5)
+        e = error_values(d_values_np(ks), ks, 0.5)
         st = window_extrema(e, (1000, 100000))
         assert abs(st.minimum + 1.5) <= 0.01
         assert abs(st.maximum + 0.5) <= 0.01
@@ -83,7 +78,8 @@ class TestWindows:
 
     def test_e12_window_in_concave_band(self):
         ks = np.arange(1000, 100001)
-        e = error_values(e12_values_np(ks), ks, 1.0)
+        vals = ellipsoid_capacities(Fraction(1), Fraction(2), 100000).float_values()[1000:]
+        e = error_values(vals, ks, 1.0)
         st = window_extrema(e, (1000, 100000))
         assert -2.01 <= st.minimum and st.maximum <= -0.99
 
@@ -97,12 +93,12 @@ class TestWindows:
 class TestGaps:
     def test_ball_scaled_lattice(self):
         ks = np.arange(100, 20001)
-        e = error_values(ball_values_np(1.0, ks), ks, 0.5)
+        e = error_values(d_values_np(ks), ks, 0.5)
         assert gap_series(e).verdict == "scaled-lattice-like"
 
     def test_irrational_ellipsoid_vanishing(self):
         K = 20000
-        vals = ellipsoid_values_np(1.0, PHI, K)
+        vals = ellipsoid_capacities(1.0, PHI, K).float_values()
         ks = np.arange(K + 1)
         e = error_values(vals, ks, PHI / 2)
         assert gap_series(e).verdict == "vanishing-gap"
@@ -143,7 +139,7 @@ class TestVerdicts:
 
     def test_ball_unproven_with_midpoint(self):
         ks = np.arange(1000, 100001)
-        e = error_values(ball_values_np(1.0, ks), ks, 0.5)
+        e = error_values(d_values_np(ks), ks, 0.5)
         v = convergence_verdict(domains.validate(domains.ball(1)), e=e,
                                 window=(1000, 100000))
         assert not v.proven and v.limit is None
@@ -163,6 +159,6 @@ class TestVerdicts:
     def test_containment_with_slack(self):
         # every computed error term sits in the band up to the finite-k bulge
         ks = np.arange(100, 50001)
-        e = error_values(ball_values_np(1.0, ks), ks, 0.5)
+        e = error_values(d_values_np(ks), ks, 0.5)
         assert np.all(e.e >= -1.5 - 1e-9)
         assert np.all(e.e <= -0.5 + 1 / (8 * np.sqrt(2 * ks)) + 1e-2)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,6 @@ from capax.capacities import (
     alg_capacity_enum,
     alg_capacity_series,
     ball_capacities,
-    ball_values_np,
     c_plus,
     c_plus_reference,
     concave_capacity,
@@ -26,14 +26,10 @@ from capax.capacities import (
     d_index,
     d_values_np,
     dkn_upper,
-    e12_values_np,
     ellipsoid_capacities,
-    ellipsoid_values_np,
     polydisk_capacities,
-    polydisk_value,
     series_for_domain,
     square_capacities,
-    square_values_np,
     tower_capacity,
     union_capacities,
     union_of_balls,
@@ -64,6 +60,13 @@ GOLDEN_K30_LOWER_SLACK = [
     9.741558670839368e-10, 1.4612338006259051e-09, 1.2176952779441308e-09,
     1.2176952779441308e-09, 1.2176952779441308e-09, 1.217694389765711e-09,
     1.217694389765711e-09, 1.4612346888043248e-09, 1.4612346888043248e-09]
+
+
+@functools.cache
+def golden_ellipsoid_values(K):
+    """c_0..c_K of E(1, phi), computed in Q(sqrt 5), as floats."""
+    phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
+    return ellipsoid_capacities(Quad(1, 0, 5), phi, K).float_values().tolist()
 
 
 def golden_triangle(orientation="convex"):
@@ -104,24 +107,41 @@ class TestClosedForms:
         assert [sfloat(v) for v in s.values] == brute
 
     @pytest.mark.parametrize("w, h", [(Fraction(1), Fraction(1)),
-                                      (Fraction(3, 2), Fraction(5, 7)), (2, Fraction(1, 3))])
+                                      (Fraction(3, 2), Fraction(5, 7)), (2, Fraction(1, 3)),
+                                      (Fraction(1, 10), 3)])
     def test_polydisk_integer_path_is_exact(self, w, h):
-        # the scaled-integer path gives the Fraction scan's values
+        # against every m with its least partner n, in ints over the common
+        # denominator D
         s = polydisk_capacities(w, h, 300)
-        assert s.values == [polydisk_value(Fraction(w), Fraction(h), k) for k in range(301)]
+        D = math.lcm(Fraction(w).denominator, Fraction(h).denominator)
+        W, H = int(w * D), int(h * D)
+        assert s.values == [Fraction(min(W * m + H * (-(-(k + 1) // (m + 1)) - 1)
+                                         for m in range(k + 1)), D) for k in range(301)]
         assert all(isinstance(v, Fraction) for v in s.values)
 
     def test_numpy_forms_match_scalar(self):
-        ks = np.arange(0, 400)
-        assert list(ball_values_np(1.0, ks)) == [
-            float(v) for v in ball_capacities(Fraction(1), 399).values]
-        assert list(e12_values_np(ks)) == [
-            float(v) for v in ellipsoid_capacities(Fraction(1), Fraction(2), 399).values]
-        assert list(square_values_np(1.0, ks)) == [
-            float(v) for v in square_capacities(Fraction(1), 399).values]
-        phi_vals = ellipsoid_values_np(1.0, PHI, 399)
-        heap_vals = ellipsoid_capacities(1.0, PHI, 399).float_values()
-        assert phi_vals == pytest.approx(list(heap_vals))
+        # the builders against brute force at small K: the (m, n) grid for
+        # polydisks, the sorted lattice for ellipsoids
+        K = 30
+        grid = [(m, n) for m in range(K + 1) for n in range(K + 1)]
+        for w, h in ((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(5, 7)),
+                     (Fraction(1, 10), Fraction(1)), (1.0, 1.0), (1.5, 0.7), (0.1, 0.3),
+                     (0.1, 1.0)):
+            brute = [min(w * m + h * n for m, n in grid if (m + 1) * (n + 1) >= k + 1)
+                     for k in range(K + 1)]
+            assert polydisk_capacities(w, h, K).values == pytest.approx(brute, rel=1e-15)
+            assert square_capacities(w, K).values == pytest.approx(
+                [min(w * (m + n) for m, n in grid if (m + 1) * (n + 1) >= k + 1)
+                 for k in range(K + 1)], rel=1e-15)
+        for a, b in ((Fraction(1), Fraction(2)), (Fraction(3, 2), Fraction(5, 7)), (1.0, PHI)):
+            lattice = sorted(a * m + b * n for m, n in grid)[: K + 1]
+            assert ellipsoid_capacities(a, b, K).values == pytest.approx(lattice, rel=1e-15)
+
+    def test_d_values_np_matches_d_index(self):
+        ks = np.arange(2 * 10**5 + 1)
+        assert d_values_np(ks).tolist() == [d_index(k) for k in range(2 * 10**5 + 1)]
+        assert ball_capacities(Fraction(3, 2), 300).values == [
+            Fraction(3, 2) * d_index(k) for k in range(301)]
 
 
 class TestUnion:
@@ -302,6 +322,32 @@ class TestConvexScan:
         for k in range(61):
             c = sfloat(exact.value(k))
             assert truncated.lo(k) - 1e-9 <= c <= truncated.hi(k) + 1e-9
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([1e-2, 1e-4, 1e-6]),
+           tag=st.sampled_from([1e-9, 1e-5, 1e-3]))
+    def test_float_bracket_contains_exact_value(self, seed, eps, tag):
+        # a rational polygon through the float backend, with vertex tags
+        # (the CLI's --eps-backend) up to 1e-3
+        d = random_convex_polygon(random.Random(seed))
+        exact = convex_capacity(d, 40)
+        f = domains.polygon([(float(x), float(y)) for x, y in d.vertices], "convex",
+                            backend="float", eps=tag)
+        got = convex_capacity(f, 40, TruncationLimits(eps=eps))
+        for k in range(41):
+            c = sfloat(exact.value(k))
+            assert got.lo(k) - 1e-9 * (1 + c) <= c <= got.hi(k) + 1e-9 * (1 + c)
+
+    @pytest.mark.parametrize("tag", [1e-9, 1e-5, 1e-4, 1e-3])
+    def test_float_golden_triangle_brackets_quad_values(self, tag):
+        # the vertex tags grow level by level until the contact tolerance
+        # absorbs both ends of a piece; the sliver above the cut line must
+        # enter the tail, or the lower bounds pass the exact values
+        d = domains.polygon([(0, 0), (1, 0), (0, PHI)], "convex", backend="float", eps=tag)
+        got = convex_capacity(d, 2000, TruncationLimits(eps=1e-6))
+        assert got.meta["dropped_tail_sum"] > 0
+        for k, c in enumerate(golden_ellipsoid_values(2000)):
+            assert got.lo(k) - 1e-9 * (1 + c) <= c <= got.hi(k) + 1e-9 * (1 + c)
 
     def test_float_backend_golden_triangle(self):
         d = domains.polygon([(0, 0), (1, 0), (0, PHI)], "convex", backend="float")
@@ -637,8 +683,9 @@ class TestProperties:
 
     def test_weyl_trend(self):
         # |c_K^2/K - 2 A^2| <= C/sqrt(K) on the closed-form families
-        for vals, a2 in ((ball_values_np(1.0, np.arange(1, 20001)), 1.0),
-                         (e12_values_np(np.arange(1, 20001)), 2.0)):
+        for vals, a2 in ((d_values_np(np.arange(1, 20001)), 1.0),
+                         (ellipsoid_capacities(Fraction(1), Fraction(2), 20000).float_values()[1:],
+                          2.0)):
             ks = np.arange(1, 20001)
             dev = np.abs(vals ** 2 / ks - 2 * a2)
             assert np.all(dev[100:] <= 8 / np.sqrt(ks[100:]))
@@ -660,10 +707,15 @@ class TestProperties:
             ellipsoid_capacities(Fraction(1), Fraction(2), 5).values
 
     def test_curve_series_brackets_disk(self):
+        # the curve route's bracket, from a coarse grid polygon, and a finer
+        # grid polygon's, widened by its own Hausdorff slack, both hold the
+        # quarter disk's c_k, so they intersect
         qd = domains.quarter_disk(1)
         s = series_for_domain(qd, 20)
-        # inner approximation: value <= true <= value + slack; check against
-        # a finer polygonalization
-        finer = series_for_domain(qd, 20)
+        res = domains.inner_grid_polygon(qd, 96)
+        finer = convex_capacity(res.polygon, 20, TruncationLimits(max_depth=512, eps=1e-9))
+        lam = res.hausdorff_bound / (1 - res.hausdorff_bound)
         for k in range(21):
-            assert s.lo(k) - 1e-9 <= finer.hi(k)
+            lo = max(s.lo(k), finer.lo(k))
+            hi = min(s.hi(k), finer.hi(k) + lam * sfloat(finer.value(k)))
+            assert lo <= hi + 1e-9

@@ -6,7 +6,7 @@ import pytest
 
 from capax import domains
 from capax.errors import DegenerateEdge, TailNotDecreasing
-from capax.scalars import Eps, Quad, _primitive_float, sfloat
+from capax.scalars import Eps, Quad, _primitive_float, seps, sfloat
 from capax.weights import (
     INF_NODE,
     _piece_ell_plus,
@@ -266,6 +266,32 @@ class TestFloatBackend:
                                 backend="float", eps=1e-12)
             t = convex_weights(d, TruncationLimits(eps=1e-6))
             assert t.truncation.max_depth == 256
+
+
+    @pytest.mark.parametrize("z", [0, "0"])
+    def test_absorbed_sliver_enters_the_tail(self, z):
+        # the vertex tags grow level by level until the contact tolerance
+        # takes in both ends of a piece: the tree stops at phi^-13 and the
+        # golden powers below it, phi^-13 * phi = phi^-12 in all, are its tail
+        phi = 1.618033988749895
+        d = domains.polygon([(z, z), (1, z), (z, phi)], "convex", backend="float", eps=1e-9)
+        t = convex_weights(d, TruncationLimits(eps=1e-6))
+        ws = [sfloat(w) for w in t.weight_multiset()]
+        assert ws == pytest.approx([1 / phi] + [phi ** -j for j in range(1, 14)], rel=1e-9)
+        assert t.truncation.dropped_pieces == 1 and not t.truncation.complete
+        tail = t.truncation.dropped_tail_sum
+        assert sfloat(tail) + seps(tail) >= phi ** -12 > 0
+
+
+    def test_head_contact_sliver_enters_the_tail(self):
+        # (0, 3) lies 1e-10 below the head line, inside the 1e-9 tags: the
+        # tagged tree drops that corner piece instead of losing it, so its
+        # tail is the untagged tree's, where the piece's weights fall below eps
+        verts = [(0, 0), (2, 0), (1.5, 1.5 + 1e-10), (0, 3)]
+        tails = [sfloat(convex_weights(domains.polygon(verts, "convex", backend="float", eps=tag),
+                                       TruncationLimits(eps=1e-6)).truncation.dropped_tail_sum)
+                 for tag in (1e-9, 0.0)]
+        assert tails[0] == pytest.approx(tails[1], rel=1e-9) and tails[0] > 2
 
 
 class TestZeroEdge:
