@@ -332,29 +332,29 @@ def _fold_ball_pairs(below: tuple, w: tuple, field: int) -> tuple:
         t += 1
 
 
-def _pair_table(field: int, den: int, pairs: list, ds: np.ndarray) -> list:
+def _pair_table(field: int, den: int, pairs: list, ds: np.ndarray) -> np.ndarray:
     """_ball_table of the weights that _quad_pairs returned, as Quads."""
     p, q, f = pairs[0]
     F = ds * f
     table = (ds * p, ds * q, F, ds * (_PAIR_REL * abs(f)) + _SUM_REL * np.abs(F))
     for w in pairs[1:]:
         table = _fold_ball_pairs(table, w, field)
-    return [Quad(Fraction(a, den), Fraction(b, den), field)
-            for a, b in zip(table[0].tolist(), table[1].tolist())]
+    return np.array([Quad(Fraction(a, den), Fraction(b, den), field)
+                     for a, b in zip(table[0].tolist(), table[1].tolist())], dtype=object)
 
 
-def _dtype(xs: list, n_max: int):
+def _dtype(xs: list, n_max: int, limit: int = 2**62):
     """The array dtype for sums of n_max multiples of the scaled data xs:
-    int64 for ints while sum|x| * n_max stays below 2^62, float64 for
+    int64 for ints while sum|x| * n_max stays below `limit`, float64 for
     floats, Python objects for anything else."""
-    if all(isinstance(x, int) for x in xs) and sum(map(abs, xs)) * n_max < 2**62:
+    if all(isinstance(x, int) for x in xs) and sum(map(abs, xs)) * n_max < limit:
         return np.int64
     if all(isinstance(x, float) for x in xs):
         return float
     return object
 
 
-def _ball_table(ws: list, ds: np.ndarray) -> list:
+def _ball_table(ws: list, ds: np.ndarray) -> np.ndarray:
     """Max-plus union of the ball series w*d over the d-values `ds`.
 
     The array's dtype follows the data: int64 for scaled rationals while
@@ -369,11 +369,11 @@ def _ball_table(ws: list, ds: np.ndarray) -> list:
             return _pair_table(*quad, ds)
     d = ds.astype(dtype)
     if not ws:
-        return np.zeros_like(d).tolist()
+        return np.zeros_like(d)
     table = d * ws[0]
     for w in ws[1:]:
         table = _fold_ball_np(table, w)
-    return table.tolist()
+    return table
 
 
 def union_of_balls(weights: list, K: int, zero) -> list:
@@ -381,7 +381,7 @@ def union_of_balls(weights: list, K: int, zero) -> list:
     if not weights:
         return [zero] * (K + 1)
     den, ws = _scaled(weights)
-    return [_unscaled(v, den) for v in _ball_table(ws, d_values_np(np.arange(K + 1)))]
+    return [_unscaled(v, den) for v in _ball_table(ws, d_values_np(np.arange(K + 1))).tolist()]
 
 
 def d_values_np(ks: np.ndarray) -> np.ndarray:
@@ -417,7 +417,7 @@ def concave_capacity(d: DomainDescriptor, K: int,
     zero = zero - zero
     vals = union_of_balls([_as_num(w) for w in weights], K, zero)
     tail = sfloat(t.truncation.dropped_tail_sum)
-    upper = [d_index(k) * tail for k in range(K + 1)] if tail > 0 else None
+    upper = (d_values_np(np.arange(K + 1)) * tail).tolist() if tail > 0 else None
     return CapacitySeries(method="decomposition", values=vals, upper_slack=upper,
                           backend=t.backend, source=f"concave:{d.kind}",
                           meta={"dropped_tail_sum": tail})
@@ -427,96 +427,100 @@ def concave_capacity(d: DomainDescriptor, K: int,
 # convex route: corner-complement infimum with certified pruning
 # ---------------------------------------------------------------------------
 
-class _ConvexDP:
-    """Shared state for the corner-complement infimum over one tree.
+def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
+                 s_ceiling: int = 200_000) -> tuple[list, list]:
+    """c_k = min_s c*d(k+s) - M(s) for k = 0..K, and the certified lower slack.
 
-    Rational data is scaled by its common denominator, so the max-plus
-    table and the candidates are Python ints; float and Quad data are
-    used as they are.
-    """
+    v is the area between the domain and its circumscribed triangle, w
+    the full weight sum including the dropped tail.
 
-    def __init__(self, tree: WeightTree, vol23: float, w_total: float,
-                 s_ceiling: int = 200_000):
-        self.head = tree.head
-        weights = [_as_num(w) for w in
-                   sorted(tree.weight_multiset(), key=sfloat, reverse=True)]
-        self.den, (self.c, *self.weights) = _scaled([_as_num(tree.head)] + weights)
-        self.tail = sfloat(tree.truncation.dropped_tail_sum)
-        self.vol23 = vol23  # area between the domain and its circumscribed triangle
-        self.w_total = w_total  # full weight sum incl. tail, exact from the profile
-        self.c_f = sfloat(self.head)
-        self.s_ceiling = s_ceiling
-        self._extend(64)
+    For each k the scan ends at the first s at which a lower bound for
+    every candidate beyond s clears the best candidate so far.  Inside a
+    level {s : d(k+s) = t} the candidate c*t - M(s) and its lower version
+    cand - d(s)*tail do not increase with s, and the stopping test is
+    monotone in s.  So one probe at the end of each level, plus a
+    bisection of the level where the test first holds, give the values of
+    the index-by-index scan.  Every k runs in lockstep: step j probes the
+    next level of each row still active, and the rows that stop bisect
+    together.
 
-    def _extend(self, S: int):
-        """Max-plus table M(0..S) and d(0..S), as Python lists."""
+    The candidates' dtype follows the data: int64 for scaled rationals
+    while every candidate and the denominator stay below 2^53, so that
+    cand / den rounds as int / int does; float64 for floats; Python
+    objects for Quads and larger data."""
+    weights = [_as_num(w) for w in
+               sorted(tree.weight_multiset(), key=sfloat, reverse=True)]
+    den, (c, *ws) = _scaled([_as_num(tree.head)] + weights)
+    tail, c_f = sfloat(tree.truncation.dropped_tail_sum), sfloat(tree.head)
+    dt = _dtype([c] + ws, d_index(K + s_ceiling), 2**53) if den < 2**53 else object
+
+    def table(S):
         ds = d_values_np(np.arange(S + 1))
-        self.M = _ball_table(self.weights, ds)
-        self.ds = ds.tolist()
+        return _ball_table(ws, ds).astype(dt, copy=False), ds
 
-    def capacity(self, k: int):
-        """c_k = min_s c*d(k+s) - M(s), and its certified lower slack.
+    def cand(t, s):
+        return c * (t.astype(object) if dt is object else t) - M[s]
 
-        The scan stops at the first s at which a lower bound for every
-        candidate beyond s clears the best candidate so far.  Inside a
-        level {s : d(k+s) = t} the candidate c*t - M(s) and its lower
-        version cand - d(s)*tail do not increase with s, and the stopping
-        test is monotone in s.  So one probe at the end of each level,
-        plus a bisection of the level where the test first holds, give
-        the values of the index-by-index scan."""
-        if k == 0:
-            return self.head - self.head, 0.0
-        c, den, tail = self.c, self.den, self.tail
-        to_float = sfloat if den == 1 else (lambda x: x / den)
-        best, best_f, best_lo = None, math.inf, math.inf
-        c_f, v, w = self.c_f, self.vol23, self.w_total
-        # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
-        # candidate at index u and is smallest at t_star, so
-        # lb(max(s+1, t_star)) bounds every candidate beyond s
-        t_star = 2 * v * k / max(c_f * c_f - 2 * v, 1e-300) if v > 0 else 0.0
+    def to_f(x):
+        return (x / den if den != 1 else x).astype(float)
 
-        def stops(s: int, cand_f: float) -> bool:
-            b = cand_f if cand_f < best_f else best_f
-            u = s + 1 if s + 1 >= t_star else t_star
-            floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * u) - w
-            return floor >= b + 1e-9 * (1 + abs(b))
+    # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
+    # candidate at index u and is smallest at t_star, so
+    # lb(max(s+1, t_star)) bounds every candidate beyond s
+    def clears(k, t_star, s, cand_f, best_f):
+        b = np.where(cand_f < best_f, cand_f, best_f)
+        u = np.where(s + 1 >= t_star, s + 1, t_star)
+        floor = c_f * (np.sqrt(2 * (k + u)) - 1.5) - np.sqrt(4 * v * u) - w
+        return floor >= b + 1e-9 * (1 + np.abs(b))
 
-        M, ds = self.M, self.ds
-        end = min(len(M) - 1, self.s_ceiling)  # the last index probed for now
-        t, s0 = d_index(k), 0  # the test fails at every index below s0
-        while True:
-            s1 = t * (t + 3) // 2 - k  # the level d(k+s) = t ends at s1
-            s = s1 if s1 < end else end
-            cand = c * t - M[s]
-            cand_f = to_float(cand)
-            if stops(s, cand_f):
-                lo, hi = s0, s
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if stops(mid, to_float(c * t - M[mid])):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                cand = c * t - M[lo]
-                cand_f = to_float(cand)
-                if best is None or cand < best:
-                    best, best_f = cand, cand_f
-                best_lo = min(best_lo, cand_f - ds[lo] * tail)
-                return _unscaled(best, den), best_f - best_lo
-            if best is None or cand < best:
-                best, best_f = cand, cand_f
-            if s == self.s_ceiling:
-                raise PruningBoundExceeded(
-                    f"no certificate after {self.s_ceiling} complement indices",
-                    best=_unscaled(best, den))
-            if s < s1:  # grow the table only when the scan runs past its end
-                self._extend(2 * len(M))
-                M, ds = self.M, self.ds
-                end = min(len(M) - 1, self.s_ceiling)
-                s0 = s + 1
-                continue
-            best_lo = min(best_lo, cand_f - ds[s] * tail)
-            s0, t = s1 + 1, t + 1
+    M, ds = table(64)
+    k = np.arange(1, K + 1)
+    t = d_values_np(k)  # the level each row probes next
+    t_star = 2 * v * k / max(c_f * c_f - 2 * v, 1e-300) if v > 0 else np.zeros(K)
+    s0 = np.zeros(K, np.int64)  # the test fails at every index of the level below s0
+    best, has = np.full(K, c - c, dt), np.zeros(K, bool)  # has: best is a candidate
+    best_f, best_lo = np.full(K, math.inf), np.full(K, math.inf)
+    a = np.arange(K)  # the rows still scanning, in increasing k
+    failed = None  # the smallest row that reached s_ceiling
+    while a.size:
+        end = min(len(M) - 1, s_ceiling)  # the last index probed for now
+        s1 = t[a] * (t[a] + 3) // 2 - k[a]  # the level d(k+s) = t ends at s1
+        p = np.minimum(s1, end)
+        cp = cand(t[a], p)
+        cf = to_f(cp)
+        stop = clears(k[a], t_star[a], p, cf, best_f[a])
+        i = np.flatnonzero(stop)
+        if i.size:  # bisect the stopping levels together
+            lo, hi = s0[a[i]], p[i]
+            while (j := np.flatnonzero(lo < hi)).size:
+                ij, mid = a[i[j]], (lo[j] + hi[j]) // 2
+                ok = clears(k[ij], t_star[ij], mid, to_f(cand(t[ij], mid)), best_f[ij])
+                hi[j] = np.where(ok, mid, hi[j])
+                lo[j] = np.where(ok, lo[j], mid + 1)
+            p[i] = lo
+            cp[i] = cand(t[a[i]], lo)
+            cf[i] = to_f(cp[i])
+        upd = ~has[a] | (cp < best[a])
+        best[a[upd]], best_f[a[upd]], has[a] = cp[upd], cf[upd], True
+        short = ~stop & (p < s1)  # the table ends inside the level: grow it
+        x = cf - ds[p] * tail
+        low = ~short & (x < best_lo[a])
+        best_lo[a[low]] = x[low]
+        s0[a] = np.where(short, p + 1, s1 + 1)
+        t[a[~short]] += 1
+        hit = ~stop & (p == s_ceiling)
+        if hit.any():
+            failed = a[hit][0]
+        keep = ~stop & ~hit & (a < failed if failed is not None else True)
+        if (short & keep).any():
+            M, ds = table(2 * len(M))
+        a = a[keep]
+    if failed is not None:
+        raise PruningBoundExceeded(
+            f"no certificate after {s_ceiling} complement indices",
+            best=_unscaled(best[failed:failed + 1].tolist()[0], den))
+    return ([tree.head - tree.head] + [_unscaled(b, den) for b in best.tolist()],
+            [0.0] + (best_f - best_lo).tolist())
 
 
 def convex_capacity(d: DomainDescriptor, K: int,
@@ -534,18 +538,12 @@ def convex_capacity(d: DomainDescriptor, K: int,
         w_total = 3 * sfloat(t.head) - (sfloat(profile.a) + sfloat(profile.b) + ell)
         # rounding can take the zero gap of a triangle below zero
         vol23 = max(sfloat(t.head) ** 2 / 2.0 - sfloat(area(d)), 0.0)
-    dp = _ConvexDP(t, vol23, w_total)
-    vals, lowers = [], []
-    for k in range(K + 1):
-        v, lo = dp.capacity(k)
-        vals.append(v)
-        lowers.append(lo)
-    out = CapacitySeries(method="decomposition", values=vals,
-                         lower_slack=lowers, upper_slack=[0.0] * (K + 1),
-                         backend=t.backend, source=f"convex:{d.kind}",
-                         meta={"head": sfloat(t.head),
-                               "dropped_tail_sum": sfloat(t.truncation.dropped_tail_sum)})
-    return out
+    vals, lowers = _convex_scan(t, vol23, w_total, K)
+    return CapacitySeries(method="decomposition", values=vals,
+                          lower_slack=lowers, upper_slack=[0.0] * (K + 1),
+                          backend=t.backend, source=f"convex:{d.kind}",
+                          meta={"head": sfloat(t.head),
+                                "dropped_tail_sum": sfloat(t.truncation.dropped_tail_sum)})
 
 
 def sum_scalars(xs):

@@ -244,6 +244,10 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
             raise EmptyDomain("negative weight")
         if d.head is not None and any(sfloat(w) > sfloat(d.head) for w in d.weights):
             raise NonConvex("head must dominate every weight")
+        if d.head is not None:
+            gap = area(d)  # (head^2 - sum w^2)/2, the domain's area
+            if not sfloat(gap) > seps(gap):
+                raise EmptyDomain("weights fill the head's triangle: sum w^2 >= head^2")
         zero = _zero_of(d)
         return BoundaryProfile(a=None, b=None, plus_edges=(),
                                total_affine_plus=zero, backend=d.backend)

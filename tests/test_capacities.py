@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capax import capacities, domains
-from capax.errors import BelowThreshold, SearchSpaceEmpty
+from capax.errors import BelowThreshold, PruningBoundExceeded, SearchSpaceEmpty
 from capax.capacities import (
     _EnumContext,
     _ball_table,
+    _convex_scan,
     _nef_floor,
     _quad_pairs,
     CapacitySeries,
@@ -40,6 +41,10 @@ from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, random_convex_polygon
 
 PHI = (1 + math.sqrt(5)) / 2
+FIG = domains.polygon([(0, 0), (4, 0), (4, 1), (2, 3), (0, 4)], "convex")
+P6 = domains.polygon([(0, 0), (7, 0), (7, 2), (5, "9/2"), (2, 6), (0, 6)], "convex")
+_rng = random.Random(1)
+DRAWS = [random_convex_polygon(_rng) for _ in range(2)]  # two rational polygons
 
 # convex_capacity(golden_triangle(), 30, TruncationLimits(eps=1e-10)) as the
 # object-array Quad fold computed it: the formatted values and lower_slack
@@ -243,18 +248,27 @@ class TestConvex:
             assert lo - 1e-9 <= sfloat(oracle.value(k)) <= hi + 1e-9
 
 
-def reference_scan(d, K, limits=None):
+def scan_data(d, limits=None):
+    """The weight tree of a convex polygon, the area between it and its
+    circumscribed triangle, and its full weight sum: the scan's inputs."""
+    tree = convex_weights(d, limits)
+    profile = domains.validate(d)
+    c_f = sfloat(tree.head)
+    w_total = 3 * c_f - (sfloat(profile.a) + sfloat(profile.b)
+                         + sfloat(profile.total_affine_plus))
+    return tree, max(c_f ** 2 / 2.0 - sfloat(domains.area(d)), 0.0), w_total
+
+
+def reference_scan(d, K, limits=None, s_ceiling=None):
     """The index-by-index certified infimum scan of the convex route.
 
     c_k = min_s c*d(k+s) - M(s) over s up to the first index at which the
     lower bound for all later candidates clears the best one; the lower
-    slack is the best value minus min_s cand(s) - d(s)*tail."""
-    tree = convex_weights(d, limits)
-    profile = domains.validate(d)
+    slack is the best value minus min_s cand(s) - d(s)*tail.  A k whose
+    scan passes s_ceiling raises PruningBoundExceeded, with that k as the
+    error's `k`."""
+    tree, v, w_total = scan_data(d, limits)
     c, c_f = tree.head, sfloat(tree.head)
-    w_total = 3 * c_f - (sfloat(profile.a) + sfloat(profile.b)
-                         + sfloat(profile.total_affine_plus))
-    v = max(c_f ** 2 / 2.0 - sfloat(domains.area(d)), 0.0)
     tail = sfloat(tree.truncation.dropped_tail_sum)
     weights = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
     M = []
@@ -272,6 +286,10 @@ def reference_scan(d, K, limits=None):
             floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * u) - w_total
             if floor >= best_f + 1e-9 * (1 + abs(best_f)):
                 break
+            if s == s_ceiling:
+                err = PruningBoundExceeded("no certificate", best=best)
+                err.k = k
+                raise err
             s += 1
         values.append(best)
         slack.append(best_f - lo)
@@ -313,6 +331,46 @@ class TestConvexScan:
         values, slack = reference_scan(d, 20, limits)
         assert got.values == values
         assert got.lower_slack == slack
+
+    # the reference costs 1-6 s per random draw at K = 400, hence 120
+    @pytest.mark.parametrize("d, K", [(FIG, 400), (P6, 400), (DRAWS[0], 120), (DRAWS[1], 120)],
+                             ids=["fig", "p6", "draw-0", "draw-1"])
+    def test_past_the_first_table(self, monkeypatch, d, K):
+        sizes = []
+
+        def counting(ws, ds):
+            sizes.append(len(ds))
+            return _ball_table(ws, ds)
+
+        monkeypatch.setattr(capacities, "_ball_table", counting)
+        got = convex_capacity(d, K)
+        assert max(sizes) > 65  # the table grew past its first 64 indices
+        values, slack = reference_scan(d, K)
+        assert got.values == values
+        assert got.lower_slack == slack
+
+    def test_float_backend_matches_reference(self):
+        d = domains.polygon([(float(x), float(y)) for x, y in P6.vertices], "convex",
+                            backend="float", eps=1e-9)
+        got = convex_capacity(d, 200)
+        values, slack = reference_scan(d, 200)
+        assert all(isinstance(v, float) for v in got.values[1:])
+        assert got.values == [sfloat(v) for v in values]
+        assert got.lower_slack == slack
+
+    @pytest.mark.parametrize("d, ceiling", [(FIG, 20), (FIG, 40), (P6, 80)],
+                             ids=["fig-20", "fig-40", "p6-80"])
+    def test_ceiling_raises_for_the_smallest_k(self, d, ceiling):
+        with pytest.raises(PruningBoundExceeded) as ref:
+            reference_scan(d, 400, s_ceiling=ceiling)
+        data = scan_data(d)
+        with pytest.raises(PruningBoundExceeded) as got:
+            _convex_scan(*data, 400, s_ceiling=ceiling)
+        assert got.value.best == ref.value.best
+        assert str(got.value) == f"no certificate after {ceiling} complement indices"
+        # every k below the reference's passes
+        values, slack = reference_scan(d, ref.value.k - 1)
+        assert _convex_scan(*data, ref.value.k - 1, s_ceiling=ceiling) == (values, slack)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), eps=st.sampled_from([0.05, 0.3, 1.0]))
@@ -414,7 +472,7 @@ class TestQuadPairFold:
     def test_matches_object_fold(self, ws, K):
         ds = d_values_np(np.arange(K + 1))
         assert _quad_pairs(ws, int(ds[-1])) is not None
-        got = _ball_table(ws, ds)
+        got = _ball_table(ws, ds).tolist()
         assert all(isinstance(x, Quad) for x in got)
         assert got == reference_ball_table(ws, ds)
 
@@ -429,13 +487,13 @@ class TestQuadPairFold:
         ds = d_values_np(np.arange(121))
         # phi^-n + phi^-(n+1) = phi^-(n-1): candidates tie exactly
         ws = [golden_power(n) for n in range(12)] + [golden_power(3)] * 2
-        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
         assert calls and all(p == 0 and q == 0 for p, q in calls)
         # on the flat stretches of the unit ball's table, adding phi^-72 ~ 1e-15
         # gives near-ties of distinct values
         calls.clear()
         ws = [Quad.rational(1, 5), golden_power(72)]
-        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
         assert calls and all(p or q for p, q in calls)
 
     @pytest.mark.parametrize("w", [Quad(1, Fraction(29, 7), 5), Quad(-2, Fraction(11, 2), 5),
@@ -446,14 +504,14 @@ class TestQuadPairFold:
         # entries: a filter without its error bound picks the wrong entry
         ws = [w, w + sign * golden_power(72)]
         ds = d_values_np(np.arange(41))
-        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
 
     def test_over_the_guard_takes_the_object_path(self):
         phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
         ws = [Quad(2 ** 58, 3, 5), phi, Quad(2 ** 58, -2 ** 57, 5), Fraction(7, 3), phi]
         ds = d_values_np(np.arange(41))
         assert _quad_pairs(ws, int(ds[-1])) is None
-        assert _ball_table(ws, ds) == reference_ball_table(ws, ds)
+        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
 
     def test_huge_weights_at_k0(self):
         # with d_max = 0 the guard still keeps weights beyond int64 out of

@@ -157,9 +157,13 @@ class TestInputBoundary:
         ["--domain", 'polygon:{"kind":"polygon","vertices":5}'],
         ["--domain", 'polygon:{"kind":"polygon","orientation":"flat",'
                      '"vertices":[["0","0"],["1","0"],["0","1"]]}'],
+        # sum w^2 >= head^2 leaves no area: the convex scan never certifies
+        ["--domain", "weights:3;2,2,2"],
+        ["--domain", "weights:3;1,1,1,1,1,1,1,1,1"],
     ], ids=["negative-ball", "negative-kmax", "no-argument", "one-leg",
             "not-a-number", "square-field", "missing-file", "unknown-backend",
-            "vertices-not-a-list", "unknown-orientation"])
+            "vertices-not-a-list", "unknown-orientation", "over-packed-weights",
+            "weights-fill-the-head"])
     def test_bad_input_exits_one_with_message(self, capsys, tmp_path, argv):
         argv = [a.format(missing=tmp_path / "missing.json") if a.startswith("@") else a
                 for a in argv]

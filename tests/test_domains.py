@@ -57,6 +57,19 @@ class TestValidate:
             domains.validate(domains.polygon(
                 [(0, 0), (1, 0), (1, 1), (0, 1)], "concave"))
 
+    def test_weights_must_leave_area(self):
+        # head^2 - sum w^2 is twice the area; floats judge it within their tags
+        for ws in (["2", "2", "2"], ["2", "2", "1"], ["1"] * 9):
+            with pytest.raises(EmptyDomain):
+                domains.validate(domains.weight_list("3", ws))
+        domains.validate(domains.weight_list("3", ["2", "2"]))
+        with pytest.raises(EmptyDomain):
+            domains.validate(domains.weight_list("3", ["2", "2", "1"], "float", 1e-9))
+        near = ["2", "2", "0.9999"]  # twice the area is 2e-4
+        with pytest.raises(EmptyDomain):
+            domains.validate(domains.weight_list("3", near, "float", 1e-2))
+        domains.validate(domains.weight_list("3", near, "float", 1e-9))
+
     def test_mixed_backend_rejected(self):
         from capax.errors import MixedBackend
         with pytest.raises(MixedBackend):
