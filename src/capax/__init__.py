@@ -62,6 +62,7 @@ from .capacities import (
     alg_capacity_enum,
     alg_capacity_series,
     tower_capacity,
+    tower_capacities,
     c_plus,
     dkn_upper,
     series_for_domain,

@@ -42,7 +42,6 @@ class ErrorSeries:
     ks: np.ndarray
     e: np.ndarray
     band: Band | None = None
-    slack: np.ndarray | None = None
 
     def to_csv(self) -> str:
         lo = float(self.band.lower) if self.band else float("nan")
@@ -64,13 +63,7 @@ def error_series(series: CapacitySeries, vol: float,
     ks = np.arange(series.kmax + 1)
     c = series.float_values()
     e = c - np.sqrt(4.0 * vol_f * ks)
-    slack = None
-    if series.lower_slack or series.upper_slack:
-        lo = np.array([sfloat(x) for x in (series.lower_slack or [0] * len(c))])
-        hi = np.array([sfloat(x) for x in (series.upper_slack or [0] * len(c))])
-        slack = np.maximum(lo, hi)
-    return ErrorSeries(source=series.source, vol=vol_f, ks=ks, e=e,
-                       band=band, slack=slack)
+    return ErrorSeries(source=series.source, vol=vol_f, ks=ks, e=e, band=band)
 
 
 def error_values(c_values: np.ndarray, ks: np.ndarray, vol: float,
@@ -96,32 +89,22 @@ def band_for_profile(profile: BoundaryProfile) -> Band:
 
 @dataclass(frozen=True)
 class WindowStats:
-    k_min: int
-    k_max: int
     minimum: float
     maximum: float
-    argmins: tuple[int, ...]
-    argmaxs: tuple[int, ...]
 
     @property
     def midpoint(self) -> float:
         return (self.minimum + self.maximum) / 2.0
 
 
-def window_extrema(e: ErrorSeries, window: tuple[int, int],
-                   max_witnesses: int = 8) -> WindowStats:
+def window_extrema(e: ErrorSeries, window: tuple[int, int]) -> WindowStats:
     k0, k1 = window
     lo, hi = int(e.ks[0]), int(e.ks[-1])
     if k0 < lo or k1 > hi or k0 > k1:
         raise WindowOutOfRange(f"window [{k0},{k1}] not inside [{lo},{hi}]")
     sel = (e.ks >= k0) & (e.ks <= k1)
     vals = e.e[sel]
-    ks = e.ks[sel]
-    vmin, vmax = float(vals.min()), float(vals.max())
-    argmins = tuple(int(x) for x in ks[vals == vmin][:max_witnesses])
-    argmaxs = tuple(int(x) for x in ks[vals == vmax][:max_witnesses])
-    return WindowStats(k_min=k0, k_max=k1, minimum=vmin, maximum=vmax,
-                       argmins=argmins, argmaxs=argmaxs)
+    return WindowStats(minimum=float(vals.min()), maximum=float(vals.max()))
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,6 @@ def gap_series(e: ErrorSeries, threshold: float = 0.1) -> GapReport:
 class EdgeInvariants:
     n_rational: int
     v_rank: int | None  # None = unknown (float backend)
-    basis_witness: tuple = ()
 
 
 def edge_invariants(profile: BoundaryProfile) -> EdgeInvariants:
@@ -162,26 +144,18 @@ def edge_invariants(profile: BoundaryProfile) -> EdgeInvariants:
         return EdgeInvariants(n_rational=0, v_rank=0)
     if profile.backend == "float":
         return EdgeInvariants(n_rational=n, v_rank=None)
-    vectors = []
-    for x in lengths:
-        p, q = rational_parts(x)
-        vectors.append((p, q))
     rank = 0
-    witness = []
     pivot = None
-    for vec in vectors:
+    for vec in map(rational_parts, lengths):
         if rank == 0:
             if vec != (0, 0):
                 pivot = vec
-                witness.append(vec)
                 rank = 1
         elif rank == 1:
             if pivot[0] * vec[1] - pivot[1] * vec[0] != 0:
-                witness.append(vec)
                 rank = 2
                 break
-    return EdgeInvariants(n_rational=n, v_rank=rank,
-                          basis_witness=tuple(witness))
+    return EdgeInvariants(n_rational=n, v_rank=rank)
 
 
 @dataclass
@@ -191,7 +165,6 @@ class ConvergenceReport:
     band: Band
     ruelle_proxy: float  # -(a+b)/2
     empirical_mid: float | None
-    empirical: WindowStats | None
     invariants: EdgeInvariants
     notes: list = field(default_factory=list)
 
@@ -228,16 +201,14 @@ def convergence_verdict(profile: BoundaryProfile,
         if balanced:
             proven = True
             notes.append("balanced weight tree within tolerance")
-    stats = None
     mid = None
     if e is not None:
         win = window or (int(e.ks[0]), int(e.ks[-1]))
-        stats = window_extrema(e, win)
-        mid = stats.midpoint
+        mid = window_extrema(e, win).midpoint
     if proven:
         notes.append("no rational-sloped upper edges: error terms converge")
     else:
         notes.append("convergence not proven; reporting band and window data")
     return ConvergenceReport(proven=proven, limit=ruelle if proven else None,
                              band=band, ruelle_proxy=ruelle, empirical_mid=mid,
-                             empirical=stats, invariants=inv, notes=notes)
+                             invariants=inv, notes=notes)

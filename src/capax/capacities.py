@@ -28,16 +28,16 @@ from .errors import (
     BelowThreshold,
     CapaxError,
     CeilingExceeded,
-    NoStabilization,
     PruningBoundExceeded,
     SearchSpaceEmpty,
     TruncationTooCoarse,
 )
 from .scalars import Eps, Quad, format_scalar, parse_scalar, quad_sign, rational_parts, sfloat
-from .domains import DomainDescriptor, area, validate
+from .domains import DomainDescriptor, area, parse_backend, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
 from .tower import PicBasisSurface, Tower, _dot, k_plus_dot_A
+from .tower import f_from_self_intersections  # re-exported next to dkn_upper_data
 
 
 def d_index(k: int) -> int:
@@ -104,11 +104,8 @@ class CapacitySeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CapacitySeries":
-        field_d = None
         backend = obj.get("backend", "exact")
-        if backend.startswith("sqrt:"):
-            field_d = int(backend.split(":")[1])
-        base = "float" if backend == "float" else "exact"
+        base, field_d = parse_backend(backend)
         values = [parse_scalar(v, base, field_d) for v in obj["values"]]
         return cls(method=obj["method"], values=values,
                    lower_slack=obj.get("lower_slack"),
@@ -557,20 +554,6 @@ def sum_scalars(xs):
 # nef enumeration on a tower surface
 # ---------------------------------------------------------------------------
 
-def _owners(s: PicBasisSurface):
-    """owners[i] = indices (into s.curves) of the two curves through blowup i."""
-    owners = [[] for _ in range(s.n + 1)]
-    for ci, c in enumerate(s.curves):
-        cls = tower_mod._pad(c.cls, s.n)
-        for i in range(1, s.n + 1):
-            if cls[i] == -1:
-                owners[i].append(ci)
-    for i in range(1, s.n + 1):
-        if len(owners[i]) != 2:
-            raise AssertionError(f"blowup {i} has {len(owners[i])} owner curves")
-    return owners
-
-
 def _simplex_max(c: list, rows: list, rhs: list) -> float:
     """max c.x subject to rows.x <= rhs and x >= 0, for integer rows and
     rhs >= 0, so the slack basis is feasible and there is no phase 1.
@@ -607,28 +590,20 @@ def _simplex_max(c: list, rows: list, rhs: list) -> float:
         basis[r] = col
 
 
-def _nef_floor(s: PicBasisSurface) -> float:
+def _nef_floor(classes: list, A: tuple) -> float:
     """min{D.A : D nef, D.H = 1} > 0; the enumeration's per-degree floor.
 
-    D = H - sum m_i e_i is nef when every boundary curve C has D.C >= 0,
-    i.e. sum_i -C_i m_i <= C_0 (an e-curve supplies, its owners consume),
-    so the floor is A_0 - max sum a_i m_i with a_i = -A_i >= 0."""
-    n = s.n
+    D = H - sum m_i e_i is nef when every boundary curve C (padded class
+    in `classes`) has D.C >= 0, i.e. sum_i -C_i m_i <= C_0 (an e-curve
+    supplies, its owners consume), so the floor is A_0 - max sum a_i m_i
+    with a_i = -A_i >= 0."""
     rows, rhs = [], []
-    for c in s.curves:
-        cls = tower_mod._pad(c.cls, n)
+    for cls in classes:
         if any(cls[1:]):
             rows.append([-x for x in cls[1:]])
             rhs.append(cls[0])
-    a = [-sfloat(s.A[i]) for i in range(1, n + 1)]
-    return max(sfloat(s.A[0]) - _simplex_max(a, rows, rhs), 0.0)
-
-
-def f_from_self_intersections(self_ints) -> int:
-    """The degree-bound correction from a boundary self-intersection list."""
-    minus_ones = sum(1 for s in self_ints if s == -1)
-    correction = sum(1 + s for s in self_ints if s < -1)
-    return minus_ones - 2 * correction
+    a = [-sfloat(x) for x in A[1:]]
+    return max(sfloat(A[0]) - _simplex_max(a, rows, rhs), 0.0)
 
 
 def dkn_upper_data(a2: float, minus_k_dot_a: float, f_value: float,
@@ -655,19 +630,27 @@ class _EnumContext:
         self.n = n = s.n
         self.a = [s.A[0]] + [-(s.A[i]) for i in range(1, n + 1)]  # head, a_i >= 0
         self.a_f = [sfloat(x) for x in self.a]
-        self.owners = _owners(s)
-        self.curve_gamma = [tower_mod._pad(c.cls, n)[0] for c in s.curves]
-        self.floor = _nef_floor(s)
-        self.floor1 = self.floor * (1 - 1e-9)
-        # e-curve position per blowup and the parent blowup index
+        # one pass over the padded boundary classes: each curve's degree,
+        # the two owner curves (coefficient -1) and the e-curve (+1) of
+        # every blowup
+        classes = [tower_mod._pad(c.cls, n) for c in s.curves]
+        self.curve_gamma = [cls[0] for cls in classes]
+        self.owners = [[] for _ in range(n + 1)]
         self.ecurve = [None] * (n + 1)
         curve_blowup = {}
-        for ci, c in enumerate(s.curves):
-            cls = tower_mod._pad(c.cls, n)
+        for ci, cls in enumerate(classes):
             for i in range(1, n + 1):
-                if cls[i] == 1:
+                if cls[i] == -1:
+                    self.owners[i].append(ci)
+                elif cls[i] == 1:
                     self.ecurve[i] = ci
                     curve_blowup[ci] = i
+        for i in range(1, n + 1):
+            if len(self.owners[i]) != 2:
+                raise AssertionError(f"blowup {i} has {len(self.owners[i])} owner curves")
+        self.floor = _nef_floor(classes, s.A)
+        self.floor1 = self.floor * (1 - 1e-9)
+        # the parent blowup index
         self.parent = [None] * (n + 1)
         for i in range(1, n + 1):
             js = [curve_blowup[ci] for ci in self.owners[i] if ci in curve_blowup]
@@ -688,8 +671,12 @@ class _EnumContext:
                                   if self.parent[j] is None or self.parent[j] < i]
 
 
+_D_CEILING = 10_000  # the degree at which the enumeration gives up
+_STAB_TOL = 1e-9  # a tower bracket this narrow counts as stabilized
+
+
 def alg_capacity_enum(s: PicBasisSurface, k: int, ub: float | None = None,
-                      d_ceiling: int = 10_000, ctx: _EnumContext | None = None):
+                      ctx: _EnumContext | None = None):
     """Exact minimum of D.A over nef integer classes with D.(D-K) >= 2k."""
     zero = s.A[0] - s.A[0]
     if k == 0:
@@ -707,9 +694,9 @@ def alg_capacity_enum(s: PicBasisSurface, k: int, ub: float | None = None,
     while True:
         if ctx.floor1 > 0 and d * ctx.floor1 > incumbent_f + 1e-9:
             break
-        if d > d_ceiling:
+        if d > _D_CEILING:
             if incumbent is None:
-                raise CeilingExceeded(f"degree search passed {d_ceiling}")
+                raise CeilingExceeded(f"degree search passed {_D_CEILING}")
             break
         budget = d * (d + 3) - 2 * k
         if budget >= 0:
@@ -791,67 +778,66 @@ def _dfs_min(ctx: _EnumContext, d: int, budget: int, incumbent, incumbent_f):
     return None
 
 
-def alg_capacity_series(s: PicBasisSurface, kmax: int) -> list:
-    """Exact capacities for k = 0..kmax, chaining incumbents downward."""
+def alg_capacity_series(s: PicBasisSurface, kmax: int,
+                        ctx: _EnumContext | None = None) -> list:
+    """Exact capacities for k = 0..kmax on one enumeration context, walked
+    down from kmax: c_{k-1} <= c_k, so c_k + 1e-9 seeds the next search."""
+    ctx = ctx or _EnumContext(s)
     out = [None] * (kmax + 1)
-    ctx = _EnumContext(s)
     ub = None
-    for k in range(kmax, 0, -1):
-        val = alg_capacity_enum(s, k, ub=ub, ctx=ctx)
-        out[k] = val
-        ub = sfloat(val) + 1e-9  # c_{k-1} <= c_k
-    out[0] = s.A[0] - s.A[0]
+    for k in range(kmax, -1, -1):
+        out[k] = alg_capacity_enum(s, k, ub=ub, ctx=ctx)
+        ub = sfloat(out[k]) + 1e-9
     return out
 
 
 @dataclass
 class TowerCapacityResult:
     value: object
-    level: int
     bracket: tuple[float, float]
     stabilized: bool
     per_level: list | None = None
 
 
-def tower_capacity(tw: Tower, k: int, stab_tol: float = 1e-9,
-                   all_levels: bool = False,
-                   require_stable: bool = False, ub: float | None = None,
-                   ctx: _EnumContext | None = None) -> TowerCapacityResult:
+def _tower_result(tw: Tower, k: int, value, floor: float,
+                  per_level: list | None = None) -> TowerCapacityResult:
+    """The certified bracket (value - d_cap * tail_sum, value) of the tower
+    limit from the final level's c_k: any deeper optimizer truncates to a
+    feasible divisor at this level whose pairing with A grows by at most
+    its degree cap times the dropped weight sum."""
+    v = sfloat(value)
+    tail = sfloat(tw.tail_sum())
+    slack = 0.0
+    if tail != 0:
+        d_cap = (dkn_upper(tw.final, k) / floor) if floor > 0 else math.inf
+        slack = d_cap * tail
+    return TowerCapacityResult(value=value, bracket=(v - slack, v),
+                               stabilized=slack <= _STAB_TOL, per_level=per_level)
+
+
+def tower_capacity(tw: Tower, k: int, all_levels: bool = False) -> TowerCapacityResult:
     """Capacity of the tower limit, evaluated on the realized levels.
 
     Exact complete trees stabilize exactly at the last level (further
-    blowups carry weight zero and leave every pairing unchanged).  With a
-    truncated tail the result carries the certified bracket
-    (value - d_cap * tail_sum, value): any deeper optimizer truncates to a
-    feasible divisor at this level whose pairing with A grows by at most
-    its degree cap times the dropped weight sum.  `ctx` and `ub` are the
-    enumeration context and upper bound for the final level, as in
-    `alg_capacity_enum`.
-    """
-    ctx = ctx or _EnumContext(tw.final)
+    blowups carry weight zero and leave every pairing unchanged); with a
+    truncated tail the result carries the certified bracket of
+    `_tower_result`."""
+    ctx = _EnumContext(tw.final)
     levels = tw.surfaces[:-1] if all_levels else []
     values = [alg_capacity_enum(surf, k) for surf in levels]
-    values.append(alg_capacity_enum(tw.final, k, ub=ub, ctx=ctx))
+    values.append(alg_capacity_enum(tw.final, k, ctx=ctx))
     for i in range(1, len(values)):
         if sfloat(values[i]) > sfloat(values[i - 1]) + 1e-12:
             raise AssertionError("tower capacities must be non-increasing in n")
-    value = values[-1]
-    tail = sfloat(tw.tail_sum())
-    if tail == 0:
-        return TowerCapacityResult(value=value, level=tw.final.n,
-                                   bracket=(sfloat(value), sfloat(value)),
-                                   stabilized=True,
-                                   per_level=values if all_levels else None)
-    d_cap = (dkn_upper(tw.final, k) / ctx.floor) if ctx.floor > 0 else math.inf
-    slack = d_cap * tail
-    result = TowerCapacityResult(value=value, level=tw.final.n,
-                                 bracket=(sfloat(value) - slack, sfloat(value)),
-                                 stabilized=slack <= stab_tol,
-                                 per_level=values if all_levels else None)
-    if require_stable and not result.stabilized:
-        raise NoStabilization("tail too coarse to certify the tower limit",
-                              bracket=result.bracket)
-    return result
+    return _tower_result(tw, k, values[-1], ctx.floor,
+                         per_level=values if all_levels else None)
+
+
+def tower_capacities(tw: Tower, kmax: int) -> list[TowerCapacityResult]:
+    """tower_capacity for k = 0..kmax from one walk on the final level."""
+    ctx = _EnumContext(tw.final)
+    values = alg_capacity_series(tw.final, kmax, ctx)
+    return [_tower_result(tw, k, v, ctx.floor) for k, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def parse_domain(spec: str, backend: str = "exact", eps: float = 1e-9) -> domain
     Malformed input raises CapaxError: an unknown backend, an unreadable
     file, a wrong number of arguments, a malformed number (1/0 too) or JSON
     document, a bad field."""
-    domains.check_backend(backend)
+    domains.parse_backend(backend)
     try:
         if spec.startswith("@"):
             with open(spec[1:], "r", encoding="utf-8") as fh:
@@ -94,8 +94,11 @@ def _limits(ns) -> weights.TruncationLimits:
 
 def _emit(ns, text: str):
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CapaxError(f"cannot write output file {ns.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -136,23 +139,15 @@ def cmd_capacities(ns) -> int:
         if not d.is_convex():
             raise CapaxError("--oracle needs a convex domain")
         tree = weights.convex_weights(d, _limits(ns))
-        tw = tower.build_tower(tree)
-        # one enumeration context for every k, walked down from kmax so
-        # that c_k <= c_{k+1} seeds each search, as in alg_capacity_series
-        ctx = capacities._EnumContext(tw.final)
-        results, ub = [None] * (series.kmax + 1), None
-        for k in range(series.kmax, -1, -1):
-            results[k] = capacities.tower_capacity(tw, k, ub=ub, ctx=ctx)
-            ub = sfloat(results[k].value) + 1e-9
-        mismatches = []
-        for k, res in enumerate(results):
-            # certified intervals from the two routes must intersect;
-            # with exact data both are points and this is equality
-            if res.bracket[1] < series.lo(k) - 1e-9 or res.bracket[0] > series.hi(k) + 1e-9:
-                mismatches.append((k, sfloat(series.value(k)), sfloat(res.value)))
-        if mismatches:
-            for k, want, got in mismatches:
-                print(f"oracle mismatch at k={k}: fast={want} enum={got}", file=sys.stderr)
+        results = capacities.tower_capacities(tower.build_tower(tree), series.kmax)
+        # certified intervals from the two routes must intersect; with exact
+        # data both are points and this is equality
+        bad = [k for k, res in enumerate(results)
+               if res.bracket[1] < series.lo(k) - 1e-9 or res.bracket[0] > series.hi(k) + 1e-9]
+        for k in bad:
+            print(f"oracle mismatch at k={k}: fast={sfloat(series.value(k))} "
+                  f"enum={sfloat(results[k].value)}", file=sys.stderr)
+        if bad:
             return 1
         series.meta["oracle"] = "verified"
     if ns.format == "csv":
@@ -165,7 +160,10 @@ def cmd_capacities(ns) -> int:
 def _window(ns, default_hi):
     if ns.window:
         k0, _, k1 = ns.window.partition(":")
-        return int(k0), int(k1)
+        try:
+            return int(k0), int(k1)
+        except ValueError:
+            raise CapaxError(f"--window {ns.window!r}: expected k0:k1 with integers") from None
     return max(1, default_hi // 10), default_hi
 
 
@@ -195,6 +193,8 @@ def cmd_errors(ns) -> int:
 def cmd_bounds(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
     profile = domains.validate(d)
+    if profile.a is None:
+        raise CapaxError("bounds needs a domain with axis extents a, b; a weight list has none")
     band = asymptotics.band_for_profile(profile)
     inv = asymptotics.edge_invariants(profile)
     out = {

@@ -62,7 +62,7 @@ class DomainDescriptor:
 
     @property
     def field_d(self) -> int | None:
-        return int(self.backend.split(":")[1]) if self.backend.startswith("sqrt:") else None
+        return parse_backend(self.backend)[1]
 
     def is_convex(self) -> bool:
         if self.kind == "polygon":
@@ -105,18 +105,17 @@ def polygon(vertices, orientation: str, backend: str = "exact",
             field_d: int | None = None, eps: float = 0.0) -> DomainDescriptor:
     if field_d is not None:
         backend = f"sqrt:{field_d}"
-    vs = tuple(
-        (parse_scalar(x, check_backend(backend), _d(backend), eps),
-         parse_scalar(y, check_backend(backend), _d(backend), eps))
-        for x, y in vertices
-    )
+    base, field_d = parse_backend(backend)
+    vs = tuple((parse_scalar(x, base, field_d, eps), parse_scalar(y, base, field_d, eps))
+               for x, y in vertices)
     return DomainDescriptor(kind="polygon", orientation=orientation,
                             vertices=vs, backend=backend, eps=eps)
 
 
 def ellipsoid(a, b, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
-    a = parse_scalar(a, check_backend(backend), _d(backend), eps)
-    b = parse_scalar(b, check_backend(backend), _d(backend), eps)
+    base, field_d = parse_backend(backend)
+    a = parse_scalar(a, base, field_d, eps)
+    b = parse_scalar(b, base, field_d, eps)
     return DomainDescriptor(kind="ellipsoid", a=a, b=b, backend=backend, eps=eps)
 
 
@@ -125,7 +124,7 @@ def ball(a, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
 
 
 def square(s, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
-    s = parse_scalar(s, check_backend(backend), _d(backend), eps)
+    s = parse_scalar(s, *parse_backend(backend), eps)
     z = s - s
     return DomainDescriptor(kind="polygon", orientation="convex",
                             vertices=((z, z), (s, z), (s, s), (z, s)),
@@ -146,7 +145,8 @@ def superellipse(p, r, eps: float = 1e-12) -> DomainDescriptor:
 
 
 def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
-    par = lambda v: parse_scalar(v, check_backend(backend), _d(backend), eps)
+    base, field_d = parse_backend(backend)
+    par = lambda v: parse_scalar(v, base, field_d, eps)
     return DomainDescriptor(
         kind="weight_list",
         head=None if head is None else par(head),
@@ -155,20 +155,18 @@ def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> Doma
     )
 
 
-def check_backend(backend: str) -> str:
-    """The scalar parser's base for a backend name: "exact" for exact and
-    sqrt:d, "float" for float.  Any other name is refused."""
+def parse_backend(backend: str) -> tuple[str, int | None]:
+    """The scalar parser's base and field of a backend name: ("exact", None)
+    for exact, ("float", None) for float and ("exact", d) for sqrt:d with d
+    squarefree >= 2.  Any other name is refused."""
     if backend in ("exact", "float"):
-        return backend
-    if isinstance(backend, str) and backend.startswith("sqrt:") and backend[5:].isdigit():
-        if _is_squarefree(int(backend[5:])):
-            return "exact"
+        return backend, None
+    if isinstance(backend, str) and backend.startswith("sqrt:") and backend[5:].isdecimal():
+        d = int(backend[5:])
+        if _is_squarefree(d):
+            return "exact", d
     raise InvalidSpec(f"unknown backend {backend!r}: expected exact, float "
                       "or sqrt:d with d squarefree >= 2")
-
-
-def _d(backend: str) -> int | None:
-    return int(backend.split(":")[1]) if backend.startswith("sqrt:") else None
 
 
 def _zero_of(d: DomainDescriptor):
@@ -598,7 +596,7 @@ def _descriptor_from_json(obj) -> DomainDescriptor:
     backend = obj.get("backend")
     if backend is None:
         backend = f"sqrt:{field_d}" if field_d else "exact"
-    check_backend(backend)
+    parse_backend(backend)
     eps = float(obj.get("eps", 1e-9 if backend == "float" else 0.0))
     if kind == "polygon":
         return polygon(obj["vertices"], obj.get("orientation", "convex"),

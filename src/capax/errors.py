@@ -87,14 +87,6 @@ class BelowThreshold(CapaxError):
     """c_plus evaluated below its validity threshold in k."""
 
 
-class NoStabilization(CapaxError):
-    """Tower capacity did not certify stability within the level ceiling."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class PruningBoundExceeded(CapaxError):
     """Decomposition infimum scan hit its ceiling before certifying."""
 

@@ -160,7 +160,10 @@ def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
     volumes_equal = abs(vf - vt) <= vol_slack
 
     adm_from, adm_to = admissible(dom_from, prof_from), admissible(dom_to, prof_to)
-    if volumes_equal and adm_from and adm_to:
+    if volumes_equal and (prof_from.a is None or prof_to.a is None):
+        notes.append("equal volumes but a weight list has no axis extents: "
+                     "affine-length criterion not applied")
+    elif volumes_equal and adm_from and adm_to:
         lf = _total_affine_length(dom_from, prof_from)
         lt = _total_affine_length(dom_to, prof_to)
         slack = seps(prof_from.total_affine_plus) + seps(prof_to.total_affine_plus) \

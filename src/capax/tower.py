@@ -242,21 +242,21 @@ def nef_test(s: PicBasisSurface, cls) -> tuple[bool, object | None]:
     return True, None
 
 
+def f_from_self_intersections(self_ints) -> int:
+    """#(-1)-curves minus twice the sum of (1 + C^2) over curves with C^2 < -1,
+    from a boundary self-intersection list."""
+    minus_ones = sum(1 for si in self_ints if si == -1)
+    correction = sum(1 + si for si in self_ints if si < -1)
+    return minus_ones - 2 * correction
+
+
 def F_of_n(s: PicBasisSurface):
-    """#(-1)-curves minus twice the sum of (1 + C^2) over curves with C^2 < -1.
+    """The degree-bound count F of the surface's boundary.
 
     On these toric surfaces every negative curve is a boundary curve, so
     boundary data determines the count exactly.
     """
-    minus_ones = 0
-    correction = 0
-    for c in s.curves:
-        si = self_int(c.cls)
-        if si == -1:
-            minus_ones += 1
-        elif si < -1:
-            correction += 1 + si
-    return minus_ones - 2 * correction
+    return f_from_self_intersections([self_int(c.cls) for c in s.curves])
 
 
 def assert_surface_invariants(s: PicBasisSurface):

@@ -33,6 +33,7 @@ from .scalars import Eps, format_scalar, is_exact, primitive_direction, seps, sf
 from .domains import (
     BoundaryProfile,
     DomainDescriptor,
+    parse_backend,
     shoelace_area,
     validate,
 )
@@ -466,13 +467,11 @@ def tree_to_json(t: WeightTree) -> dict:
     }
 
 
-def tree_from_json(obj: dict, field_d: int | None = None) -> WeightTree:
+def tree_from_json(obj: dict) -> WeightTree:
     from .scalars import parse_scalar
 
     backend = obj.get("backend", "exact")
-    if backend.startswith("sqrt:"):
-        field_d = int(backend.split(":")[1])
-    base = "float" if backend == "float" else "exact"
+    base, field_d = parse_backend(backend)
     par = lambda s: parse_scalar(s, base, field_d)
     nodes = {}
     roots = []

@@ -14,7 +14,6 @@ from capax.capacities import (
     _EnumContext,
     _ball_table,
     _convex_scan,
-    _nef_floor,
     _quad_pairs,
     CapacitySeries,
     alg_capacity_enum,
@@ -31,6 +30,7 @@ from capax.capacities import (
     polydisk_capacities,
     series_for_domain,
     square_capacities,
+    tower_capacities,
     tower_capacity,
     union_capacities,
     union_of_balls,
@@ -583,23 +583,24 @@ class TestTowerCapacity:
 
 
 class TestChainedOracle:
-    """tower_capacity on one shared context, walked down from kmax with
-    ub = c_{k+1} + 1e-9, gives what a fresh call per k gives."""
+    """tower_capacities walks k down from kmax on one context, seeding each
+    search with c_{k+1} + 1e-9; it gives what a fresh tower_capacity per k
+    gives, in value and bracket."""
 
     @pytest.mark.parametrize("make, limits, kmax", [
         (lambda: domains.polygon([(0, 0), (4, 0), (4, 1), (2, 3), (0, 4)], "convex"),
          None, 30),
         (golden_triangle, TruncationLimits(eps=1e-5), 9),
-    ], ids=["fig", "golden-truncated"])
+        (lambda: random_convex_polygon(random.Random(47)), None, 20),
+    ], ids=["fig", "golden-truncated", "random"])
     def test_chained_equals_fresh(self, make, limits, kmax):
         tw = build_tower(convex_weights(make(), limits))
-        ctx, ub = _EnumContext(tw.final), None
-        for k in range(kmax, -1, -1):
-            chained = tower_capacity(tw, k, ub=ub, ctx=ctx)
+        walked = tower_capacities(tw, kmax)
+        assert len(walked) == kmax + 1
+        for k, chained in enumerate(walked):
             fresh = tower_capacity(tw, k)
             assert chained.value == fresh.value
             assert chained.bracket == fresh.bracket
-            ub = sfloat(chained.value) + 1e-9
 
 
 # the four oracle inputs of the benchmark at seed 0: P6, the figure polygon
@@ -636,7 +637,7 @@ class TestNefFloor:
     def check(self, tw):
         for s in tw.surfaces:
             want = self.linprog_floor(s)
-            assert _nef_floor(s) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert _EnumContext(s).floor == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("vertices", BENCH_POLYGONS, ids=["p6", "fig", "rand-0", "rand-1"])
     def test_benchmark_towers(self, vertices):

@@ -154,6 +154,7 @@ class TestInputBoundary:
         ["--domain", "ball:1", "--backend", "sqrt:4"],
         ["--domain", "@{missing}"],
         ["--domain", "ball:1", "--backend", "foo"],
+        ["--domain", "ball:1", "--backend", "sqrt:\u00b2"],
         ["--domain", 'polygon:{"kind":"polygon","vertices":5}'],
         ["--domain", 'polygon:{"kind":"polygon","orientation":"flat",'
                      '"vertices":[["0","0"],["1","0"],["0","1"]]}'],
@@ -162,8 +163,8 @@ class TestInputBoundary:
         ["--domain", "weights:3;1,1,1,1,1,1,1,1,1"],
     ], ids=["negative-ball", "negative-kmax", "no-argument", "one-leg",
             "not-a-number", "square-field", "missing-file", "unknown-backend",
-            "vertices-not-a-list", "unknown-orientation", "over-packed-weights",
-            "weights-fill-the-head"])
+            "superscript-field", "vertices-not-a-list", "unknown-orientation",
+            "over-packed-weights", "weights-fill-the-head"])
     def test_bad_input_exits_one_with_message(self, capsys, tmp_path, argv):
         argv = [a.format(missing=tmp_path / "missing.json") if a.startswith("@") else a
                 for a in argv]
@@ -172,6 +173,32 @@ class TestInputBoundary:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("capax: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["errors", "--domain", "ball:1", "--kmax", "20", "--window", "abc"],
+        ["errors", "--domain", "ball:1", "--kmax", "20", "--window", "10"],
+        ["capacities", "--domain", "ball:1", "--out", "{missing}"],
+        ["bounds", "--domain", "weights:5;1,1"],
+    ], ids=["window-not-a-number", "window-one-number", "out-in-missing-dir",
+            "bounds-of-weight-list"])
+    def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("capax: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("pair", [("weights:5;1,1", "weights:5;1,1"),
+                                      ("weights:1;", "ball:1")], ids=["two-lists", "list-ball"])
+    def test_obstruct_weight_list_skips_affine_length(self, capsys, pair):
+        # equal volumes, but a weight list has no a, b for the affine-length criterion
+        code, out = run(capsys, "obstruct", "--from", pair[0], "--to", pair[1], "--kmax", "10")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["volumes"]["equal_within_tolerance"]
+        assert any("affine-length criterion not applied" in n for n in report["notes"])
 
     @pytest.mark.parametrize("eps", ["1e-6", "1e-8"])
     def test_float_int_zeros_match_string_zeros(self, capsys, tmp_path, eps):
