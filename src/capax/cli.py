@@ -36,9 +36,7 @@ def _scalar_arg(text: str, backend: str):
         if backend != "float":
             raise CapaxError(f"constant {text!r} needs --backend float")
         return _FLOAT_CONSTANTS[text]
-    if backend == "float":
-        return float(Fraction(text)) if "/" in text else float(text)
-    return text  # parsed downstream with the backend's field
+    return text  # parsed downstream with the backend and its field
 
 
 _ARITY = {"ball": 1, "ellipsoid": 2, "square": 1, "quarter_disk": 1, "superellipse": 2}

@@ -155,18 +155,22 @@ def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> Doma
     )
 
 
+MAX_FIELD_D = 2 ** 31  # squarefreeness is trial division: about 10 ms below this bound
+
+
 def parse_backend(backend: str) -> tuple[str, int | None]:
     """The scalar parser's base and field of a backend name: ("exact", None)
     for exact, ("float", None) for float and ("exact", d) for sqrt:d with d
-    squarefree >= 2.  Any other name is refused."""
+    squarefree, 2 <= d < MAX_FIELD_D.  Any other name is refused."""
     if backend in ("exact", "float"):
         return backend, None
     if isinstance(backend, str) and backend.startswith("sqrt:") and backend[5:].isdecimal():
-        d = int(backend[5:])
-        if _is_squarefree(d):
+        # more digits than the bound has is over it; int() refuses very long strings
+        d = int(backend[5:]) if len(backend) <= 15 else MAX_FIELD_D
+        if d < MAX_FIELD_D and _is_squarefree(d):
             return "exact", d
     raise InvalidSpec(f"unknown backend {backend!r}: expected exact, float "
-                      "or sqrt:d with d squarefree >= 2")
+                      "or sqrt:d with d squarefree, 2 <= d < 2^31")
 
 
 def _zero_of(d: DomainDescriptor):

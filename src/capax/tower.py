@@ -83,8 +83,7 @@ def p2_init(c) -> PicBasisSurface:
     )
 
 
-def blowup(s: PicBasisSurface, node, a, token=None,
-           nef_check: bool = True) -> PicBasisSurface:
+def blowup(s: PicBasisSurface, node, a, token=None) -> PicBasisSurface:
     """Blow up a boundary node with weight a >= 0.
 
     `node` is a pair of curve ids (or tokens).  The new exceptional curve
@@ -130,13 +129,12 @@ def blowup(s: PicBasisSurface, node, a, token=None,
         token_to_cid={**s.token_to_cid,
                       (token if token is not None else f"E{n_new}"): cid_new},
     )
-    if nef_check:
-        for c in out.curves:
-            v = _dot(out.A, c.cls)
-            bad = v < 0 if is_exact(v) else sfloat(v) < -seps(v) - 1e-12
-            if bad:
-                raise NotNef(f"A pairs negatively ({v}) with curve {c.token}",
-                             curve=c.token, value=v)
+    for c in out.curves:
+        v = _dot(out.A, c.cls)
+        bad = v < 0 if is_exact(v) else sfloat(v) < -seps(v) - 1e-12
+        if bad:
+            raise NotNef(f"A pairs negatively ({v}) with curve {c.token}",
+                         curve=c.token, value=v)
     return out
 
 

@@ -1,18 +1,20 @@
 """Weight-sequence recursions over concave and convex regions.
 
-Every recursion step peels the largest standard triangle from a concave
-piece held in standard position (region under a convex function, ending
-on the x-axis).  The contact of the cut line x+y = a with the piece's
-upper boundary is a possibly degenerate segment of direction (1,-1);
-its affine length is the edge this step contributes to the original
-domain's upper boundary, recorded per node as ``introduced``.  Pieces
-left and right of the contact are mapped back to standard position by
-the unimodular maps (x, y) -> (x, x+y-a) and (x, y) -> (x+y-a, y).
+One split serves the head and every piece: it cuts a graph along a line
+of direction (1,-1).  Every piece step peels the largest standard
+triangle from a concave piece held in standard position (region under a
+convex function, ending on the x-axis), cutting at x+y = a for the least
+value a of x+y.  The contact of the cut line with the piece's upper
+boundary is a possibly degenerate segment; its affine length is the edge
+this step contributes to the original domain's upper boundary, recorded
+per node as ``introduced``.  Pieces left and right of the contact are
+mapped back to standard position by the unimodular maps
+(x, y) -> (x, x+y-a) and (x, y) -> (x+y-a, y).
 
-For a convex domain the recursion starts from the circumscribed
-triangle; the two corner complements become concave pieces via
-(x, y) -> (x, c-x-y) and (x, y) -> (c-x-y, y), and the contact with the
-hypotenuse is the extended node's deficiency.
+A convex domain's head step is the same split at the greatest value c of
+x+y: it cuts the circumscribed triangle, the two corner complements
+become concave pieces via (x, y) -> (x, c-x-y) and (x, y) -> (c-x-y, y),
+and the contact with the hypotenuse is the extended node's deficiency.
 
 Each node also records the blowup corner it owns, as the unordered pair
 of boundary-curve tokens ("H0"/"H1"/"H2" or a parent node id), which is
@@ -27,11 +29,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import (BackendOverflow, DegenerateEdge, NonConvex, TailNotDecreasing,
-                     TruncationTooCoarse)
+from .errors import BackendOverflow, DegenerateEdge, NonConvex, TailNotDecreasing
 from .scalars import Eps, format_scalar, is_exact, primitive_direction, seps, sfloat
 from .domains import (
-    BoundaryProfile,
     DomainDescriptor,
     parse_backend,
     shoelace_area,
@@ -103,7 +103,7 @@ class WeightTree:
 def _contact(svals, gaps, exact: bool):
     """The vertices at a cut line, from their values x+y and gaps to it:
     (j1, j2), the first and last that touch it, and (s1, s2), where the
-    slivers end.
+    slivers end.  Exact gaps are compared exactly, never through floats.
 
     A float contact can take in an end of the graph that lies off the line
     by more than rounding, inside the tolerance tags.  The sliver from that
@@ -111,6 +111,7 @@ def _contact(svals, gaps, exact: bool):
     is a dropped piece; s1, s2 are None where the end is on the line."""
     tol = noise = 0
     if not exact:  # rounding of sums of the values, then their tolerance tags
+        gaps = [sfloat(g) for g in gaps]
         noise = 1e-12 * (1.0 + max((abs(sfloat(v)) for v in svals), default=1.0))
         tol = 2 * max((seps(v) for v in svals), default=0.0) + noise
     contact = [i for i, g in enumerate(gaps) if g <= tol]
@@ -146,13 +147,11 @@ def _piece_ell_plus(graph, float_backend: bool):
 
 
 class _Recursion:
-    def __init__(self, limits: TruncationLimits, exact: bool, backend: str):
+    def __init__(self, limits: TruncationLimits, exact: bool):
         self.max_depth, self.eps = limits.resolved(exact)
         self.exact = exact
-        self.backend = backend
         self.nodes: dict[int, WeightNode] = {}
-        self.children: dict[int, list[int]] = {}
-        self.next_id = 0
+        self.children: dict[int | None, list[int]] = {None: []}  # None: the roots
         self.tail_sum = None
         self.tail_sq = None
         self.dropped = 0
@@ -172,10 +171,27 @@ class _Recursion:
         self.tail_sq = piece_sq if self.tail_sq is None else self.tail_sq + piece_sq
         self.dropped += 1
 
+    def split(self, graph, svals, gaps, cut):
+        """Cut a graph at a line of direction (1,-1), given its values x+y
+        and their gaps to the line.  Returns the contact's affine length and
+        the pieces left and right of it, None where the contact reaches that
+        end; `cut(x, y)`, a vertex's distance to the line, maps them to
+        standard position as (x, cut) and (cut, y)."""
+        j1, j2, s1, s2 = _contact(svals, gaps, self.exact)
+        left = right = None
+        if j1 > 0:
+            left = [(x, cut(x, y)) for x, y in graph[: j1 + 1]]
+        elif s1 is not None:
+            self._drop([(x, cut(x, y)) for x, y in graph[: s1 + 1]])
+        if j2 < len(graph) - 1:
+            right = [(cut(x, y), y) for x, y in graph[j2:]]
+        elif s2 is not None:
+            self._drop([(cut(x, y), y) for x, y in graph[s2:]])
+        return graph[j2][0] - graph[j1][0], left, right
+
     def run(self, pieces):
-        """pieces: list of (graph, parent, side, corner, depth). Returns root ids."""
+        """pieces: list of (graph, parent, side, corner, depth)."""
         queue = deque(pieces)
-        roots = []
         while queue:
             graph, parent, side, corner, depth = queue.popleft()
             if len(graph) < 2:  # nothing to peel: the point's a + b enters the tail
@@ -189,58 +205,31 @@ class _Recursion:
                 self._drop(graph)
                 continue
             svals = [x + y for x, y in graph]
-            a_ins = svals[0]
-            for s in svals[1:]:
-                if s < a_ins:
-                    a_ins = s
-            if sfloat(a_ins) < self.eps:
+            a = min(svals)
+            if sfloat(a) < self.eps:
                 self._drop(graph)
                 continue
-            j1, j2, s1, s2 = _contact(svals, [sfloat(s - a_ins) for s in svals], self.exact)
-            x2, x3 = graph[j1][0], graph[j2][0]
-            node_id = self.next_id
-            self.next_id += 1
-            node = WeightNode(id=node_id, weight=a_ins, parent=parent, side=side,
-                              corner=corner, introduced=x3 - x2, depth=depth)
-            self.nodes[node_id] = node
+            introduced, left, right = self.split(graph, svals, [s - a for s in svals],
+                                                 lambda x, y: x + y - a)
+            node_id = len(self.nodes)
+            self.nodes[node_id] = WeightNode(id=node_id, weight=a, parent=parent, side=side,
+                                             corner=corner, introduced=introduced,
+                                             depth=depth)
             self.children[node_id] = []
-            if parent is None:
-                roots.append(node_id)
-            else:
-                self.children[parent].append(node_id)
+            self.children[parent].append(node_id)
             x_curve, y_curve = corner if corner else (None, None)
             # left piece: keeps the y-side curve, x-axis becomes this blowup's edge
-            if j1 > 0:
-                left = [(x, x + y - a_ins) for x, y in graph[: j1 + 1]]
+            if left:
                 queue.append((left, node_id, 2, (node_id, y_curve) if corner else None,
                               depth + 1))
-            elif s1 is not None:
-                self._drop([(x, x + y - a_ins) for x, y in graph[: s1 + 1]])
             # right piece: keeps the x-side curve
-            if j2 < len(graph) - 1:
-                right = [(x + y - a_ins, y) for x, y in graph[j2:]]
+            if right:
                 queue.append((right, node_id, 3, (x_curve, node_id) if corner else None,
                               depth + 1))
-            elif s2 is not None:
-                self._drop([(x + y - a_ins, y) for x, y in graph[s2:]])
-        return roots
-
-    def finish(self, zero):
-        nodes = {
-            i: replace(n, children=tuple(self.children[i]))
-            for i, n in self.nodes.items()
-        }
-        return nodes, Truncation(
-            max_depth=self.max_depth,
-            eps=self.eps,
-            dropped_tail_sum=self.tail_sum if self.tail_sum is not None else zero,
-            dropped_tail_sq=self.tail_sq if self.tail_sq is not None else zero,
-            dropped_pieces=self.dropped,
-            complete=self.dropped == 0,
-        )
 
 
-def _tree_from_weight_list(d: DomainDescriptor, zero) -> WeightTree:
+def _tree_from_weight_list(d: DomainDescriptor) -> WeightTree:
+    zero = Fraction(0)
     rec_nodes = {}
     order = sorted(range(len(d.weights)), key=lambda i: (-sfloat(d.weights[i]), i))
     for rank, idx in enumerate(order):
@@ -252,69 +241,56 @@ def _tree_from_weight_list(d: DomainDescriptor, zero) -> WeightTree:
                       nodes=rec_nodes, truncation=trunc, backend=d.backend)
 
 
-def concave_weights(d: DomainDescriptor, limits: TruncationLimits | None = None) -> WeightTree:
-    """Weight tree of a concave domain (single root)."""
-    limits = limits or TruncationLimits()
+def _weights(d: DomainDescriptor, limits: TruncationLimits | None, convex: bool) -> WeightTree:
     profile = validate(d)
     if d.kind == "weight_list":
-        if d.head is not None:
-            raise NonConvex("weight list with a head is convex data")
-        return _tree_from_weight_list(d, Fraction(0))
-    if not d.is_concave():
-        raise NonConvex(f"{d.kind} domain is not concave")
-    chain = list(profile.chain)
-    zero = chain[0][0] - chain[0][0]
-    exact = d.backend != "float"
-    rec = _Recursion(limits, exact, d.backend)
-    roots = rec.run([(chain, None, 3, None, 1)])
-    nodes, trunc = rec.finish(zero)
-    tree = WeightTree(head=None, head_introduced=zero, roots=tuple(roots),
-                      nodes=nodes, truncation=trunc, backend=d.backend)
-    tree.assert_parent_dominance()
-    return tree
-
-
-def convex_weights(d: DomainDescriptor, limits: TruncationLimits | None = None) -> WeightTree:
-    """Weight tree of a convex domain: head + up to two concave subtrees."""
-    limits = limits or TruncationLimits()
-    profile = validate(d)
-    if d.kind == "weight_list":
-        if d.head is None:
-            raise NonConvex("weight list without a head is concave data")
-        return _tree_from_weight_list(d, Fraction(0))
-    if not d.is_convex():
-        raise NonConvex(f"{d.kind} domain is not convex")
+        if (d.head is not None) != convex:
+            raise NonConvex("weight list with a head is convex data" if d.head is not None
+                            else "weight list without a head is concave data")
+        return _tree_from_weight_list(d)
+    if not (d.is_convex() if convex else d.is_concave()):
+        raise NonConvex(f"{d.kind} domain is not {'convex' if convex else 'concave'}")
     if profile.smooth:
         raise NonConvex("polygonalize smooth domains before running the recursion")
     chain = list(profile.chain)
     zero = chain[0][0] - chain[0][0]
-    exact = d.backend != "float"
-    svals = [x + y for x, y in chain]
-    c = svals[0]
-    for s in svals[1:]:
-        if s > c:
-            c = s
-    i1, i2, s1, s2 = _contact(svals, [sfloat(c - s) for s in svals], exact)
-    x2, x3 = chain[i1][0], chain[i2][0]
-
-    rec = _Recursion(limits, exact, d.backend)
-    pieces = []
-    if i1 > 0:  # corner piece at (0, c): hypotenuse becomes its x-axis
-        left = [(x, c - x - y) for x, y in chain[: i1 + 1]]
-        pieces.append((left, None, 2, ("H0", "H2"), 1))
-    elif s1 is not None:
-        rec._drop([(x, c - x - y) for x, y in chain[: s1 + 1]])
-    if i2 < len(chain) - 1:  # corner piece at (c, 0)
-        right = [(c - x - y, y) for x, y in chain[i2:]]
-        pieces.append((right, None, 3, ("H1", "H0"), 1))
-    elif s2 is not None:
-        rec._drop([(c - x - y, y) for x, y in chain[s2:]])
-    roots = rec.run(pieces)
-    nodes, trunc = rec.finish(zero)
-    tree = WeightTree(head=c, head_introduced=x3 - x2, roots=tuple(roots),
-                      nodes=nodes, truncation=trunc, backend=d.backend)
+    rec = _Recursion(limits or TruncationLimits(), d.backend != "float")
+    head, head_introduced, pieces = None, zero, [(chain, None, 3, None, 1)]
+    try:
+        if convex:  # cut the circumscribed triangle x + y <= c, the head
+            svals = [x + y for x, y in chain]
+            head = max(svals)
+            head_introduced, left, right = rec.split(chain, svals, [head - s for s in svals],
+                                                     lambda x, y: head - x - y)
+            # corner pieces at (0, c) and (c, 0): the hypotenuse is their x- or y-axis
+            pieces = [p for p in ((left, None, 2, ("H0", "H2"), 1),
+                                  (right, None, 3, ("H1", "H0"), 1)) if p[0]]
+        rec.run(pieces)
+    except OverflowError as exc:
+        raise BackendOverflow(
+            "weight recursion: exact coordinates outgrew the float range; "
+            "set truncation limits for irrational data") from exc
+    tree = WeightTree(
+        head=head, head_introduced=head_introduced, roots=tuple(rec.children[None]),
+        nodes={i: replace(n, children=tuple(rec.children[i])) for i, n in rec.nodes.items()},
+        truncation=Truncation(
+            max_depth=rec.max_depth, eps=rec.eps,
+            dropped_tail_sum=zero if rec.tail_sum is None else rec.tail_sum,
+            dropped_tail_sq=zero if rec.tail_sq is None else rec.tail_sq,
+            dropped_pieces=rec.dropped, complete=rec.dropped == 0),
+        backend=d.backend)
     tree.assert_parent_dominance()
     return tree
+
+
+def concave_weights(d: DomainDescriptor, limits: TruncationLimits | None = None) -> WeightTree:
+    """Weight tree of a concave domain (single root)."""
+    return _weights(d, limits, convex=False)
+
+
+def convex_weights(d: DomainDescriptor, limits: TruncationLimits | None = None) -> WeightTree:
+    """Weight tree of a convex domain: head + up to two concave subtrees."""
+    return _weights(d, limits, convex=True)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +332,8 @@ def linearize(t: WeightTree) -> list[int]:
     return out
 
 
-def deficiencies(t: WeightTree, profile: BoundaryProfile | None = None,
-                 certificate_tol: float | None = None) -> dict:
+def deficiencies(t: WeightTree) -> dict:
     """Per-node deficiency plus the extended node's, keyed by id and INF_NODE."""
-    if certificate_tol is not None and sfloat(t.truncation.dropped_tail_sum) > certificate_tol:
-        raise TruncationTooCoarse(
-            f"dropped tail {sfloat(t.truncation.dropped_tail_sum):.3g} exceeds "
-            f"certificate tolerance {certificate_tol:.3g}")
     out = {n.id: n.introduced for n in t.nodes.values()}
     out[INF_NODE] = t.head_introduced
     return out

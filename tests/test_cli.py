@@ -161,10 +161,17 @@ class TestInputBoundary:
         # sum w^2 >= head^2 leaves no area: the convex scan never certifies
         ["--domain", "weights:3;2,2,2"],
         ["--domain", "weights:3;1,1,1,1,1,1,1,1,1"],
+        # squarefreeness is trial division: a field over the bound is refused at once
+        ["--domain", "ball:1", "--backend", "sqrt:1000000000000000000003"],
+        ["--domain", "ball:1", "--backend", "sqrt:" + "1" * 5000],
+        # exact irrational data needs truncation limits
+        ["--domain", 'polygon:{"kind":"polygon","field_d":5,'
+                     '"vertices":[["0","0"],["1","0"],["0","1/2+1/2*sqrt"]]}'],
     ], ids=["negative-ball", "negative-kmax", "no-argument", "one-leg",
             "not-a-number", "square-field", "missing-file", "unknown-backend",
             "superscript-field", "vertices-not-a-list", "unknown-orientation",
-            "over-packed-weights", "weights-fill-the-head"])
+            "over-packed-weights", "weights-fill-the-head", "huge-field",
+            "overlong-field", "golden-without-eps"])
     def test_bad_input_exits_one_with_message(self, capsys, tmp_path, argv):
         argv = [a.format(missing=tmp_path / "missing.json") if a.startswith("@") else a
                 for a in argv]

@@ -7,6 +7,7 @@ from capax import domains
 from capax.errors import (
     AxisContactMissing,
     EmptyDomain,
+    InvalidSpec,
     NonConvex,
     NotInQuadrant,
     ResolutionTooSmall,
@@ -177,6 +178,14 @@ class TestJson:
         j = domains.descriptor_to_json(d)
         assert j["field_d"] == 5
         assert domains.descriptor_from_json(j) == d
+
+    @pytest.mark.parametrize("field_d", [2 ** 31, 10 ** 21 + 3])
+    def test_field_over_the_bound_is_refused(self, field_d):
+        obj = {"kind": "ellipsoid", "a": "1", "b": "2", "field_d": field_d}
+        with pytest.raises(InvalidSpec, match=r"2 <= d < 2\^31"):
+            domains.descriptor_from_json(obj)
+        obj["field_d"] = 2 ** 31 - 1  # a prime, just under the bound
+        assert domains.descriptor_from_json(obj).field_d == 2 ** 31 - 1
 
     def test_spec_formats(self):
         d = domains.descriptor_from_json(

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capax import domains
-from capax.errors import DegenerateEdge, TailNotDecreasing
+from capax.errors import BackendOverflow, DegenerateEdge, TailNotDecreasing
 from capax.scalars import Eps, Quad, _primitive_float, seps, sfloat
 from capax.weights import (
     INF_NODE,
@@ -56,6 +58,58 @@ class TestConcave:
         for w in t.weight_multiset():
             total = total + w * w
         assert total + t.truncation.dropped_tail_sq == 2 * domains.area(phi_triangle("concave"))
+
+
+def mirror(d):
+    """The concave domain whose upper boundary is a convex domain's, turned
+    by (x, y) -> (a - x, b - y)."""
+    p = domains.validate(d)
+    zero = p.a - p.a
+    return domains.polygon([(zero, zero)] + [(p.a - x, p.b - y) for x, y in p.chain],
+                           "concave", backend=d.backend)
+
+
+def assert_tail_identities(d, t):
+    """The area and length identities of a tree, its dropped tail included."""
+    p = domains.validate(d)
+    zero = p.a - p.a
+    sq = sum((w * w for w in t.weight_multiset()), zero) + t.truncation.dropped_tail_sq
+    total = sum(t.weight_multiset(), zero) + t.truncation.dropped_tail_sum
+    if t.head is None:
+        assert sq == 2 * domains.area(d)
+        assert total == p.a + p.b - p.total_affine_plus
+    else:
+        assert t.head * t.head - sq == 2 * domains.area(d)
+        assert 3 * t.head - total == p.a + p.b + p.total_affine_plus
+
+
+class TestTailIdentities:
+    # exact data with max_depth alone is refused, so the depth limits carry an eps
+    LIMITS = [TruncationLimits(), TruncationLimits(eps=0.3), TruncationLimits(eps=0.05),
+              TruncationLimits(max_depth=1, eps=1e-12), TruncationLimits(max_depth=3, eps=1e-12)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), limits=st.sampled_from(LIMITS))
+    def test_random_polygons(self, seed, limits):
+        d = random_convex_polygon(random.Random(seed))
+        assert_tail_identities(d, convex_weights(d, limits))
+        assert_tail_identities(mirror(d), concave_weights(mirror(d), limits))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    @pytest.mark.parametrize("orientation", ["convex", "concave"])
+    def test_golden_triangle(self, orientation, eps):
+        fn = convex_weights if orientation == "convex" else concave_weights
+        t = fn(phi_triangle(orientation), TruncationLimits(eps=eps))
+        assert not t.truncation.complete
+        assert_tail_identities(phi_triangle(orientation), t)
+
+    @pytest.mark.parametrize("orientation", ["convex", "concave"])
+    def test_golden_triangle_without_eps_is_refused(self, orientation):
+        # the expansion never ends; its exact coordinates outgrow floats
+        # long before the depth limit, and no gap is taken for contact
+        fn = convex_weights if orientation == "convex" else concave_weights
+        with pytest.raises(BackendOverflow, match="set truncation limits"):
+            fn(phi_triangle(orientation))
 
 
 class TestConvex:
