@@ -18,7 +18,6 @@ from .errors import VolumeMismatch, WindowOutOfRange
 from .scalars import rational_parts, sfloat
 from .domains import BoundaryProfile
 from .capacities import CapacitySeries
-from .weights import WeightTree, is_balanced
 
 
 @dataclass(frozen=True)
@@ -185,9 +184,7 @@ class ConvergenceReport:
 def convergence_verdict(profile: BoundaryProfile,
                         invariants: EdgeInvariants | None = None,
                         e: ErrorSeries | None = None,
-                        window: tuple[int, int] | None = None,
-                        tree: WeightTree | None = None,
-                        tol: float = 0.0) -> ConvergenceReport:
+                        window: tuple[int, int] | None = None) -> ConvergenceReport:
     """Proven-convergent (limit -(a+b)/2) only when there are no
     rational-sloped upper edges, equivalently the tower is balanced;
     otherwise report the band and the empirical window midpoint."""
@@ -196,11 +193,6 @@ def convergence_verdict(profile: BoundaryProfile,
     ruelle = -(sfloat(profile.a) + sfloat(profile.b)) / 2.0
     notes = []
     proven = inv.n_rational == 0
-    if not proven and tree is not None:
-        balanced, offenders = is_balanced(tree, tol)
-        if balanced:
-            proven = True
-            notes.append("balanced weight tree within tolerance")
     mid = None
     if e is not None:
         win = window or (int(e.ks[0]), int(e.ks[-1]))

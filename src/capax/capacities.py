@@ -32,7 +32,8 @@ from .errors import (
     SearchSpaceEmpty,
     TruncationTooCoarse,
 )
-from .scalars import Eps, Quad, format_scalar, parse_scalar, quad_sign, rational_parts, sfloat
+from .scalars import (Eps, Quad, backend_of, format_scalar, parse_scalar, quad_sign,
+                      rational_parts, sfloat)
 from .domains import DomainDescriptor, area, parse_backend, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
@@ -131,7 +132,7 @@ def ball_capacities(a, K: int) -> CapacitySeries:
     """c_k(B(a)) = a*d with d minimal such that d(d+3)/2 >= k."""
     vals = [a * d for d in d_values_np(np.arange(K + 1)).tolist()]
     return CapacitySeries(method="ball_closed_form", values=vals,
-                          backend=_backend_of_value(a), source=f"ball({a})")
+                          backend=backend_of(a), source=f"ball({a})")
 
 
 def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
@@ -149,7 +150,7 @@ def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
         if m == 0:
             heapq.heappush(heap, (v + sb, m, n + 1))
     return CapacitySeries(method="ellipsoid_closed_form", values=vals,
-                          backend=_backend_of_value(a), source=f"ellipsoid({a},{b})")
+                          backend=backend_of(a), source=f"ellipsoid({a},{b})")
 
 
 def polydisk_capacities(w, h, K: int) -> CapacitySeries:
@@ -176,7 +177,7 @@ def polydisk_capacities(w, h, K: int) -> CapacitySeries:
         m += 1
     return CapacitySeries(method="polydisk_closed_form",
                           values=[_unscaled(v, den) for v in best.tolist()],
-                          backend=_backend_of_value(w), source=f"polydisk({w},{h})")
+                          backend=backend_of(w), source=f"polydisk({w},{h})")
 
 
 def square_capacities(s, K: int) -> CapacitySeries:
@@ -184,11 +185,6 @@ def square_capacities(s, K: int) -> CapacitySeries:
     out = polydisk_capacities(s, s, K)
     out.source = f"square({s})"
     return out
-
-
-def _backend_of_value(x) -> str:
-    from .scalars import backend_of
-    return backend_of(x)
 
 
 def _as_num(w):
@@ -615,12 +611,16 @@ def dkn_upper_data(a2: float, minus_k_dot_a: float, f_value: float,
     return max(dkn, 0.0) * sfloat(a2) + sfloat(k_plus)
 
 
+def _bound_pairings(s: PicBasisSurface) -> tuple:
+    """A^2, -K.A, F and K+.A of a surface: the degree bound's k-free data."""
+    minus_k = tuple(-x for x in s.K)
+    return (sfloat(_dot(s.A, s.A)), sfloat(_dot(minus_k, s.A)), tower_mod.F_of_n(s),
+            sfloat(k_plus_dot_A(s)))
+
+
 def dkn_upper(s: PicBasisSurface, k: int) -> float:
     """Certified upper bound d_{k,n}*A^2 - K+.A for the k-th capacity."""
-    a2 = sfloat(_dot(s.A, s.A))
-    minus_k = tuple(-x for x in s.K)
-    return dkn_upper_data(a2, sfloat(_dot(minus_k, s.A)), tower_mod.F_of_n(s),
-                          sfloat(k_plus_dot_A(s)), k)
+    return dkn_upper_data(*_bound_pairings(s), k)
 
 
 class _EnumContext:
@@ -630,10 +630,10 @@ class _EnumContext:
         self.n = n = s.n
         self.a = [s.A[0]] + [-(s.A[i]) for i in range(1, n + 1)]  # head, a_i >= 0
         self.a_f = [sfloat(x) for x in self.a]
-        # one pass over the padded boundary classes: each curve's degree,
-        # the two owner curves (coefficient -1) and the e-curve (+1) of
-        # every blowup
-        classes = [tower_mod._pad(c.cls, n) for c in s.curves]
+        self.pairings = _bound_pairings(s)
+        # one pass over the boundary classes: each curve's degree, the two
+        # owner curves (coefficient -1) and the e-curve (+1) of every blowup
+        classes = [c.cls for c in s.curves]
         self.curve_gamma = [cls[0] for cls in classes]
         self.owners = [[] for _ in range(n + 1)]
         self.ecurve = [None] * (n + 1)
@@ -681,11 +681,10 @@ def alg_capacity_enum(s: PicBasisSurface, k: int, ub: float | None = None,
     zero = s.A[0] - s.A[0]
     if k == 0:
         return zero
-    a2 = sfloat(_dot(s.A, s.A))
-    if a2 <= 0:
-        raise SearchSpaceEmpty("polarisation is not big (A^2 <= 0)")
     ctx = ctx or _EnumContext(s)
-    ub0 = ub if ub is not None else dkn_upper(s, k) + 1e-9
+    if ctx.pairings[0] <= 0:
+        raise SearchSpaceEmpty("polarisation is not big (A^2 <= 0)")
+    ub0 = ub if ub is not None else dkn_upper_data(*ctx.pairings, k) + 1e-9
 
     incumbent = None  # exact scalar
     incumbent_f = ub0
@@ -799,17 +798,17 @@ class TowerCapacityResult:
     per_level: list | None = None
 
 
-def _tower_result(tw: Tower, k: int, value, floor: float,
+def _tower_result(tw: Tower, k: int, value, ctx: _EnumContext,
                   per_level: list | None = None) -> TowerCapacityResult:
     """The certified bracket (value - d_cap * tail_sum, value) of the tower
     limit from the final level's c_k: any deeper optimizer truncates to a
     feasible divisor at this level whose pairing with A grows by at most
-    its degree cap times the dropped weight sum."""
+    its degree cap times the dropped weight sum; `ctx` is the final level's."""
     v = sfloat(value)
     tail = sfloat(tw.tail_sum())
     slack = 0.0
     if tail != 0:
-        d_cap = (dkn_upper(tw.final, k) / floor) if floor > 0 else math.inf
+        d_cap = (dkn_upper_data(*ctx.pairings, k) / ctx.floor) if ctx.floor > 0 else math.inf
         slack = d_cap * tail
     return TowerCapacityResult(value=value, bracket=(v - slack, v),
                                stabilized=slack <= _STAB_TOL, per_level=per_level)
@@ -829,15 +828,14 @@ def tower_capacity(tw: Tower, k: int, all_levels: bool = False) -> TowerCapacity
     for i in range(1, len(values)):
         if sfloat(values[i]) > sfloat(values[i - 1]) + 1e-12:
             raise AssertionError("tower capacities must be non-increasing in n")
-    return _tower_result(tw, k, values[-1], ctx.floor,
-                         per_level=values if all_levels else None)
+    return _tower_result(tw, k, values[-1], ctx, per_level=values if all_levels else None)
 
 
 def tower_capacities(tw: Tower, kmax: int) -> list[TowerCapacityResult]:
     """tower_capacity for k = 0..kmax from one walk on the final level."""
     ctx = _EnumContext(tw.final)
     values = alg_capacity_series(tw.final, kmax, ctx)
-    return [_tower_result(tw, k, v, ctx.floor) for k, v in enumerate(values)]
+    return [_tower_result(tw, k, v, ctx) for k, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Surfaces carry an orthogonal Picard basis {H, e_1, ..., e_n} with
 H^2 = 1 and e_i^2 = -1; class vectors are stored with signed
-coefficients, so v.w = v_0 w_0 - sum v_i w_i.  Boundary curves hold
-strict-transform classes and the current boundary nodes are the
-unordered pairs of adjacent curve ids.  Blowing up a node inserts the
-exceptional curve between its two curves and subtracts the new basis
-vector from both.
+coefficients, so v.w = v_0 w_0 - sum v_i w_i.  The boundary is a cycle
+of curves, each named by its token and holding its strict-transform
+class; the nodes are the pairs of neighbouring curves.  Blowing up a
+node inserts the exceptional curve between its two curves and subtracts
+the new basis vector from both.
 
 A tower divisor is a class on the initial plane plus a finitely
 supported weight over tree-node ids (tail tag "zero"), or a constant
@@ -16,7 +16,7 @@ pullback-minus-d*E convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -34,31 +34,30 @@ AXIS_TOKENS = ("H1", "H2")
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    cid: int
     token: object  # "H0" | "H1" | "H2" | tree-node id
-    cls: tuple  # signed coefficients over (H, e_1, .., e_n), zero-padded lazily
-    is_plus: bool  # part of the upper boundary (not an axis curve)
+    cls: tuple  # signed coefficients over (H, e_1, .., e_n)
+
+    @property
+    def is_plus(self) -> bool:
+        """Part of the upper boundary (not an axis curve)."""
+        return self.token not in AXIS_TOKENS
 
 
 @dataclass(frozen=True)
 class PicBasisSurface:
     n: int  # number of blowups so far
     A: tuple  # polarisation class vector, length n+1
-    K: tuple  # canonical class vector
-    curves: tuple[BoundaryCurve, ...]  # in boundary-cycle order
-    nodes: frozenset  # frozensets {cid, cid} of adjacent curve pairs
-    token_to_cid: dict = field(compare=False, default_factory=dict)
+    curves: tuple[BoundaryCurve, ...]  # the boundary cycle, in order
 
-
-def _pad(v: tuple, n: int) -> tuple:
-    return v + (0,) * (n + 1 - len(v))
+    @property
+    def K(self) -> tuple:
+        """The canonical class -3H + e_1 + ... + e_n."""
+        return (-3,) + (1,) * self.n
 
 
 def _dot(u: tuple, v: tuple):
-    n = max(len(u), len(v))
-    u, v = _pad(u, n - 1), _pad(v, n - 1)
     out = u[0] * v[0]
-    for i in range(1, n):
+    for i in range(1, len(u)):
         out = out - u[i] * v[i]
     return out
 
@@ -67,75 +66,51 @@ def self_int(v: tuple):
     return _dot(v, v)
 
 
+def _negative(v) -> bool:
+    """v < 0: exactly for exact scalars, beyond the tolerance for floats."""
+    return v < 0 if is_exact(v) else sfloat(v) < -seps(v) - 1e-12
+
+
 def p2_init(c) -> PicBasisSurface:
     """The plane polarised by c*H, with its three boundary lines."""
     if not sfloat(c) > 0:
         raise NonPositiveHead(f"head must be positive, got {c}")
     curves = (
-        BoundaryCurve(0, "H0", (1,), True),   # hypotenuse line
-        BoundaryCurve(1, "H1", (1,), False),  # x-axis line
-        BoundaryCurve(2, "H2", (1,), False),  # y-axis line
+        BoundaryCurve("H0", (1,)),  # hypotenuse line
+        BoundaryCurve("H1", (1,)),  # x-axis line
+        BoundaryCurve("H2", (1,)),  # y-axis line
     )
-    nodes = frozenset({frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})})
-    return PicBasisSurface(
-        n=0, A=(c,), K=(-3,), curves=curves, nodes=nodes,
-        token_to_cid={"H0": 0, "H1": 1, "H2": 2},
-    )
+    return PicBasisSurface(n=0, A=(c,), curves=curves)
 
 
 def blowup(s: PicBasisSurface, node, a, token=None) -> PicBasisSurface:
     """Blow up a boundary node with weight a >= 0.
 
-    `node` is a pair of curve ids (or tokens).  The new exceptional curve
-    is inserted between them; A loses a*e, K gains e.
+    `node` is the pair of tokens of two neighbouring curves.  The new
+    exceptional curve is inserted between them; A loses a*e, K gains e.
     """
-    pair = frozenset(s.token_to_cid.get(t, t) for t in node)
-    if pair not in s.nodes:
+    tokens = [c.token for c in s.curves]
+    m = len(tokens)
+    i1, i2 = (tokens.index(t) if t in tokens else None for t in node)
+    if None in (i1, i2) or ((i1 + 1) % m != i2 and (i2 + 1) % m != i1):
         raise UnknownNode(f"no boundary node between curves {set(node)}")
     if sfloat(a) < -seps(a):
         raise ValueError("blowup weight must be nonnegative")
-    n_new = s.n + 1
-    cid_new = len(s.curves)
-    c1, c2 = sorted(pair)
-    curves = []
-    for c in s.curves:
-        cls = _pad(c.cls, n_new)
-        if c.cid in pair:
-            cls = cls[:-1] + (cls[-1] - 1,)
-        curves.append(BoundaryCurve(c.cid, c.token, cls, c.is_plus))
-    e_cls = (0,) * n_new + (1,)
-    e_curve = BoundaryCurve(cid_new, token if token is not None else f"E{n_new}",
-                            e_cls, True)
-    # insert E in cycle position between c1 and c2
-    order = [c.cid for c in s.curves]
-    i1, i2 = order.index(c1), order.index(c2)
-    if (i1 + 1) % len(order) == i2:
-        insert_at = i2
-    elif (i2 + 1) % len(order) == i1:
-        insert_at = i1
-    else:
-        raise UnknownNode(f"curves {c1},{c2} are not adjacent in the cycle")
-    curves.insert(insert_at, e_curve)
-
-    nodes = set(s.nodes)
-    nodes.remove(pair)
-    nodes.add(frozenset({c1, cid_new}))
-    nodes.add(frozenset({c2, cid_new}))
-
-    A = _pad(s.A, n_new)[:-1] + (-a,)
-    K = _pad(s.K, n_new)[:-1] + (1,)
-    out = PicBasisSurface(
-        n=n_new, A=A, K=K, curves=tuple(curves), nodes=frozenset(nodes),
-        token_to_cid={**s.token_to_cid,
-                      (token if token is not None else f"E{n_new}"): cid_new},
-    )
-    for c in out.curves:
-        v = _dot(out.A, c.cls)
-        bad = v < 0 if is_exact(v) else sfloat(v) < -seps(v) - 1e-12
-        if bad:
-            raise NotNef(f"A pairs negatively ({v}) with curve {c.token}",
-                         curve=c.token, value=v)
-    return out
+    n = s.n + 1
+    curves = [BoundaryCurve(c.token, c.cls + ((-1,) if i in (i1, i2) else (0,)))
+              for i, c in enumerate(s.curves)]
+    A = s.A + (-a,)
+    # only the two curves through the node change their pairing with A; the
+    # exceptional curve pairs to a >= 0
+    for i in sorted((i1, i2)):
+        v = _dot(A, curves[i].cls)
+        if _negative(v):
+            raise NotNef(f"A pairs negatively ({v}) with curve {curves[i].token}",
+                         curve=curves[i].token, value=v)
+    # between the two curves; at position 0 when they close the cycle
+    curves.insert(i2 if (i1 + 1) % m == i2 else i1,
+                  BoundaryCurve(token if token is not None else f"E{n}", (0,) * n + (1,)))
+    return PicBasisSurface(n=n, A=A, curves=tuple(curves))
 
 
 @dataclass
@@ -152,9 +127,6 @@ class Tower:
 
     def tail_sum(self):
         return self.tree.truncation.dropped_tail_sum
-
-    def tail_sq(self):
-        return self.tree.truncation.dropped_tail_sq
 
 
 def build_tower(t: WeightTree) -> Tower:
@@ -234,8 +206,7 @@ def nef_test(s: PicBasisSurface, cls) -> tuple[bool, object | None]:
     if len(cls) != s.n + 1:
         raise DimensionMismatch(f"class length {len(cls)} != rank {s.n + 1}")
     for c in s.curves:
-        v = _dot(cls, c.cls)
-        if sfloat(v) < -seps(v):
+        if _negative(_dot(cls, c.cls)):
             return False, c.token
     return True, None
 
@@ -261,9 +232,10 @@ def assert_surface_invariants(s: PicBasisSurface):
     """Cycle closes to -K, adjacent curves meet once, K^2 = 9 - n, A nef."""
     total = (0,) * (s.n + 1)
     for c in s.curves:
-        cls = _pad(c.cls, s.n)
-        total = tuple(x + y for x, y in zip(total, cls))
-    minus_k = tuple(-x for x in _pad(s.K, s.n))
+        if len(c.cls) != s.n + 1:
+            raise AssertionError(f"curve {c.token} has a class of length {len(c.cls)}")
+        total = tuple(x + y for x, y in zip(total, c.cls))
+    minus_k = tuple(-x for x in s.K)
     if total != minus_k:
         raise AssertionError(f"boundary sum {total} != -K {minus_k}")
     if self_int(s.K) != 9 - s.n:
@@ -272,7 +244,7 @@ def assert_surface_invariants(s: PicBasisSurface):
     for i in range(m):
         for j in range(i + 1, m):
             expected = 1 if (j == i + 1 or (i == 0 and j == m - 1)) else 0
-            got = _dot(_pad(s.curves[i].cls, s.n), _pad(s.curves[j].cls, s.n))
+            got = _dot(s.curves[i].cls, s.curves[j].cls)
             if got != expected:
                 raise AssertionError(
                     f"curves {s.curves[i].token},{s.curves[j].token} meet {got}x")

@@ -150,6 +150,9 @@ class _Recursion:
     def __init__(self, limits: TruncationLimits, exact: bool):
         self.max_depth, self.eps = limits.resolved(exact)
         self.exact = exact
+        # with no limit set, the default depth stands for an expansion that
+        # does not end (irrational data); a limit the caller set truncates
+        self.unlimited = exact and limits.max_depth is None and self.eps == 0.0
         self.nodes: dict[int, WeightNode] = {}
         self.children: dict[int | None, list[int]] = {None: []}  # None: the roots
         self.tail_sum = None
@@ -194,11 +197,8 @@ class _Recursion:
         queue = deque(pieces)
         while queue:
             graph, parent, side, corner, depth = queue.popleft()
-            if len(graph) < 2:  # nothing to peel: the point's a + b enters the tail
-                self._drop(graph)
-                continue
             if depth > self.max_depth:
-                if self.exact and self.eps == 0.0:
+                if self.unlimited:
                     raise BackendOverflow(
                         f"recursion exceeded depth {self.max_depth}; "
                         "set truncation limits for irrational data")

@@ -196,6 +196,23 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err.startswith("capax: ") and captured.err.count("\n") == 1
 
+    def test_depth_alone_truncates_exact_data(self, capsys, fig_file):
+        # a depth limit the caller sets truncates rational data without an eps
+        code, out = run(capsys, "weights", "--domain", "square:1", "--depth", "0")
+        assert code == 0
+        tr = json.loads(out)["truncation"]
+        assert not tr["complete"]
+        assert (tr["dropped_pieces"], tr["dropped_tail_sum"], tr["dropped_tail_sq"]) == (2, "2", "2")
+        _, out = run(capsys, "capacities", "--domain", f"@{fig_file}", "--kmax", "8")
+        exact = [Fraction(v) for v in json.loads(out)["values"]]
+        code, out = run(capsys, "capacities", "--domain", f"@{fig_file}", "--kmax", "8",
+                        "--depth", "1")
+        assert code == 0
+        j = json.loads(out)
+        for k, c in enumerate(exact):
+            v = float(Fraction(j["values"][k]))
+            assert v - j["lower_slack"][k] <= c <= v + j["upper_slack"][k]
+
     @pytest.mark.parametrize("pair", [("weights:5;1,1", "weights:5;1,1"),
                                       ("weights:1;", "ball:1")], ids=["two-lists", "list-ball"])
     def test_obstruct_weight_list_skips_affine_length(self, capsys, pair):

@@ -21,8 +21,9 @@ from capax.tower import (
     tower_dump,
     _dot,
 )
-from capax.weights import convex_weights
+from capax.weights import TruncationLimits, convex_weights
 from conftest import random_convex_polygon
+from test_weights import phi_triangle
 
 
 class TestP2Init:
@@ -61,11 +62,22 @@ class TestBlowup:
         with pytest.raises(NotNef):
             blowup(s, ("H0", "H1"), Fraction(2))  # weight above the head
 
+    def test_blown_up_node_is_gone(self):
+        s = blowup(p2_init(Fraction(2)), ("H0", "H1"), Fraction(1))
+        with pytest.raises(UnknownNode):
+            blowup(s, ("H0", "H1"), Fraction(0))
+
+    def test_wrap_around_node_inserts_at_front(self):
+        s = blowup(p2_init(Fraction(1)), ("H0", "H2"), 0, token="E")
+        assert [c.token for c in s.curves] == ["E", "H0", "H1", "H2"]
+
     def test_invariants_along_random_towers(self):
         rng = random.Random(21)
-        for _ in range(5):
-            tw = build_tower(convex_weights(random_convex_polygon(rng)))
-            for s in tw.surfaces:
+        trees = [convex_weights(random_convex_polygon(rng)) for _ in range(5)]
+        # Q(sqrt 5): the full nef check of every level on irrational data
+        trees.append(convex_weights(phi_triangle("convex"), TruncationLimits(eps=1e-5)))
+        for t in trees:
+            for s in build_tower(t).surfaces:
                 assert_surface_invariants(s)
 
 
@@ -152,6 +164,10 @@ class TestNef:
         ok, bad = nef_test(s, (2, -3))
         assert not ok and bad is not None
         assert nef_test(s, (0, 0)) == (True, None)
+
+    def test_exact_values_compare_exactly(self):
+        # below float resolution, but negative
+        assert nef_test(p2_init(Fraction(1)), (Fraction(-1, 10**400),)) == (False, "H0")
 
     def test_dimension_mismatch(self):
         from capax.errors import DimensionMismatch

@@ -84,9 +84,9 @@ def assert_tail_identities(d, t):
 
 
 class TestTailIdentities:
-    # exact data with max_depth alone is refused, so the depth limits carry an eps
     LIMITS = [TruncationLimits(), TruncationLimits(eps=0.3), TruncationLimits(eps=0.05),
-              TruncationLimits(max_depth=1, eps=1e-12), TruncationLimits(max_depth=3, eps=1e-12)]
+              TruncationLimits(max_depth=1, eps=1e-12), TruncationLimits(max_depth=3, eps=1e-12),
+              TruncationLimits(max_depth=1), TruncationLimits(max_depth=3)]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), limits=st.sampled_from(LIMITS))
