@@ -6,8 +6,8 @@ Library layout:
   float backends,
 * :mod:`capax.domains` -- domain descriptors, validation, elementary
   invariants, inner polygonalization,
-* :mod:`capax.weights` -- the weight-expansion recursions, deficiencies,
-  balancedness, truncation schedules,
+* :mod:`capax.weights` -- the weight-expansion recursion, deficiencies,
+  balancedness,
 * :mod:`capax.tower` -- blowup towers of polarised surfaces, tower
   divisors and their pairing,
 * :mod:`capax.capacities` -- capacity sequences by decomposition DP,
@@ -38,7 +38,6 @@ from .weights import (
     linearize,
     deficiencies,
     is_balanced,
-    truncation_schedule,
 )
 from .tower import (
     PicBasisSurface,

@@ -46,10 +46,6 @@ class TruncationTooCoarse(CapaxError):
     """Dropped weight tail exceeds the requested certificate tolerance."""
 
 
-class TailNotDecreasing(CapaxError):
-    """truncation_schedule given a tail function that increases."""
-
-
 class NonPositiveHead(CapaxError):
     """Initial polarisation size must be positive."""
 

@@ -1,4 +1,4 @@
-"""Weight-sequence recursions over concave and convex regions.
+"""The weight-sequence recursion over concave and convex regions.
 
 One split serves the head and every piece: it cuts a graph along a line
 of direction (1,-1).  Every piece step peels the largest standard
@@ -19,24 +19,25 @@ and the contact with the hypotenuse is the extended node's deficiency.
 Each node also records the blowup corner it owns, as the unordered pair
 of boundary-curve tokens ("H0"/"H1"/"H2" or a parent node id), which is
 what the tower builder consumes.
+
+Every backend runs the same exact recursion.  A float coordinate enters
+as the rational it stands for: the one of denominator at most 2^26 that
+rounds to it, else its own dyadic value.  So contacts are decided
+exactly, a dropped piece is charged its exact a + b - ell, and the
+finished tree's scalars are rounded back to floats once.  Tolerance tags
+are read where slopes are recognised (``validate``), not here.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BackendOverflow, DegenerateEdge, NonConvex, TailNotDecreasing
+from .errors import BackendOverflow, NonConvex
 from .scalars import Eps, format_scalar, is_exact, primitive_direction, seps, sfloat
-from .domains import (
-    DomainDescriptor,
-    parse_backend,
-    shoelace_area,
-    validate,
-)
+from .domains import DomainDescriptor, shoelace_area, validate
 
 INF_NODE = "inf"  # key for the extended node in deficiency maps
 
@@ -88,36 +89,19 @@ class WeightTree:
         return [self.nodes[i].weight for i in linearize(self)]
 
     def assert_parent_dominance(self):
-        def above(x, y):  # x > y beyond tolerance
-            if is_exact(x) and is_exact(y):
-                return x > y
-            return sfloat(x) > sfloat(y) + seps(x) + seps(y)
-
         for n in self.nodes.values():
-            if n.parent is not None and above(n.weight, self.nodes[n.parent].weight):
+            if n.parent is not None and n.weight > self.nodes[n.parent].weight:
                 raise AssertionError(f"child {n.id} outweighs its parent")
-            if self.head is not None and above(n.weight, self.head):
+            if self.head is not None and n.weight > self.head:
                 raise AssertionError(f"node {n.id} outweighs the head")
 
 
-def _contact(svals, gaps, exact: bool):
-    """The vertices at a cut line, from their values x+y and gaps to it:
-    (j1, j2), the first and last that touch it, and (s1, s2), where the
-    slivers end.  Exact gaps are compared exactly, never through floats.
-
-    A float contact can take in an end of the graph that lies off the line
-    by more than rounding, inside the tolerance tags.  The sliver from that
-    end to the first (s1) or last (s2) vertex within rounding of the line
-    is a dropped piece; s1, s2 are None where the end is on the line."""
-    tol = noise = 0
-    if not exact:  # rounding of sums of the values, then their tolerance tags
-        gaps = [sfloat(g) for g in gaps]
-        noise = 1e-12 * (1.0 + max((abs(sfloat(v)) for v in svals), default=1.0))
-        tol = 2 * max((seps(v) for v in svals), default=0.0) + noise
-    contact = [i for i, g in enumerate(gaps) if g <= tol]
-    on_line = [i for i, g in enumerate(gaps) if g <= noise]
-    return (contact[0], contact[-1], on_line[0] if gaps[0] > noise else None,
-            on_line[-1] if gaps[-1] > noise else None)
+def _rational(x) -> Fraction:
+    """The rational a float stands for: the one of denominator at most
+    2^26 that rounds to it, else its exact dyadic value."""
+    x = sfloat(x)
+    q = Fraction(x).limit_denominator(2 ** 26)
+    return q if float(q) == x else Fraction(x)
 
 
 def _piece_area(graph):
@@ -126,17 +110,9 @@ def _piece_area(graph):
     return shoelace_area(poly)
 
 
-def _piece_ell_plus(graph, float_backend: bool):
-    """Affine length of the piece's rational-sloped upper edges.
-
-    In the float backend rationality is heuristic, so callers treating the
-    result as part of a sound tail bound get 0 here (conservative: the tail
-    sum bound a+b-ell is largest with ell=0).
-    """
-    zero = graph[0][0] - graph[0][0]
-    if float_backend:
-        return zero
-    total = zero
+def _piece_ell_plus(graph):
+    """Affine length of the piece's rational-sloped upper edges."""
+    total = graph[0][0] - graph[0][0]
     for i in range(len(graph) - 1):
         dx = graph[i + 1][0] - graph[i][0]
         dy = graph[i + 1][1] - graph[i][1]
@@ -149,7 +125,6 @@ def _piece_ell_plus(graph, float_backend: bool):
 class _Recursion:
     def __init__(self, limits: TruncationLimits, exact: bool):
         self.max_depth, self.eps = limits.resolved(exact)
-        self.exact = exact
         # with no limit set, the default depth stands for an expansion that
         # does not end (irrational data); a limit the caller set truncates
         self.unlimited = exact and limits.max_depth is None and self.eps == 0.0
@@ -160,36 +135,22 @@ class _Recursion:
         self.dropped = 0
 
     def _drop(self, graph):
-        a = graph[-1][0]
-        b = graph[0][1]
-        try:
-            ell = _piece_ell_plus(graph, not self.exact)
-        except DegenerateEdge as exc:
-            raise DegenerateEdge(
-                f"weight recursion: {exc}; the tolerance of float coordinates grows "
-                "with depth, a larger truncation eps stops sooner") from exc
-        piece_sum = a + b - ell
+        piece_sum = graph[-1][0] + graph[0][1] - _piece_ell_plus(graph)  # a + b - ell
         piece_sq = 2 * _piece_area(graph)
         self.tail_sum = piece_sum if self.tail_sum is None else self.tail_sum + piece_sum
         self.tail_sq = piece_sq if self.tail_sq is None else self.tail_sq + piece_sq
         self.dropped += 1
 
-    def split(self, graph, svals, gaps, cut):
-        """Cut a graph at a line of direction (1,-1), given its values x+y
-        and their gaps to the line.  Returns the contact's affine length and
-        the pieces left and right of it, None where the contact reaches that
+    def split(self, graph, gaps, cut):
+        """Cut a graph at a line of direction (1,-1), given its vertices'
+        gaps to the line.  Returns the contact's affine length and the
+        pieces left and right of it, None where the contact reaches that
         end; `cut(x, y)`, a vertex's distance to the line, maps them to
         standard position as (x, cut) and (cut, y)."""
-        j1, j2, s1, s2 = _contact(svals, gaps, self.exact)
-        left = right = None
-        if j1 > 0:
-            left = [(x, cut(x, y)) for x, y in graph[: j1 + 1]]
-        elif s1 is not None:
-            self._drop([(x, cut(x, y)) for x, y in graph[: s1 + 1]])
-        if j2 < len(graph) - 1:
-            right = [(cut(x, y), y) for x, y in graph[j2:]]
-        elif s2 is not None:
-            self._drop([(cut(x, y), y) for x, y in graph[s2:]])
+        contact = [i for i, g in enumerate(gaps) if g <= 0]
+        j1, j2 = contact[0], contact[-1]
+        left = [(x, cut(x, y)) for x, y in graph[: j1 + 1]] if j1 > 0 else None
+        right = [(cut(x, y), y) for x, y in graph[j2:]] if j2 < len(graph) - 1 else None
         return graph[j2][0] - graph[j1][0], left, right
 
     def run(self, pieces):
@@ -209,7 +170,7 @@ class _Recursion:
             if sfloat(a) < self.eps:
                 self._drop(graph)
                 continue
-            introduced, left, right = self.split(graph, svals, [s - a for s in svals],
+            introduced, left, right = self.split(graph, [s - a for s in svals],
                                                  lambda x, y: x + y - a)
             node_id = len(self.nodes)
             self.nodes[node_id] = WeightNode(id=node_id, weight=a, parent=parent, side=side,
@@ -252,15 +213,17 @@ def _weights(d: DomainDescriptor, limits: TruncationLimits | None, convex: bool)
         raise NonConvex(f"{d.kind} domain is not {'convex' if convex else 'concave'}")
     if profile.smooth:
         raise NonConvex("polygonalize smooth domains before running the recursion")
-    chain = list(profile.chain)
+    float_data = d.backend == "float"
+    chain = ([(_rational(x), _rational(y)) for x, y in profile.chain] if float_data
+             else list(profile.chain))
     zero = chain[0][0] - chain[0][0]
-    rec = _Recursion(limits or TruncationLimits(), d.backend != "float")
+    rec = _Recursion(limits or TruncationLimits(), not float_data)
     head, head_introduced, pieces = None, zero, [(chain, None, 3, None, 1)]
     try:
         if convex:  # cut the circumscribed triangle x + y <= c, the head
             svals = [x + y for x, y in chain]
             head = max(svals)
-            head_introduced, left, right = rec.split(chain, svals, [head - s for s in svals],
+            head_introduced, left, right = rec.split(chain, [head - s for s in svals],
                                                      lambda x, y: head - x - y)
             # corner pieces at (0, c) and (c, 0): the hypotenuse is their x- or y-axis
             pieces = [p for p in ((left, None, 2, ("H0", "H2"), 1),
@@ -270,13 +233,16 @@ def _weights(d: DomainDescriptor, limits: TruncationLimits | None, convex: bool)
         raise BackendOverflow(
             "weight recursion: exact coordinates outgrew the float range; "
             "set truncation limits for irrational data") from exc
+    out = (lambda v: Eps(float(v))) if float_data else (lambda v: v)  # float data rounds once
     tree = WeightTree(
-        head=head, head_introduced=head_introduced, roots=tuple(rec.children[None]),
-        nodes={i: replace(n, children=tuple(rec.children[i])) for i, n in rec.nodes.items()},
+        head=None if head is None else out(head), head_introduced=out(head_introduced),
+        roots=tuple(rec.children[None]),
+        nodes={i: replace(n, weight=out(n.weight), introduced=out(n.introduced),
+                          children=tuple(rec.children[i])) for i, n in rec.nodes.items()},
         truncation=Truncation(
             max_depth=rec.max_depth, eps=rec.eps,
-            dropped_tail_sum=zero if rec.tail_sum is None else rec.tail_sum,
-            dropped_tail_sq=zero if rec.tail_sq is None else rec.tail_sq,
+            dropped_tail_sum=out(zero if rec.tail_sum is None else rec.tail_sum),
+            dropped_tail_sq=out(zero if rec.tail_sq is None else rec.tail_sq),
             dropped_pieces=rec.dropped, complete=rec.dropped == 0),
         backend=d.backend)
     tree.assert_parent_dominance()
@@ -340,66 +306,12 @@ def deficiencies(t: WeightTree) -> dict:
 
 
 def is_balanced(t: WeightTree, tol=0) -> tuple[bool, list]:
-    """True iff every deficiency (including the extended node) is <= tol."""
-    offenders = []
-    for key, val in deficiencies(t).items():
-        if sfloat(val) > sfloat(tol) + seps(val):
-            offenders.append((key, val))
+    """True iff every deficiency (including the extended node) is <= tol.
+    Exact deficiencies compare exactly, float ones within their tags."""
+    offenders = [(key, val) for key, val in deficiencies(t).items()
+                 if (val > tol if is_exact(val) else sfloat(val) > sfloat(tol) + seps(val))]
     offenders.sort(key=lambda kv: -sfloat(kv[1]))
     return (not offenders), offenders
-
-
-# ---------------------------------------------------------------------------
-# truncation schedule
-# ---------------------------------------------------------------------------
-
-def truncation_schedule(tail_sq, k: int, n_ceiling: int = 1_000_000) -> int:
-    """Smallest n with S(n) <= k^(-3/4), given S(n) = sum of squared weights
-    from index n on.
-
-    Falls back to a dyadic-threshold construction when the primary rule
-    would exceed `n_ceiling`.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    target = k ** (-0.75)
-    prev = None
-    n = 0
-    while n <= n_ceiling:
-        s = sfloat(tail_sq(n))
-        if prev is not None and s > prev + 1e-15 * (1 + abs(prev)):
-            raise TailNotDecreasing(f"S({n}) = {s} exceeds S({n-1}) = {prev}")
-        if s <= target:
-            return n
-        prev = s
-        n += 1
-    return _fallback_schedule(tail_sq, k, n_ceiling)
-
-
-def _fallback_schedule(tail_sq, k: int, n_ceiling: int) -> int:
-    # S(t) <= f(t)/t with f non-increasing; thresholds t_j = min{t : f(t) <= 2^-j}
-    probe = [1]
-    while probe[-1] < n_ceiling:
-        probe.append(min(probe[-1] * 2, n_ceiling))
-    f = {}
-    running = 0.0
-    for t in reversed(probe):
-        running = max(running, t * sfloat(tail_sq(t)))
-        f[t] = running
-    j = 0
-    t_j = 1
-    best_j = 0
-    while True:
-        thresh = 2.0 ** (-(j + 1))
-        nxt = next((t for t in probe if t >= t_j and f[t] <= thresh), None)
-        if nxt is None or (j + 1) * nxt > k:
-            break
-        j += 1
-        t_j = nxt
-        best_j = j
-    if best_j == 0:
-        return n_ceiling
-    return max(1, math.ceil(k / best_j))
 
 
 # ---------------------------------------------------------------------------
@@ -436,35 +348,6 @@ def tree_to_json(t: WeightTree) -> dict:
             "complete": t.truncation.complete,
         },
     }
-
-
-def tree_from_json(obj: dict) -> WeightTree:
-    from .scalars import parse_scalar
-
-    backend = obj.get("backend", "exact")
-    base, field_d = parse_backend(backend)
-    par = lambda s: parse_scalar(s, base, field_d)
-    nodes = {}
-    roots = []
-    for nd in obj["nodes"]:
-        node = WeightNode(id=nd["id"], weight=par(nd["wt"]), parent=nd["parent"],
-                          side=nd["side"],
-                          corner=tuple(nd["corner"]) if nd["corner"] else None,
-                          introduced=par(nd["introduced"]), depth=nd["depth"],
-                          children=tuple(nd["children"]))
-        nodes[node.id] = node
-        if node.parent is None:
-            roots.append(node.id)
-    tr = obj["truncation"]
-    trunc = Truncation(max_depth=tr["max_depth"], eps=tr["eps"],
-                       dropped_tail_sum=par(tr["dropped_tail_sum"]),
-                       dropped_tail_sq=par(tr["dropped_tail_sq"]),
-                       dropped_pieces=tr["dropped_pieces"],
-                       complete=tr["complete"])
-    head = None if obj.get("head") is None else par(obj["head"])
-    return WeightTree(head=head, head_introduced=par(obj["deficiency_inf"]),
-                      roots=tuple(roots), nodes=nodes, truncation=trunc,
-                      backend=backend)
 
 
 def weights_to_csv(t: WeightTree) -> str:

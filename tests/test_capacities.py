@@ -416,6 +416,39 @@ class TestConvexScan:
                 sfloat(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
 
 
+class TestFloatRecursion:
+    """Float polygons run the exact recursion on the rationals their floats
+    stand for."""
+
+    def test_float_golden_triangle_narrows_with_eps(self):
+        # the CLI's vertex tags, 1e-9, no longer stop the expansion early
+        d = domains.polygon([(0, 0), (1, 0), (0, PHI)], "convex", backend="float", eps=1e-9)
+        golden = golden_ellipsoid_values(1000)
+        tails, slacks = [], []
+        for eps in (1e-6, 1e-8, 1e-10):
+            got = convex_capacity(d, 1000, TruncationLimits(eps=eps))
+            tails.append(got.meta["dropped_tail_sum"])
+            slacks.append(max(got.lower_slack))
+            for k, c in enumerate(golden):
+                assert got.lo(k) - 1e-9 * (1 + c) <= c <= got.hi(k) + 1e-9 * (1 + c)
+        assert tails[0] > tails[1] > tails[2] > 0
+        assert 1e-4 >= slacks[0] > slacks[1] > slacks[2] > 0
+
+    def test_sevenths_polygon_is_complete(self):
+        # a float's own dyadic value would make every 1/7 edge a sliver
+        q = Fraction(1, 7)
+        verts = [(0, 0), (1, 0), (5 * q, 5 * q), (3 * q, 6 * q), (0, 1)]
+        exact = convex_weights(domains.polygon(verts, "convex"))
+        f = domains.polygon([(float(x), float(y)) for x, y in verts], "convex",
+                            backend="float", eps=1e-9)
+        t = convex_weights(f)
+        assert t.truncation.complete
+        assert sfloat(t.head) == float(exact.head)
+        assert [sfloat(w) for w in t.weight_multiset()] == \
+            [float(w) for w in exact.weight_multiset()]
+        assert convex_capacity(f, 300, tree=t).lower_slack == [0.0] * 301
+
+
 def reference_ball_table(ws, ds):
     """The object-array fold: np.maximum over the Quads themselves, one
     shifted slice of the previous ball's table per level d = t."""
