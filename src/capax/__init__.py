@@ -55,7 +55,6 @@ from .capacities import (
     ball_capacities,
     ellipsoid_capacities,
     square_capacities,
-    union_capacities,
     concave_capacity,
     convex_capacity,
     alg_capacity_enum,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,9 +32,9 @@ from .errors import (
     SearchSpaceEmpty,
     TruncationTooCoarse,
 )
-from .scalars import (Eps, Quad, backend_of, format_scalar, parse_scalar, quad_sign,
+from .scalars import (Eps, Quad, backend_of, format_ratios, format_scalar, quad_sign,
                       rational_parts, sfloat)
-from .domains import DomainDescriptor, area, parse_backend, validate
+from .domains import DomainDescriptor, area, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
 from .tower import PicBasisSurface, Tower, _dot, k_plus_dot_A
@@ -55,10 +55,15 @@ def d_index(k: int) -> int:
 
 @dataclass
 class CapacitySeries:
-    """c_0..c_K with per-entry slack; values stay in the input backend."""
+    """c_0..c_K with per-entry slack; values stay in the input backend.
+
+    Rational values are one denominator `den` and a numerator array `num`
+    (int64, or Python ints where int64 could overflow): c_k = num[k]/den.
+    Quad, Eps and float values have `den` None and sit in `num` as a list."""
 
     method: str
-    values: list
+    num: np.ndarray | list
+    den: int | None = None
     lower_slack: list | None = None
     upper_slack: list | None = None
     source: str = ""
@@ -67,28 +72,47 @@ class CapacitySeries:
 
     @property
     def kmax(self) -> int:
-        return len(self.values) - 1
+        return len(self.num) - 1
+
+    @property
+    def values(self) -> list:
+        if self.den is None:
+            return list(self.num)
+        return [Fraction(n, self.den) for n in self.num.tolist()]
 
     def value(self, k: int):
-        return self.values[k]
+        return self.num[k] if self.den is None else Fraction(int(self.num[k]), self.den)
 
     def lo(self, k: int) -> float:
         s = self.lower_slack[k] if self.lower_slack else 0.0
-        return sfloat(self.values[k]) - sfloat(s)
+        return sfloat(self.value(k)) - sfloat(s)
 
     def hi(self, k: int) -> float:
         s = self.upper_slack[k] if self.upper_slack else 0.0
-        return sfloat(self.values[k]) + sfloat(s)
+        return sfloat(self.value(k)) + sfloat(s)
 
     def float_values(self) -> np.ndarray:
-        return np.array([sfloat(v) for v in self.values], dtype=float)
+        """c_k as correctly rounded floats: below 2^53 numerator and
+        denominator are exact float64s and numpy's division rounds once, as
+        Python's int / int does; larger entries take int / int."""
+        if self.den is None:
+            return np.array([sfloat(v) for v in self.num], dtype=float)
+        if self.num.dtype != object and self.den < 2**53 and np.abs(self.num).max() < 2**53:
+            return self.num / self.den
+        return np.array([n / self.den for n in self.num.tolist()], dtype=float)
 
     def assert_nondecreasing(self):
-        if sfloat(self.values[0]) != 0.0:
+        c = self.float_values()
+        if c[0] != 0.0:
             raise AssertionError("series must start at c_0 = 0")
-        for k in range(1, len(self.values)):
-            if sfloat(self.values[k]) < sfloat(self.values[k - 1]) - 1e-12:
-                raise AssertionError(f"series decreases at k={k}")
+        down = np.flatnonzero(c[1:] < c[:-1] - 1e-12)
+        if down.size:
+            raise AssertionError(f"series decreases at k={down[0] + 1}")
+
+    def _formatted(self) -> list[str]:
+        if self.den is None:
+            return [format_scalar(v) for v in self.num]
+        return format_ratios(self.num, self.den)
 
     def to_json(self) -> dict:
         return {
@@ -97,30 +121,19 @@ class CapacitySeries:
             "backend": self.backend,
             "source": self.source,
             "kmax": self.kmax,
-            "values": [format_scalar(v) for v in self.values],
+            "values": self._formatted(),
             "lower_slack": [sfloat(s) for s in self.lower_slack] if self.lower_slack else None,
             "upper_slack": [sfloat(s) for s in self.upper_slack] if self.upper_slack else None,
             "meta": self.meta,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CapacitySeries":
-        backend = obj.get("backend", "exact")
-        base, field_d = parse_backend(backend)
-        values = [parse_scalar(v, base, field_d) for v in obj["values"]]
-        return cls(method=obj["method"], values=values,
-                   lower_slack=obj.get("lower_slack"),
-                   upper_slack=obj.get("upper_slack"),
-                   source=obj.get("source", ""), backend=backend,
-                   meta=obj.get("meta", {}))
-
     def to_csv(self) -> str:
         lines = [f"# capax-csv v1 capacities method={self.method} source={self.source}",
                  "k,c_k,lower_slack,upper_slack,method"]
-        for k, v in enumerate(self.values):
+        for k, v in enumerate(self._formatted()):
             lo = sfloat(self.lower_slack[k]) if self.lower_slack else 0.0
             hi = sfloat(self.upper_slack[k]) if self.upper_slack else 0.0
-            lines.append(f"{k},{format_scalar(v)},{lo!r},{hi!r},{self.method}")
+            lines.append(f"{k},{v},{lo!r},{hi!r},{self.method}")
         return "\n".join(lines) + "\n"
 
 
@@ -130,9 +143,8 @@ class CapacitySeries:
 
 def ball_capacities(a, K: int) -> CapacitySeries:
     """c_k(B(a)) = a*d with d minimal such that d(d+3)/2 >= k."""
-    vals = [a * d for d in d_values_np(np.arange(K + 1)).tolist()]
-    return CapacitySeries(method="ball_closed_form", values=vals,
-                          backend=backend_of(a), source=f"ball({a})")
+    return replace(union_of_balls([_as_num(a)], K, a - a), method="ball_closed_form",
+                   backend=backend_of(a), source=f"ball({a})")
 
 
 def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
@@ -145,12 +157,13 @@ def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
     vals = []
     while len(vals) <= K:
         v, m, n = heapq.heappop(heap)
-        vals.append(_unscaled(v, den))
+        vals.append(v)
         heapq.heappush(heap, (v + sa, m + 1, n))
         if m == 0:
             heapq.heappush(heap, (v + sb, m, n + 1))
-    return CapacitySeries(method="ellipsoid_closed_form", values=vals,
-                          backend=backend_of(a), source=f"ellipsoid({a},{b})")
+    return CapacitySeries(method="ellipsoid_closed_form",
+                          num=vals if den is None else np.array(vals, _dtype([sa, sb], K + 1)),
+                          den=den, backend=backend_of(a), source=f"ellipsoid({a},{b})")
 
 
 def polydisk_capacities(w, h, K: int) -> CapacitySeries:
@@ -176,7 +189,7 @@ def polydisk_capacities(w, h, K: int) -> CapacitySeries:
                 best[lo:] = np.where(c < best[lo:], c, best[lo:])
         m += 1
     return CapacitySeries(method="polydisk_closed_form",
-                          values=[_unscaled(v, den) for v in best.tolist()],
+                          num=best.tolist() if den is None else best, den=den,
                           backend=backend_of(w), source=f"polydisk({w},{h})")
 
 
@@ -196,42 +209,6 @@ def _as_num(w):
 # max-plus convolution and the concave route
 # ---------------------------------------------------------------------------
 
-def _maxplus_pair(f: list, g: list, K: int) -> list:
-    out = []
-    for k in range(K + 1):
-        best = None
-        lo = max(0, k - (len(g) - 1))
-        hi = min(k, len(f) - 1)
-        for i in range(lo, hi + 1):
-            v = f[i] + g[k - i]
-            if best is None or v > best:
-                best = v
-        out.append(best)
-    return out
-
-
-def union_capacities(series: list[CapacitySeries], K: int) -> CapacitySeries:
-    """Iterated c_k(X | X') = max_{i+j=k} c_i + c_j over the inputs."""
-    if not series:
-        return CapacitySeries(method="decomposition", values=[Fraction(0)] * (K + 1))
-    for s in series:
-        s.assert_nondecreasing()
-    vals = list(series[0].values[: K + 1])
-    los = [series[0].lo(k) for k in range(min(K, series[0].kmax) + 1)]
-    his = [series[0].hi(k) for k in range(min(K, series[0].kmax) + 1)]
-    for s in series[1:]:
-        vals = _maxplus_pair(vals, list(s.values[: K + 1]), K)
-        los = _maxplus_pair(los, [s.lo(k) for k in range(min(K, s.kmax) + 1)], K)
-        his = _maxplus_pair(his, [s.hi(k) for k in range(min(K, s.kmax) + 1)], K)
-    lower = [sfloat(v) - lo for v, lo in zip(vals, los)]
-    upper = [hi - sfloat(v) for v, hi in zip(vals, his)]
-    out = CapacitySeries(method="decomposition", values=vals,
-                         lower_slack=lower, upper_slack=upper,
-                         backend=series[0].backend,
-                         source="|".join(s.source for s in series))
-    return out
-
-
 def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
     """Vectorized max-plus with one ball series over the whole table.
 
@@ -250,18 +227,13 @@ def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
         t += 1
 
 
-def _scaled(xs: list) -> tuple[int, list]:
+def _scaled(xs: list) -> tuple[int | None, list]:
     """Rational data as Python ints over their common denominator; floats
-    and Quads come back as they are, over 1."""
+    and Quads come back as they are, with denominator None."""
     if all(isinstance(x, (int, Fraction)) for x in xs):
         den = math.lcm(*(Fraction(x).denominator for x in xs))
         return den, [int(x * den) for x in xs]
-    return 1, list(xs)
-
-
-def _unscaled(v, den: int):
-    """The exact value of a scaled entry: ints stand for rationals over den."""
-    return Fraction(v, den) if isinstance(v, int) else v
+    return None, list(xs)
 
 
 # relative error bounds of the pair fold's float filter, each at least twice
@@ -369,12 +341,14 @@ def _ball_table(ws: list, ds: np.ndarray) -> np.ndarray:
     return table
 
 
-def union_of_balls(weights: list, K: int, zero) -> list:
+def union_of_balls(weights: list, K: int, zero) -> CapacitySeries:
     """Max-plus union of ball series, one ball folded at a time."""
     if not weights:
-        return [zero] * (K + 1)
+        return CapacitySeries(method="decomposition", num=[zero] * (K + 1))
     den, ws = _scaled(weights)
-    return [_unscaled(v, den) for v in _ball_table(ws, d_values_np(np.arange(K + 1))).tolist()]
+    table = _ball_table(ws, d_values_np(np.arange(K + 1)))
+    return CapacitySeries(method="decomposition", num=table.tolist() if den is None else table,
+                          den=den)
 
 
 def d_values_np(ks: np.ndarray) -> np.ndarray:
@@ -407,13 +381,11 @@ def concave_capacity(d: DomainDescriptor, K: int,
                 f"tail slack {worst:.3g} exceeds requested {certificate_tol:.3g}")
     weights = sorted(t.weight_multiset(), key=sfloat, reverse=True)
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
-    zero = zero - zero
-    vals = union_of_balls([_as_num(w) for w in weights], K, zero)
     tail = sfloat(t.truncation.dropped_tail_sum)
     upper = (d_values_np(np.arange(K + 1)) * tail).tolist() if tail > 0 else None
-    return CapacitySeries(method="decomposition", values=vals, upper_slack=upper,
-                          backend=t.backend, source=f"concave:{d.kind}",
-                          meta={"dropped_tail_sum": tail})
+    return replace(union_of_balls([_as_num(w) for w in weights], K, zero - zero),
+                   upper_slack=upper, backend=t.backend, source=f"concave:{d.kind}",
+                   meta={"dropped_tail_sum": tail})
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +393,8 @@ def concave_capacity(d: DomainDescriptor, K: int,
 # ---------------------------------------------------------------------------
 
 def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
-                 s_ceiling: int = 200_000) -> tuple[list, list]:
-    """c_k = min_s c*d(k+s) - M(s) for k = 0..K, and the certified lower slack.
+                 s_ceiling: int = 200_000) -> CapacitySeries:
+    """c_k = min_s c*d(k+s) - M(s) for k = 0..K, with the certified lower slack.
 
     v is the area between the domain and its circumscribed triangle, w
     the full weight sum including the dropped tail.
@@ -445,7 +417,7 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
                sorted(tree.weight_multiset(), key=sfloat, reverse=True)]
     den, (c, *ws) = _scaled([_as_num(tree.head)] + weights)
     tail, c_f = sfloat(tree.truncation.dropped_tail_sum), sfloat(tree.head)
-    dt = _dtype([c] + ws, d_index(K + s_ceiling), 2**53) if den < 2**53 else object
+    dt = _dtype([c] + ws, d_index(K + s_ceiling), 2**53) if (den or 1) < 2**53 else object
 
     def table(S):
         ds = d_values_np(np.arange(S + 1))
@@ -455,7 +427,7 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
         return c * (t.astype(object) if dt is object else t) - M[s]
 
     def to_f(x):
-        return (x / den if den != 1 else x).astype(float)
+        return (x / den if den not in (None, 1) else x).astype(float)
 
     # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
     # candidate at index u and is smallest at t_star, so
@@ -509,11 +481,13 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
             M, ds = table(2 * len(M))
         a = a[keep]
     if failed is not None:
-        raise PruningBoundExceeded(
-            f"no certificate after {s_ceiling} complement indices",
-            best=_unscaled(best[failed:failed + 1].tolist()[0], den))
-    return ([tree.head - tree.head] + [_unscaled(b, den) for b in best.tolist()],
-            [0.0] + (best_f - best_lo).tolist())
+        b = best[failed:failed + 1].tolist()[0]
+        raise PruningBoundExceeded(f"no certificate after {s_ceiling} complement indices",
+                                   best=b if den is None else Fraction(b, den))
+    return CapacitySeries(
+        method="decomposition",
+        num=[tree.head - tree.head] + best.tolist() if den is None else np.append(0, best),
+        den=den, lower_slack=[0.0] + (best_f - best_lo).tolist())
 
 
 def convex_capacity(d: DomainDescriptor, K: int,
@@ -531,12 +505,10 @@ def convex_capacity(d: DomainDescriptor, K: int,
         w_total = 3 * sfloat(t.head) - (sfloat(profile.a) + sfloat(profile.b) + ell)
         # rounding can take the zero gap of a triangle below zero
         vol23 = max(sfloat(t.head) ** 2 / 2.0 - sfloat(area(d)), 0.0)
-    vals, lowers = _convex_scan(t, vol23, w_total, K)
-    return CapacitySeries(method="decomposition", values=vals,
-                          lower_slack=lowers, upper_slack=[0.0] * (K + 1),
-                          backend=t.backend, source=f"convex:{d.kind}",
-                          meta={"head": sfloat(t.head),
-                                "dropped_tail_sum": sfloat(t.truncation.dropped_tail_sum)})
+    return replace(_convex_scan(t, vol23, w_total, K), upper_slack=[0.0] * (K + 1),
+                   backend=t.backend, source=f"convex:{d.kind}",
+                   meta={"head": sfloat(t.head),
+                         "dropped_tail_sum": sfloat(t.truncation.dropped_tail_sum)})
 
 
 def sum_scalars(xs):
@@ -624,12 +596,17 @@ def dkn_upper(s: PicBasisSurface, k: int) -> float:
 
 
 class _EnumContext:
-    """Static structure shared by every degree pass on one surface."""
+    """Static structure shared by every degree pass on one surface.
+
+    Rational objective data a are held as ints over their common
+    denominator `den` (None for Quad and float data), so the search adds
+    and compares ints and divides once, at the end."""
 
     def __init__(self, s: PicBasisSurface):
         self.n = n = s.n
-        self.a = [s.A[0]] + [-(s.A[i]) for i in range(1, n + 1)]  # head, a_i >= 0
-        self.a_f = [sfloat(x) for x in self.a]
+        a = [s.A[0]] + [-(s.A[i]) for i in range(1, n + 1)]  # head, a_i >= 0
+        self.a_f = [sfloat(x) for x in a]
+        self.den, self.a = _scaled(a)
         self.pairings = _bound_pairings(s)
         # one pass over the boundary classes: each curve's degree, the two
         # owner curves (coefficient -1) and the e-curve (+1) of every blowup
@@ -670,6 +647,10 @@ class _EnumContext:
             self.entries_at[i] = [j for j in range(i, n + 1)
                                   if self.parent[j] is None or self.parent[j] < i]
 
+    def to_f(self, x) -> float:
+        """The float of an objective in the units of `a`."""
+        return sfloat(x) if self.den is None else x / self.den
+
 
 _D_CEILING = 10_000  # the degree at which the enumeration gives up
 _STAB_TOL = 1e-9  # a tower bracket this narrow counts as stabilized
@@ -686,7 +667,7 @@ def alg_capacity_enum(s: PicBasisSurface, k: int, ub: float | None = None,
         raise SearchSpaceEmpty("polarisation is not big (A^2 <= 0)")
     ub0 = ub if ub is not None else dkn_upper_data(*ctx.pairings, k) + 1e-9
 
-    incumbent = None  # exact scalar
+    incumbent = None  # exact scalar, over ctx.den for rational data
     incumbent_f = ub0
 
     d = d_index(k)
@@ -702,13 +683,13 @@ def alg_capacity_enum(s: PicBasisSurface, k: int, ub: float | None = None,
             found = _dfs_min(ctx, d, budget, incumbent, incumbent_f)
             if found is not None:
                 incumbent = found
-                incumbent_f = sfloat(found)
+                incumbent_f = ctx.to_f(found)
         d += 1
     if incumbent is None:
         # the dkn bound itself certifies feasibility at some ceil(d_{k,n});
         # reaching here means the ceiling cut the search
         raise CeilingExceeded("no feasible divisor found below the ceiling")
-    return incumbent
+    return incumbent if ctx.den is None else Fraction(incumbent, ctx.den)
 
 
 def _msqrt(b: int) -> int:
@@ -722,9 +703,10 @@ def _msqrt(b: int) -> int:
 
 
 def _dfs_min(ctx: _EnumContext, d: int, budget: int, incumbent, incumbent_f):
-    """Best objective at fixed degree d, or None if nothing beats incumbent."""
+    """Best objective at fixed degree d, in ctx.a's units, or None if
+    nothing beats incumbent."""
     n = ctx.n
-    a, a_f, owners, ecurve, psi = ctx.a, ctx.a_f, ctx.owners, ctx.ecurve, ctx.psi
+    a, a_f, owners, ecurve, psi, to_f = ctx.a, ctx.a_f, ctx.owners, ctx.ecurve, ctx.psi, ctx.to_f
     residual = [d * g for g in ctx.curve_gamma]
     best = incumbent
     best_f = incumbent_f
@@ -750,10 +732,10 @@ def _dfs_min(ctx: _EnumContext, d: int, budget: int, incumbent, incumbent_f):
         if i > n:
             obj = d * a[0] - subtracted_exact
             if best is None:
-                if sfloat(obj) <= best_f + 1e-9:
-                    best, best_f = obj, sfloat(obj)
+                if to_f(obj) <= best_f + 1e-9:
+                    best, best_f = obj, to_f(obj)
             elif obj < best:
-                best, best_f = obj, sfloat(obj)
+                best, best_f = obj, to_f(obj)
             return
         mcap_global = min(d, _msqrt(budget_left), 3 * d - sum_m)
         if obj0_f - subtracted_f - potential(i, mcap_global) > best_f + 1e-9:
@@ -919,9 +901,8 @@ def series_for_domain(d: DomainDescriptor, K: int,
         series = convex_capacity(res.polygon, K, limits)
         r = sfloat(d.params[-1])
         lam = res.hausdorff_bound / max(r - res.hausdorff_bound, 1e-9)
-        extra = [lam * sfloat(v) for v in series.values]
         base = series.upper_slack or [0.0] * (K + 1)
-        series.upper_slack = [b + e for b, e in zip(base, extra)]
+        series.upper_slack = (np.array(base) + lam * series.float_values()).tolist()
         series.source = f"curve:{d.curve}"
         series.backend = "float"
         return series

@@ -19,6 +19,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
+import numpy as np
+
 from .errors import DegenerateEdge, MixedBackend
 
 RationalLike = int | Fraction
@@ -492,3 +494,15 @@ def format_scalar(x) -> str:
     if isinstance(x, float):
         return repr(float(x))  # collapse numpy scalars
     return str(Fraction(x))
+
+
+def format_ratios(num: np.ndarray, den: int) -> list[str]:
+    """str(Fraction(n, den)) for every n of an integer array, from one gcd
+    pass over the ints."""
+    if den == 1:
+        return list(map(str, num.tolist()))
+    if den >= 2**63:  # past int64: gcd on Python ints
+        num = num.astype(object)
+    g = np.gcd(num, den)
+    return [f"{n}/{q}" if q != 1 else str(n)
+            for n, q in zip((num // g).tolist(), (den // g).tolist())]

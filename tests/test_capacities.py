@@ -32,7 +32,6 @@ from capax.capacities import (
     square_capacities,
     tower_capacities,
     tower_capacity,
-    union_capacities,
     union_of_balls,
 )
 from capax.scalars import Quad, format_scalar, quad_sign, sfloat
@@ -149,6 +148,18 @@ class TestClosedForms:
             Fraction(3, 2) * d_index(k) for k in range(301)]
 
 
+def union_capacities(series: list, K: int) -> CapacitySeries:
+    """The generic max-plus union c_k = max_{i+j=k} c_i + c_j of the
+    inputs, one pair at a time: the oracle for union_of_balls' fold."""
+    vals = series[0].values[: K + 1]
+    for s in series[1:]:
+        g = s.values[: K + 1]
+        vals = [max(vals[i] + g[k - i]
+                    for i in range(max(0, k - len(g) + 1), min(k, len(vals) - 1) + 1))
+                for k in range(K + 1)]
+    return CapacitySeries(method="decomposition", num=vals)
+
+
 class TestUnion:
     def test_two_unit_balls_give_e12(self):
         b = ball_capacities(Fraction(1), 8)
@@ -170,7 +181,7 @@ class TestUnion:
 
     def test_fast_fold_matches_generic(self):
         ws = [Fraction(3, 2), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-        fast = union_of_balls(ws, 30, Fraction(0))
+        fast = union_of_balls(ws, 30, Fraction(0)).values
         slow = union_capacities([ball_capacities(w, 30) for w in ws], 30).values
         assert fast == slow
 
@@ -277,7 +288,7 @@ def reference_scan(d, K, limits=None, s_ceiling=None):
         best, best_f, lo, s = None, math.inf, math.inf, 0
         while True:
             if s >= len(M):
-                M = union_of_balls(weights, 2 * len(M) or 64, c - c)
+                M = union_of_balls(weights, 2 * len(M) or 64, c - c).values
             cand = c * d_index(k + s) - M[s]
             if best is None or cand < best:
                 best, best_f = cand, sfloat(cand)
@@ -370,7 +381,8 @@ class TestConvexScan:
         assert str(got.value) == f"no certificate after {ceiling} complement indices"
         # every k below the reference's passes
         values, slack = reference_scan(d, ref.value.k - 1)
-        assert _convex_scan(*data, ref.value.k - 1, s_ceiling=ceiling) == (values, slack)
+        got = _convex_scan(*data, ref.value.k - 1, s_ceiling=ceiling)
+        assert (got.values, got.lower_slack) == (values, slack)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), eps=st.sampled_from([0.05, 0.3, 1.0]))
@@ -549,8 +561,8 @@ class TestQuadPairFold:
     def test_huge_weights_at_k0(self):
         # with d_max = 0 the guard still keeps weights beyond int64 out of
         # the int64 arrays (the rational case raised OverflowError)
-        assert union_of_balls([Fraction(10 ** 23), Fraction(1)], 0, Fraction(0)) == [0]
-        assert union_of_balls([Quad(2 ** 70, 1, 5)], 0, Fraction(0)) == [0]
+        assert union_of_balls([Fraction(10 ** 23), Fraction(1)], 0, Fraction(0)).values == [0]
+        assert union_of_balls([Quad(2 ** 70, 1, 5)], 0, Fraction(0)).values == [0]
 
     def test_golden_concave_triangle(self):
         d = golden_triangle("concave")
@@ -784,11 +796,31 @@ class TestProperties:
 
     def test_series_csv_json_roundtrip(self):
         s = ellipsoid_capacities(Fraction(1), Fraction(2), 6)
-        j = s.to_json()
-        back = CapacitySeries.from_json(j)
-        assert back.values == s.values
         csv = s.to_csv()
         assert csv.splitlines()[1] == "k,c_k,lower_slack,upper_slack,method"
+
+    # numerators on both sides of 2^53 (numpy's exact float division) and
+    # of 2^62 (int64 series give way to Python ints), with zeros.  One band
+    # per draw, so that one large entry does not send every entry down the
+    # Python-int path.  A seeded PRNG draws inside the band: hypothesis's
+    # own integers are mostly even there, and float64 holds those exactly
+    BANDS = [(-2**20, 2**20), (2**53 - 8, 2**53 + 8), (2**53, 2**54), (2**61, 2**62 + 8),
+             (2**62, 2**63 - 1), (2**63, 2**80)]
+    DENOMINATORS = st.one_of(st.just(1), st.integers(2, 10**6),
+                             st.sampled_from([3, 10**6 + 3, 2**53 - 1, 2**53 + 1, 3**40,
+                                              2**64 + 1]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(band=st.sampled_from(BANDS), rnd=st.randoms(use_true_random=True),
+           size=st.integers(1, 8), q=DENOMINATORS, as_object=st.booleans())
+    def test_scaled_series_formats_and_rounds_as_fractions(self, band, rnd, size, q, as_object):
+        ns = [rnd.randint(*band) if rnd.random() < 0.8 else 0 for _ in range(size)]
+        fits = all(-2**63 <= n < 2**63 for n in ns)
+        num = np.array(ns, dtype=object if as_object or not fits else np.int64)
+        s = CapacitySeries(method="t", num=num, den=q)
+        assert s.to_json()["values"] == [str(Fraction(n, q)) for n in ns]
+        assert s.float_values().tolist() == [float(Fraction(n, q)) for n in ns]
+        assert s.values == [Fraction(n, q) for n in ns]
 
     def test_series_for_domain_dispatch(self, fig_polygon, e12_triangle):
         assert series_for_domain(domains.ball(2), 5).method == "ball_closed_form"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -359,7 +360,52 @@ class TestDeterminism:
 
 class TestRoundTrip:
     def test_capacities_json_reparses(self, capsys):
-        from capax.capacities import CapacitySeries
-        _, out = run(capsys, "capacities", "--domain", "ellipsoid:1,2", "--kmax", "6")
-        series = CapacitySeries.from_json(json.loads(out))
-        assert [str(v) for v in series.values] == ["0", "1", "2", "2", "3", "3", "4"]
+        from capax.scalars import parse_scalar
+        _, out = run(capsys, "capacities", "--domain", "ellipsoid:1,3/2", "--kmax", "6")
+        back = [parse_scalar(v) for v in json.loads(out)["values"]]
+        assert back == [0, 1, Fraction(3, 2), 2, Fraction(5, 2), 3, 3]
+
+
+PERF_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+# sha256 of the stdout of small CLI calls over every rational route (closed
+# forms, the concave table, the convex scan, the nef enumeration), plus the
+# float ellipsoid heap and data whose scaled integers pass 2^53 and 2^62.
+# Recorded before rational series moved onto scaled integers; the output
+# bytes must not change.
+BYTE_PINS = [
+    ("ball-3_2", ("capacities", "--domain", "ball:3/2", "--kmax", "300"),
+     "6b742463c0390dabbeb1edf9de48f903241259951406d3ba1c553e40b824a814"),
+    ("ellipsoid-1-2", ("capacities", "--domain", "ellipsoid:1,2", "--kmax", "300"),
+     "a941ae71b9ba038f8ace55892b63e69e013a9a688ab7ae1d3380e7e680cdf8e6"),
+    ("square-1", ("capacities", "--domain", "square:1", "--kmax", "300"),
+     "af32ee4c5c52f65db118a02a29c392f9a7e0bf2e26092bf02d3b6cc3bf7beb22"),
+    ("weights-3-1-1", ("capacities", "--domain", "weights:3;1,1", "--kmax", "300"),
+     "dd683f3a7215589e8efad5744d41fc573f4f3d950e95451954762ab7502eeebc"),
+    ("concave-csv", ("capacities", "--domain", f"@{PERF_INPUTS / 'concave.json'}",
+                     "--kmax", "300", "--format", "csv"),
+     "43d2f7956fd2a0a6b4968564f774127585d3e32ef4955abc8fb29511ffdddd8e"),
+    ("p6-oracle", ("capacities", "--domain", f"@{PERF_INPUTS / 'p6.json'}",
+                   "--kmax", "40", "--oracle"),
+     "a3c1ae7caa53f182281a12e45f5314362651da2af59d7fdb53ff4b6e968e1ab4"),
+    ("errors-fig", ("errors", "--domain", f"@{PERF_INPUTS / 'fig.json'}", "--kmax", "2000"),
+     "10e8a61dc10596eaa84191076066050c9078293c0df363c1651fd4dada0f23e9"),
+    ("float-ellipsoid", ("capacities", "--domain", "ellipsoid:1,phi", "--kmax", "300",
+                         "--backend", "float"),
+     "7e6b332e145066b61779c7d84335e788229ac0afa7156ab7748635b27ebd8deb"),
+    ("ellipsoid-above-2^62", ("capacities", "--domain", "ellipsoid:10000000000000000001/3,2",
+                              "--kmax", "300"),
+     "1bfe2f48c028394ae96c23ae0ba09aa8e13028e6ae38f3e77227c48890ec3d54"),
+    ("square-above-2^62-csv", ("capacities", "--domain", "square:4611686018427387905/7",
+                               "--kmax", "300", "--format", "csv"),
+     "a3cf365d009efc66ac694f4e7c2c840ad54a0eb176697ba659ab91fcfa569bc1"),
+    ("ball-above-2^53", ("capacities", "--domain", "ball:9007199254740993", "--kmax", "300"),
+     "9d19228c262c2fe487545b2a3615c2ce3635bcf1e55553fb8cecbfb6bb9dd625"),
+]
+
+
+@pytest.mark.parametrize("name,argv,digest", BYTE_PINS, ids=[p[0] for p in BYTE_PINS])
+def test_stdout_bytes_pinned(capsys, name, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
