@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VolumeMismatch, WindowOutOfRange
+from .errors import WindowOutOfRange
 from .scalars import rational_parts, sfloat
 from .domains import BoundaryProfile
 from .capacities import CapacitySeries
@@ -28,10 +28,6 @@ class Band:
     @property
     def mid(self) -> float:
         return (self.lower + self.upper) / 2.0
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 @dataclass
@@ -53,12 +49,9 @@ class ErrorSeries:
 
 
 def error_series(series: CapacitySeries, vol: float,
-                 band: Band | None = None,
-                 expected_a2: float | None = None) -> ErrorSeries:
+                 band: Band | None = None) -> ErrorSeries:
     """e_k = c_k - sqrt(4*vol*k) over the series' full range."""
     vol_f = sfloat(vol)
-    if expected_a2 is not None and abs(expected_a2 - 2 * vol_f) > 1e-9 * (1 + abs(expected_a2)):
-        raise VolumeMismatch(f"A^2 = {expected_a2} but 2*vol = {2 * vol_f}")
     ks = np.arange(series.kmax + 1)
     c = series.float_values()
     e = c - np.sqrt(4.0 * vol_f * ks)
@@ -104,28 +97,6 @@ def window_extrema(e: ErrorSeries, window: tuple[int, int]) -> WindowStats:
     sel = (e.ks >= k0) & (e.ks <= k1)
     vals = e.e[sel]
     return WindowStats(minimum=float(vals.min()), maximum=float(vals.max()))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    gaps: np.ndarray
-    tail_limsup: float
-    threshold: float
-    verdict: str  # "scaled-lattice-like" | "vanishing-gap"
-
-
-def gap_series(e: ErrorSeries, threshold: float = 0.1) -> GapReport:
-    """Successive differences e_{k+1} - e_k; a persistently large tail gap
-    signals scaled-lattice oscillation, a vanishing one rules it out."""
-    if len(e.e) < 2:
-        raise ValueError("need at least two error terms")
-    gaps = np.diff(e.e)
-    k_hi = int(e.ks[-1])
-    k_lo = max(int(e.ks[0]), k_hi // 10 if k_hi >= 10 else int(e.ks[0]))
-    sel = e.ks[1:] >= k_lo
-    tail = float(gaps[sel].max()) if sel.any() else float(gaps.max())
-    verdict = "scaled-lattice-like" if tail > threshold else "vanishing-gap"
-    return GapReport(gaps=gaps, tail_limsup=tail, threshold=threshold, verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .errors import (
     CeilingExceeded,
     PruningBoundExceeded,
     SearchSpaceEmpty,
-    TruncationTooCoarse,
 )
 from .scalars import (Eps, Quad, backend_of, format_ratios, format_scalar, quad_sign,
                       rational_parts, sfloat)
@@ -38,7 +37,6 @@ from .domains import DomainDescriptor, area, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
 from .tower import PicBasisSurface, Tower, _dot, k_plus_dot_A
-from .tower import f_from_self_intersections  # re-exported next to dkn_upper_data
 
 
 def d_index(k: int) -> int:
@@ -364,21 +362,13 @@ def d_values_np(ks: np.ndarray) -> np.ndarray:
 
 def concave_capacity(d: DomainDescriptor, K: int,
                      limits: TruncationLimits | None = None,
-                     tree: WeightTree | None = None,
-                     certificate_tol: float | None = None) -> CapacitySeries:
+                     tree: WeightTree | None = None) -> CapacitySeries:
     """Ball decomposition of a concave domain, with one-sided tail slack.
 
     Dropped balls only lower the values, so the computed series is a
-    certified lower envelope; the tail bound feeds the upper slack.  When
-    `certificate_tol` is set and the slack at K exceeds it, the truncation
-    was too coarse for the request.
+    certified lower envelope; the tail bound feeds the upper slack.
     """
     t = tree if tree is not None else concave_weights(d, limits)
-    if certificate_tol is not None:
-        worst = d_index(K) * sfloat(t.truncation.dropped_tail_sum)
-        if worst > certificate_tol:
-            raise TruncationTooCoarse(
-                f"tail slack {worst:.3g} exceeds requested {certificate_tol:.3g}")
     weights = sorted(t.weight_multiset(), key=sfloat, reverse=True)
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
     tail = sfloat(t.truncation.dropped_tail_sum)
@@ -588,11 +578,6 @@ def _bound_pairings(s: PicBasisSurface) -> tuple:
     minus_k = tuple(-x for x in s.K)
     return (sfloat(_dot(s.A, s.A)), sfloat(_dot(minus_k, s.A)), tower_mod.F_of_n(s),
             sfloat(k_plus_dot_A(s)))
-
-
-def dkn_upper(s: PicBasisSurface, k: int) -> float:
-    """Certified upper bound d_{k,n}*A^2 - K+.A for the k-th capacity."""
-    return dkn_upper_data(*_bound_pairings(s), k)
 
 
 class _EnumContext:
@@ -896,11 +881,11 @@ def series_for_domain(d: DomainDescriptor, K: int,
         from .domains import inner_grid_polygon
         # coarse grid denominators keep the recursion tree small; the
         # Hausdorff bound flows into the per-entry slack
-        res = inner_grid_polygon(d, M=max(16, min(48, K)))
+        poly, hb = inner_grid_polygon(d, M=max(16, min(48, K)))
         limits = limits or TruncationLimits(max_depth=512, eps=1e-9)
-        series = convex_capacity(res.polygon, K, limits)
+        series = convex_capacity(poly, K, limits)
         r = sfloat(d.params[-1])
-        lam = res.hausdorff_bound / max(r - res.hausdorff_bound, 1e-9)
+        lam = hb / max(r - hb, 1e-9)
         base = series.upper_slack or [0.0] * (K + 1)
         series.upper_slack = (np.array(base) + lam * series.float_values()).tolist()
         series.source = f"curve:{d.curve}"

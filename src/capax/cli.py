@@ -112,7 +112,7 @@ def _dump_json(obj) -> str:
 def cmd_weights(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
     if d.kind == "curve":
-        d = domains.inner_grid_polygon(d, 32).polygon
+        d, _ = domains.inner_grid_polygon(d, 32)
         if ns.eps is None:
             ns.eps = 1e-9
         if ns.depth is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -27,21 +27,18 @@ from .errors import (
     MixedBackend,
     NonConvex,
     NotInQuadrant,
-    ResolutionTooSmall,
 )
 from .scalars import (
     Eps,
     Quad,
     _is_squarefree,
     backend_of,
-    format_scalar,
+    bounded,
     parse_scalar,
     primitive_direction,
     seps,
     sfloat,
 )
-
-CURVE_FAMILIES = ("quarter_disk", "superellipse")
 
 
 @dataclass(frozen=True)
@@ -133,15 +130,15 @@ def square(s, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
 
 def quarter_disk(r, eps: float = 1e-12) -> DomainDescriptor:
     return DomainDescriptor(kind="curve", curve="quarter_disk",
-                            params=(Fraction(r),), backend="float", eps=eps)
+                            params=(bounded(Fraction(r)),), backend="float", eps=eps)
 
 
 def superellipse(p, r, eps: float = 1e-12) -> DomainDescriptor:
-    p = Fraction(p)
+    p = bounded(Fraction(p))
     if p < 1:
         raise NonConvex("superellipse exponent must be >= 1")
     return DomainDescriptor(kind="curve", curve="superellipse",
-                            params=(p, Fraction(r)), backend="float", eps=eps)
+                            params=(p, bounded(Fraction(r))), backend="float", eps=eps)
 
 
 def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
@@ -322,7 +319,7 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
 
 
 def _curve_geometry(d: DomainDescriptor):
-    """(r, f, fprime, support_11) for the curve family."""
+    """(r, f, fprime) for the curve family, as floats."""
     if d.curve == "quarter_disk":
         (r,) = d.params
         rf = float(r)
@@ -333,7 +330,7 @@ def _curve_geometry(d: DomainDescriptor):
         def fp(x):
             return -x / f(x) if f(x) > 0 else -math.inf
 
-        return rf, f, fp, rf * math.sqrt(2.0)
+        return rf, f, fp
     if d.curve == "superellipse":
         p, r = d.params
         pf, rf = float(p), float(r)
@@ -347,8 +344,7 @@ def _curve_geometry(d: DomainDescriptor):
                 return -math.inf
             return -((x / y) ** (pf - 1.0)) if x > 0 else 0.0
 
-        # support in direction (1,1): attained on the diagonal
-        return rf, f, fp, 2.0 ** (1.0 - 1.0 / pf) * rf
+        return rf, f, fp
     raise ValueError(f"unknown curve family {d.curve!r}")
 
 
@@ -395,117 +391,26 @@ def area(d: DomainDescriptor):
     raise ValueError(f"unknown domain kind {d.kind!r}")
 
 
-def circumscribed_head(d: DomainDescriptor):
-    """Smallest c with the region inside the triangle of size c: max of x+y."""
-    if d.kind == "polygon":
-        profile = validate(d)
-        if d.orientation != "convex":
-            raise NonConvex("circumscribed head needs a convex domain")
-        best = None
-        for x, y in profile.chain:
-            s = x + y
-            if best is None or s > best:
-                best = s
-        return best
-    if d.kind == "ellipsoid":
-        return d.a if not d.a < d.b else d.b
-    if d.kind == "curve":
-        _, _, _, sup = _curve_geometry(d)
-        return Eps(sup, d.eps * (1 + sup))
-    if d.kind == "weight_list":
-        if d.head is None:
-            raise NonConvex("weight list without a head is concave data")
-        return d.head
-    raise ValueError(f"unknown domain kind {d.kind!r}")
-
-
-def inscribed_triangle(d: DomainDescriptor):
-    """Largest a with the standard triangle of size a inside the region.
-
-    Equals the minimum of x+y over the upper boundary; exact at vertices
-    for polygons, endpoint evaluation plus a sampled certificate for the
-    smooth families.
-    """
-    if d.kind in ("polygon", "ellipsoid"):
-        profile = validate(d)
-        best = None
-        for x, y in profile.chain:
-            s = x + y
-            if best is None or s < best:
-                best = s
-        return best
-    if d.kind == "curve":
-        r, f, _, _ = _curve_geometry(d)
-        # x + f(x) is concave here, so the minimum sits at an endpoint
-        best = min(r, f(0.0))
-        grid = [i * r / 256 for i in range(257)]
-        residual = min(x + f(x) for x in grid) - best
-        if residual < -1e-9 * (1 + r):
-            raise NonConvex("boundary is not concave-function shaped")
-        return Eps(best, d.eps * (1 + best) + 1e-12)
-    raise EmptyDomain(f"no inscribed triangle for kind {d.kind!r}")
-
-
 # ---------------------------------------------------------------------------
-# inner polygonalization of the smooth families
+# inner grid polygon of the smooth families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolygonalizeResult:
-    polygon: DomainDescriptor
-    hausdorff_bound: float
-    introduced_affine_plus: float  # total affine length of the new rational edges
-
-
-def polygonalize(d: DomainDescriptor, resolution: int) -> PolygonalizeResult:
-    """Inner rational-vertex polygon through `resolution` boundary samples."""
+def inner_grid_polygon(d: DomainDescriptor, M: int) -> tuple[DomainDescriptor, float]:
+    """Inner approximation on the (r/M)-grid with small coordinate
+    denominators, for consumers that feed the weight recursion (simple
+    slopes keep the tree small), and its Hausdorff bound, which carries
+    the extra grid offset."""
     if d.kind != "curve":
-        raise ValueError("polygonalize applies to curve families")
-    if resolution < 2:
-        raise ResolutionTooSmall("resolution must be at least 2")
+        raise ValueError("inner_grid_polygon applies to curve families")
     r = d.params[-1]
-    if d.curve == "quarter_disk":
-        pts = _quarter_disk_points(r, resolution)
-    else:
-        pts = _superellipse_points(d, resolution)
-    # pts run x-increasing from (0,r) to (r,0); CCW polygon wants the reverse
-    verts = [(Fraction(0), Fraction(0))] + list(reversed(pts))
-    poly = DomainDescriptor(kind="polygon", orientation="convex",
-                            vertices=tuple(verts), backend="exact")
-    profile = validate(poly)
-    hb = _hausdorff_bound(d, profile.chain)
-    introduced = sum(sfloat(e.affine_length) for e in profile.plus_edges)
-    return PolygonalizeResult(polygon=poly, hausdorff_bound=hb,
-                              introduced_affine_plus=introduced)
-
-
-def _quarter_disk_points(r: Fraction, resolution: int):
-    """Rational points exactly on the circle via the tangent-half-angle map."""
-    pts = []
-    for i in range(resolution):
-        t = Fraction(i, resolution - 1)
-        den = 1 + t * t
-        x = r * (1 - t * t) / den
-        y = r * 2 * t / den
-        pts.append((x, y))
-    # pts run from (r,0) to (0,r); return x-increasing (0,r)..(r,0)
-    return list(reversed(pts))
-
-
-def _superellipse_points(d: DomainDescriptor, resolution: int):
-    """Rational points inside the curve, snapped downward on a fine grid."""
-    p, r = d.params
-    _, f, _, _ = _curve_geometry(d)
-    den = 4 * resolution * resolution * 1024
-    return _snapped_hull(r, [Fraction(i, resolution - 1) * r for i in range(1, resolution - 1)],
-                         lambda x: Fraction(math.floor(f(float(x)) * den), den))
-
-
-def _snapped_hull(r, xs, snap):
-    """Upper hull of (0,r), the points (x, snap(x)) with snap(x) > 0 and
-    (r,0), x-increasing."""
+    rf, f, fp = _curve_geometry(d)
+    # the curve's grid points snapped down onto the grid, between the axis ends
     pts = [(Fraction(0), Fraction(r))]
-    pts += [(x, y) for x in xs if (y := snap(x)) > 0]
+    for i in range(1, M):
+        x = Fraction(i, M) * r
+        y = Fraction(math.floor(f(float(x)) / rf * M), M) * r
+        if y > 0:
+            pts.append((x, y))
     pts.append((Fraction(r), Fraction(0)))
     # upper hull: traversed x-increasing the chain must turn right throughout
     hull = []
@@ -513,46 +418,15 @@ def _snapped_hull(r, xs, snap):
         while len(hull) >= 2 and sfloat(_cross(hull[-2], hull[-1], pt)) >= 0:
             hull.pop()
         hull.append(pt)
-    return hull
-
-
-def inner_grid_polygon(d: DomainDescriptor, M: int) -> PolygonalizeResult:
-    """Inner approximation on the (r/M)-grid with small coordinate
-    denominators, for consumers that feed the weight recursion (simple
-    slopes keep the tree small).  The Hausdorff bound carries the extra
-    grid offset."""
-    if d.kind != "curve":
-        raise ValueError("inner_grid_polygon applies to curve families")
-    r = d.params[-1]
-    rf, f, fp, _ = _curve_geometry(d)
-    hull = _snapped_hull(r, [Fraction(i, M) * r for i in range(1, M)],
-                         lambda x: Fraction(math.floor(f(float(x)) / rf * M), M) * r)
     verts = [(Fraction(0), Fraction(0))] + list(reversed(hull))
     poly = DomainDescriptor(kind="polygon", orientation="convex",
                             vertices=tuple(verts), backend="exact")
-    profile = validate(poly)
     # arc-to-chord gaps measured on true curve points, plus the grid offset
     worst = 0.0
     xs = [sfloat(p[0]) for p in hull]
     for x0, x1 in zip(xs, xs[1:]):
         worst = max(worst, _tangent_gap(f, fp, x0, f(x0), x1, f(x1)))
-    hb = worst * (1 + 1e-9) + 2 * rf / M
-    introduced = sum(sfloat(e.affine_length) for e in profile.plus_edges)
-    return PolygonalizeResult(polygon=poly, hausdorff_bound=hb,
-                              introduced_affine_plus=introduced)
-
-
-def _hausdorff_bound(d: DomainDescriptor, chain) -> float:
-    """Chord-to-arc bound: the arc between samples stays inside the triangle
-    cut by the tangents at the chord's endpoints."""
-    _, f, fp, _ = _curve_geometry(d)
-    worst = 0.0
-    for i in range(len(chain) - 1):
-        x0, y0 = sfloat(chain[i][0]), sfloat(chain[i][1])
-        x1, y1 = sfloat(chain[i + 1][0]), sfloat(chain[i + 1][1])
-        h = _tangent_gap(f, fp, x0, y0, x1, y1)
-        worst = max(worst, h)
-    return worst * (1 + 1e-9) + 1e-15
+    return poly, worst * (1 + 1e-9) + 2 * rf / M
 
 
 def _tangent_gap(f, fp, x0, y0, x1, y1) -> float:
@@ -618,27 +492,3 @@ def _descriptor_from_json(obj) -> DomainDescriptor:
         return weight_list(obj.get("head"), obj.get("weights", ()),
                            backend=backend, eps=eps)
     raise InvalidSpec(f"unknown domain kind {kind!r}")
-
-
-def descriptor_to_json(d: DomainDescriptor) -> dict:
-    out: dict = {"kind": d.kind}
-    if d.field_d is not None:
-        out["field_d"] = d.field_d
-    if d.backend == "float":
-        out["backend"] = "float"
-        out["eps"] = d.eps
-    if d.kind == "polygon":
-        out["orientation"] = d.orientation
-        out["vertices"] = [[format_scalar(x), format_scalar(y)] for x, y in d.vertices]
-    elif d.kind == "ellipsoid":
-        out["a"], out["b"] = format_scalar(d.a), format_scalar(d.b)
-    elif d.kind == "curve":
-        out["name"] = d.curve
-        if d.curve == "quarter_disk":
-            out["r"] = format_scalar(d.params[0])
-        else:
-            out["p"], out["r"] = format_scalar(d.params[0]), format_scalar(d.params[1])
-    elif d.kind == "weight_list":
-        out["head"] = None if d.head is None else format_scalar(d.head)
-        out["weights"] = [format_scalar(w) for w in d.weights]
-    return out

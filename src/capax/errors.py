@@ -38,14 +38,6 @@ class EmptyDomain(CapaxError):
     """Degenerate region (a point, a segment, or zero area)."""
 
 
-class ResolutionTooSmall(CapaxError):
-    """polygonalize needs at least 2 boundary samples."""
-
-
-class TruncationTooCoarse(CapaxError):
-    """Dropped weight tail exceeds the requested certificate tolerance."""
-
-
 class NonPositiveHead(CapaxError):
     """Initial polarisation size must be positive."""
 
@@ -61,14 +53,6 @@ class NotNef(CapaxError):
 
 class UnknownNode(CapaxError):
     """Blowup centre is not a current boundary node."""
-
-
-class UnpairableTails(CapaxError):
-    """Both tower divisors have nonzero constant tails; the pairing diverges."""
-
-
-class DimensionMismatch(CapaxError):
-    """Class vector length does not match the surface's Picard rank."""
 
 
 class SearchSpaceEmpty(CapaxError):
@@ -93,10 +77,6 @@ class PruningBoundExceeded(CapaxError):
 
 class WindowOutOfRange(CapaxError):
     """Requested window extends past the computed series."""
-
-
-class VolumeMismatch(CapaxError):
-    """Series volume and tower A^2/2 disagree beyond reported slack."""
 
 
 class NotComparable(CapaxError):

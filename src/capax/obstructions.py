@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotComparable
-from .scalars import seps, sfloat
+from .scalars import rational_parts, seps, sfloat
 from .domains import DomainDescriptor, area, validate
 from .capacities import series_for_domain
 from .weights import TruncationLimits
@@ -64,28 +64,12 @@ class ObstructionReport:
             "notes": self.notes,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ObstructionReport":
-        witnesses = [Witness(criterion=w["criterion"], k=w["k"],
-                             from_value=w["from_value"], to_value=w["to_value"],
-                             slack=w["slack"]) for w in obj["witnesses"]]
-        return cls(verdict=obj["verdict"], witnesses=witnesses,
-                   admissible_from=obj["admissible"]["from"],
-                   admissible_to=obj["admissible"]["to"],
-                   vol_from=obj["volumes"]["from"], vol_to=obj["volumes"]["to"],
-                   volumes_equal=obj["volumes"]["equal_within_tolerance"],
-                   notes=list(obj.get("notes", [])))
-
 
 def _is_scaled_lattice(d: DomainDescriptor) -> bool:
-    """q * (lattice polygon) for some real q > 0; decidable in exact backends."""
-    if d.kind == "ellipsoid":
-        # the triangle with legs a, b: lattice type iff b/a is rational
-        ratio_ok = _ratio_rational(d.a, d.b)
-        return bool(ratio_ok)
-    if d.kind != "polygon" or d.backend == "float":
+    """The polygon is q * (lattice polygon) for some real q > 0; decidable
+    in exact backends."""
+    if d.backend == "float":
         return False
-    from .scalars import rational_parts
     coords = [Fraction(c) if isinstance(c, int) else c
               for v in d.vertices for c in v if sfloat(c) != 0]
     if not coords:
@@ -96,18 +80,6 @@ def _is_scaled_lattice(d: DomainDescriptor) -> bool:
     except (TypeError, ZeroDivisionError):
         return False
     return all(p2 == 0 for _, p2 in pairs)
-
-
-def _ratio_rational(a, b) -> bool:
-    from .scalars import is_exact, rational_parts
-    if not (is_exact(a) and is_exact(b)):
-        return False
-    try:
-        r = b / a
-    except TypeError:
-        return False
-    _, q = rational_parts(r)
-    return q == 0
 
 
 def admissible(d: DomainDescriptor, profile=None) -> bool:

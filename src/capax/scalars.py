@@ -21,7 +21,7 @@ from functools import lru_cache, total_ordering
 
 import numpy as np
 
-from .errors import DegenerateEdge, MixedBackend
+from .errors import DegenerateEdge, InvalidSpec, MixedBackend
 
 RationalLike = int | Fraction
 
@@ -323,9 +323,6 @@ class Eps:
         return repr(self.value)
 
 
-Scalar = Fraction | int | Quad | Eps | float
-
-
 def sfloat(x) -> float:
     return float(x)
 
@@ -453,18 +450,19 @@ def parse_scalar(text, backend: str = "exact", field_d: int | None = None,
     """Parse "p/q" or "p/q+r/s*sqrt" per the JSON conventions.
 
     In the float backend every number carries the tolerance `eps`, the
-    JSON integers too."""
+    JSON integers too.  A value out of range for `bounded` raises
+    InvalidSpec."""
     if isinstance(text, (Quad, Eps)):
         return text
     if isinstance(text, (int, Fraction, float)):
         if backend == "float":
-            return Eps(float(text), eps)
+            return Eps(bounded(float(text)), eps)
         if isinstance(text, float):
             raise MixedBackend(f"float literal {text!r} in {backend} backend")
-        return text
+        return bounded(text)
     s = str(text).strip()
     if backend == "float":
-        return Eps(float(Fraction(s)) if "/" in s else float(s), eps)
+        return Eps(bounded(float(Fraction(s)) if "/" in s else float(s)), eps)
     if "sqrt" in s:
         if field_d is None:
             raise ValueError(f"scalar {s!r} needs a field_d")
@@ -475,11 +473,23 @@ def parse_scalar(text, backend: str = "exact", field_d: int | None = None,
         r = Fraction(m.group("r"))
         if m.group("sgn") == "-":
             r = -r
-        return Quad(p, r, field_d)
-    val = Fraction(s)
+        return Quad(bounded(p), bounded(r), field_d)
+    val = bounded(Fraction(s))
     if field_d is not None:
         return Quad(val, 0, field_d)
     return val
+
+
+MAX_MAGNITUDE = 2 ** 480  # a product of two input values is still a finite float
+
+
+def bounded(x):
+    """x, unless it is a non-finite float or an exact value with |x| >=
+    MAX_MAGNITUDE: the float conversions downstream would overflow."""
+    if not (math.isfinite(x) if isinstance(x, float) else abs(x) < MAX_MAGNITUDE):
+        raise InvalidSpec("scalar out of range: exact values need |x| < 2^480, "
+                          "floats must be finite")
+    return x
 
 
 def format_scalar(x) -> str:

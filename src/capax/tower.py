@@ -1,4 +1,4 @@
-"""Blowup towers of polarised surfaces and divisors on them.
+"""Blowup towers of polarised surfaces.
 
 Surfaces carry an orthogonal Picard basis {H, e_1, ..., e_n} with
 H^2 = 1 and e_i^2 = -1; class vectors are stored with signed
@@ -7,25 +7,13 @@ of curves, each named by its token and holding its strict-transform
 class; the nodes are the pairs of neighbouring curves.  Blowing up a
 node inserts the exceptional curve between its two curves and subtracts
 the new basis vector from both.
-
-A tower divisor is a class on the initial plane plus a finitely
-supported weight over tree-node ids (tail tag "zero"), or a constant
-tail like the canonical divisor (base -3H, every weight -1 in the
-pullback-minus-d*E convention).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import (
-    DimensionMismatch,
-    NonPositiveHead,
-    NotNef,
-    UnknownNode,
-    UnpairableTails,
-)
+from .errors import NonPositiveHead, NotNef, UnknownNode
 from .scalars import format_scalar, is_exact, seps, sfloat
 from .weights import WeightTree, linearize
 
@@ -145,50 +133,6 @@ def build_tower(t: WeightTree) -> Tower:
     return Tower(surfaces=surfaces, tree=t, order=order)
 
 
-# ---------------------------------------------------------------------------
-# divisors on towers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TowerDivisor:
-    """base*H on the plane, then D_n = pullback(D_{n-1}) - weight_p * E_p."""
-
-    base: object
-    weights: dict  # tree-node id -> weight
-    tail: object = "zero"  # "zero" | ("const", kappa)
-
-
-def canonical_divisor() -> TowerDivisor:
-    return TowerDivisor(base=Fraction(-3), weights={}, tail=("const", Fraction(-1)))
-
-
-def polarisation_divisor(t: WeightTree) -> TowerDivisor:
-    if t.head is None:
-        raise NonPositiveHead("polarisation divisor needs a convex tree")
-    return TowerDivisor(base=t.head,
-                        weights={i: n.weight for i, n in t.nodes.items()},
-                        tail="zero")
-
-
-def intersect(b: TowerDivisor, s: TowerDivisor):
-    """Pairing D.D' = base*base' - sum of weight products (e^2 = -1)."""
-    if not (b.tail == "zero" or s.tail == "zero"):
-        raise UnpairableTails("at most one operand may have a nonzero tail")
-    out = b.base * s.base
-    support = set(b.weights) | set(s.weights)
-
-    def wt(div, p):
-        if p in div.weights:
-            return div.weights[p]
-        if div.tail == "zero":
-            return 0
-        return div.tail[1]
-
-    for p in support:
-        out = out - wt(b, p) * wt(s, p)
-    return out
-
-
 def k_plus_dot_A(s: PicBasisSurface):
     """A paired with the reduced upper-boundary support: the polygon's
     upper-edge affine length at this level."""
@@ -198,17 +142,6 @@ def k_plus_dot_A(s: PicBasisSurface):
             v = _dot(s.A, c.cls)
             out = v if out is None else out + v
     return out
-
-
-def nef_test(s: PicBasisSurface, cls) -> tuple[bool, object | None]:
-    """cls pairs >= 0 with every boundary curve (they generate the curve cone)."""
-    cls = tuple(cls)
-    if len(cls) != s.n + 1:
-        raise DimensionMismatch(f"class length {len(cls)} != rank {s.n + 1}")
-    for c in s.curves:
-        if _negative(_dot(cls, c.cls)):
-            return False, c.token
-    return True, None
 
 
 def f_from_self_intersections(self_ints) -> int:
@@ -226,31 +159,6 @@ def F_of_n(s: PicBasisSurface):
     boundary data determines the count exactly.
     """
     return f_from_self_intersections([self_int(c.cls) for c in s.curves])
-
-
-def assert_surface_invariants(s: PicBasisSurface):
-    """Cycle closes to -K, adjacent curves meet once, K^2 = 9 - n, A nef."""
-    total = (0,) * (s.n + 1)
-    for c in s.curves:
-        if len(c.cls) != s.n + 1:
-            raise AssertionError(f"curve {c.token} has a class of length {len(c.cls)}")
-        total = tuple(x + y for x, y in zip(total, c.cls))
-    minus_k = tuple(-x for x in s.K)
-    if total != minus_k:
-        raise AssertionError(f"boundary sum {total} != -K {minus_k}")
-    if self_int(s.K) != 9 - s.n:
-        raise AssertionError("K^2 != 9 - n")
-    m = len(s.curves)
-    for i in range(m):
-        for j in range(i + 1, m):
-            expected = 1 if (j == i + 1 or (i == 0 and j == m - 1)) else 0
-            got = _dot(s.curves[i].cls, s.curves[j].cls)
-            if got != expected:
-                raise AssertionError(
-                    f"curves {s.curves[i].token},{s.curves[j].token} meet {got}x")
-    ok, bad = nef_test(s, tuple(s.A))
-    if not ok:
-        raise AssertionError(f"A is not nef against {bad}")
 
 
 def tower_dump(tw: Tower) -> dict:

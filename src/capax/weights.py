@@ -212,7 +212,7 @@ def _weights(d: DomainDescriptor, limits: TruncationLimits | None, convex: bool)
     if not (d.is_convex() if convex else d.is_concave()):
         raise NonConvex(f"{d.kind} domain is not {'convex' if convex else 'concave'}")
     if profile.smooth:
-        raise NonConvex("polygonalize smooth domains before running the recursion")
+        raise NonConvex("tower and --oracle take polygons and ellipsoids, not curve domains")
     float_data = d.backend == "float"
     chain = ([(_rational(x), _rational(y)) for x, y in profile.chain] if float_data
              else list(profile.chain))

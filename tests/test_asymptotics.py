@@ -12,11 +12,10 @@ from capax.asymptotics import (
     edge_invariants,
     error_series,
     error_values,
-    gap_series,
     window_extrema,
 )
 from capax.capacities import ball_capacities, d_values_np, ellipsoid_capacities
-from capax.errors import VolumeMismatch, WindowOutOfRange
+from capax.errors import WindowOutOfRange
 from capax.scalars import Quad
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -29,10 +28,6 @@ class TestErrorSeries:
         assert e.e[2] == pytest.approx(-1.0)
         assert e.e[9] == pytest.approx(3 - math.sqrt(18))
 
-    def test_volume_mismatch_detected(self):
-        with pytest.raises(VolumeMismatch):
-            error_series(ball_capacities(Fraction(1), 5), 0.5, expected_a2=3.0)
-
     def test_tower_side_agrees_with_volume_side(self, fig_polygon):
         # 2 * (limiting A^2) equals 4 * vol exactly on complete trees, so the
         # two error-term normalizations coincide
@@ -44,7 +39,7 @@ class TestErrorSeries:
         vol = domains.area(fig_polygon)
         assert a2 == 2 * vol
         series = convex_capacity(fig_polygon, 12)
-        e = error_series(series, float(vol), expected_a2=float(a2))
+        e = error_series(series, float(vol))
         assert e.e[1] == pytest.approx(4 - math.sqrt(4 * 11))
 
 
@@ -88,25 +83,6 @@ class TestWindows:
         e = error_values(np.zeros(10), ks, 0.5)
         with pytest.raises(WindowOutOfRange):
             window_extrema(e, (5, 15))
-
-
-class TestGaps:
-    def test_ball_scaled_lattice(self):
-        ks = np.arange(100, 20001)
-        e = error_values(d_values_np(ks), ks, 0.5)
-        assert gap_series(e).verdict == "scaled-lattice-like"
-
-    def test_irrational_ellipsoid_vanishing(self):
-        K = 20000
-        vals = ellipsoid_capacities(1.0, PHI, K).float_values()
-        ks = np.arange(K + 1)
-        e = error_values(vals, ks, PHI / 2)
-        assert gap_series(e).verdict == "vanishing-gap"
-
-    def test_constant_series_vanishing(self):
-        ks = np.arange(1000)
-        e = error_values(np.full(1000, 3.0), ks, 0.5)
-        assert gap_series(e).verdict == "vanishing-gap"
 
 
 class TestEdgeInvariants:

@@ -13,6 +13,7 @@ from capax.errors import BelowThreshold, PruningBoundExceeded, SearchSpaceEmpty
 from capax.capacities import (
     _EnumContext,
     _ball_table,
+    _bound_pairings,
     _convex_scan,
     _quad_pairs,
     CapacitySeries,
@@ -25,7 +26,7 @@ from capax.capacities import (
     convex_capacity,
     d_index,
     d_values_np,
-    dkn_upper,
+    dkn_upper_data,
     ellipsoid_capacities,
     polydisk_capacities,
     series_for_domain,
@@ -203,14 +204,6 @@ class TestConcave:
         for k in range(61):
             assert coarse.lo(k) - 1e-9 <= fine.value(k) <= coarse.hi(k) + 1e-9
 
-    def test_certificate_tolerance_enforced(self):
-        from capax.errors import TruncationTooCoarse
-        E = domains.ellipsoid(1.0, PHI, backend="float")
-        with pytest.raises(TruncationTooCoarse):
-            concave_capacity(E, 60, TruncationLimits(eps=1e-2),
-                             certificate_tol=1e-9)
-        concave_capacity(E, 60, TruncationLimits(eps=1e-12),
-                         certificate_tol=1e-6)
 
 
 class TestConvex:
@@ -738,24 +731,25 @@ class TestCPlus:
 class TestDkn:
     def test_plane_examples(self):
         s = p2_init(Fraction(1))
-        assert dkn_upper(s, 2) == pytest.approx(2.0)
-        assert dkn_upper(s, 0) == pytest.approx(1.0)
+        assert dkn_upper_data(*_bound_pairings(s), 2) == pytest.approx(2.0)
+        assert dkn_upper_data(*_bound_pairings(s), 0) == pytest.approx(1.0)
 
     def test_certifies_enum(self):
         s = blowup(p2_init(Fraction(2)), ("H0", "H1"), Fraction(1))
+        pairings = _bound_pairings(s)
         for k in (0, 1, 5, 11):
-            assert sfloat(alg_capacity_enum(s, k)) <= dkn_upper(s, k) + 1e-9
+            assert sfloat(alg_capacity_enum(s, k)) <= dkn_upper_data(*pairings, k) + 1e-9
 
     def test_certifies_on_random_towers(self):
         rng = random.Random(34)
         d = random_convex_polygon(rng)
         tw = build_tower(convex_weights(d))
+        pairings = _bound_pairings(tw.final)
         for k in (1, 5, 13, 27):
-            assert sfloat(alg_capacity_enum(tw.final, k)) <= dkn_upper(tw.final, k) + 1e-9
+            assert sfloat(alg_capacity_enum(tw.final, k)) <= dkn_upper_data(*pairings, k) + 1e-9
 
     def test_abstract_data_form_matches_surface(self):
-        from capax.capacities import dkn_upper_data, f_from_self_intersections
-        from capax.tower import _dot, k_plus_dot_A, self_int
+        from capax.tower import _dot, f_from_self_intersections, k_plus_dot_A, self_int
         s = blowup(p2_init(Fraction(3)), ("H0", "H1"), Fraction(1))
         ints = [self_int(c.cls) for c in s.curves]
         abstract = dkn_upper_data(
@@ -763,7 +757,7 @@ class TestDkn:
             sfloat(_dot(tuple(-x for x in s.K), s.A)),
             f_from_self_intersections(ints),
             sfloat(k_plus_dot_A(s)), 7)
-        assert abstract == pytest.approx(dkn_upper(s, 7))
+        assert abstract == pytest.approx(dkn_upper_data(*_bound_pairings(s), 7))
 
 
 class TestProperties:
@@ -836,9 +830,9 @@ class TestProperties:
         # quarter disk's c_k, so they intersect
         qd = domains.quarter_disk(1)
         s = series_for_domain(qd, 20)
-        res = domains.inner_grid_polygon(qd, 96)
-        finer = convex_capacity(res.polygon, 20, TruncationLimits(max_depth=512, eps=1e-9))
-        lam = res.hausdorff_bound / (1 - res.hausdorff_bound)
+        poly, hb = domains.inner_grid_polygon(qd, 96)
+        finer = convex_capacity(poly, 20, TruncationLimits(max_depth=512, eps=1e-9))
+        lam = hb / (1 - hb)
         for k in range(21):
             lo = max(s.lo(k), finer.lo(k))
             hi = min(s.hi(k), finer.hi(k) + lam * sfloat(finer.value(k)))

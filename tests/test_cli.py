@@ -168,11 +168,17 @@ class TestInputBoundary:
         # exact irrational data needs truncation limits
         ["--domain", 'polygon:{"kind":"polygon","field_d":5,'
                      '"vertices":[["0","0"],["1","0"],["0","1/2+1/2*sqrt"]]}'],
+        # exact data past the float range is refused where it is parsed
+        ["--domain", "ball:1e400"],
+        ["--domain", "square:1e200"],
+        ["--domain", "weights:1e200;1"],
+        ["--domain", "ellipsoid:1,1e400"],
     ], ids=["negative-ball", "negative-kmax", "no-argument", "one-leg",
             "not-a-number", "square-field", "missing-file", "unknown-backend",
             "superscript-field", "vertices-not-a-list", "unknown-orientation",
             "over-packed-weights", "weights-fill-the-head", "huge-field",
-            "overlong-field", "golden-without-eps"])
+            "overlong-field", "golden-without-eps", "huge-ball", "huge-square",
+            "huge-head", "huge-leg"])
     def test_bad_input_exits_one_with_message(self, capsys, tmp_path, argv):
         argv = [a.format(missing=tmp_path / "missing.json") if a.startswith("@") else a
                 for a in argv]
@@ -182,20 +188,24 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err.startswith("capax: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["errors", "--domain", "ball:1", "--kmax", "20", "--window", "abc"],
-        ["errors", "--domain", "ball:1", "--kmax", "20", "--window", "10"],
-        ["capacities", "--domain", "ball:1", "--out", "{missing}"],
-        ["bounds", "--domain", "weights:5;1,1"],
+    @pytest.mark.parametrize("argv,message", [
+        (["errors", "--domain", "ball:1", "--kmax", "20", "--window", "abc"], "--window"),
+        (["errors", "--domain", "ball:1", "--kmax", "20", "--window", "10"], "--window"),
+        (["capacities", "--domain", "ball:1", "--out", "{missing}"], "cannot write"),
+        (["bounds", "--domain", "weights:5;1,1"], "axis extents"),
+        (["errors", "--domain", "ellipsoid:1e200,1e200"], "out of range"),
+        (["tower", "--domain", "quarter_disk:1"],
+         "tower and --oracle take polygons and ellipsoids, not curve domains"),
     ], ids=["window-not-a-number", "window-one-number", "out-in-missing-dir",
-            "bounds-of-weight-list"])
-    def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv):
+            "bounds-of-weight-list", "huge-ellipsoid", "tower-of-a-curve"])
+    def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
         argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("capax: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_depth_alone_truncates_exact_data(self, capsys, fig_file):
         # a depth limit the caller sets truncates rational data without an eps

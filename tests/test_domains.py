@@ -1,7 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capax import domains
 from capax.errors import (
@@ -10,9 +13,9 @@ from capax.errors import (
     InvalidSpec,
     NonConvex,
     NotInQuadrant,
-    ResolutionTooSmall,
 )
 from capax.scalars import Quad, sfloat
+from capax.weights import convex_weights
 
 
 class TestValidate:
@@ -97,16 +100,17 @@ class TestArea:
 
 
 class TestHeads:
+    """The circumscribed head, max x + y over the region, is the head of
+    the convex weight expansion."""
+
     def test_circumscribed(self, fig_polygon, unit_square):
-        assert domains.circumscribed_head(fig_polygon) == 5
-        assert domains.circumscribed_head(unit_square) == 2
-        assert domains.circumscribed_head(domains.ellipsoid(3, 3)) == 3
-        assert sfloat(domains.circumscribed_head(domains.quarter_disk(1))) \
-            == pytest.approx(math.sqrt(2))
+        assert convex_weights(fig_polygon).head == 5
+        assert convex_weights(unit_square).head == 2
+        assert convex_weights(domains.ellipsoid(3, 3)).head == 3
 
     def test_circumscribed_at_least_axes(self, fig_polygon):
         p = domains.validate(fig_polygon)
-        c = domains.circumscribed_head(fig_polygon)
+        c = convex_weights(fig_polygon).head
         assert c >= p.a and c >= p.b
 
     def test_head_equals_axes_only_for_triangle(self):
@@ -116,68 +120,85 @@ class TestHeads:
         for _ in range(8):
             d = random_convex_polygon(rng)
             p = domains.validate(d)
-            c = domains.circumscribed_head(d)
+            c = convex_weights(d).head
             is_triangle = (len(p.chain) == 2 and p.a == p.b == c)
             if c == p.a and c == p.b:
                 assert is_triangle
             if is_triangle:
                 assert c == p.a == p.b
 
-    def test_inscribed(self, e12_triangle):
-        assert domains.inscribed_triangle(e12_triangle) == 1
-        assert domains.inscribed_triangle(domains.ellipsoid(7, 7)) == 7
-        assert sfloat(domains.inscribed_triangle(domains.quarter_disk(1))) \
-            == pytest.approx(1.0)
+
+def _curve_points(d, n: int):
+    """n + 1 points on the curve, spread along it: (r cos^(2/p) t, r sin^(2/p) t)."""
+    p, r = (2.0, float(d.params[0])) if d.curve == "quarter_disk" else map(float, d.params)
+    ts = [i * (math.pi / 2) / n for i in range(n + 1)]
+    return [(r * math.cos(t) ** (2 / p), r * math.sin(t) ** (2 / p)) for t in ts]
+
+
+def _chain_distance(pt, chain) -> float:
+    """Euclidean distance from pt to the polyline chain."""
+    best = math.inf
+    for (ax, ay), (bx, by) in zip(chain, chain[1:]):
+        dx, dy = bx - ax, by - ay
+        t = max(0.0, min(1.0, ((pt[0] - ax) * dx + (pt[1] - ay) * dy) / (dx * dx + dy * dy)))
+        best = min(best, math.hypot(pt[0] - ax - t * dx, pt[1] - ay - t * dy))
+    return best
+
+
+CURVES = st.one_of(
+    st.builds(domains.quarter_disk, st.fractions(Fraction(1, 4), 4, max_denominator=16)),
+    st.builds(domains.superellipse, st.fractions(1, 8, max_denominator=8),
+              st.fractions(Fraction(1, 4), 4, max_denominator=16)),
+)
 
 
 class TestPolygonalize:
-    def test_rejects_tiny_resolution(self):
-        with pytest.raises(ResolutionTooSmall):
-            domains.polygonalize(domains.quarter_disk(1), 1)
+    """inner_grid_polygon, the one polygoniser of the curve domains."""
 
     def test_superellipse_res2_is_triangle(self):
-        r = domains.polygonalize(domains.superellipse(2, 1), 2)
-        assert r.polygon.vertices == (
+        # the grid point (1/2, 1/2) lies on the chord and leaves the hull
+        poly, hb = domains.inner_grid_polygon(domains.superellipse(2, 1), 2)
+        assert poly.vertices == (
             (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1)))
-        assert r.hausdorff_bound <= 1
-
-    @pytest.mark.parametrize("res,bound", [(4, 0.3), (64, 1e-3)])
-    def test_quarter_disk_bounds(self, res, bound):
-        r = domains.polygonalize(domains.quarter_disk(1), res)
-        assert r.hausdorff_bound <= bound
-
-    def test_inner_and_monotone(self):
-        prev_h = prev_plus = None
-        for res in (4, 8, 16, 32, 64):
-            r = domains.polygonalize(domains.quarter_disk(1), res)
-            for x, y in r.polygon.vertices:
-                assert x * x + y * y <= 1  # inner: vertices inside the disk
-            if prev_h is not None:
-                assert r.hausdorff_bound <= prev_h
-                assert r.introduced_affine_plus <= prev_plus
-            prev_h, prev_plus = r.hausdorff_bound, r.introduced_affine_plus
-        assert prev_plus < 0.01  # rational edge lengths vanish under refinement
+        assert 1 - math.sqrt(0.5) <= hb
 
     def test_superellipse_inner(self):
-        r = domains.polygonalize(domains.superellipse(3, 1), 24)
-        for x, y in r.polygon.vertices:
-            assert sfloat(x) ** 3 + sfloat(y) ** 3 <= 1 + 1e-12
+        poly, _ = domains.inner_grid_polygon(domains.superellipse(3, 1), 24)
+        for x, y in poly.vertices:
+            assert x ** 3 + y ** 3 <= 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=CURVES, M=st.integers(2, 64))
+    def test_inner_and_monotone(self, d, M):
+        poly, hb = domains.inner_grid_polygon(d, M)
+        r = d.params[-1]
+        for x, y in poly.vertices:  # inner: every vertex inside the curve
+            if d.curve == "quarter_disk":
+                assert x * x + y * y <= r * r
+            else:
+                p = float(d.params[0])
+                assert float(x / r) ** p + float(y / r) ** p <= 1 + 1e-12
+        # the bound does not grow under refinement
+        assert domains.inner_grid_polygon(d, 2 * M)[1] <= hb
+        # the curve lies within the bound of the polygon's upper chain
+        chain = [(float(x), float(y)) for x, y in poly.vertices[1:]]
+        assert max(_chain_distance(pt, chain) for pt in _curve_points(d, 400)) <= hb
 
 
 class TestJson:
     def test_roundtrip_polygon(self, fig_polygon):
-        j = domains.descriptor_to_json(fig_polygon)
-        back = domains.descriptor_from_json(j)
-        assert back == fig_polygon
+        j = {"kind": "polygon", "orientation": "convex",
+             "vertices": [[0, 0], ["4", "0"], [4, 1], ["2", "3"], [0, "4"]]}
+        assert domains.descriptor_from_json(j) == fig_polygon
+        assert domains.descriptor_from_json(json.dumps(j)) == fig_polygon
 
     def test_roundtrip_quad_backend(self):
-        d = domains.polygon(
-            [("0", "0"), ("1", "0"), ("0", "1/2+1/2*sqrt")],
-            "concave", field_d=5)
-        j = domains.descriptor_to_json(d)
-        assert j["field_d"] == 5
-        assert domains.descriptor_from_json(j) == d
+        vertices = [["0", "0"], ["1", "0"], ["0", "1/2+1/2*sqrt"]]
+        d = domains.descriptor_from_json(
+            {"kind": "polygon", "orientation": "concave", "vertices": vertices, "field_d": 5})
+        assert d.field_d == 5
+        assert d == domains.polygon(vertices, "concave", field_d=5)
 
     @pytest.mark.parametrize("field_d", [2 ** 31, 10 ** 21 + 3])
     def test_field_over_the_bound_is_refused(self, field_d):

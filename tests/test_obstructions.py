@@ -75,14 +75,6 @@ class TestObstruct:
         rep2 = obstruct(domains.ball(2), E, 40)
         assert rep2.verdict == "OBSTRUCTED"
 
-    def test_json_roundtrip_type(self):
-        from capax.obstructions import ObstructionReport
-        rep = obstruct(domains.ball(2), domains.ball(1), 10)
-        back = ObstructionReport.from_json(rep.to_json())
-        assert back.verdict == rep.verdict
-        assert back.witnesses == rep.witnesses
-        assert back.vol_from == rep.vol_from
-
 
 class TestAdmissibility:
     def test_concave_always(self, e12_triangle):

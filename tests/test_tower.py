@@ -4,26 +4,49 @@ from fractions import Fraction
 import pytest
 
 from capax import domains
-from capax.errors import NonPositiveHead, NotNef, UnknownNode, UnpairableTails
+from capax.errors import NonPositiveHead, NotNef, UnknownNode
 from capax.tower import (
-    TowerDivisor,
     F_of_n,
-    assert_surface_invariants,
+    PicBasisSurface,
     blowup,
     build_tower,
-    canonical_divisor,
-    intersect,
     k_plus_dot_A,
-    nef_test,
     p2_init,
-    polarisation_divisor,
     self_int,
     tower_dump,
     _dot,
+    _negative,
 )
 from capax.weights import TruncationLimits, convex_weights
 from conftest import random_convex_polygon
 from test_weights import phi_triangle
+
+
+def nef_test(s: PicBasisSurface, cls) -> tuple[bool, object | None]:
+    """cls pairs >= 0 with every boundary curve (they generate the curve cone)."""
+    for c in s.curves:
+        if _negative(_dot(tuple(cls), c.cls)):
+            return False, c.token
+    return True, None
+
+
+def assert_surface_invariants(s: PicBasisSurface):
+    """Cycle closes to -K, adjacent curves meet once, K^2 = 9 - n, A nef:
+    the full check that blowup's two-curve nef test stands for."""
+    total = (0,) * (s.n + 1)
+    for c in s.curves:
+        assert len(c.cls) == s.n + 1, f"curve {c.token} has a class of length {len(c.cls)}"
+        total = tuple(x + y for x, y in zip(total, c.cls))
+    assert total == tuple(-x for x in s.K)
+    assert self_int(s.K) == 9 - s.n
+    m = len(s.curves)
+    for i in range(m):
+        for j in range(i + 1, m):
+            expected = 1 if (j == i + 1 or (i == 0 and j == m - 1)) else 0
+            got = _dot(s.curves[i].cls, s.curves[j].cls)
+            assert got == expected, f"curves {s.curves[i].token},{s.curves[j].token} meet {got}x"
+    ok, bad = nef_test(s, s.A)
+    assert ok, f"A is not nef against {bad}"
 
 
 class TestP2Init:
@@ -133,21 +156,20 @@ class TestBuildTower:
 
 class TestDivisors:
     def test_k_dot_a_fig(self, fig_polygon):
-        t = convex_weights(fig_polygon)
-        assert intersect(canonical_divisor(), polarisation_divisor(t)) == -12
+        s = build_tower(convex_weights(fig_polygon)).final
+        assert _dot(s.K, s.A) == -12
 
     def test_k_dot_a_square(self, unit_square):
-        t = convex_weights(unit_square)
-        assert intersect(canonical_divisor(), polarisation_divisor(t)) == -4
+        tw = build_tower(convex_weights(unit_square))
+        assert _dot(tw.final.K, tw.final.A) == -4
+        assert tower_dump(tw)["levels"][-1]["minus_K_dot_A"] == "4"
 
     def test_bounded_self_pair(self):
-        D = TowerDivisor(base=Fraction(3),
-                         weights={0: Fraction(1), 1: Fraction(1)}, tail="zero")
-        assert intersect(D, D) == 7
-
-    def test_two_constant_tails_rejected(self):
-        with pytest.raises(UnpairableTails):
-            intersect(canonical_divisor(), canonical_divisor())
+        # 3H - e_1 - e_2: two weight-1 blowups of the plane polarised by 3H
+        s = blowup(p2_init(Fraction(3)), ("H0", "H1"), Fraction(1), token="E")
+        s = blowup(s, ("E", "H1"), Fraction(1))
+        assert s.A == (3, -1, -1)
+        assert _dot(s.A, s.A) == 7
 
     def test_k_plus_limits(self, fig_polygon, unit_square):
         for dom, expected in ((fig_polygon, 4), (unit_square, 2)):
@@ -166,13 +188,10 @@ class TestNef:
         assert nef_test(s, (0, 0)) == (True, None)
 
     def test_exact_values_compare_exactly(self):
-        # below float resolution, but negative
-        assert nef_test(p2_init(Fraction(1)), (Fraction(-1, 10**400),)) == (False, "H0")
-
-    def test_dimension_mismatch(self):
-        from capax.errors import DimensionMismatch
-        with pytest.raises(DimensionMismatch):
-            nef_test(p2_init(Fraction(1)), (1, 0))
+        # A pairs with the blown-up curves to -1/10^400: below float
+        # resolution, but negative
+        with pytest.raises(NotNef):
+            blowup(p2_init(Fraction(1)), ("H0", "H1"), 1 + Fraction(1, 10**400))
 
 
 class TestF:

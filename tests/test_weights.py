@@ -235,13 +235,14 @@ class TestBalanced:
         assert ok and not offenders
 
     def test_polygonalized_disk_offense_bounded(self):
-        r = domains.polygonalize(domains.quarter_disk(1), 64)
-        t = convex_weights(r.polygon)
+        poly, _ = domains.inner_grid_polygon(domains.quarter_disk(1), 64)
+        t = convex_weights(poly)
         ok, offenders = is_balanced(t, 0)
         assert not ok
         total = sum(sfloat(v) for _, v in offenders)
-        # every offense is a rational edge the sampler introduced
-        assert total <= r.introduced_affine_plus + math.sqrt(2.0) + 1e-9
+        # every offense is a rational edge the grid introduced
+        introduced = sfloat(domains.validate(poly).total_affine_plus)
+        assert total <= introduced + math.sqrt(2.0) + 1e-9
 
 
 class TestSerialization:
