@@ -163,6 +163,16 @@ class TestPolygonalize:
             (Fraction(0), Fraction(1)))
         assert 1 - math.sqrt(0.5) <= hb
 
+    @pytest.mark.parametrize("res,bound", [(4, 0.65), (64, 0.04)])
+    def test_quarter_disk_bounds(self, res, bound):
+        # the bound carries the 2r/M grid offset on top of the chord gaps,
+        # so it shrinks like 1/M; the circle stays within it of the chain
+        d = domains.quarter_disk(1)
+        poly, hb = domains.inner_grid_polygon(d, res)
+        assert hb <= bound
+        chain = [(float(x), float(y)) for x, y in poly.vertices[1:]]
+        assert max(_chain_distance(pt, chain) for pt in _curve_points(d, 400)) <= hb
+
     def test_superellipse_inner(self):
         poly, _ = domains.inner_grid_polygon(domains.superellipse(3, 1), 24)
         for x, y in poly.vertices:
