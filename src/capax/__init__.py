@@ -3,8 +3,8 @@
 The package exposes its submodules, not a flat namespace; import them
 directly (``from capax import capacities``):
 
-* :mod:`capax.scalars` -- exact rational / Q(sqrt d) / tolerance-tagged
-  float backends,
+* :mod:`capax.scalars` -- exact rational / Q(sqrt d) / plain float
+  backends,
 * :mod:`capax.domains` -- domain descriptors, validation, elementary
   invariants, the inner grid polygon of a curve domain,
 * :mod:`capax.weights` -- the weight-expansion recursion, deficiencies,

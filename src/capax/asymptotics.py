@@ -10,11 +10,12 @@ that is the only case in which a convergence verdict is issued.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WindowOutOfRange
+from .errors import CapaxError, WindowOutOfRange
 from .scalars import rational_parts, sfloat
 from .domains import BoundaryProfile
 from .capacities import CapacitySeries
@@ -52,6 +53,8 @@ def error_series(series: CapacitySeries, vol: float,
                  band: Band | None = None) -> ErrorSeries:
     """e_k = c_k - sqrt(4*vol*k) over the series' full range."""
     vol_f = sfloat(vol)
+    if not 4.0 * vol_f * series.kmax < math.inf:  # numpy would warn and give inf or NaN
+        raise CapaxError(f"sqrt(4 vol k) leaves the float range: vol = {vol_f!r}")
     ks = np.arange(series.kmax + 1)
     c = series.float_values()
     e = c - np.sqrt(4.0 * vol_f * ks)

@@ -31,7 +31,7 @@ from .errors import (
     PruningBoundExceeded,
     SearchSpaceEmpty,
 )
-from .scalars import (Eps, Quad, backend_of, format_ratios, format_scalar, quad_sign,
+from .scalars import (Quad, backend_of, format_ratios, format_scalar, quad_sign,
                       rational_parts, sfloat)
 from .domains import DomainDescriptor, area, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
@@ -57,7 +57,7 @@ class CapacitySeries:
 
     Rational values are one denominator `den` and a numerator array `num`
     (int64, or Python ints where int64 could overflow): c_k = num[k]/den.
-    Quad, Eps and float values have `den` None and sit in `num` as a list."""
+    Quad and float values have `den` None and sit in `num` as a list."""
 
     method: str
     num: np.ndarray | list
@@ -141,7 +141,7 @@ class CapacitySeries:
 
 def ball_capacities(a, K: int) -> CapacitySeries:
     """c_k(B(a)) = a*d with d minimal such that d(d+3)/2 >= k."""
-    return replace(union_of_balls([_as_num(a)], K, a - a), method="ball_closed_form",
+    return replace(union_of_balls([a], K, a - a), method="ball_closed_form",
                    backend=backend_of(a), source=f"ball({a})")
 
 
@@ -196,11 +196,6 @@ def square_capacities(s, K: int) -> CapacitySeries:
     out = polydisk_capacities(s, s, K)
     out.source = f"square({s})"
     return out
-
-
-def _as_num(w):
-    """Raw float for tolerance-tagged scalars (folds track slack separately)."""
-    return w.value if isinstance(w, Eps) else w
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +368,7 @@ def concave_capacity(d: DomainDescriptor, K: int,
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
     tail = sfloat(t.truncation.dropped_tail_sum)
     upper = (d_values_np(np.arange(K + 1)) * tail).tolist() if tail > 0 else None
-    return replace(union_of_balls([_as_num(w) for w in weights], K, zero - zero),
+    return replace(union_of_balls(weights, K, zero - zero),
                    upper_slack=upper, backend=t.backend, source=f"concave:{d.kind}",
                    meta={"dropped_tail_sum": tail})
 
@@ -403,9 +398,8 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
     while every candidate and the denominator stay below 2^53, so that
     cand / den rounds as int / int does; float64 for floats; Python
     objects for Quads and larger data."""
-    weights = [_as_num(w) for w in
-               sorted(tree.weight_multiset(), key=sfloat, reverse=True)]
-    den, (c, *ws) = _scaled([_as_num(tree.head)] + weights)
+    weights = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
+    den, (c, *ws) = _scaled([tree.head] + weights)
     tail, c_f = sfloat(tree.truncation.dropped_tail_sum), sfloat(tree.head)
     dt = _dtype([c] + ws, d_index(K + s_ceiling), 2**53) if (den or 1) < 2**53 else object
 
@@ -851,7 +845,7 @@ def _is_box(d: DomainDescriptor) -> tuple | None:
     profile = validate(d)
     if len(profile.chain) == 3:
         (x0, y0), (x1, y1), (x2, y2) = profile.chain
-        if x0 == 0 and y1 == y0 and x1 == x2 and y2 == 0:
+        if d.zero(x0) and d.equal(y1, y0) and d.equal(x1, x2) and d.zero(y2):
             return (x1, y0)  # width, height
     return None
 
@@ -863,7 +857,7 @@ def series_for_domain(d: DomainDescriptor, K: int,
         raise CapaxError(f"kmax must be >= 0, got {K}")
     validate(d)
     if d.kind == "ellipsoid":
-        if d.a == d.b:
+        if d.is_ball():
             return ball_capacities(d.a, K)
         return ellipsoid_capacities(d.a, d.b, K)
     if d.kind == "polygon":

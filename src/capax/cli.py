@@ -102,7 +102,10 @@ def _emit(ns, text: str):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or an infinity: not a JSON number
+        raise CapaxError(f"a result left the float range: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ def cmd_weights(ns) -> int:
             ns.eps = 1e-9
         if ns.depth is None:
             ns.depth = 512
-    if d.kind == "ellipsoid" and d.a != d.b:
+    if d.kind == "ellipsoid" and not d.is_ball():
         tree = weights.concave_weights(d, _limits(ns))  # ball decomposition
     elif d.is_convex():
         tree = weights.convex_weights(d, _limits(ns))
@@ -293,7 +296,7 @@ def _add_common(p: argparse.ArgumentParser, domain: bool = True):
     p.add_argument("--backend", default="exact",
                    help="exact | sqrt:d | float")
     p.add_argument("--eps-backend", type=float, default=1e-9,
-                   help="absolute tolerance attached to float scalars")
+                   help="the absolute tolerance of each float input coordinate")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--window", default=None, help="k0:k1 for window statistics")

@@ -29,21 +29,22 @@ from .errors import (
     NotInQuadrant,
 )
 from .scalars import (
-    Eps,
     Quad,
     _is_squarefree,
     backend_of,
     bounded,
     parse_scalar,
     primitive_direction,
-    seps,
     sfloat,
 )
 
 
 @dataclass(frozen=True)
 class DomainDescriptor:
-    """A convex or concave toric-domain region with a numeric backend."""
+    """A convex or concave toric-domain region with a numeric backend.
+
+    `eps` is the absolute tolerance of each float input coordinate; exact
+    backends ignore it.  Zeros the code makes carry none."""
 
     kind: str  # "polygon" | "ellipsoid" | "curve" | "weight_list"
     orientation: str | None = None  # "convex" | "concave" (polygons)
@@ -60,6 +61,22 @@ class DomainDescriptor:
     @property
     def field_d(self) -> int | None:
         return parse_backend(self.backend)[1]
+
+    @property
+    def tol(self):
+        """The tolerance of one input coordinate: eps for float data, 0 for exact."""
+        return abs(self.eps) if self.backend == "float" else 0
+
+    def equal(self, x, y) -> bool:
+        """Two input coordinates agree: within 2 eps for float data."""
+        return abs(x - y) <= 2 * self.tol
+
+    def zero(self, x) -> bool:
+        """An input coordinate vanishes: within eps for float data."""
+        return abs(x) <= self.tol
+
+    def is_ball(self) -> bool:
+        return self.kind == "ellipsoid" and self.equal(self.a, self.b)
 
     def is_convex(self) -> bool:
         if self.kind == "polygon":
@@ -93,6 +110,7 @@ class BoundaryProfile:
     b: object
     plus_edges: tuple[Edge, ...]
     total_affine_plus: object
+    affine_tol: float  # absolute tolerance of total_affine_plus (0 for exact data)
     backend: str
     chain: tuple | None = None  # upper-boundary polyline, (0,b) .. (a,0)
     smooth: bool = False
@@ -103,7 +121,7 @@ def polygon(vertices, orientation: str, backend: str = "exact",
     if field_d is not None:
         backend = f"sqrt:{field_d}"
     base, field_d = parse_backend(backend)
-    vs = tuple((parse_scalar(x, base, field_d, eps), parse_scalar(y, base, field_d, eps))
+    vs = tuple((parse_scalar(x, base, field_d), parse_scalar(y, base, field_d))
                for x, y in vertices)
     return DomainDescriptor(kind="polygon", orientation=orientation,
                             vertices=vs, backend=backend, eps=eps)
@@ -111,8 +129,8 @@ def polygon(vertices, orientation: str, backend: str = "exact",
 
 def ellipsoid(a, b, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
     base, field_d = parse_backend(backend)
-    a = parse_scalar(a, base, field_d, eps)
-    b = parse_scalar(b, base, field_d, eps)
+    a = parse_scalar(a, base, field_d)
+    b = parse_scalar(b, base, field_d)
     return DomainDescriptor(kind="ellipsoid", a=a, b=b, backend=backend, eps=eps)
 
 
@@ -121,7 +139,7 @@ def ball(a, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
 
 
 def square(s, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
-    s = parse_scalar(s, *parse_backend(backend), eps)
+    s = parse_scalar(s, *parse_backend(backend))
     z = s - s
     return DomainDescriptor(kind="polygon", orientation="convex",
                             vertices=((z, z), (s, z), (s, s), (z, s)),
@@ -137,13 +155,22 @@ def superellipse(p, r, eps: float = 1e-12) -> DomainDescriptor:
     p = bounded(Fraction(p))
     if p < 1:
         raise NonConvex("superellipse exponent must be >= 1")
+    r = bounded(Fraction(r))
+    if r > 0:  # the curve is evaluated through r^p in floats
+        try:
+            rp = float(r) ** float(p)
+        except OverflowError:
+            rp = math.inf
+        if not 0 < rp < math.inf:
+            raise InvalidSpec(f"superellipse r^p = {float(r)!r}^{float(p)!r} "
+                              "is not a positive finite float")
     return DomainDescriptor(kind="curve", curve="superellipse",
-                            params=(p, bounded(Fraction(r))), backend="float", eps=eps)
+                            params=(p, r), backend="float", eps=eps)
 
 
 def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
     base, field_d = parse_backend(backend)
-    par = lambda v: parse_scalar(v, base, field_d, eps)
+    par = lambda v: parse_scalar(v, base, field_d)
     return DomainDescriptor(
         kind="weight_list",
         head=None if head is None else par(head),
@@ -172,7 +199,7 @@ def parse_backend(backend: str) -> tuple[str, int | None]:
 
 def _zero_of(d: DomainDescriptor):
     if d.backend == "float":
-        return Eps(0.0, 0.0)
+        return 0.0
     if d.field_d is not None:
         return Quad.rational(0, d.field_d)
     return Fraction(0)
@@ -193,20 +220,25 @@ def _cross(o, p, q):
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
 
-def _dedupe_collinear(vs):
-    """Drop repeated vertices and interior points of straight runs."""
+def _dedupe_collinear(d: DomainDescriptor, vs):
+    """Drop repeated vertices and interior points of straight runs.  With
+    each coordinate within e of its value, a cross product of differences
+    u, v is within 2e(|u0|+|u1|+|v0|+|v1|) + 8e^2 of its own."""
+    same = lambda p, q: d.equal(p[0], q[0]) and d.equal(p[1], q[1])
     out = []
     for v in vs:
-        if out and v[0] == out[-1][0] and v[1] == out[-1][1]:
+        if out and same(v, out[-1]):
             continue
         out.append(v)
-    if len(out) > 1 and out[0][0] == out[-1][0] and out[0][1] == out[-1][1]:
+    if len(out) > 1 and same(out[0], out[-1]):
         out.pop()
-    n = len(out)
+    n, e = len(out), d.tol
     keep = []
     for i in range(n):
-        if _cross(out[i - 1], out[i], out[(i + 1) % n]) != 0:
-            keep.append(out[i])
+        o, p, q = out[i - 1], out[i], out[(i + 1) % n]
+        u0, u1, v0, v1 = p[0] - o[0], p[1] - o[1], q[0] - o[0], q[1] - o[1]
+        if abs(u0 * v1 - u1 * v0) > 2 * e * (abs(u0) + abs(u1) + abs(v0) + abs(v1)) + 8 * e * e:
+            keep.append(p)
     return keep
 
 
@@ -231,10 +263,11 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
             raise EmptyDomain("ellipsoid needs positive legs")
         zero = _zero_of(d)
         chain = ((zero, d.b), (d.a, zero))
-        prim, length, rational = primitive_direction(d.a - zero, zero - d.b)
+        prim, length, rational = primitive_direction(d.a - zero, zero - d.b, 2 * d.tol)
         edge = Edge(prim if rational else None, length if rational else zero, rational)
         return BoundaryProfile(a=d.a, b=d.b, plus_edges=(edge,),
                                total_affine_plus=edge.affine_length if rational else zero,
+                               affine_tol=d.tol / max(abs(prim[0]), 1) if rational else 0.0,
                                backend=d.backend, chain=chain)
     if d.kind == "curve":
         return _validate_curve(d)
@@ -245,11 +278,11 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
             raise NonConvex("head must dominate every weight")
         if d.head is not None:
             gap = area(d)  # (head^2 - sum w^2)/2, the domain's area
-            if not sfloat(gap) > seps(gap):
+            if not sfloat(gap) > area_tolerance(d):
                 raise EmptyDomain("weights fill the head's triangle: sum w^2 >= head^2")
         zero = _zero_of(d)
-        return BoundaryProfile(a=None, b=None, plus_edges=(),
-                               total_affine_plus=zero, backend=d.backend)
+        return BoundaryProfile(a=None, b=None, plus_edges=(), total_affine_plus=zero,
+                               affine_tol=0.0, backend=d.backend)
     raise ValueError(f"unknown domain kind {d.kind!r}")
 
 
@@ -259,9 +292,9 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
     if len(vs) < 3:
         raise EmptyDomain("polygon needs at least 3 vertices")
     for x, y in vs:
-        if sfloat(x) < -seps(x) or sfloat(y) < -seps(y):
+        if sfloat(x) < -d.tol or sfloat(y) < -d.tol:
             raise NotInQuadrant(f"vertex ({x}, {y}) leaves the positive quadrant")
-    vs = _dedupe_collinear(vs)
+    vs = _dedupe_collinear(d, vs)
     if len(vs) < 3:
         raise EmptyDomain("polygon is degenerate after normalization")
     area2 = shoelace_area(vs)
@@ -277,7 +310,7 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
     i0 = origin[0]
     vs = vs[i0:] + vs[:i0]
 
-    if vs[1][1] != 0 or vs[-1][0] != 0:
+    if not (d.zero(vs[1][1]) and d.zero(vs[-1][0])):
         # second vertex off the x-axis or last vertex off the y-axis
         raise AxisContactMissing(
             "boundary must leave the origin along the x-axis and return along the y-axis")
@@ -303,19 +336,21 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
     else:
         raise InvalidSpec(f"polygon orientation {d.orientation!r}")
 
+    # dx and dy carry 2 eps each; a length dx/n carries 2 eps/|n|
     edges = []
     zero = _zero_of(d)
-    total = zero
+    total, total_tol = zero, 0.0
     for i in range(len(chain) - 1):
         dx = chain[i + 1][0] - chain[i][0]
         dy = chain[i + 1][1] - chain[i][1]
-        prim, length, rational = primitive_direction(dx, dy)
+        prim, length, rational = primitive_direction(dx, dy, 4 * d.tol)
         edges.append(Edge(prim if rational else None,
                           length if rational else zero, rational))
         if rational:
             total = total + length
+            total_tol += 2 * d.tol / max(abs(prim[0]), 1)
     return BoundaryProfile(a=a, b=b, plus_edges=tuple(edges), total_affine_plus=total,
-                           backend=d.backend, chain=tuple(chain))
+                           affine_tol=total_tol, backend=d.backend, chain=tuple(chain))
 
 
 def _curve_geometry(d: DomainDescriptor):
@@ -354,7 +389,7 @@ def _validate_curve(d: DomainDescriptor) -> BoundaryProfile:
         raise EmptyDomain("curve radius must be positive")
     # axis extents are exact (the stored radius); only interior data is fuzzy
     return BoundaryProfile(a=r, b=r, plus_edges=(), total_affine_plus=Fraction(0),
-                           backend="float", chain=None, smooth=True)
+                           affine_tol=0.0, backend="float", chain=None, smooth=True)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +408,10 @@ def area(d: DomainDescriptor):
     if d.kind == "curve":
         if d.curve == "quarter_disk":
             (r,) = d.params
-            v = math.pi * float(r) ** 2 / 4
-            return Eps(v, d.eps * v + 4e-16 * v)
+            return math.pi * float(r) ** 2 / 4
         p, r = d.params
         pf = float(p)
-        v = float(r) ** 2 * math.gamma(1 + 1 / pf) ** 2 / math.gamma(1 + 2 / pf)
-        return Eps(v, d.eps * v + 1e-14 * v)
+        return float(r) ** 2 * math.gamma(1 + 1 / pf) ** 2 / math.gamma(1 + 2 / pf)
     if d.kind == "weight_list":
         sq = None
         for w in d.weights:
@@ -389,6 +422,29 @@ def area(d: DomainDescriptor):
             total = sq if sq is not None else Fraction(0)
         return total / 2
     raise ValueError(f"unknown domain kind {d.kind!r}")
+
+
+def area_tolerance(d: DomainDescriptor) -> float:
+    """Bound on the error of area(d) when each float input coordinate is
+    within eps of its value; 0 for exact data.  area's sums add bounds, a
+    product u*v has |u| e_v + |v| e_u + e_u e_v, and the polygon's origin
+    is exact.  A curve's area carries eps and its formula's rounding,
+    relative to the area."""
+    if d.kind == "curve":
+        v = area(d)
+        return d.tol * v + (4e-16 if d.curve == "quarter_disk" else 1e-14) * v
+    e = d.tol
+    if not e:
+        return 0.0
+    prod = lambda u, v: abs(u) * e + abs(v) * e + e * e
+    if d.kind == "polygon":  # shoelace over the chain; the terms at the origin are exact
+        chain = validate(d).chain[::-1]
+        return sum(prod(x0, y1) + prod(x1, y0)
+                   for (x0, y0), (x1, y1) in zip(chain, chain[1:])) / 2
+    if d.kind == "ellipsoid":
+        return prod(d.a, d.b) / 2
+    sq = sum(prod(w, w) for w in d.weights)
+    return (sq if d.head is None else prod(d.head, d.head) + sq) / 2
 
 
 # ---------------------------------------------------------------------------

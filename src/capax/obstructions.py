@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotComparable
-from .scalars import rational_parts, seps, sfloat
-from .domains import DomainDescriptor, area, validate
+from .scalars import rational_parts, sfloat
+from .domains import DomainDescriptor, area, area_tolerance, validate
 from .capacities import series_for_domain
 from .weights import TruncationLimits
 
@@ -124,9 +124,9 @@ def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
             if len(witnesses) >= 8:
                 break
 
-    vol_from, vol_to = area(dom_from), area(dom_to)
-    vf, vt = sfloat(vol_from), sfloat(vol_to)
-    vol_slack = seps(vol_from) + seps(vol_to) + VOL_RTOL * max(abs(vf), abs(vt), 1.0)
+    vf, vt = sfloat(area(dom_from)), sfloat(area(dom_to))
+    vol_slack = (area_tolerance(dom_from) + area_tolerance(dom_to)
+                 + VOL_RTOL * max(abs(vf), abs(vt), 1.0))
     if vf > vt + vol_slack:
         witnesses.append(Witness("volume", None, vf, vt, vol_slack))
     volumes_equal = abs(vf - vt) <= vol_slack
@@ -138,7 +138,7 @@ def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
     elif volumes_equal and adm_from and adm_to:
         lf = _total_affine_length(dom_from, prof_from)
         lt = _total_affine_length(dom_to, prof_to)
-        slack = seps(prof_from.total_affine_plus) + seps(prof_to.total_affine_plus) \
+        slack = prof_from.affine_tol + prof_to.affine_tol \
             + 1e-12 * (1 + abs(lf) + abs(lt))
         if lf < lt - slack:
             witnesses.append(Witness("affine_length", None, lf, lt, slack))

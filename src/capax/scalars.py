@@ -4,12 +4,14 @@ Three backends, one per kind of input data:
 
 * exact rationals -- plain ``fractions.Fraction`` (and ``int``),
 * exact elements of a real quadratic field Q(sqrt d) -- :class:`Quad`,
-* floats with a tracked absolute tolerance -- :class:`Eps`.
+* plain Python floats.
 
 Plain ints and Fractions are universal constants and coerce into any
-backend.  Arithmetic between two *tagged* scalars of different backends
-(two Quads over different fields, or a Quad and an Eps) raises
-:class:`~capax.errors.MixedBackend`.
+backend.  Arithmetic between a Quad and a float, or two Quads over
+different fields, raises :class:`~capax.errors.MixedBackend`.  Float
+data carry no tolerance of their own: the domain descriptor holds one
+absolute tolerance per input coordinate, and validation applies it
+where float input is compared.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class Quad:
             raise MixedBackend(f"cannot mix Q(sqrt {self._d}) with Q(sqrt {other._d})")
         if isinstance(other, (int, Fraction)):
             return self, Quad(other, 0, self._d)
-        if isinstance(other, (float, Eps)):
+        if isinstance(other, float):
             raise MixedBackend("cannot mix exact Q(sqrt d) scalars with floats")
         return None
 
@@ -209,127 +211,8 @@ class Quad:
         return format_scalar(self)
 
 
-class Eps:
-    """A float carrying an absolute tolerance.
-
-    Ordering comparisons use the raw value so sorting and heaps behave;
-    ``==`` holds within the combined tolerance of the operands.
-    """
-
-    __slots__ = ("value", "eps")
-
-    def __init__(self, value: float, eps: float = 0.0):
-        self.value = float(value)
-        self.eps = abs(float(eps))
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Eps):
-            return x
-        if isinstance(x, (int, float, Fraction)):
-            return Eps(float(x), 0.0)
-        if isinstance(x, Quad):
-            raise MixedBackend("cannot mix exact Q(sqrt d) scalars with floats")
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Eps(self.value + o.value, self.eps + o.eps)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Eps(self.value - o.value, self.eps + o.eps)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Eps(-self.value, self.eps)
-
-    def __abs__(self):
-        return Eps(abs(self.value), self.eps)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        e = abs(self.value) * o.eps + abs(o.value) * self.eps + self.eps * o.eps
-        return Eps(self.value * o.value, e)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        v = self.value / o.value
-        e = (self.eps + abs(v) * o.eps) / abs(o.value) if o.value else math.inf
-        return Eps(v, e)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return abs(self.value - o.value) <= self.eps + o.eps
-
-    def __lt__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.value < o.value
-
-    def __le__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.value <= o.value
-
-    def __gt__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.value > o.value
-
-    def __ge__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.value >= o.value
-
-    __hash__ = None  # tolerance equality is not hash-compatible
-
-    def __bool__(self) -> bool:
-        return self.value != 0.0
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Eps({self.value!r}, {self.eps!r})"
-
-    def __str__(self) -> str:
-        return repr(self.value)
-
-
 def sfloat(x) -> float:
     return float(x)
-
-
-def seps(x) -> float:
-    """Absolute tolerance carried by x (0 for exact backends)."""
-    return x.eps if isinstance(x, Eps) else 0.0
 
 
 def is_exact(x) -> bool:
@@ -339,7 +222,7 @@ def is_exact(x) -> bool:
 def backend_of(x) -> str:
     if isinstance(x, Quad):
         return f"sqrt:{x.d}"
-    if isinstance(x, (Eps, float)):
+    if isinstance(x, float):
         return "float"
     return "exact"
 
@@ -369,16 +252,17 @@ _FLOAT_SLOPE_QMAX = 10_000
 _FLOAT_SLOPE_RTOL = 1e-9
 
 
-def primitive_direction(dx, dy):
+def primitive_direction(dx, dy, tol):
     """Classify an edge vector (dx, dy).
 
     Returns ``(prim, length, rational)`` where ``prim`` is a primitive
     integer vector with (dx, dy) = length * prim and ``length`` the affine
     length, or ``(None, zero, False)`` when no positive real multiple of
-    (dx, dy) is an integer vector.
+    (dx, dy) is an integer vector.  ``tol``, the summed absolute tolerance
+    of dx and dy, is read for float data only.
     """
-    if isinstance(dx, (Eps, float)) or isinstance(dy, (Eps, float)):
-        return _primitive_float(Eps._lift(dx), Eps._lift(dy))
+    if isinstance(dx, float) or isinstance(dy, float):
+        return _primitive_float(dx, dy, tol)
     if isinstance(dx, Quad) or isinstance(dy, Quad):
         return _primitive_quad(dx, dy)
     return _primitive_rational(Fraction(dx), Fraction(dy))
@@ -417,26 +301,26 @@ def _primitive_quad(dx, dy):
     return (n, m), t, True
 
 
-def _primitive_float(dx: Eps, dy: Eps):
-    tol = dx.eps + dy.eps + 1e-12 * (1 + abs(dx.value) + abs(dy.value))
-    if abs(dx.value) <= tol and abs(dy.value) <= tol:
-        raise DegenerateEdge(f"edge vector ({dx.value!r}, {dy.value!r}) is zero within "
+def _primitive_float(dx: float, dy: float, tol: float):
+    tol = tol + 1e-12 * (1 + abs(dx) + abs(dy))
+    if abs(dx) <= tol and abs(dy) <= tol:
+        raise DegenerateEdge(f"edge vector ({dx!r}, {dy!r}) is zero within "
                              f"the float tolerance {tol:.3g}")
-    if abs(dx.value) <= tol:
-        prim = (0, 1 if dy.value > 0 else -1)
+    if abs(dx) <= tol:
+        prim = (0, 1 if dy > 0 else -1)
         return prim, abs(dy), True
-    if abs(dy.value) <= tol:
-        prim = (1 if dx.value > 0 else -1, 0)
+    if abs(dy) <= tol:
+        prim = (1 if dx > 0 else -1, 0)
         return prim, abs(dx), True
-    s = dy.value / dx.value
+    s = dy / dx
     cand = Fraction(s).limit_denominator(_FLOAT_SLOPE_QMAX)
-    if abs(s - float(cand)) <= max(tol / abs(dx.value), _FLOAT_SLOPE_RTOL * (1 + abs(s))):
+    if abs(s - float(cand)) <= max(tol / abs(dx), _FLOAT_SLOPE_RTOL * (1 + abs(s))):
         n, m = cand.denominator, cand.numerator
         t = dx / n
-        if t.value < 0:
+        if t < 0:
             n, m, t = -n, -m, -t
         return (n, m), t, True
-    return None, Eps(0.0, tol), False
+    return None, 0.0, False
 
 
 _QUAD_RE = re.compile(
@@ -445,24 +329,22 @@ _QUAD_RE = re.compile(
 )
 
 
-def parse_scalar(text, backend: str = "exact", field_d: int | None = None,
-                 eps: float = 0.0):
+def parse_scalar(text, backend: str = "exact", field_d: int | None = None):
     """Parse "p/q" or "p/q+r/s*sqrt" per the JSON conventions.
 
-    In the float backend every number carries the tolerance `eps`, the
-    JSON integers too.  A value out of range for `bounded` raises
-    InvalidSpec."""
-    if isinstance(text, (Quad, Eps)):
+    The float backend gives a float for every number, the JSON integers
+    too.  A value out of range for `bounded` raises InvalidSpec."""
+    if isinstance(text, Quad):
         return text
     if isinstance(text, (int, Fraction, float)):
         if backend == "float":
-            return Eps(bounded(float(text)), eps)
+            return bounded(float(text))
         if isinstance(text, float):
             raise MixedBackend(f"float literal {text!r} in {backend} backend")
         return bounded(text)
     s = str(text).strip()
     if backend == "float":
-        return Eps(bounded(float(Fraction(s)) if "/" in s else float(s)), eps)
+        return bounded(float(Fraction(s)) if "/" in s else float(s))
     if "sqrt" in s:
         if field_d is None:
             raise ValueError(f"scalar {s!r} needs a field_d")
@@ -499,8 +381,6 @@ def format_scalar(x) -> str:
         head = f"{x.p}" if x.p else ""
         sgn = "-" if x.q < 0 else ("+" if head else "")
         return f"{head}{sgn}{abs(x.q)}*sqrt"
-    if isinstance(x, Eps):
-        return repr(x.value)
     if isinstance(x, float):
         return repr(float(x))  # collapse numpy scalars
     return str(Fraction(x))

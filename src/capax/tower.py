@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonPositiveHead, NotNef, UnknownNode
-from .scalars import format_scalar, is_exact, seps, sfloat
+from .errors import NonConvex, NonPositiveHead, NotNef, UnknownNode
+from .scalars import format_scalar, is_exact, sfloat
 from .weights import WeightTree, linearize
 
 AXIS_TOKENS = ("H1", "H2")
@@ -55,8 +55,8 @@ def self_int(v: tuple):
 
 
 def _negative(v) -> bool:
-    """v < 0: exactly for exact scalars, beyond the tolerance for floats."""
-    return v < 0 if is_exact(v) else sfloat(v) < -seps(v) - 1e-12
+    """v < 0: exactly for exact scalars, below -1e-12 for floats."""
+    return v < 0 if is_exact(v) else v < -1e-12
 
 
 def p2_init(c) -> PicBasisSurface:
@@ -82,7 +82,7 @@ def blowup(s: PicBasisSurface, node, a, token=None) -> PicBasisSurface:
     i1, i2 = (tokens.index(t) if t in tokens else None for t in node)
     if None in (i1, i2) or ((i1 + 1) % m != i2 and (i2 + 1) % m != i1):
         raise UnknownNode(f"no boundary node between curves {set(node)}")
-    if sfloat(a) < -seps(a):
+    if sfloat(a) < 0:
         raise ValueError("blowup weight must be nonnegative")
     n = s.n + 1
     curves = [BoundaryCurve(c.token, c.cls + ((-1,) if i in (i1, i2) else (0,)))
@@ -126,8 +126,9 @@ def build_tower(t: WeightTree) -> Tower:
     surfaces = [s]
     for nid in order:
         node = t.nodes[nid]
-        if node.corner is None:
-            raise UnknownNode(f"node {nid} carries no corner annotation")
+        if node.corner is None:  # only a weight list's nodes lack one
+            raise NonConvex("a weight list has no tower: tower and --oracle take "
+                            "polygons and ellipsoids")
         s = blowup(s, node.corner, node.weight, token=nid)
         surfaces.append(s)
     return Tower(surfaces=surfaces, tree=t, order=order)

@@ -24,19 +24,18 @@ Every backend runs the same exact recursion.  A float coordinate enters
 as the rational it stands for: the one of denominator at most 2^26 that
 rounds to it, else its own dyadic value.  So contacts are decided
 exactly, a dropped piece is charged its exact a + b - ell, and the
-finished tree's scalars are rounded back to floats once.  Tolerance tags
-are read where slopes are recognised (``validate``), not here.
+finished tree's scalars are rounded back to plain floats once.  The input
+tolerance is read where float input is compared (``validate``), not here.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BackendOverflow, NonConvex
-from .scalars import Eps, format_scalar, is_exact, primitive_direction, seps, sfloat
+from .scalars import format_scalar, primitive_direction, sfloat
 from .domains import DomainDescriptor, shoelace_area, validate
 
 INF_NODE = "inf"  # key for the extended node in deficiency maps
@@ -116,7 +115,7 @@ def _piece_ell_plus(graph):
     for i in range(len(graph) - 1):
         dx = graph[i + 1][0] - graph[i][0]
         dy = graph[i + 1][1] - graph[i][1]
-        _, length, rational = primitive_direction(dx, dy)
+        _, length, rational = primitive_direction(dx, dy, 0)
         if rational:
             total = total + length
     return total
@@ -233,7 +232,7 @@ def _weights(d: DomainDescriptor, limits: TruncationLimits | None, convex: bool)
         raise BackendOverflow(
             "weight recursion: exact coordinates outgrew the float range; "
             "set truncation limits for irrational data") from exc
-    out = (lambda v: Eps(float(v))) if float_data else (lambda v: v)  # float data rounds once
+    out = float if float_data else (lambda v: v)  # float data rounds once
     tree = WeightTree(
         head=None if head is None else out(head), head_introduced=out(head_introduced),
         roots=tuple(rec.children[None]),
@@ -263,39 +262,11 @@ def convex_weights(d: DomainDescriptor, limits: TruncationLimits | None = None) 
 # linearization, deficiencies, balance
 # ---------------------------------------------------------------------------
 
-class _HeapKey:
-    """Orders by weight descending (exact comparisons), then id ascending."""
-
-    __slots__ = ("weight", "id")
-
-    def __init__(self, weight, node_id):
-        self.weight = weight
-        self.id = node_id
-
-    def __lt__(self, other):
-        if self.weight == other.weight:
-            return self.id < other.id
-        return sfloat(self.weight) > sfloat(other.weight) if isinstance(self.weight, Eps) \
-            else self.weight > other.weight
-
-
 def linearize(t: WeightTree) -> list[int]:
-    """Greedy ancestors-first extraction by weight, ties broken by node id."""
-    heap = [_HeapKey(t.nodes[r].weight, r) for r in t.roots]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        key = heapq.heappop(heap)
-        out.append(key.id)
-        for ch in t.nodes[key.id].children:
-            heapq.heappush(heap, _HeapKey(t.nodes[ch].weight, ch))
-    prev = None
-    for i in out:
-        w = t.nodes[i].weight
-        if prev is not None and sfloat(w) > sfloat(prev) + seps(w):
-            raise AssertionError("linearization is not weight-monotone")
-        prev = w
-    return out
+    """Node ids by weight, descending, ties broken by id.  A child never
+    outweighs its parent and has a larger id, so this is the greedy
+    ancestors-first order."""
+    return sorted(t.nodes, key=lambda i: (-t.nodes[i].weight, i))
 
 
 def deficiencies(t: WeightTree) -> dict:
@@ -306,10 +277,8 @@ def deficiencies(t: WeightTree) -> dict:
 
 
 def is_balanced(t: WeightTree, tol=0) -> tuple[bool, list]:
-    """True iff every deficiency (including the extended node) is <= tol.
-    Exact deficiencies compare exactly, float ones within their tags."""
-    offenders = [(key, val) for key, val in deficiencies(t).items()
-                 if (val > tol if is_exact(val) else sfloat(val) > sfloat(tol) + seps(val))]
+    """True iff every deficiency (including the extended node) is <= tol."""
+    offenders = [(key, val) for key, val in deficiencies(t).items() if val > tol]
     offenders.sort(key=lambda kv: -sfloat(kv[1]))
     return (not offenders), offenders
 

@@ -142,6 +142,15 @@ class TestClosedForms:
             lattice = sorted(a * m + b * n for m, n in grid)[: K + 1]
             assert ellipsoid_capacities(a, b, K).values == pytest.approx(lattice, rel=1e-15)
 
+    def test_float_golden_ellipsoid_is_sorted(self):
+        # float legs compare exactly in the heap; sums within the input
+        # tolerance of each other used to come out of it in the wrong order
+        d = domains.ellipsoid(1.0, PHI, backend="float", eps=1e-3)
+        got = series_for_domain(d, 1000).float_values()
+        assert np.all(np.diff(got) >= 0)
+        lattice = sorted(m + n * PHI for m in range(100) for n in range(100))[:1001]
+        assert np.max(np.abs(got - lattice)) <= 1e-12
+
     def test_d_values_np_matches_d_index(self):
         ks = np.arange(2 * 10**5 + 1)
         assert d_values_np(ks).tolist() == [d_index(k) for k in range(2 * 10**5 + 1)]
@@ -823,6 +832,17 @@ class TestProperties:
         assert series_for_domain(fig_polygon, 5).method == "decomposition"
         assert series_for_domain(e12_triangle, 5).values == \
             ellipsoid_capacities(Fraction(1), Fraction(2), 5).values
+
+    def test_float_dispatch_reads_the_input_tolerance(self):
+        # legs or sides within 2 eps of each other are equal, a corner within
+        # eps of an axis lies on it
+        near_ball = lambda eps: domains.ellipsoid(1.0, 1.0 + 1e-10, backend="float", eps=eps)
+        assert series_for_domain(near_ball(1e-9), 5).method == "ball_closed_form"
+        assert series_for_domain(near_ball(1e-11), 5).method == "ellipsoid_closed_form"
+        near_box = lambda eps: domains.polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0 + 1e-10),
+                                                (0.0, 1.0)], "convex", backend="float", eps=eps)
+        assert series_for_domain(near_box(1e-9), 5).method == "polydisk_closed_form"
+        assert series_for_domain(near_box(1e-11), 5).method == "decomposition"
 
     def test_curve_series_brackets_disk(self):
         # the curve route's bracket, from a coarse grid polygon, and a finer

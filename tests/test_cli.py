@@ -196,8 +196,20 @@ class TestInputBoundary:
         (["errors", "--domain", "ellipsoid:1e200,1e200"], "out of range"),
         (["tower", "--domain", "quarter_disk:1"],
          "tower and --oracle take polygons and ellipsoids, not curve domains"),
+        (["tower", "--domain", "weights:3;1,1"], "a weight list has no tower"),
+        (["capacities", "--domain", "weights:3;1,1", "--oracle"], "a weight list has no tower"),
+        (["capacities", "--domain", "superellipse:2000,2", "--kmax", "3"],
+         "not a positive finite float"),
+        (["capacities", "--domain", "superellipse:2000,0.5", "--kmax", "3"],
+         "not a positive finite float"),
+        (["errors", "--domain", "ball:1e300", "--backend", "float", "--kmax", "3"],
+         "float range"),
+        (["obstruct", "--from", "ball:1e300", "--to", "ball:1", "--backend", "float",
+          "--kmax", "3"], "float range"),
     ], ids=["window-not-a-number", "window-one-number", "out-in-missing-dir",
-            "bounds-of-weight-list", "huge-ellipsoid", "tower-of-a-curve"])
+            "bounds-of-weight-list", "huge-ellipsoid", "tower-of-a-curve",
+            "tower-of-a-weight-list", "oracle-of-a-weight-list", "superellipse-overflow",
+            "superellipse-underflow", "errors-past-float-range", "obstruct-infinite-volume"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
         argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
         code = main(argv)

@@ -62,7 +62,7 @@ class TestValidate:
                 [(0, 0), (1, 0), (1, 1), (0, 1)], "concave"))
 
     def test_weights_must_leave_area(self):
-        # head^2 - sum w^2 is twice the area; floats judge it within their tags
+        # head^2 - sum w^2 is twice the area; floats judge it beyond the area tolerance
         for ws in (["2", "2", "2"], ["2", "2", "1"], ["1"] * 9):
             with pytest.raises(EmptyDomain):
                 domains.validate(domains.weight_list("3", ws))
@@ -73,6 +73,42 @@ class TestValidate:
         with pytest.raises(EmptyDomain):
             domains.validate(domains.weight_list("3", near, "float", 1e-2))
         domains.validate(domains.weight_list("3", near, "float", 1e-9))
+
+    def test_float_input_tolerance(self):
+        # each float input coordinate carries eps: equal within 2 eps, zero
+        # within eps, a vertex below -eps leaves the quadrant
+        def check(vs, eps, orientation="convex"):
+            return domains.validate(domains.polygon(vs, orientation, backend="float", eps=eps))
+
+        below = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.5), (-1e-10, 2.0)]
+        check(below, 1e-9)
+        with pytest.raises(NotInQuadrant):
+            check(below, 1e-11)
+        off_axis = [(0.0, 0.0), (2.0, 5e-10), (1.0, 1.5), (0.0, 2.0)]
+        assert check(off_axis, 1e-9).a == 2.0
+        with pytest.raises(AxisContactMissing):
+            check(off_axis, 1e-10)
+        repeated = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (2.0 + 1e-10, 1.0), (0.0, 2.0)]
+        assert len(check(repeated, 1e-9).chain) == 3
+        with pytest.raises(NonConvex):
+            check(repeated, 0.0)
+        # (1.5, 1.5 + 1e-10) is on the segment (2, 1)-(1, 2) within the
+        # cross-product bound
+        bent = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.5, 1.5 + 1e-10), (1.0, 2.0), (0.0, 2.0)]
+        assert len(check(bent, 1e-9).chain) == 4
+        assert len(check(bent, 1e-12).chain) == 5
+
+    def test_float_affine_length_tolerance(self):
+        # a rational edge's length dx/n carries 2 eps/|n|, an axis-parallel
+        # one 2 eps; exact data carry none
+        e = 2.0 ** -30
+        fig = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (2.0, 3.0), (0.0, 4.0)]
+        p = domains.validate(domains.polygon(fig, "convex", backend="float", eps=e))
+        assert p.total_affine_plus == 4.0 and p.affine_tol == e + 2 * e + 2 * e
+        ell = domains.ellipsoid(1.0, 2.0, backend="float", eps=e)
+        assert domains.validate(ell).affine_tol == e
+        exact = [(int(x), int(y)) for x, y in fig]
+        assert domains.validate(domains.polygon(exact, "convex")).affine_tol == 0
 
     def test_mixed_backend_rejected(self):
         from capax.errors import MixedBackend
@@ -93,6 +129,12 @@ class TestArea:
 
     def test_quarter_disk(self):
         assert sfloat(domains.area(domains.quarter_disk(1))) == pytest.approx(math.pi / 4)
+
+    @pytest.mark.parametrize("p, r", [(2000, 2), (2000, Fraction(1, 2))])
+    def test_superellipse_needs_a_finite_positive_power(self, p, r):
+        # 2^2000 overflows a float, 0.5^2000 underflows to 0
+        with pytest.raises(InvalidSpec, match="positive finite float"):
+            domains.superellipse(p, r)
 
     def test_superellipse_p2_matches_disk(self):
         a = domains.area(domains.superellipse(2, 1))

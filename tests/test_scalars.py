@@ -5,7 +5,6 @@ import pytest
 
 from capax.errors import MixedBackend
 from capax.scalars import (
-    Eps,
     Quad,
     format_scalar,
     fraction_gcd,
@@ -49,19 +48,11 @@ def test_quad_requires_squarefree():
         Quad(1, 1, 12)
 
 
-def test_eps_propagation():
-    a = Eps(2.0, 1e-6)
-    b = Eps(3.0, 1e-6)
-    assert (a + b).eps == pytest.approx(2e-6)
-    assert (a * b).eps == pytest.approx(3e-6 + 2e-6, rel=1e-3)
-    assert a == Eps(2.0 + 5e-7, 0.0)  # within combined tolerance
-    assert a != Eps(2.1, 0.0)
-    assert a < b and b > a
-
-
-def test_eps_rejects_quad():
+def test_float_rejects_quad():
     with pytest.raises(MixedBackend):
-        Eps(1.0) + Quad(1, 1, 2)
+        1.0 + Quad(1, 1, 2)
+    with pytest.raises(MixedBackend):
+        Quad(1, 1, 2) * 2.0
 
 
 @pytest.mark.parametrize(
@@ -74,27 +65,31 @@ def test_eps_rejects_quad():
     ],
 )
 def test_primitive_direction_rational(dx, dy, prim, length):
-    p, ln, rational = primitive_direction(dx, dy)
+    p, ln, rational = primitive_direction(dx, dy, 0)
     assert rational and p == prim and ln == length
 
 
 def test_primitive_direction_quad():
     s2 = Quad(0, 1, 2)
     # (-1, 1) * sqrt2: rational slope, irrational affine length
-    p, ln, rational = primitive_direction(-s2, s2)
+    p, ln, rational = primitive_direction(-s2, s2, 0)
     assert rational and p == (-1, 1) and ln == s2
     # slope -phi: irrational
     phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
-    p, ln, rational = primitive_direction(Quad(-1, 0, 5), phi)
+    p, ln, rational = primitive_direction(Quad(-1, 0, 5), phi, 0)
     assert not rational and ln == Quad(0, 0, 5)
 
 
 def test_primitive_direction_float_heuristic():
-    p, ln, rational = primitive_direction(Eps(-2.0, 0.0), Eps(1.0, 0.0))
-    assert rational and p == (-2, 1) and float(ln) == pytest.approx(1.0)
+    p, ln, rational = primitive_direction(-2.0, 1.0, 0.0)
+    assert rational and p == (-2, 1) and ln == 1.0
     phi = (1 + math.sqrt(5)) / 2
-    _, _, rational = primitive_direction(Eps(-1.0, 0.0), Eps(phi, 0.0))
+    _, _, rational = primitive_direction(-1.0, phi, 0.0)
     assert not rational
+    # the summed tolerance of dx and dy widens the slope test
+    assert not primitive_direction(-1.0, 1.0 + 1e-7, 0.0)[2]
+    p, ln, rational = primitive_direction(-1.0, 1.0 + 1e-7, 4e-7)
+    assert rational and p == (-1, 1) and ln == 1.0
 
 
 def test_fraction_gcd():
@@ -111,5 +106,5 @@ def test_parse_format_roundtrip():
     neg = parse_scalar("-1/2*sqrt", field_d=2)
     assert neg == Quad(0, Fraction(-1, 2), 2)
     assert parse_scalar(format_scalar(neg), field_d=2) == neg
-    e = parse_scalar("1.5", backend="float", eps=1e-9)
-    assert isinstance(e, Eps) and e.value == 1.5
+    e = parse_scalar("1.5", backend="float")
+    assert type(e) is float and e == 1.5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from capax import domains
 from capax.errors import BackendOverflow, DegenerateEdge
-from capax.scalars import Eps, Quad, _primitive_float, sfloat
+from capax.scalars import Quad, _primitive_float, sfloat
 from capax.weights import (
     INF_NODE,
     _piece_ell_plus,
@@ -167,6 +167,44 @@ class TestConvex:
 
 
 class TestLinearize:
+    """linearize sorts by weight, descending, ties by id: on every kind of
+    tree that is an ancestors-first order."""
+
+    @staticmethod
+    def check(t):
+        order = linearize(t)
+        assert sorted(order) == sorted(t.nodes)
+        pos = {i: rank for rank, i in enumerate(order)}
+        assert all(pos[n.parent] < pos[n.id] for n in t.nodes.values() if n.parent is not None)
+        for i, j in zip(order, order[1:]):
+            wi, wj = t.nodes[i].weight, t.nodes[j].weight
+            assert wi > wj or (wi == wj and i < j)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           legs=st.tuples(*[st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))] * 2))
+    def test_exact_trees(self, seed, legs):
+        self.check(convex_weights(random_convex_polygon(random.Random(seed))))
+        a, b = legs
+        self.check(concave_weights(domains.polygon([(0, 0), (a, 0), (0, b)], "concave")))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(eps=st.sampled_from([1e-2, 1e-4, 1e-6]),
+           orientation=st.sampled_from(["convex", "concave"]))
+    def test_truncated_golden_triangle(self, eps, orientation):
+        fn = convex_weights if orientation == "convex" else concave_weights
+        self.check(fn(phi_triangle(orientation), TruncationLimits(eps=eps)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([1e-3, 1e-6]))
+    def test_float_trees(self, seed, eps):
+        d = random_convex_polygon(random.Random(seed))
+        vs = [(float(x) * math.sqrt(2), float(y)) for x, y in d.vertices]
+        t = convex_weights(domains.polygon(vs, "convex", backend="float"),
+                           TruncationLimits(eps=eps))
+        assert all(type(n.weight) is float for n in t.nodes.values())
+        self.check(t)
+
     def test_weights_nonincreasing_and_ancestors_first(self, fig_polygon):
         t = convex_weights(fig_polygon)
         order = linearize(t)
@@ -294,7 +332,7 @@ class TestFloatBackend:
     @pytest.mark.parametrize("z", [0, "0"])
     def test_absorbed_sliver_enters_the_tail(self, z):
         # the recursion runs on the dyadic triangle the floats stand for, so
-        # the vertex tags do not enter it: the golden powers go on down to
+        # the input tolerance does not enter it: the golden powers go on down to
         # eps, and the one piece below it is the tail
         phi = 1.618033988749895
         trees = [convex_weights(domains.polygon([(z, z), (1, z), (z, phi)], "convex",
@@ -312,7 +350,7 @@ class TestFloatBackend:
     def test_head_contact_sliver_enters_the_tail(self):
         # (0, 3) lies 1e-10 below the head line: the contact is exact, so the
         # corner piece is a piece of its own, whose weights fall below eps.
-        # Its exact a + b - ell is the tail, with or without the 1e-9 tags,
+        # Its exact a + b - ell is the tail, with or without the 1e-9 tolerance,
         # and it is the exact tree's tail on the rationals the floats stand for
         verts = [(0, 0), (2, 0), (1.5, 1.5 + 1e-10), (0, 3)]
         limits = TruncationLimits(eps=1e-6)
@@ -334,7 +372,7 @@ class TestFloatBackend:
 class TestZeroEdge:
     def test_float_zero_vector(self):
         with pytest.raises(DegenerateEdge, match="zero within the float tolerance"):
-            _primitive_float(Eps(1e-13, 1e-12), Eps(0.0, 1e-12))
+            _primitive_float(1e-13, 0.0, 2e-12)
 
     def test_piece_with_a_repeated_vertex(self):
         graph = [(Fraction(0), Fraction(2)), (Fraction(1), Fraction(1)),
