@@ -33,7 +33,7 @@ from .errors import (
 )
 from .scalars import (Quad, backend_of, format_ratios, format_scalar, quad_sign,
                       rational_parts, sfloat)
-from .domains import DomainDescriptor, area, validate
+from .domains import DomainDescriptor, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
 from .tower import PicBasisSurface, Tower, _dot, k_plus_dot_A
@@ -410,17 +410,17 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
     def cand(t, s):
         return c * (t.astype(object) if dt is object else t) - M[s]
 
-    def to_f(x):
+    def floats(x):
         return (x / den if den not in (None, 1) else x).astype(float)
 
     # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
     # candidate at index u and is smallest at t_star, so
     # lb(max(s+1, t_star)) bounds every candidate beyond s
-    def clears(k, t_star, s, cand_f, best_f):
-        b = np.where(cand_f < best_f, cand_f, best_f)
+    def clears(k, t_star, s, cand_f, fbest):
+        b = np.where(cand_f < fbest, cand_f, fbest)
         u = np.where(s + 1 >= t_star, s + 1, t_star)
         floor = c_f * (np.sqrt(2 * (k + u)) - 1.5) - np.sqrt(4 * v * u) - w
-        return floor >= b + 1e-9 * (1 + np.abs(b))
+        return floor >= b + 1e-9 * np.abs(b)  # b > 0 for every k >= 1
 
     M, ds = table(64)
     k = np.arange(1, K + 1)
@@ -428,7 +428,7 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
     t_star = 2 * v * k / max(c_f * c_f - 2 * v, 1e-300) if v > 0 else np.zeros(K)
     s0 = np.zeros(K, np.int64)  # the test fails at every index of the level below s0
     best, has = np.full(K, c - c, dt), np.zeros(K, bool)  # has: best is a candidate
-    best_f, best_lo = np.full(K, math.inf), np.full(K, math.inf)
+    fbest, best_lo = np.full(K, math.inf), np.full(K, math.inf)
     a = np.arange(K)  # the rows still scanning, in increasing k
     failed = None  # the smallest row that reached s_ceiling
     while a.size:
@@ -436,21 +436,21 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
         s1 = t[a] * (t[a] + 3) // 2 - k[a]  # the level d(k+s) = t ends at s1
         p = np.minimum(s1, end)
         cp = cand(t[a], p)
-        cf = to_f(cp)
-        stop = clears(k[a], t_star[a], p, cf, best_f[a])
+        cf = floats(cp)
+        stop = clears(k[a], t_star[a], p, cf, fbest[a])
         i = np.flatnonzero(stop)
         if i.size:  # bisect the stopping levels together
             lo, hi = s0[a[i]], p[i]
             while (j := np.flatnonzero(lo < hi)).size:
                 ij, mid = a[i[j]], (lo[j] + hi[j]) // 2
-                ok = clears(k[ij], t_star[ij], mid, to_f(cand(t[ij], mid)), best_f[ij])
+                ok = clears(k[ij], t_star[ij], mid, floats(cand(t[ij], mid)), fbest[ij])
                 hi[j] = np.where(ok, mid, hi[j])
                 lo[j] = np.where(ok, lo[j], mid + 1)
             p[i] = lo
             cp[i] = cand(t[a[i]], lo)
-            cf[i] = to_f(cp[i])
+            cf[i] = floats(cp[i])
         upd = ~has[a] | (cp < best[a])
-        best[a[upd]], best_f[a[upd]], has[a] = cp[upd], cf[upd], True
+        best[a[upd]], fbest[a[upd]], has[a] = cp[upd], cf[upd], True
         short = ~stop & (p < s1)  # the table ends inside the level: grow it
         x = cf - ds[p] * tail
         low = ~short & (x < best_lo[a])
@@ -471,7 +471,7 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
     return CapacitySeries(
         method="decomposition",
         num=[tree.head - tree.head] + best.tolist() if den is None else np.append(0, best),
-        den=den, lower_slack=[0.0] + (best_f - best_lo).tolist())
+        den=den, lower_slack=[0.0] + (fbest - best_lo).tolist())
 
 
 def convex_capacity(d: DomainDescriptor, K: int,
@@ -479,50 +479,39 @@ def convex_capacity(d: DomainDescriptor, K: int,
                     tree: WeightTree | None = None) -> CapacitySeries:
     """Capacities of a convex domain from its weight expansion."""
     t = tree if tree is not None else convex_weights(d, limits)
-    if d.kind == "weight_list":
-        w_total = sfloat(sum_scalars(t.weight_multiset())) + sfloat(t.truncation.dropped_tail_sum)
-        sq = sum((sfloat(w) ** 2 for w in t.weight_multiset()), 0.0)
-        vol23 = (sq + sfloat(t.truncation.dropped_tail_sq)) / 2.0
-    else:
-        profile = validate(d)
-        ell = sfloat(profile.total_affine_plus)
-        w_total = 3 * sfloat(t.head) - (sfloat(profile.a) + sfloat(profile.b) + ell)
-        # rounding can take the zero gap of a triangle below zero
-        vol23 = max(sfloat(t.head) ** 2 / 2.0 - sfloat(area(d)), 0.0)
-    return replace(_convex_scan(t, vol23, w_total, K), upper_slack=[0.0] * (K + 1),
+    ws, trunc = t.weight_multiset(), t.truncation
+    # the full weight sum w and v = c^2/2 - area, the area between the domain
+    # and its circumscribed triangle: by the expansion's length and area
+    # identities, the weights and the dropped tail give both
+    w = sfloat(sum(ws, t.head - t.head)) + sfloat(trunc.dropped_tail_sum)
+    v = (sum((sfloat(x) ** 2 for x in ws), 0.0) + sfloat(trunc.dropped_tail_sq)) / 2.0
+    return replace(_convex_scan(t, v, w, K), upper_slack=[0.0] * (K + 1),
                    backend=t.backend, source=f"convex:{d.kind}",
-                   meta={"head": sfloat(t.head),
-                         "dropped_tail_sum": sfloat(t.truncation.dropped_tail_sum)})
-
-
-def sum_scalars(xs):
-    out = None
-    for x in xs:
-        out = x if out is None else out + x
-    return out if out is not None else Fraction(0)
+                   meta={"head": sfloat(t.head), "dropped_tail_sum": sfloat(trunc.dropped_tail_sum)})
 
 
 # ---------------------------------------------------------------------------
 # nef enumeration on a tower surface
 # ---------------------------------------------------------------------------
 
-def _simplex_max(c: list, rows: list, rhs: list) -> float:
+def _simplex_max(c: list, rows: list, rhs: list):
     """max c.x subject to rows.x <= rhs and x >= 0, for integer rows and
     rhs >= 0, so the slack basis is feasible and there is no phase 1.
 
-    The constraint tableau stays exact (ints and Fractions); the objective
-    row is float.  Bland's rule (the lowest entering index, ratio ties to
-    the lowest basic index) keeps the degenerate rhs-0 rows from cycling."""
+    The tableau stays exact: ints and Fractions in the constraint rows, the
+    objective data's own exact type (Fractions or Quads) in the objective
+    row, so the maximum is exact.  Bland's rule (the lowest entering index,
+    ratio ties to the lowest basic index) keeps the degenerate rhs-0 rows
+    from cycling."""
     m, n = len(rows), len(c)
     T = [list(r) + [int(i == j) for j in range(m)] + [b]
          for i, (r, b) in enumerate(zip(rows, rhs))]
-    z = [-x for x in c] + [0.0] * (m + 1)  # reduced costs; z[-1] is the objective
+    z = [-x for x in c] + [0] * (m + 1)  # reduced costs; z[-1] is the objective
     basis = list(range(n, n + m))
-    tol = 1e-12 * (1.0 + max(map(abs, c), default=0.0))
     while True:
-        col = next((j for j in range(n + m) if z[j] < -tol), None)
+        col = next((j for j in range(n + m) if z[j] < 0), None)
         if col is None:
-            return math.fsum(c[b] * float(T[i][-1]) for i, b in enumerate(basis) if b < n)
+            return z[-1]
         r = min((i for i in range(m) if T[i][col] > 0), default=None,
                 key=lambda i: (Fraction(T[i][-1]) / T[i][col], basis[i]))
         if r is None:
@@ -538,24 +527,23 @@ def _simplex_max(c: list, rows: list, rhs: list) -> float:
                     Ti[j] -= f * row[j]
         f = z[col]
         for j in nz:
-            z[j] -= f * float(row[j])
+            z[j] -= f * row[j]
         basis[r] = col
 
 
-def _nef_floor(classes: list, A: tuple) -> float:
-    """min{D.A : D nef, D.H = 1} > 0; the enumeration's per-degree floor.
+def _nef_floor(classes: list, a: list):
+    """min{D.A : D nef, D.H = 1}, exactly; the enumeration's per-degree floor.
 
     D = H - sum m_i e_i is nef when every boundary curve C (padded class
     in `classes`) has D.C >= 0, i.e. sum_i -C_i m_i <= C_0 (an e-curve
-    supplies, its owners consume), so the floor is A_0 - max sum a_i m_i
-    with a_i = -A_i >= 0."""
+    supplies, its owners consume), so the floor is a_0 - max sum a_i m_i
+    for the objective data a = (A_0, -A_1, ..., -A_n)."""
     rows, rhs = [], []
     for cls in classes:
         if any(cls[1:]):
             rows.append([-x for x in cls[1:]])
             rhs.append(cls[0])
-    a = [-sfloat(x) for x in A[1:]]
-    return max(sfloat(A[0]) - _simplex_max(a, rows, rhs), 0.0)
+    return max(a[0] - _simplex_max(a[1:], rows, rhs), 0)
 
 
 def dkn_upper_data(a2: float, minus_k_dot_a: float, f_value: float,
@@ -577,14 +565,17 @@ def _bound_pairings(s: PicBasisSurface) -> tuple:
 class _EnumContext:
     """Static structure shared by every degree pass on one surface.
 
-    Rational objective data a are held as ints over their common
-    denominator `den` (None for Quad and float data), so the search adds
-    and compares ints and divides once, at the end."""
+    The objective data a (the head A_0, then a_i = -A_i >= 0) are held
+    once, exactly: rational and float data as ints over their common
+    denominator `den` (a float enters as the dyadic rational it holds),
+    Q(sqrt d) data as Quads with `den` None.  The search adds and compares
+    these values only and divides once, at the end; `floor` is in D.A
+    units."""
 
     def __init__(self, s: PicBasisSurface):
         self.n = n = s.n
         a = [s.A[0]] + [-(s.A[i]) for i in range(1, n + 1)]  # head, a_i >= 0
-        self.a_f = [sfloat(x) for x in a]
+        a = [Fraction(x) if isinstance(x, float) else x for x in a]
         self.den, self.a = _scaled(a)
         self.pairings = _bound_pairings(s)
         # one pass over the boundary classes: each curve's degree, the two
@@ -604,8 +595,7 @@ class _EnumContext:
         for i in range(1, n + 1):
             if len(self.owners[i]) != 2:
                 raise AssertionError(f"blowup {i} has {len(self.owners[i])} owner curves")
-        self.floor = _nef_floor(classes, s.A)
-        self.floor1 = self.floor * (1 - 1e-9)
+        self.floor = _nef_floor(classes, a)
         # the parent blowup index
         self.parent = [None] * (n + 1)
         for i in range(1, n + 1):
@@ -616,85 +606,66 @@ class _EnumContext:
         for i in range(1, n + 1):
             if self.parent[i] is not None:
                 children[self.parent[i]].append(i)
-        self.psi = [0.0] * (n + 2)
+        self.psi = [0] * (n + 2)
         for i in range(n, 0, -1):
-            best_child = max((self.psi[c] for c in children[i]), default=0.0)
-            self.psi[i] = self.a_f[i] + best_child
+            self.psi[i] = self.a[i] + max((self.psi[c] for c in children[i]), default=0)
         # at position i, nodes >= i whose cap is set by current residuals
         self.entries_at = [[] for _ in range(n + 2)]
         for i in range(1, n + 2):
             self.entries_at[i] = [j for j in range(i, n + 1)
                                   if self.parent[j] is None or self.parent[j] < i]
 
-    def to_f(self, x) -> float:
-        """The float of an objective in the units of `a`."""
-        return sfloat(x) if self.den is None else x / self.den
-
 
 _D_CEILING = 10_000  # the degree at which the enumeration gives up
-_STAB_TOL = 1e-9  # a tower bracket this narrow counts as stabilized
 
 
-def alg_capacity_enum(s: PicBasisSurface, k: int, ub: float | None = None,
+def alg_capacity_enum(s: PicBasisSurface, k: int, ub=None,
                       ctx: _EnumContext | None = None):
-    """Exact minimum of D.A over nef integer classes with D.(D-K) >= 2k."""
-    zero = s.A[0] - s.A[0]
+    """Exact minimum of D.A over nef integer classes with D.(D-K) >= 2k.
+
+    `ub`, if given, is an exact upper bound on it in D.A units; without
+    one, the first leaf of the search, reached by greedy descent, sets the
+    bound.  Float data give the exact value of the dyadic rationals they
+    hold, a Fraction."""
     if k == 0:
-        return zero
+        return Fraction(0) if isinstance(s.A[0], float) else s.A[0] - s.A[0]
     ctx = ctx or _EnumContext(s)
-    if ctx.pairings[0] <= 0:
+    if _dot(ctx.a, ctx.a) <= 0:  # A^2 times den^2
         raise SearchSpaceEmpty("polarisation is not big (A^2 <= 0)")
-    ub0 = ub if ub is not None else dkn_upper_data(*ctx.pairings, k) + 1e-9
-
-    incumbent = None  # exact scalar, over ctx.den for rational data
-    incumbent_f = ub0
-
-    d = d_index(k)
-    while True:
-        if ctx.floor1 > 0 and d * ctx.floor1 > incumbent_f + 1e-9:
-            break
+    den = ctx.den or 1
+    floor = ctx.floor * den
+    # objectives are ints over den (or Quads), so the floor of ub * den bounds them
+    bound = None if ub is None else (ub if ctx.den is None else math.floor(ub * den))
+    incumbent = None
+    d = d_index(k)  # d(d+3) >= 2k from here on
+    while bound is None or d * floor <= bound:
         if d > _D_CEILING:
             if incumbent is None:
                 raise CeilingExceeded(f"degree search passed {_D_CEILING}")
             break
-        budget = d * (d + 3) - 2 * k
-        if budget >= 0:
-            found = _dfs_min(ctx, d, budget, incumbent, incumbent_f)
-            if found is not None:
-                incumbent = found
-                incumbent_f = ctx.to_f(found)
+        found = _dfs_min(ctx, d, d * (d + 3) - 2 * k, bound)
+        if found is not None:
+            incumbent = bound = found
         d += 1
     if incumbent is None:
-        # the dkn bound itself certifies feasibility at some ceil(d_{k,n});
-        # reaching here means the ceiling cut the search
+        # only a ub below the minimum lets the floor end the search here
         raise CeilingExceeded("no feasible divisor found below the ceiling")
     return incumbent if ctx.den is None else Fraction(incumbent, ctx.den)
 
 
-def _msqrt(b: int) -> int:
-    """max m with m(m+1) <= b"""
-    if b <= 0:
-        return 0
-    r = math.isqrt(b)
-    while r * (r + 1) > b:
-        r -= 1
-    return r
-
-
-def _dfs_min(ctx: _EnumContext, d: int, budget: int, incumbent, incumbent_f):
-    """Best objective at fixed degree d, in ctx.a's units, or None if
-    nothing beats incumbent."""
+def _dfs_min(ctx: _EnumContext, d: int, budget: int, bound):
+    """Least objective at degree d, in ctx.a's units, among those at most
+    `bound` (any, when bound is None); None if there is none."""
     n = ctx.n
-    a, a_f, owners, ecurve, psi, to_f = ctx.a, ctx.a_f, ctx.owners, ctx.ecurve, ctx.psi, ctx.to_f
+    a, owners, ecurve, psi = ctx.a, ctx.owners, ctx.ecurve, ctx.psi
     residual = [d * g for g in ctx.curve_gamma]
-    best = incumbent
-    best_f = incumbent_f
-    obj0_f = d * a_f[0]
+    best, found = bound, None
+    obj0 = d * a[0]
 
     def potential(i, mcap):
         # entry nodes own independent residual caps; each unit assigned in an
         # entry's subtree yields at most psi (its best descendant chain)
-        pot = 0.0
+        pot = 0
         for j in ctx.entries_at[i]:
             cap = residual[owners[j][0]]
             r2 = residual[owners[j][1]]
@@ -706,48 +677,40 @@ def _dfs_min(ctx: _EnumContext, d: int, budget: int, incumbent, incumbent_f):
                 pot += cap * psi[j]
         return pot
 
-    def rec(i, budget_left, subtracted_f, sum_m, subtracted_exact):
-        nonlocal best, best_f
+    def rec(i, budget_left, sum_m, subtracted):
+        nonlocal best, found
         if i > n:
-            obj = d * a[0] - subtracted_exact
-            if best is None:
-                if to_f(obj) <= best_f + 1e-9:
-                    best, best_f = obj, to_f(obj)
-            elif obj < best:
-                best, best_f = obj, to_f(obj)
+            obj = obj0 - subtracted
+            if best is None or obj <= best:
+                best = found = obj
             return
-        mcap_global = min(d, _msqrt(budget_left), 3 * d - sum_m)
-        if obj0_f - subtracted_f - potential(i, mcap_global) > best_f + 1e-9:
+        # (isqrt(4b + 1) - 1) // 2 is the largest m with m(m+1) <= b
+        mcap_global = min(d, (math.isqrt(4 * budget_left + 1) - 1) // 2, 3 * d - sum_m)
+        if best is not None and obj0 - subtracted - potential(i, mcap_global) > best:
             return
         cap = min(residual[owners[i][0]], residual[owners[i][1]], mcap_global)
         for mi in range(cap, -1, -1):
             residual[owners[i][0]] -= mi
             residual[owners[i][1]] -= mi
             residual[ecurve[i]] += mi
-            rec(i + 1, budget_left - mi * (mi + 1),
-                subtracted_f + mi * a_f[i], sum_m + mi,
-                subtracted_exact + mi * a[i])
+            rec(i + 1, budget_left - mi * (mi + 1), sum_m + mi, subtracted + mi * a[i])
             residual[owners[i][0]] += mi
             residual[owners[i][1]] += mi
             residual[ecurve[i]] -= mi
 
-    zero = a[0] - a[0]
-    rec(1, budget, 0.0, 0, zero)
-    if best is not None and (incumbent is None or best_f < incumbent_f or best < incumbent):
-        return best
-    return None
+    rec(1, budget, 0, 0)
+    return found
 
 
 def alg_capacity_series(s: PicBasisSurface, kmax: int,
                         ctx: _EnumContext | None = None) -> list:
     """Exact capacities for k = 0..kmax on one enumeration context, walked
-    down from kmax: c_{k-1} <= c_k, so c_k + 1e-9 seeds the next search."""
+    down from kmax: c_{k-1} <= c_k, so the exact c_k bounds the next search."""
     ctx = ctx or _EnumContext(s)
     out = [None] * (kmax + 1)
     ub = None
     for k in range(kmax, -1, -1):
-        out[k] = alg_capacity_enum(s, k, ub=ub, ctx=ctx)
-        ub = sfloat(out[k]) + 1e-9
+        out[k] = ub = alg_capacity_enum(s, k, ub=ub, ctx=ctx)
     return out
 
 
@@ -755,7 +718,6 @@ def alg_capacity_series(s: PicBasisSurface, kmax: int,
 class TowerCapacityResult:
     value: object
     bracket: tuple[float, float]
-    stabilized: bool
     per_level: list | None = None
 
 
@@ -769,10 +731,10 @@ def _tower_result(tw: Tower, k: int, value, ctx: _EnumContext,
     tail = sfloat(tw.tail_sum())
     slack = 0.0
     if tail != 0:
-        d_cap = (dkn_upper_data(*ctx.pairings, k) / ctx.floor) if ctx.floor > 0 else math.inf
+        floor = sfloat(ctx.floor)
+        d_cap = (dkn_upper_data(*ctx.pairings, k) / floor) if floor > 0 else math.inf
         slack = d_cap * tail
-    return TowerCapacityResult(value=value, bracket=(v - slack, v),
-                               stabilized=slack <= _STAB_TOL, per_level=per_level)
+    return TowerCapacityResult(value=value, bracket=(v - slack, v), per_level=per_level)
 
 
 def tower_capacity(tw: Tower, k: int, all_levels: bool = False) -> TowerCapacityResult:
@@ -787,7 +749,7 @@ def tower_capacity(tw: Tower, k: int, all_levels: bool = False) -> TowerCapacity
     values = [alg_capacity_enum(surf, k) for surf in levels]
     values.append(alg_capacity_enum(tw.final, k, ctx=ctx))
     for i in range(1, len(values)):
-        if sfloat(values[i]) > sfloat(values[i - 1]) + 1e-12:
+        if values[i] > values[i - 1]:
             raise AssertionError("tower capacities must be non-increasing in n")
     return _tower_result(tw, k, values[-1], ctx, per_level=values if all_levels else None)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +80,37 @@ class TestCommands:
         j = json.loads(out)
         assert j["values"] == ["0", "4"]
         assert j["meta"]["oracle"] == "verified"
+
+    def test_oracle_compares_exact_values_exactly(self, capsys, monkeypatch):
+        # on a domain of size 1e-12 an absolute margin of 1e-9 would hide this
+        real = capacities.tower_capacities
+
+        def bumped(tw, kmax):
+            return [replace(r, value=r.value + Fraction(1, 10**20)) for r in real(tw, kmax)]
+
+        monkeypatch.setattr(capacities, "tower_capacities", bumped)
+        code = main(["capacities", "--domain", "ball:1/1000000000000", "--kmax", "5", "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "oracle mismatch at k=1" in captured.err
+
+    def test_eps_backend_sets_the_tolerance_of_a_json_file(self, capsys, tmp_path):
+        # a float box with one corner 1e-10 high is a box within eps 1e-9 only
+        box = {"kind": "polygon", "orientation": "convex", "backend": "float",
+               "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 + 1e-10], [0.0, 1.0]]}
+        plain, own = tmp_path / "box.json", tmp_path / "box_eps.json"
+        plain.write_text(json.dumps(box))
+        own.write_text(json.dumps(dict(box, eps=1e-9)))
+        methods = {}
+        for name, spec, eps in [("default", f"@{plain}", "1e-9"), ("flag", f"@{plain}", "1e-12"),
+                                ("shorthand", f"polygon:{json.dumps(box)}", "1e-12"),
+                                ("file-wins", f"@{own}", "1e-12")]:
+            code, out = run(capsys, "capacities", "--domain", spec, "--kmax", "5",
+                            "--eps-backend", eps)
+            assert code == 0
+            methods[name] = json.loads(out)["method"]
+        assert methods == {"default": "polydisk_closed_form", "flag": "decomposition",
+                           "shorthand": "decomposition", "file-wins": "polydisk_closed_form"}
 
     def test_bounds_ball(self, capsys):
         code, out = run(capsys, "bounds", "--domain", "ball:1")
@@ -206,10 +238,15 @@ class TestInputBoundary:
          "float range"),
         (["obstruct", "--from", "ball:1e300", "--to", "ball:1", "--backend", "float",
           "--kmax", "3"], "float range"),
+        # usage errors: argparse's own exit code, 2, is capax's OBSTRUCTED
+        (["capacities", "--domain", "ball:1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["capacities", "--domain", "ball:1", "--kmax", "abc"], "argument --kmax"),
+        (["capacities"], "required: --domain"),
     ], ids=["window-not-a-number", "window-one-number", "out-in-missing-dir",
             "bounds-of-weight-list", "huge-ellipsoid", "tower-of-a-curve",
             "tower-of-a-weight-list", "oracle-of-a-weight-list", "superellipse-overflow",
-            "superellipse-underflow", "errors-past-float-range", "obstruct-infinite-volume"])
+            "superellipse-underflow", "errors-past-float-range", "obstruct-infinite-volume",
+            "unknown-flag", "kmax-not-a-number", "missing-domain"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
         argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
         code = main(argv)
@@ -331,6 +368,13 @@ class TestFuzz:
         _typed_or_descriptor(lambda: parse_domain(kind + sep + rest, backend))
 
 
+def child_env():
+    """The environment for a child Python that imports this capax first."""
+    src = str(Path(capax.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 class TestOracleRun:
     def test_builds_one_enum_context(self, capsys, monkeypatch, fig_file):
         built = []
@@ -351,12 +395,49 @@ class TestOracleRun:
                   f"code = capax.cli.main(['capacities', '--domain', '@{fig_file}', "
                   f"'--kmax', '10', '--oracle', '--out', {str(tmp_path / 'o.json')!r}])\n"
                   "print(code, 'scipy' in sys.modules)\n")
-        src = str(Path(capax.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
+                              env=child_env(), timeout=120)
         assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+P6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]
+
+
+def p6_file(tmp_path, scale):
+    path = tmp_path / f"p6-over-{Fraction(scale).denominator}.json"
+    path.write_text(json.dumps({"kind": "polygon", "orientation": "convex",
+                                "vertices": [[str(x * scale), str(y * scale)] for x, y in P6]}))
+    return f"@{path}"
+
+
+class TestScaleInvariance:
+    """c_k(lam X) = lam c_k(X): the searches stop by margins relative to the
+    data, so a small domain costs what a unit one does."""
+
+    @pytest.mark.parametrize("unit, kmax", [("square", 20), ("p6", 30)])
+    def test_oracle_at_scale_1e_minus_12(self, capsys, tmp_path, unit, kmax):
+        lam = Fraction(1, 10**12)
+        spec = {"square": lambda s: f"square:{s}", "p6": lambda s: p6_file(tmp_path, s)}[unit]
+        _, out = run(capsys, "capacities", "--domain", spec(1), "--kmax", str(kmax))
+        want = [Fraction(v) * lam for v in json.loads(out)["values"]]
+        proc = subprocess.run([sys.executable, "-m", "capax.cli", "capacities", "--domain",
+                               spec(lam), "--kmax", str(kmax), "--oracle"],
+                              capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        j = json.loads(proc.stdout)
+        assert j["meta"]["oracle"] == "verified"
+        assert [Fraction(v) for v in j["values"]] == want
+
+    def test_scan_certifies_at_scale_1e_minus_14(self, capsys, tmp_path):
+        # the scan's stopping margin once had an absolute part, and this
+        # walked all 200,000 complement indices and exited 1
+        lam = Fraction(1, 10**14)
+        _, out = run(capsys, "capacities", "--domain", p6_file(tmp_path, 1), "--kmax", "2000")
+        want = [Fraction(v) * lam for v in json.loads(out)["values"]]
+        code, out = run(capsys, "capacities", "--domain", p6_file(tmp_path, lam),
+                        "--kmax", "2000")
+        assert code == 0
+        assert [Fraction(v) for v in json.loads(out)["values"]] == want
 
 
 class TestDeterminism:
