@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CapaxError, WindowOutOfRange
 from .scalars import rational_parts, sfloat
 from .domains import BoundaryProfile
@@ -35,8 +33,8 @@ class Band:
 class ErrorSeries:
     source: str
     vol: float
-    ks: np.ndarray
-    e: np.ndarray
+    ks: range | list
+    e: list
     band: Band | None = None
 
     def to_csv(self) -> str:
@@ -53,19 +51,18 @@ def error_series(series: CapacitySeries, vol: float,
                  band: Band | None = None) -> ErrorSeries:
     """e_k = c_k - sqrt(4*vol*k) over the series' full range."""
     vol_f = sfloat(vol)
-    if not 4.0 * vol_f * series.kmax < math.inf:  # numpy would warn and give inf or NaN
+    if not 4.0 * vol_f * series.kmax < math.inf:
         raise CapaxError(f"sqrt(4 vol k) leaves the float range: vol = {vol_f!r}")
-    ks = np.arange(series.kmax + 1)
-    c = series.float_values()
-    e = c - np.sqrt(4.0 * vol_f * ks)
-    return ErrorSeries(source=series.source, vol=vol_f, ks=ks, e=e, band=band)
+    return error_values(series.float_values(), range(series.kmax + 1), vol_f, band,
+                        series.source)
 
 
-def error_values(c_values: np.ndarray, ks: np.ndarray, vol: float,
+def error_values(c_values, ks, vol: float,
                  band: Band | None = None, source: str = "") -> ErrorSeries:
-    """Error terms from a plain value array aligned with `ks`."""
-    e = np.asarray(c_values, dtype=float) - np.sqrt(4.0 * float(vol) * np.asarray(ks, dtype=float))
-    return ErrorSeries(source=source, vol=float(vol), ks=np.asarray(ks), e=e, band=band)
+    """Error terms from plain values aligned with the indices `ks`."""
+    four_vol = 4.0 * float(vol)
+    e = [float(c) - math.sqrt(four_vol * float(k)) for c, k in zip(c_values, ks)]
+    return ErrorSeries(source=source, vol=float(vol), ks=ks, e=e, band=band)
 
 
 def band_from_pairings(k_dot_a: float, k_plus_dot_a: float) -> Band:
@@ -97,9 +94,8 @@ def window_extrema(e: ErrorSeries, window: tuple[int, int]) -> WindowStats:
     lo, hi = int(e.ks[0]), int(e.ks[-1])
     if k0 < lo or k1 > hi or k0 > k1:
         raise WindowOutOfRange(f"window [{k0},{k1}] not inside [{lo},{hi}]")
-    sel = (e.ks >= k0) & (e.ks <= k1)
-    vals = e.e[sel]
-    return WindowStats(minimum=float(vals.min()), maximum=float(vals.max()))
+    vals = [x for k, x in zip(e.ks, e.e) if k0 <= k <= k1]
+    return WindowStats(minimum=min(vals), maximum=max(vals))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,11 @@ Two independent routes compute the same numbers:
 
 Exact backends flow through both routes unchanged, so agreement is
 exact, which is what the oracle-equivalence tests assert.
+
+The closed forms, the series and their output run on Python ints and
+floats.  The max-plus fold of two or more balls and the convex scan are
+numpy code in `maxplus`, imported only when they run, so a command that
+needs neither never loads numpy.
 """
 
 from __future__ import annotations
@@ -22,18 +27,14 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BelowThreshold,
     CapaxError,
     CeilingExceeded,
-    PruningBoundExceeded,
     SearchSpaceEmpty,
 )
-from .scalars import (Quad, backend_of, format_ratios, format_scalar, quad_sign,
-                      rational_parts, sfloat)
-from .domains import DomainDescriptor, validate
+from .scalars import backend_of, format_ratios, format_scalar, sfloat
+from .domains import BoundaryProfile, DomainDescriptor, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
 from .tower import PicBasisSurface, Tower, _dot, k_plus_dot_A
@@ -51,16 +52,28 @@ def d_index(k: int) -> int:
     return d
 
 
+def d_values(K: int) -> list[int]:
+    """[d_index(k) for k in range(K + 1)]: level t >= 1 covers the t + 1
+    indices (t-1)(t+2)/2 < k <= t(t+3)/2."""
+    out = [0]
+    t = 1
+    while len(out) <= K:
+        out += [t] * (t + 1)
+        t += 1
+    del out[K + 1:]
+    return out
+
+
 @dataclass
 class CapacitySeries:
     """c_0..c_K with per-entry slack; values stay in the input backend.
 
-    Rational values are one denominator `den` and a numerator array `num`
-    (int64, or Python ints where int64 could overflow): c_k = num[k]/den.
-    Quad and float values have `den` None and sit in `num` as a list."""
+    `num` is a list.  Rational values are ints over one denominator `den`:
+    c_k = num[k]/den.  Quad and float values have `den` None and sit in
+    `num` as they are."""
 
     method: str
-    num: np.ndarray | list
+    num: list
     den: int | None = None
     lower_slack: list | None = None
     upper_slack: list | None = None
@@ -76,10 +89,10 @@ class CapacitySeries:
     def values(self) -> list:
         if self.den is None:
             return list(self.num)
-        return [Fraction(n, self.den) for n in self.num.tolist()]
+        return [Fraction(n, self.den) for n in self.num]
 
     def value(self, k: int):
-        return self.num[k] if self.den is None else Fraction(int(self.num[k]), self.den)
+        return self.num[k] if self.den is None else Fraction(self.num[k], self.den)
 
     def lo(self, k: int) -> float:
         s = self.lower_slack[k] if self.lower_slack else 0.0
@@ -89,23 +102,19 @@ class CapacitySeries:
         s = self.upper_slack[k] if self.upper_slack else 0.0
         return sfloat(self.value(k)) + sfloat(s)
 
-    def float_values(self) -> np.ndarray:
-        """c_k as correctly rounded floats: below 2^53 numerator and
-        denominator are exact float64s and numpy's division rounds once, as
-        Python's int / int does; larger entries take int / int."""
+    def float_values(self) -> list[float]:
+        """c_k as correctly rounded floats (int / int rounds once)."""
         if self.den is None:
-            return np.array([sfloat(v) for v in self.num], dtype=float)
-        if self.num.dtype != object and self.den < 2**53 and np.abs(self.num).max() < 2**53:
-            return self.num / self.den
-        return np.array([n / self.den for n in self.num.tolist()], dtype=float)
+            return [sfloat(v) for v in self.num]
+        return [n / self.den for n in self.num]
 
     def assert_nondecreasing(self):
         c = self.float_values()
         if c[0] != 0.0:
             raise AssertionError("series must start at c_0 = 0")
-        down = np.flatnonzero(c[1:] < c[:-1] - 1e-12)
-        if down.size:
-            raise AssertionError(f"series decreases at k={down[0] + 1}")
+        down = next((k for k in range(1, len(c)) if c[k] < c[k - 1] - 1e-12), None)
+        if down is not None:
+            raise AssertionError(f"series decreases at k={down}")
 
     def _formatted(self) -> list[str]:
         if self.den is None:
@@ -139,8 +148,17 @@ class CapacitySeries:
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _in_float_range(top, form: str, K: int) -> None:
+    """Refuse float data whose closed form leaves the float range: `top`
+    is at least every value the form computes, in the form's own float
+    operations.  Exact data never round, so they pass."""
+    if isinstance(top, float) and not math.isfinite(top):
+        raise CapaxError(f"{form}: capacities up to kmax {K} leave the float range")
+
+
 def ball_capacities(a, K: int) -> CapacitySeries:
     """c_k(B(a)) = a*d with d minimal such that d(d+3)/2 >= k."""
+    _in_float_range(a * d_index(K), f"ball({a})", K)
     return replace(union_of_balls([a], K, a - a), method="ball_closed_form",
                    backend=backend_of(a), source=f"ball({a})")
 
@@ -150,6 +168,9 @@ def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
 
     Rational legs run on Python ints over their common denominator; float
     legs keep the step-by-step sums v + a, which fix the float values."""
+    # c_K <= min(a, b)*K and every push adds a leg to some c_k; the factor
+    # 2 covers the rounding of the step-by-step float sums
+    _in_float_range(2 * (min(a, b) * K + max(a, b)), f"ellipsoid({a},{b})", K)
     den, (sa, sb) = _scaled([a, b])
     heap = [(sa - sa, 0, 0)]
     vals = []
@@ -159,35 +180,37 @@ def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
         heapq.heappush(heap, (v + sa, m + 1, n))
         if m == 0:
             heapq.heappush(heap, (v + sb, m, n + 1))
-    return CapacitySeries(method="ellipsoid_closed_form",
-                          num=vals if den is None else np.array(vals, _dtype([sa, sb], K + 1)),
-                          den=den, backend=backend_of(a), source=f"ellipsoid({a},{b})")
+    return CapacitySeries(method="ellipsoid_closed_form", num=vals, den=den,
+                          backend=backend_of(a), source=f"ellipsoid({a},{b})")
 
 
 def polydisk_capacities(w, h, K: int) -> CapacitySeries:
     """c_k = min{w*m + h*n : (m+1)(n+1) >= k+1}, for every k at once.
 
-    Some optimal pair has its smaller coordinate m with m*m <= 4(k+1), and
-    n = ceil((k+1)/(m+1)) - 1 is the least partner of m, so one array pass
-    per m scores both orientations on the rows it covers.  The dtype is
-    _ball_table's: rational sides run on ints over their common
+    The pair (m, n) serves every k up to (m+1)(n+1) - 1, so it is scored
+    at that index, capped at K, and a suffix minimum gives c_k.  Every
+    pair with (m+1)(n+1) <= K+1 is scored, and for each m the least n
+    that reaches K: a larger n only adds to the same sum.  That is
+    O(K log K) pairs.  Rational sides run on ints over their common
     denominator."""
+    _in_float_range(w * K + h * K, f"polydisk({w},{h})", K)
     den, (ws, hs) = _scaled([w, h])
-    dtype = _dtype([ws, hs], 2 * K + 2)  # every candidate has m + n <= 2K + 2
-    need = np.arange(1, K + 2)
-    best = None
-    m = 0
-    while m * m <= 4 * (K + 1):
-        lo = max(0, -(-m * m // 4) - 1)  # the first row with m*m <= 4(k+1)
-        nmin = ((need[lo:] + m) // (m + 1) - 1).astype(dtype)
-        for c in (ws * m + hs * nmin, hs * m + ws * nmin):
-            if best is None:
-                best = c
-            else:
-                best[lo:] = np.where(c < best[lo:], c, best[lo:])
-        m += 1
-    return CapacitySeries(method="polydisk_closed_form",
-                          num=best.tolist() if den is None else best, den=den,
+    zero = ws * 0
+    best = [zero + hs * n for n in range(K + 1)]  # m = 0 scores n at index n
+    for m in range(1, K + 1):
+        wm, step = ws * m, m + 1
+        top = -(-(K + 1) // step) - 1  # the least n with (m+1)(n+1) - 1 >= K
+        for n in range(top):
+            v = wm + hs * n
+            if v < best[m + step * n]:
+                best[m + step * n] = v
+        v = wm + hs * top
+        if v < best[K]:
+            best[K] = v
+    for k in range(K - 1, -1, -1):
+        if best[k + 1] < best[k]:
+            best[k] = best[k + 1]
+    return CapacitySeries(method="polydisk_closed_form", num=best, den=den,
                           backend=backend_of(w), source=f"polydisk({w},{h})")
 
 
@@ -202,24 +225,6 @@ def square_capacities(s, K: int) -> CapacitySeries:
 # max-plus convolution and the concave route
 # ---------------------------------------------------------------------------
 
-def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
-    """Vectorized max-plus with one ball series over the whole table.
-
-    Within each level set {j : d_j = t} the best split gives the ball the
-    smallest index, because `below` is non-decreasing: one shifted slice
-    per d-value."""
-    S = len(below) - 1
-    out = below.copy()
-    t = 1
-    while True:
-        base = (t - 1) * (t + 2) // 2 + 1  # smallest index with d = t
-        if base > S:
-            return out
-        cand = below[: S + 1 - base] + w * t
-        np.maximum(out[base:], cand, out=out[base:])
-        t += 1
-
-
 def _scaled(xs: list) -> tuple[int | None, list]:
     """Rational data as Python ints over their common denominator; floats
     and Quads come back as they are, with denominator None."""
@@ -229,130 +234,18 @@ def _scaled(xs: list) -> tuple[int | None, list]:
     return None, list(xs)
 
 
-# relative error bounds of the pair fold's float filter, each at least twice
-# the first-order rounding error: float(Quad) is within 6*2^-53 of the weight
-# and its product with t adds 2^-53 (_PAIR_REL, per unit of t); one rounded
-# sum adds 2^-53 of its result (_SUM_REL)
-_PAIR_REL = 2.0 ** -48
-_SUM_REL = 2.0 ** -51
-
-
-def _quad_pairs(ws: list, d_max: int):
-    """Weights over one field Q(sqrt d) as int pairs over a common
-    denominator D, w = (p + q*sqrt d)/D, rationals lifted with q = 0.
-
-    Returns (d, D, [(p, q, float(w))]), or None for other data or when an
-    entry sum |p_i|*t_i + |q_i|*t_i (t_i <= d_max) could reach 2^62."""
-    fields = {w.d for w in ws if isinstance(w, Quad)}
-    if len(fields) != 1 or not all(isinstance(w, (int, Fraction, Quad)) for w in ws):
-        return None
-    parts = [rational_parts(w) for w in ws]
-    den = math.lcm(*(x.denominator for pq in parts for x in pq))
-    pairs = [(int(p * den), int(q * den), float(w)) for (p, q), w in zip(parts, ws)]
-    if sum(abs(p) + abs(q) for p, q, _ in pairs) * d_max >= 2**62:
-        return None
-    return fields.pop(), den, pairs
-
-
-def _fold_ball_pairs(below: tuple, w: tuple, field: int) -> tuple:
-    """_fold_ball_np on a Q(sqrt d) table held as arrays (P, Q, F, E).
-
-    Entry j is (P_j + Q_j*sqrt d)/D exactly; F_j is a float within E_j of
-    it.  A candidate wins where the floats separate it from the entry by
-    more than both bounds and loses where they separate it the other way;
-    the near-ties left are decided by the exact sign of dp + dq*sqrt d."""
-    P, Q, F, E = below
-    p, q, f = w
-    e = _PAIR_REL * abs(f)
-    out = tuple(a.copy() for a in below)
-    S = len(P) - 1
-    t = 1
-    while True:
-        base = (t - 1) * (t + 2) // 2 + 1  # smallest index with d = t
-        if base > S:
-            return out
-        n = S + 1 - base
-        oP, oQ, oF, oE = (a[base:] for a in out)
-        cF = F[:n] + f * t
-        cE = E[:n] + e * t + _SUM_REL * np.abs(cF)
-        gap, tol = cF - oF, cE + oE
-        take = gap > tol
-        near = np.flatnonzero(np.abs(gap) <= tol)
-        if near.size:
-            dp = (P[near] + p * t - oP[near]).tolist()
-            dq = (Q[near] + q * t - oQ[near]).tolist()
-            take[near] = [quad_sign(a, b, field) > 0 for a, b in zip(dp, dq)]
-        idx = np.flatnonzero(take)
-        oP[idx] = P[idx] + p * t
-        oQ[idx] = Q[idx] + q * t
-        oF[idx] = cF[idx]
-        oE[idx] = cE[idx]
-        t += 1
-
-
-def _pair_table(field: int, den: int, pairs: list, ds: np.ndarray) -> np.ndarray:
-    """_ball_table of the weights that _quad_pairs returned, as Quads."""
-    p, q, f = pairs[0]
-    F = ds * f
-    table = (ds * p, ds * q, F, ds * (_PAIR_REL * abs(f)) + _SUM_REL * np.abs(F))
-    for w in pairs[1:]:
-        table = _fold_ball_pairs(table, w, field)
-    return np.array([Quad(Fraction(a, den), Fraction(b, den), field)
-                     for a, b in zip(table[0].tolist(), table[1].tolist())], dtype=object)
-
-
-def _dtype(xs: list, n_max: int, limit: int = 2**62):
-    """The array dtype for sums of n_max multiples of the scaled data xs:
-    int64 for ints while sum|x| * n_max stays below `limit`, float64 for
-    floats, Python objects for anything else."""
-    if all(isinstance(x, int) for x in xs) and sum(map(abs, xs)) * n_max < limit:
-        return np.int64
-    if all(isinstance(x, float) for x in xs):
-        return float
-    return object
-
-
-def _ball_table(ws: list, ds: np.ndarray) -> np.ndarray:
-    """Max-plus union of the ball series w*d over the d-values `ds`.
-
-    The array's dtype follows the data: int64 for scaled rationals while
-    no entry can reach 2^62, float64 for floats, int64 pairs with a float
-    filter for Q(sqrt d) under the same bound (entries come back as Quads),
-    Python objects for larger data.  Every entry is at most sum(ws) * d_max."""
-    d_max = max(int(ds[-1]), 1)  # every weight itself must fit as well
-    dtype = _dtype(ws, d_max)
-    if dtype is object:
-        quad = _quad_pairs(ws, d_max)
-        if quad is not None:
-            return _pair_table(*quad, ds)
-    d = ds.astype(dtype)
-    if not ws:
-        return np.zeros_like(d)
-    table = d * ws[0]
-    for w in ws[1:]:
-        table = _fold_ball_np(table, w)
-    return table
-
-
 def union_of_balls(weights: list, K: int, zero) -> CapacitySeries:
-    """Max-plus union of ball series, one ball folded at a time."""
+    """Max-plus union of ball series, one ball folded at a time.  One ball
+    is its own series w*d; more are folded by `maxplus`."""
     if not weights:
         return CapacitySeries(method="decomposition", num=[zero] * (K + 1))
     den, ws = _scaled(weights)
-    table = _ball_table(ws, d_values_np(np.arange(K + 1)))
-    return CapacitySeries(method="decomposition", num=table.tolist() if den is None else table,
-                          den=den)
-
-
-def d_values_np(ks: np.ndarray) -> np.ndarray:
-    """d_index over an array of indices, as int64."""
-    k = ks.astype(np.int64)
-    d = np.maximum(0, (np.sqrt(9.0 + 8.0 * k.astype(float)).astype(np.int64) - 3) // 2)
-    for _ in range(3):
-        d = np.where(d * (d + 3) < 2 * k, d + 1, d)
-        d = np.where((d > 0) & ((d - 1) * (d + 2) >= 2 * k), d - 1, d)
-    assert np.all(d * (d + 3) >= 2 * k)
-    return d
+    if len(ws) == 1:
+        num = [ws[0] * d for d in d_values(K)]
+    else:
+        from .maxplus import _ball_table
+        num = _ball_table(ws, d_values(K)).tolist()
+    return CapacitySeries(method="decomposition", num=num, den=den)
 
 
 def concave_capacity(d: DomainDescriptor, K: int,
@@ -367,7 +260,7 @@ def concave_capacity(d: DomainDescriptor, K: int,
     weights = sorted(t.weight_multiset(), key=sfloat, reverse=True)
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
     tail = sfloat(t.truncation.dropped_tail_sum)
-    upper = (d_values_np(np.arange(K + 1)) * tail).tolist() if tail > 0 else None
+    upper = [dk * tail for dk in d_values(K)] if tail > 0 else None
     return replace(union_of_balls(weights, K, zero - zero),
                    upper_slack=upper, backend=t.backend, source=f"concave:{d.kind}",
                    meta={"dropped_tail_sum": tail})
@@ -377,107 +270,12 @@ def concave_capacity(d: DomainDescriptor, K: int,
 # convex route: corner-complement infimum with certified pruning
 # ---------------------------------------------------------------------------
 
-def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
-                 s_ceiling: int = 200_000) -> CapacitySeries:
-    """c_k = min_s c*d(k+s) - M(s) for k = 0..K, with the certified lower slack.
-
-    v is the area between the domain and its circumscribed triangle, w
-    the full weight sum including the dropped tail.
-
-    For each k the scan ends at the first s at which a lower bound for
-    every candidate beyond s clears the best candidate so far.  Inside a
-    level {s : d(k+s) = t} the candidate c*t - M(s) and its lower version
-    cand - d(s)*tail do not increase with s, and the stopping test is
-    monotone in s.  So one probe at the end of each level, plus a
-    bisection of the level where the test first holds, give the values of
-    the index-by-index scan.  Every k runs in lockstep: step j probes the
-    next level of each row still active, and the rows that stop bisect
-    together.
-
-    The candidates' dtype follows the data: int64 for scaled rationals
-    while every candidate and the denominator stay below 2^53, so that
-    cand / den rounds as int / int does; float64 for floats; Python
-    objects for Quads and larger data."""
-    weights = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
-    den, (c, *ws) = _scaled([tree.head] + weights)
-    tail, c_f = sfloat(tree.truncation.dropped_tail_sum), sfloat(tree.head)
-    dt = _dtype([c] + ws, d_index(K + s_ceiling), 2**53) if (den or 1) < 2**53 else object
-
-    def table(S):
-        ds = d_values_np(np.arange(S + 1))
-        return _ball_table(ws, ds).astype(dt, copy=False), ds
-
-    def cand(t, s):
-        return c * (t.astype(object) if dt is object else t) - M[s]
-
-    def floats(x):
-        return (x / den if den not in (None, 1) else x).astype(float)
-
-    # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
-    # candidate at index u and is smallest at t_star, so
-    # lb(max(s+1, t_star)) bounds every candidate beyond s
-    def clears(k, t_star, s, cand_f, fbest):
-        b = np.where(cand_f < fbest, cand_f, fbest)
-        u = np.where(s + 1 >= t_star, s + 1, t_star)
-        floor = c_f * (np.sqrt(2 * (k + u)) - 1.5) - np.sqrt(4 * v * u) - w
-        return floor >= b + 1e-9 * np.abs(b)  # b > 0 for every k >= 1
-
-    M, ds = table(64)
-    k = np.arange(1, K + 1)
-    t = d_values_np(k)  # the level each row probes next
-    t_star = 2 * v * k / max(c_f * c_f - 2 * v, 1e-300) if v > 0 else np.zeros(K)
-    s0 = np.zeros(K, np.int64)  # the test fails at every index of the level below s0
-    best, has = np.full(K, c - c, dt), np.zeros(K, bool)  # has: best is a candidate
-    fbest, best_lo = np.full(K, math.inf), np.full(K, math.inf)
-    a = np.arange(K)  # the rows still scanning, in increasing k
-    failed = None  # the smallest row that reached s_ceiling
-    while a.size:
-        end = min(len(M) - 1, s_ceiling)  # the last index probed for now
-        s1 = t[a] * (t[a] + 3) // 2 - k[a]  # the level d(k+s) = t ends at s1
-        p = np.minimum(s1, end)
-        cp = cand(t[a], p)
-        cf = floats(cp)
-        stop = clears(k[a], t_star[a], p, cf, fbest[a])
-        i = np.flatnonzero(stop)
-        if i.size:  # bisect the stopping levels together
-            lo, hi = s0[a[i]], p[i]
-            while (j := np.flatnonzero(lo < hi)).size:
-                ij, mid = a[i[j]], (lo[j] + hi[j]) // 2
-                ok = clears(k[ij], t_star[ij], mid, floats(cand(t[ij], mid)), fbest[ij])
-                hi[j] = np.where(ok, mid, hi[j])
-                lo[j] = np.where(ok, lo[j], mid + 1)
-            p[i] = lo
-            cp[i] = cand(t[a[i]], lo)
-            cf[i] = floats(cp[i])
-        upd = ~has[a] | (cp < best[a])
-        best[a[upd]], fbest[a[upd]], has[a] = cp[upd], cf[upd], True
-        short = ~stop & (p < s1)  # the table ends inside the level: grow it
-        x = cf - ds[p] * tail
-        low = ~short & (x < best_lo[a])
-        best_lo[a[low]] = x[low]
-        s0[a] = np.where(short, p + 1, s1 + 1)
-        t[a[~short]] += 1
-        hit = ~stop & (p == s_ceiling)
-        if hit.any():
-            failed = a[hit][0]
-        keep = ~stop & ~hit & (a < failed if failed is not None else True)
-        if (short & keep).any():
-            M, ds = table(2 * len(M))
-        a = a[keep]
-    if failed is not None:
-        b = best[failed:failed + 1].tolist()[0]
-        raise PruningBoundExceeded(f"no certificate after {s_ceiling} complement indices",
-                                   best=b if den is None else Fraction(b, den))
-    return CapacitySeries(
-        method="decomposition",
-        num=[tree.head - tree.head] + best.tolist() if den is None else np.append(0, best),
-        den=den, lower_slack=[0.0] + (fbest - best_lo).tolist())
-
-
 def convex_capacity(d: DomainDescriptor, K: int,
                     limits: TruncationLimits | None = None,
                     tree: WeightTree | None = None) -> CapacitySeries:
-    """Capacities of a convex domain from its weight expansion."""
+    """Capacities of a convex domain from its weight expansion, by the
+    certified scan `maxplus._convex_scan`."""
+    from .maxplus import _convex_scan
     t = tree if tree is not None else convex_weights(d, limits)
     ws, trunc = t.weight_multiset(), t.truncation
     # the full weight sum w and v = c^2/2 - area, the area between the domain
@@ -801,14 +599,19 @@ def c_plus_reference(k_dot_a: float, a2: float, k2: float, k: int,
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def _is_box(d: DomainDescriptor) -> tuple | None:
-    if d.kind != "polygon" or d.orientation != "convex":
-        return None
-    profile = validate(d)
-    if len(profile.chain) == 3:
-        (x0, y0), (x1, y1), (x2, y2) = profile.chain
+def _polygon_closed_form(d: DomainDescriptor, profile: BoundaryProfile,
+                         K: int) -> CapacitySeries | None:
+    """The closed form of a polygon that has one: a convex box is a
+    polydisk, and a rational triangle (0,0),(a,0),(0,b) is E(a, b).
+    Float and Q(sqrt d) triangles keep the weight route."""
+    chain = profile.chain
+    if len(chain) == 3 and d.orientation == "convex":
+        (x0, y0), (x1, y1), (x2, y2) = chain
         if d.zero(x0) and d.equal(y1, y0) and d.equal(x1, x2) and d.zero(y2):
-            return (x1, y0)  # width, height
+            return polydisk_capacities(x1, y0, K)  # width, height
+    if len(chain) == 2 and d.backend == "exact":
+        (_, b), (a, _) = chain
+        return ellipsoid_capacities(a, b, K)
     return None
 
 
@@ -817,15 +620,15 @@ def series_for_domain(d: DomainDescriptor, K: int,
     """Pick the natural route for the descriptor, after validating it."""
     if K < 0:
         raise CapaxError(f"kmax must be >= 0, got {K}")
-    validate(d)
+    profile = validate(d)
     if d.kind == "ellipsoid":
         if d.is_ball():
             return ball_capacities(d.a, K)
         return ellipsoid_capacities(d.a, d.b, K)
     if d.kind == "polygon":
-        box = _is_box(d)
-        if box is not None:
-            return polydisk_capacities(box[0], box[1], K)
+        closed = _polygon_closed_form(d, profile, K)
+        if closed is not None:
+            return closed
         if d.orientation == "convex":
             return convex_capacity(d, K, limits)
         return concave_capacity(d, K, limits)
@@ -843,7 +646,7 @@ def series_for_domain(d: DomainDescriptor, K: int,
         r = sfloat(d.params[-1])
         lam = hb / max(r - hb, 1e-9)
         base = series.upper_slack or [0.0] * (K + 1)
-        series.upper_slack = (np.array(base) + lam * series.float_values()).tolist()
+        series.upper_slack = [u + lam * c for u, c in zip(base, series.float_values())]
         series.source = f"curve:{d.curve}"
         series.backend = "float"
         return series

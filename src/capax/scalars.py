@@ -21,8 +21,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-import numpy as np
-
 from .errors import DegenerateEdge, InvalidSpec, MixedBackend
 
 RationalLike = int | Fraction
@@ -386,13 +384,12 @@ def format_scalar(x) -> str:
     return str(Fraction(x))
 
 
-def format_ratios(num: np.ndarray, den: int) -> list[str]:
-    """str(Fraction(n, den)) for every n of an integer array, from one gcd
-    pass over the ints."""
+def format_ratios(num: list, den: int) -> list[str]:
+    """str(Fraction(n, den)) for every int n of `num`, den >= 1."""
     if den == 1:
-        return list(map(str, num.tolist()))
-    if den >= 2**63:  # past int64: gcd on Python ints
-        num = num.astype(object)
-    g = np.gcd(num, den)
-    return [f"{n}/{q}" if q != 1 else str(n)
-            for n, q in zip((num // g).tolist(), (den // g).tolist())]
+        return list(map(str, num))
+    out = []
+    for n in num:
+        g = math.gcd(n, den)
+        out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return out

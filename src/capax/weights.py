@@ -122,11 +122,14 @@ def _piece_ell_plus(graph):
 
 
 class _Recursion:
-    def __init__(self, limits: TruncationLimits, exact: bool):
+    def __init__(self, limits: TruncationLimits, exact: bool, rational: bool):
         self.max_depth, self.eps = limits.resolved(exact)
         # with no limit set, the default depth stands for an expansion that
         # does not end (irrational data); a limit the caller set truncates
         self.unlimited = exact and limits.max_depth is None and self.eps == 0.0
+        # a rational expansion ends, only deeper than the default depth
+        self.hint = ("raise the depth limit (--depth) or set a weight threshold (--eps)"
+                     if rational else "set truncation limits for irrational data")
         self.nodes: dict[int, WeightNode] = {}
         self.children: dict[int | None, list[int]] = {None: []}  # None: the roots
         self.tail_sum = None
@@ -160,8 +163,7 @@ class _Recursion:
             if depth > self.max_depth:
                 if self.unlimited:
                     raise BackendOverflow(
-                        f"recursion exceeded depth {self.max_depth}; "
-                        "set truncation limits for irrational data")
+                        f"recursion exceeded depth {self.max_depth}; {self.hint}")
                 self._drop(graph)
                 continue
             svals = [x + y for x, y in graph]
@@ -216,7 +218,7 @@ def _weights(d: DomainDescriptor, limits: TruncationLimits | None, convex: bool)
     chain = ([(_rational(x), _rational(y)) for x, y in profile.chain] if float_data
              else list(profile.chain))
     zero = chain[0][0] - chain[0][0]
-    rec = _Recursion(limits or TruncationLimits(), not float_data)
+    rec = _Recursion(limits or TruncationLimits(), not float_data, d.backend == "exact")
     head, head_introduced, pieces = None, zero, [(chain, None, 3, None, 1)]
     try:
         if convex:  # cut the circumscribed triangle x + y <= c, the head

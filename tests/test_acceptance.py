@@ -25,7 +25,7 @@ from capax.capacities import (
     c_plus_reference,
     concave_capacity,
     convex_capacity,
-    d_values_np,
+    d_values,
     ellipsoid_capacities,
     square_capacities,
     tower_capacity,
@@ -98,7 +98,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_ball_band():
     t0 = time.monotonic()
     ks = np.arange(10**3, 10**5 + 1)
-    e = error_values(d_values_np(ks), ks, 0.5)
+    e = error_values(d_values(10**5)[10**3:], ks, 0.5)
     st = window_extrema(e, (10**3, 10**5))
     elapsed = time.monotonic() - t0
     ok = (abs(st.minimum - (-1.5)) <= 0.01

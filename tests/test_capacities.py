@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capax import capacities, domains
+from capax import domains, maxplus
 from capax.errors import BelowThreshold, PruningBoundExceeded, SearchSpaceEmpty
 from capax.capacities import (
     _EnumContext,
-    _ball_table,
     _bound_pairings,
-    _convex_scan,
-    _quad_pairs,
+    _scaled,
     CapacitySeries,
     alg_capacity_enum,
     alg_capacity_series,
@@ -25,7 +23,7 @@ from capax.capacities import (
     concave_capacity,
     convex_capacity,
     d_index,
-    d_values_np,
+    d_values,
     dkn_upper_data,
     ellipsoid_capacities,
     polydisk_capacities,
@@ -35,7 +33,8 @@ from capax.capacities import (
     tower_capacity,
     union_of_balls,
 )
-from capax.scalars import Quad, format_scalar, quad_sign, sfloat
+from capax.maxplus import _ball_table, _convex_scan, _quad_pairs
+from capax.scalars import Quad, format_ratios, format_scalar, quad_sign, sfloat
 from capax.tower import blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, random_convex_polygon
@@ -71,7 +70,7 @@ GOLDEN_K30_LOWER_SLACK = [
 def golden_ellipsoid_values(K):
     """c_0..c_K of E(1, phi), computed in Q(sqrt 5), as floats."""
     phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
-    return ellipsoid_capacities(Quad(1, 0, 5), phi, K).float_values().tolist()
+    return ellipsoid_capacities(Quad(1, 0, 5), phi, K).float_values()
 
 
 def golden_triangle(orientation="convex"):
@@ -146,14 +145,13 @@ class TestClosedForms:
         # float legs compare exactly in the heap; sums within the input
         # tolerance of each other used to come out of it in the wrong order
         d = domains.ellipsoid(1.0, PHI, backend="float", eps=1e-3)
-        got = series_for_domain(d, 1000).float_values()
+        got = np.asarray(series_for_domain(d, 1000).float_values())
         assert np.all(np.diff(got) >= 0)
         lattice = sorted(m + n * PHI for m in range(100) for n in range(100))[:1001]
         assert np.max(np.abs(got - lattice)) <= 1e-12
 
-    def test_d_values_np_matches_d_index(self):
-        ks = np.arange(2 * 10**5 + 1)
-        assert d_values_np(ks).tolist() == [d_index(k) for k in range(2 * 10**5 + 1)]
+    def test_d_values_matches_d_index(self):
+        assert d_values(2 * 10**5) == [d_index(k) for k in range(2 * 10**5 + 1)]
         assert ball_capacities(Fraction(3, 2), 300).values == [
             Fraction(3, 2) * d_index(k) for k in range(301)]
 
@@ -355,7 +353,7 @@ class TestConvexScan:
             sizes.append(len(ds))
             return _ball_table(ws, ds)
 
-        monkeypatch.setattr(capacities, "_ball_table", counting)
+        monkeypatch.setattr(maxplus, "_ball_table", counting)
         got = convex_capacity(d, K)
         assert max(sizes) > 65  # the table grew past its first 64 indices
         values, slack = reference_scan(d, K)
@@ -511,13 +509,73 @@ def quad_weight_lists(draw):
     return ws
 
 
+POSITIVE_FRACTIONS = st.fractions(min_value=Fraction(1, 12), max_value=1000,
+                                  max_denominator=12).filter(bool)
+POSITIVE_FLOATS = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestPlainForms:
+    """The closed forms and series helpers run on Python ints and floats;
+    each against a reference computed another way."""
+
+    # equal sides and sides in ratio 2 make exact ties between pairs
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sides=st.one_of(st.tuples(POSITIVE_FRACTIONS, POSITIVE_FRACTIONS),
+                           st.tuples(POSITIVE_FLOATS, POSITIVE_FLOATS),
+                           st.one_of(POSITIVE_FRACTIONS, POSITIVE_FLOATS).flatmap(
+                               lambda x: st.sampled_from([(x, x), (x, 2 * x), (2 * x, x)]))),
+           K=st.integers(0, 30))
+    def test_polydisk_matches_brute_force(self, sides, K):
+        w, h = sides
+        pairs = [(w * m + h * n, (m + 1) * (n + 1)) for m in range(K + 1) for n in range(K + 1)]
+        want = [min(v for v, area in pairs if area >= k + 1) for k in range(K + 1)]
+        got = polydisk_capacities(w, h, K).values
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(K=st.integers(0, 3000))
+    def test_d_values_end_at_any_kmax(self, K):
+        assert d_values(K) == [d_index(k) for k in range(K + 1)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(num=st.lists(st.integers(-2**80, 2**80), max_size=8),
+           den=st.one_of(st.integers(1, 10**6), st.integers(2**63, 2**80),
+                         st.sampled_from([1, 2, 2**63, 2**64])))
+    def test_format_ratios_match_fractions(self, num, den):
+        num += [0, -den, den, -1, 2 * den]
+        assert format_ratios(num, den) == [str(Fraction(n, den)) for n in num]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(w=st.one_of(POSITIVE_FRACTIONS, POSITIVE_FLOATS,
+                       st.sampled_from([Fraction(2**70, 3), 2**61 + 1])),
+           K=st.integers(0, 300))
+    def test_single_ball_is_the_ball_table(self, w, K):
+        self.check_single_ball(w, K)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ws=quad_weight_lists(), K=st.integers(0, 300))
+    def test_single_quad_ball_is_the_ball_table(self, ws, K):
+        w = next(x for x in ws if isinstance(x, Quad))
+        self.check_single_ball(w, K)
+        self.check_single_ball(w + Quad(2**70, 0, w.d), K)  # past the int64 pairs
+
+    @staticmethod
+    def check_single_ball(w, K):
+        den, ws = _scaled([w])
+        table = _ball_table(ws, np.array(d_values(K))).tolist()
+        got = union_of_balls([w], K, w - w)
+        assert (got.num, got.den) == (table, den)
+        assert [type(x) for x in got.num] == [type(x) for x in table]
+
+
 class TestQuadPairFold:
     """The int64-pair fold of Q(sqrt d) tables against the object fold."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(ws=quad_weight_lists(), K=st.integers(0, 60))
     def test_matches_object_fold(self, ws, K):
-        ds = d_values_np(np.arange(K + 1))
+        ds = np.array(d_values(K))
         assert _quad_pairs(ws, int(ds[-1])) is not None
         got = _ball_table(ws, ds).tolist()
         assert all(isinstance(x, Quad) for x in got)
@@ -530,8 +588,8 @@ class TestQuadPairFold:
             calls.append((p, q))
             return quad_sign(p, q, d)
 
-        monkeypatch.setattr(capacities, "quad_sign", counting)
-        ds = d_values_np(np.arange(121))
+        monkeypatch.setattr(maxplus, "quad_sign", counting)
+        ds = np.array(d_values(120))
         # phi^-n + phi^-(n+1) = phi^-(n-1): candidates tie exactly
         ws = [golden_power(n) for n in range(12)] + [golden_power(3)] * 2
         assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
@@ -550,13 +608,13 @@ class TestQuadPairFold:
         # w and w +- phi^-72 differ below the floats' rounding of the table
         # entries: a filter without its error bound picks the wrong entry
         ws = [w, w + sign * golden_power(72)]
-        ds = d_values_np(np.arange(41))
+        ds = np.array(d_values(40))
         assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
 
     def test_over_the_guard_takes_the_object_path(self):
         phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
         ws = [Quad(2 ** 58, 3, 5), phi, Quad(2 ** 58, -2 ** 57, 5), Fraction(7, 3), phi]
-        ds = d_values_np(np.arange(41))
+        ds = np.array(d_values(40))
         assert _quad_pairs(ws, int(ds[-1])) is None
         assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
 
@@ -570,7 +628,7 @@ class TestQuadPairFold:
         d = golden_triangle("concave")
         tree = concave_weights(d, TruncationLimits(eps=1e-8))
         ws = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
-        ds = d_values_np(np.arange(61))
+        ds = np.array(d_values(60))
         assert concave_capacity(d, 60, tree=tree).values == reference_ball_table(ws, ds)
 
 
@@ -790,8 +848,9 @@ class TestProperties:
 
     def test_weyl_trend(self):
         # |c_K^2/K - 2 A^2| <= C/sqrt(K) on the closed-form families
-        for vals, a2 in ((d_values_np(np.arange(1, 20001)), 1.0),
-                         (ellipsoid_capacities(Fraction(1), Fraction(2), 20000).float_values()[1:],
+        for vals, a2 in ((np.asarray(d_values(20000)[1:]), 1.0),
+                         (np.asarray(ellipsoid_capacities(Fraction(1), Fraction(2),
+                                                          20000).float_values()[1:]),
                           2.0)):
             ks = np.arange(1, 20001)
             dev = np.abs(vals ** 2 / ks - 2 * a2)
@@ -802,11 +861,10 @@ class TestProperties:
         csv = s.to_csv()
         assert csv.splitlines()[1] == "k,c_k,lower_slack,upper_slack,method"
 
-    # numerators on both sides of 2^53 (numpy's exact float division) and
-    # of 2^62 (int64 series give way to Python ints), with zeros.  One band
-    # per draw, so that one large entry does not send every entry down the
-    # Python-int path.  A seeded PRNG draws inside the band: hypothesis's
-    # own integers are mostly even there, and float64 holds those exactly
+    # numerators on both sides of 2^53, where float64 stops holding every
+    # int, and of 2^62 and 2^63, with zeros, one band per draw.  A seeded
+    # PRNG draws inside the band: hypothesis's own integers are mostly even
+    # there, and float64 holds those exactly
     BANDS = [(-2**20, 2**20), (2**53 - 8, 2**53 + 8), (2**53, 2**54), (2**61, 2**62 + 8),
              (2**62, 2**63 - 1), (2**63, 2**80)]
     DENOMINATORS = st.one_of(st.just(1), st.integers(2, 10**6),
@@ -820,9 +878,9 @@ class TestProperties:
         ns = [rnd.randint(*band) if rnd.random() < 0.8 else 0 for _ in range(size)]
         fits = all(-2**63 <= n < 2**63 for n in ns)
         num = np.array(ns, dtype=object if as_object or not fits else np.int64)
-        s = CapacitySeries(method="t", num=num, den=q)
+        s = CapacitySeries(method="t", num=num.tolist(), den=q)
         assert s.to_json()["values"] == [str(Fraction(n, q)) for n in ns]
-        assert s.float_values().tolist() == [float(Fraction(n, q)) for n in ns]
+        assert np.asarray(s.float_values()).tolist() == [float(Fraction(n, q)) for n in ns]
         assert s.values == [Fraction(n, q) for n in ns]
 
     def test_series_for_domain_dispatch(self, fig_polygon, e12_triangle):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -238,6 +239,18 @@ class TestInputBoundary:
          "float range"),
         (["obstruct", "--from", "ball:1e300", "--to", "ball:1", "--backend", "float",
           "--kmax", "3"], "float range"),
+        # the closed forms check their largest value before they compute
+        (["capacities", "--domain", "ball:1e306", "--backend", "float", "--kmax", "100000"],
+         "float range"),
+        (["capacities", "--domain", "square:1e307", "--backend", "float", "--kmax", "100000"],
+         "float range"),
+        (["capacities", "--domain", "ellipsoid:1e307,1e306", "--backend", "float",
+          "--kmax", "100000"], "float range"),
+        # a rational expansion ends, deeper than the default depth (braces
+        # doubled for str.format)
+        (["weights", "--domain", 'polygon:{{"kind":"polygon","orientation":"convex",'
+                                 '"vertices":[["0","0"],["100","0"],["0","1/100"]]}}'],
+         "(--depth) or set a weight threshold (--eps)"),
         # usage errors: argparse's own exit code, 2, is capax's OBSTRUCTED
         (["capacities", "--domain", "ball:1", "--bogus"], "unrecognized arguments: --bogus"),
         (["capacities", "--domain", "ball:1", "--kmax", "abc"], "argument --kmax"),
@@ -246,6 +259,8 @@ class TestInputBoundary:
             "bounds-of-weight-list", "huge-ellipsoid", "tower-of-a-curve",
             "tower-of-a-weight-list", "oracle-of-a-weight-list", "superellipse-overflow",
             "superellipse-underflow", "errors-past-float-range", "obstruct-infinite-volume",
+            "ball-past-float-range", "square-past-float-range", "ellipsoid-past-float-range",
+            "rational-depth",
             "unknown-flag", "kmax-not-a-number", "missing-domain"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
         argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
@@ -308,6 +323,18 @@ class TestInputBoundary:
         _, exact = run(capsys, "capacities", "--domain", "weights:5;1,1,1", "--kmax", "30")
         got = [float(v) for v in json.loads(out)["values"]]
         assert got == [float(Fraction(v)) for v in json.loads(exact)["values"]]
+
+    @pytest.mark.parametrize("a, b", [("10", "1/10"), ("100", "1/100")])
+    def test_rational_triangle_is_an_ellipsoid(self, capsys, a, b):
+        # the weight route walked 200,000 complement indices for E(10, 1/10)
+        # and passed the default depth for E(100, 1/100)
+        spec = json.dumps({"kind": "polygon", "orientation": "convex",
+                           "vertices": [["0", "0"], [a, "0"], ["0", b]]})
+        t0 = time.monotonic()
+        code, out = run(capsys, "capacities", "--domain", f"polygon:{spec}", "--kmax", "20")
+        assert code == 0 and time.monotonic() - t0 < 1.0
+        _, want = run(capsys, "capacities", "--domain", f"ellipsoid:{a},{b}", "--kmax", "20")
+        assert json.loads(out)["values"] == json.loads(want)["values"]
 
 
 NUMBERS = st.sampled_from(["0", "1", "2", "3/2", "-1", "1/0", "x", "", "1e3", "0.5",
@@ -398,6 +425,33 @@ class TestOracleRun:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), timeout=120)
         assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+class TestStartup:
+    def test_closed_forms_and_output_do_not_import_numpy(self, fig_file):
+        # numpy serves only the max-plus fold of two or more balls and the
+        # convex scan; the enum-io closed-form children never need it
+        script = f"""
+import os, sys
+import capax.cli
+def run(*argv):
+    return capax.cli.main([*argv, "--out", os.devnull])
+assert "numpy" not in sys.modules, "import capax.cli"
+for argv in (["capacities", "--domain", "ball:1", "--kmax", "100000"],
+             ["capacities", "--domain", "ellipsoid:1,2", "--kmax", "50000"],
+             ["capacities", "--domain", "square:1", "--kmax", "2000"],
+             ["errors", "--domain", "ball:1", "--kmax", "1000"]):
+    assert run(*argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert run("obstruct", "--from", "ellipsoid:1,phi", "--to", "ball:sqrt_phi",
+           "--kmax", "500", "--backend", "float") == 2
+assert "numpy" not in sys.modules, "obstruct"
+assert run("capacities", "--domain", "@{fig_file}", "--kmax", "10", "--oracle") == 0
+print("numpy" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0 and proc.stdout.split() == ["True"], proc.stderr
 
 
 P6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]
