@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapaxError, WindowOutOfRange
-from .scalars import rational_parts, sfloat
+from .scalars import rational_parts
 from .domains import BoundaryProfile
 from .capacities import CapacitySeries
 
@@ -50,10 +50,10 @@ class ErrorSeries:
 def error_series(series: CapacitySeries, vol: float,
                  band: Band | None = None) -> ErrorSeries:
     """e_k = c_k - sqrt(4*vol*k) over the series' full range."""
-    vol_f = sfloat(vol)
+    vol_f = float(vol)
     if not 4.0 * vol_f * series.kmax < math.inf:
         raise CapaxError(f"sqrt(4 vol k) leaves the float range: vol = {vol_f!r}")
-    return error_values(series.float_values(), range(series.kmax + 1), vol_f, band,
+    return error_values(series.iter_floats(), range(series.kmax + 1), vol_f, band,
                         series.source)
 
 
@@ -67,15 +67,15 @@ def error_values(c_values, ks, vol: float,
 
 def band_from_pairings(k_dot_a: float, k_plus_dot_a: float) -> Band:
     """Divisor-level band [K.A/2, K.A/2 - K+.A]."""
-    lower = 0.5 * sfloat(k_dot_a)
-    upper = 0.5 * sfloat(k_dot_a) - sfloat(k_plus_dot_a)
+    lower = 0.5 * float(k_dot_a)
+    upper = 0.5 * float(k_dot_a) - float(k_plus_dot_a)
     return Band(lower=lower, upper=upper)
 
 
 def band_for_profile(profile: BoundaryProfile) -> Band:
     """Toric evaluation: K.A = -(a+b+L), K+.A = -L."""
-    a, b = sfloat(profile.a), sfloat(profile.b)
-    ell = sfloat(profile.total_affine_plus)
+    a, b = float(profile.a), float(profile.b)
+    ell = float(profile.total_affine_plus)
     return band_from_pairings(-(a + b + ell), -ell)
 
 
@@ -160,7 +160,7 @@ def convergence_verdict(profile: BoundaryProfile,
     otherwise report the band and the empirical window midpoint."""
     inv = invariants if invariants is not None else edge_invariants(profile)
     band = band_for_profile(profile)
-    ruelle = -(sfloat(profile.a) + sfloat(profile.b)) / 2.0
+    ruelle = -(float(profile.a) + float(profile.b)) / 2.0
     notes = []
     proven = inv.n_rational == 0
     mid = None

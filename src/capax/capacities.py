@@ -33,7 +33,7 @@ from .errors import (
     CeilingExceeded,
     SearchSpaceEmpty,
 )
-from .scalars import backend_of, format_ratios, format_scalar, sfloat
+from .scalars import backend_of, binade, format_ratios, format_scalar
 from .domains import BoundaryProfile, DomainDescriptor, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
@@ -96,23 +96,26 @@ class CapacitySeries:
 
     def lo(self, k: int) -> float:
         s = self.lower_slack[k] if self.lower_slack else 0.0
-        return sfloat(self.value(k)) - sfloat(s)
+        return float(self.value(k)) - float(s)
 
     def hi(self, k: int) -> float:
         s = self.upper_slack[k] if self.upper_slack else 0.0
-        return sfloat(self.value(k)) + sfloat(s)
+        return float(self.value(k)) + float(s)
 
     def float_values(self) -> list[float]:
-        """c_k as correctly rounded floats (int / int rounds once)."""
-        if self.den is None:
-            return [sfloat(v) for v in self.num]
-        return [n / self.den for n in self.num]
+        return list(self.iter_floats())
+
+    def iter_floats(self):
+        """c_k as correctly rounded floats (int / int rounds once), one at a time."""
+        return map(float, self.num) if self.den is None else (n / self.den for n in self.num)
 
     def assert_nondecreasing(self):
-        c = self.float_values()
-        if c[0] != 0.0:
+        """c_0 = 0 and c_k >= c_{k-1}, exactly on exact data."""
+        c = self.num
+        tol = 1e-12 if isinstance(c[-1], float) else 0
+        if c[0] != 0:
             raise AssertionError("series must start at c_0 = 0")
-        down = next((k for k in range(1, len(c)) if c[k] < c[k - 1] - 1e-12), None)
+        down = next((k for k in range(1, len(c)) if c[k] < c[k - 1] - tol), None)
         if down is not None:
             raise AssertionError(f"series decreases at k={down}")
 
@@ -129,8 +132,8 @@ class CapacitySeries:
             "source": self.source,
             "kmax": self.kmax,
             "values": self._formatted(),
-            "lower_slack": [sfloat(s) for s in self.lower_slack] if self.lower_slack else None,
-            "upper_slack": [sfloat(s) for s in self.upper_slack] if self.upper_slack else None,
+            "lower_slack": [float(s) for s in self.lower_slack] if self.lower_slack else None,
+            "upper_slack": [float(s) for s in self.upper_slack] if self.upper_slack else None,
             "meta": self.meta,
         }
 
@@ -138,8 +141,8 @@ class CapacitySeries:
         lines = [f"# capax-csv v1 capacities method={self.method} source={self.source}",
                  "k,c_k,lower_slack,upper_slack,method"]
         for k, v in enumerate(self._formatted()):
-            lo = sfloat(self.lower_slack[k]) if self.lower_slack else 0.0
-            hi = sfloat(self.upper_slack[k]) if self.upper_slack else 0.0
+            lo = float(self.lower_slack[k]) if self.lower_slack else 0.0
+            hi = float(self.upper_slack[k]) if self.upper_slack else 0.0
             lines.append(f"{k},{v},{lo!r},{hi!r},{self.method}")
         return "\n".join(lines) + "\n"
 
@@ -257,13 +260,14 @@ def concave_capacity(d: DomainDescriptor, K: int,
     certified lower envelope; the tail bound feeds the upper slack.
     """
     t = tree if tree is not None else concave_weights(d, limits)
-    weights = sorted(t.weight_multiset(), key=sfloat, reverse=True)
+    weights = sorted(t.weight_multiset(), reverse=True)
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
-    tail = sfloat(t.truncation.dropped_tail_sum)
-    upper = [dk * tail for dk in d_values(K)] if tail > 0 else None
+    tail = t.truncation.dropped_tail_sum
+    tail_f = float(tail)
+    upper = [dk * tail_f for dk in d_values(K)] if tail > 0 else None
     return replace(union_of_balls(weights, K, zero - zero),
                    upper_slack=upper, backend=t.backend, source=f"concave:{d.kind}",
-                   meta={"dropped_tail_sum": tail})
+                   meta={"dropped_tail_sum": tail_f})
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +281,10 @@ def convex_capacity(d: DomainDescriptor, K: int,
     certified scan `maxplus._convex_scan`."""
     from .maxplus import _convex_scan
     t = tree if tree is not None else convex_weights(d, limits)
-    ws, trunc = t.weight_multiset(), t.truncation
-    # the full weight sum w and v = c^2/2 - area, the area between the domain
-    # and its circumscribed triangle: by the expansion's length and area
-    # identities, the weights and the dropped tail give both
-    w = sfloat(sum(ws, t.head - t.head)) + sfloat(trunc.dropped_tail_sum)
-    v = (sum((sfloat(x) ** 2 for x in ws), 0.0) + sfloat(trunc.dropped_tail_sq)) / 2.0
-    return replace(_convex_scan(t, v, w, K), upper_slack=[0.0] * (K + 1),
+    return replace(_convex_scan(t, K), upper_slack=[0.0] * (K + 1),
                    backend=t.backend, source=f"convex:{d.kind}",
-                   meta={"head": sfloat(t.head), "dropped_tail_sum": sfloat(trunc.dropped_tail_sum)})
+                   meta={"head": float(t.head),
+                         "dropped_tail_sum": float(t.truncation.dropped_tail_sum)})
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +347,16 @@ def dkn_upper_data(a2: float, minus_k_dot_a: float, f_value: float,
                    k_plus: float, k: int) -> float:
     """Abstract form of the degree bound: d_{k,n}*A^2 - K+.A from the raw
     pairings, for pseudo-polarised input given without a surface."""
-    kappa = sfloat(minus_k_dot_a) / sfloat(a2)
-    dkn = -kappa / 2 + math.sqrt(kappa * kappa / 4 + (2 * k + f_value) / sfloat(a2))
-    return max(dkn, 0.0) * sfloat(a2) + sfloat(k_plus)
+    kappa = float(minus_k_dot_a) / float(a2)
+    dkn = -kappa / 2 + math.sqrt(kappa * kappa / 4 + (2 * k + f_value) / float(a2))
+    return max(dkn, 0.0) * float(a2) + float(k_plus)
 
 
 def _bound_pairings(s: PicBasisSurface) -> tuple:
     """A^2, -K.A, F and K+.A of a surface: the degree bound's k-free data."""
     minus_k = tuple(-x for x in s.K)
-    return (sfloat(_dot(s.A, s.A)), sfloat(_dot(minus_k, s.A)), tower_mod.F_of_n(s),
-            sfloat(k_plus_dot_A(s)))
+    return (float(_dot(s.A, s.A)), float(_dot(minus_k, s.A)), tower_mod.F_of_n(s),
+            float(k_plus_dot_A(s)))
 
 
 class _EnumContext:
@@ -375,7 +374,6 @@ class _EnumContext:
         a = [s.A[0]] + [-(s.A[i]) for i in range(1, n + 1)]  # head, a_i >= 0
         a = [Fraction(x) if isinstance(x, float) else x for x in a]
         self.den, self.a = _scaled(a)
-        self.pairings = _bound_pairings(s)
         # one pass over the boundary classes: each curve's degree, the two
         # owner curves (coefficient -1) and the e-curve (+1) of every blowup
         classes = [c.cls for c in s.curves]
@@ -394,6 +392,10 @@ class _EnumContext:
             if len(self.owners[i]) != 2:
                 raise AssertionError(f"blowup {i} has {len(self.owners[i])} owner curves")
         self.floor = _nef_floor(classes, a)
+        # the degree bound's floats, of A*2^-e with 2^e the head's binade, never underflow
+        unit = Fraction(2) ** -binade(s.A[0])
+        self.pairings = _bound_pairings(replace(s, A=tuple(x * unit for x in s.A)))
+        self.floor_f = float(self.floor * unit)
         # the parent blowup index
         self.parent = [None] * (n + 1)
         for i in range(1, n + 1):
@@ -525,13 +527,11 @@ def _tower_result(tw: Tower, k: int, value, ctx: _EnumContext,
     limit from the final level's c_k: any deeper optimizer truncates to a
     feasible divisor at this level whose pairing with A grows by at most
     its degree cap times the dropped weight sum; `ctx` is the final level's."""
-    v = sfloat(value)
-    tail = sfloat(tw.tail_sum())
+    v = float(value)
     slack = 0.0
-    if tail != 0:
-        floor = sfloat(ctx.floor)
-        d_cap = (dkn_upper_data(*ctx.pairings, k) / floor) if floor > 0 else math.inf
-        slack = d_cap * tail
+    if tw.tail_sum() != 0:
+        d_cap = (dkn_upper_data(*ctx.pairings, k) / ctx.floor_f) if ctx.floor > 0 else math.inf
+        slack = d_cap * float(tw.tail_sum())
     return TowerCapacityResult(value=value, bracket=(v - slack, v), per_level=per_level)
 
 
@@ -643,7 +643,7 @@ def series_for_domain(d: DomainDescriptor, K: int,
         poly, hb = inner_grid_polygon(d, M=max(16, min(48, K)))
         limits = limits or TruncationLimits(max_depth=512, eps=1e-9)
         series = convex_capacity(poly, K, limits)
-        r = sfloat(d.params[-1])
+        r = float(d.params[-1])
         lam = hb / max(r - hb, 1e-9)
         base = series.upper_slack or [0.0] * (K + 1)
         series.upper_slack = [u + lam * c for u, c in zip(base, series.float_values())]

@@ -35,7 +35,6 @@ from .scalars import (
     bounded,
     parse_scalar,
     primitive_direction,
-    sfloat,
 )
 
 
@@ -244,14 +243,8 @@ def _dedupe_collinear(d: DomainDescriptor, vs):
 
 def shoelace_area(vs):
     """Signed area (positive for counterclockwise order)."""
-    s = None
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        t = x0 * y1 - x1 * y0
-        s = t if s is None else s + t
-    return s / 2
+    s = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, [*vs[1:], vs[0]]))
+    return s * Fraction(1, 2)  # exact on exact data, ints included
 
 
 def validate(d: DomainDescriptor) -> BoundaryProfile:
@@ -259,7 +252,7 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
     if d.kind == "polygon":
         return _validate_polygon(d)
     if d.kind == "ellipsoid":
-        if not (sfloat(d.a) > 0 and sfloat(d.b) > 0):
+        if not (d.a > 0 and d.b > 0):
             raise EmptyDomain("ellipsoid needs positive legs")
         zero = _zero_of(d)
         chain = ((zero, d.b), (d.a, zero))
@@ -272,13 +265,13 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
     if d.kind == "curve":
         return _validate_curve(d)
     if d.kind == "weight_list":
-        if any(sfloat(w) < 0 for w in d.weights):
+        if any(w < 0 for w in d.weights):
             raise EmptyDomain("negative weight")
-        if d.head is not None and any(sfloat(w) > sfloat(d.head) for w in d.weights):
+        if d.head is not None and any(w > d.head for w in d.weights):
             raise NonConvex("head must dominate every weight")
         if d.head is not None:
             gap = area(d)  # (head^2 - sum w^2)/2, the domain's area
-            if not sfloat(gap) > area_tolerance(d):
+            if not gap > area_tolerance(d):
                 raise EmptyDomain("weights fill the head's triangle: sum w^2 >= head^2")
         zero = _zero_of(d)
         return BoundaryProfile(a=None, b=None, plus_edges=(), total_affine_plus=zero,
@@ -292,16 +285,16 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
     if len(vs) < 3:
         raise EmptyDomain("polygon needs at least 3 vertices")
     for x, y in vs:
-        if sfloat(x) < -d.tol or sfloat(y) < -d.tol:
+        if x < -d.tol or y < -d.tol:
             raise NotInQuadrant(f"vertex ({x}, {y}) leaves the positive quadrant")
     vs = _dedupe_collinear(d, vs)
     if len(vs) < 3:
         raise EmptyDomain("polygon is degenerate after normalization")
     area2 = shoelace_area(vs)
-    if sfloat(area2) < 0:
+    if area2 < 0:
         vs.reverse()
         area2 = -area2
-    if not sfloat(area2) > 0:
+    if not area2 > 0:
         raise EmptyDomain("polygon has zero area")
 
     origin = [i for i, v in enumerate(vs) if not v[0] and not v[1]]
@@ -315,23 +308,23 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
         raise AxisContactMissing(
             "boundary must leave the origin along the x-axis and return along the y-axis")
     a, b = vs[1][0], vs[-1][1]
-    if not (sfloat(a) > 0 and sfloat(b) > 0):
+    if not (a > 0 and b > 0):
         raise AxisContactMissing("axis contact segments must have positive length")
 
     chain = list(reversed(vs[1:]))  # (0,b) .. (a,0), upper boundary
     if d.orientation == "convex":
         n = len(vs)
         for i in range(n):
-            if sfloat(_cross(vs[i - 1], vs[i], vs[(i + 1) % n])) <= 0:
+            if _cross(vs[i - 1], vs[i], vs[(i + 1) % n]) <= 0:
                 raise NonConvex(f"reflex corner at vertex {vs[i]}")
     elif d.orientation == "concave":
         for i in range(len(chain) - 1):
-            if not sfloat(chain[i + 1][0] - chain[i][0]) > 0:
+            if not chain[i + 1][0] - chain[i][0] > 0:
                 raise NonConvex("upper boundary is not the graph of a function")
-            if not sfloat(chain[i][1] - chain[i + 1][1]) > 0:
+            if not chain[i][1] - chain[i + 1][1] > 0:
                 raise NonConvex("upper boundary must be strictly decreasing")
         for i in range(len(chain) - 2):
-            if sfloat(_cross(chain[i], chain[i + 1], chain[i + 2])) <= 0:
+            if _cross(chain[i], chain[i + 1], chain[i + 2]) <= 0:
                 raise NonConvex("upper boundary is not convex")
     else:
         raise InvalidSpec(f"polygon orientation {d.orientation!r}")
@@ -404,7 +397,7 @@ def area(d: DomainDescriptor):
         vs = [(zero, zero)] + list(reversed(profile.chain))
         return shoelace_area(vs)
     if d.kind == "ellipsoid":
-        return d.a * d.b / 2
+        return d.a * d.b * Fraction(1, 2)
     if d.kind == "curve":
         if d.curve == "quarter_disk":
             (r,) = d.params
@@ -413,14 +406,8 @@ def area(d: DomainDescriptor):
         pf = float(p)
         return float(r) ** 2 * math.gamma(1 + 1 / pf) ** 2 / math.gamma(1 + 2 / pf)
     if d.kind == "weight_list":
-        sq = None
-        for w in d.weights:
-            sq = w * w if sq is None else sq + w * w
-        if d.head is not None:
-            total = d.head * d.head if sq is None else d.head * d.head - sq
-        else:
-            total = sq if sq is not None else Fraction(0)
-        return total / 2
+        sq = sum(w * w for w in d.weights)
+        return (sq if d.head is None else d.head * d.head - sq) * Fraction(1, 2)
     raise ValueError(f"unknown domain kind {d.kind!r}")
 
 
@@ -429,13 +416,14 @@ def area_tolerance(d: DomainDescriptor) -> float:
     within eps of its value; 0 for exact data.  area's sums add bounds, a
     product u*v has |u| e_v + |v| e_u + e_u e_v, and the polygon's origin
     is exact.  A curve's area carries eps and its formula's rounding,
-    relative to the area."""
+    relative to the area.  Exact data get an exact 0, which compares with
+    Q(sqrt d) values as a float 0.0 cannot."""
     if d.kind == "curve":
         v = area(d)
         return d.tol * v + (4e-16 if d.curve == "quarter_disk" else 1e-14) * v
     e = d.tol
     if not e:
-        return 0.0
+        return e
     prod = lambda u, v: abs(u) * e + abs(v) * e + e * e
     if d.kind == "polygon":  # shoelace over the chain; the terms at the origin are exact
         chain = validate(d).chain[::-1]
@@ -471,7 +459,7 @@ def inner_grid_polygon(d: DomainDescriptor, M: int) -> tuple[DomainDescriptor, f
     # upper hull: traversed x-increasing the chain must turn right throughout
     hull = []
     for pt in pts:
-        while len(hull) >= 2 and sfloat(_cross(hull[-2], hull[-1], pt)) >= 0:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) >= 0:
             hull.pop()
         hull.append(pt)
     verts = [(Fraction(0), Fraction(0))] + list(reversed(hull))
@@ -479,7 +467,7 @@ def inner_grid_polygon(d: DomainDescriptor, M: int) -> tuple[DomainDescriptor, f
                             vertices=tuple(verts), backend="exact")
     # arc-to-chord gaps measured on true curve points, plus the grid offset
     worst = 0.0
-    xs = [sfloat(p[0]) for p in hull]
+    xs = [float(p[0]) for p in hull]
     for x0, x1 in zip(xs, xs[1:]):
         worst = max(worst, _tangent_gap(f, fp, x0, f(x0), x1, f(x1)))
     return poly, worst * (1 + 1e-9) + 2 * rf / M

@@ -14,7 +14,7 @@ import numpy as np
 
 from .capacities import CapacitySeries, _scaled, d_index, d_values
 from .errors import PruningBoundExceeded
-from .scalars import Quad, quad_sign, rational_parts, sfloat
+from .scalars import Quad, binade, quad_sign, rational_parts
 from .weights import WeightTree
 
 
@@ -142,12 +142,8 @@ def _ball_table(ws: list, ds) -> np.ndarray:
     return table
 
 
-def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
-                 s_ceiling: int = 200_000) -> CapacitySeries:
+def _convex_scan(tree: WeightTree, K: int, s_ceiling: int = 200_000) -> CapacitySeries:
     """c_k = min_s c*d(k+s) - M(s) for k = 0..K, with the certified lower slack.
-
-    v is the area between the domain and its circumscribed triangle, w
-    the full weight sum including the dropped tail.
 
     For each k the scan ends at the first s at which a lower bound for
     every candidate beyond s clears the best candidate so far.  Inside a
@@ -162,11 +158,26 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
     The candidates' dtype follows the data: int64 for scaled rationals
     while every candidate and the denominator stay below 2^53, so that
     cand / den rounds as int / int does; float64 for floats; Python
-    objects for Quads and larger data."""
-    weights = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
-    den, (c, *ws) = _scaled([tree.head] + weights)
-    tail, c_f = sfloat(tree.truncation.dropped_tail_sum), sfloat(tree.head)
+    objects for Quads and larger data.  Every float the test reads is an
+    exact value times 2^-e, 2^e the binade of the head, rounded once: a
+    power of two commutes with rounding in the normal range, so at any
+    scale the test and the slack are those of the unit-size domain."""
+    multiset = tree.weight_multiset()
+    den, (c, *ws) = _scaled([tree.head] + sorted(multiset, reverse=True))
     dt = _dtype([c] + ws, d_index(K + s_ceiling), 2**53) if (den or 1) < 2**53 else object
+    e = binade(tree.head)
+    unit = Fraction(2) ** -e
+
+    def sf(x, power=1):  # float(x * 2^(-e * power))
+        return math.ldexp(x, -e * power) if isinstance(x, float) else float(x * unit ** power)
+
+    # the area between the domain and its circumscribed triangle,
+    # v = c^2/2 - area, and the full weight sum w: by the expansion's area
+    # and length identities, the weights and the dropped tail give both
+    trunc = tree.truncation
+    c_f, tail = sf(tree.head), sf(trunc.dropped_tail_sum)
+    w = sf(sum(multiset, tree.head - tree.head)) + tail
+    v = (sum((sf(x) ** 2 for x in multiset), 0.0) + sf(trunc.dropped_tail_sq, 2)) / 2.0
 
     def table(S):
         ds = np.array(d_values(S))
@@ -175,8 +186,12 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
     def cand(t, s):
         return c * (t.astype(object) if dt is object else t) - M[s]
 
-    def floats(x):
-        return (x / den if den not in (None, 1) else x).astype(float)
+    def floats(x):  # the candidates x (over den) times 2^-e
+        if dt is not object:
+            return np.ldexp((x / den if den not in (None, 1) else x).astype(float), -e)
+        if den is None:  # Quads
+            return (x * unit if e else x).astype(float)
+        return (x * unit.numerator / (den * unit.denominator)).astype(float)
 
     # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
     # candidate at index u and is smallest at t_star, so
@@ -236,4 +251,4 @@ def _convex_scan(tree: WeightTree, v: float, w: float, K: int,
     return CapacitySeries(
         method="decomposition",
         num=[tree.head - tree.head if den is None else 0] + best.tolist(),
-        den=den, lower_slack=[0.0] + (fbest - best_lo).tolist())
+        den=den, lower_slack=[0.0] + np.ldexp(fbest - best_lo, e).tolist())

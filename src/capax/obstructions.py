@@ -7,16 +7,18 @@ admissible -- the affine-length inequality
 a + b + L(from) >= a + b + L(to).  A verdict of OBSTRUCTED requires at
 least one strictly violated condition beyond the combined reported
 slack; everything else is INCONCLUSIVE (this tool never claims an
-embedding exists).
+embedding exists).  Two exact domains whose series carry no slack are
+compared exactly: equal volumes are equal, and every witness has slack 0.
+Float or truncated data compare in floats, with margins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import NotComparable
-from .scalars import rational_parts, sfloat
+from .scalars import rational_parts
 from .domains import DomainDescriptor, area, area_tolerance, validate
 from .capacities import series_for_domain
 from .weights import TruncationLimits
@@ -33,9 +35,7 @@ class Witness:
     slack: float
 
     def to_json(self) -> dict:
-        return {"criterion": self.criterion, "k": self.k,
-                "from_value": self.from_value, "to_value": self.to_value,
-                "slack": self.slack}
+        return asdict(self)
 
 
 @dataclass
@@ -71,15 +71,8 @@ def _is_scaled_lattice(d: DomainDescriptor) -> bool:
     if d.backend == "float":
         return False
     coords = [Fraction(c) if isinstance(c, int) else c
-              for v in d.vertices for c in v if sfloat(c) != 0]
-    if not coords:
-        return False
-    q = coords[0]
-    try:
-        pairs = [rational_parts(c / q) for c in coords]
-    except (TypeError, ZeroDivisionError):
-        return False
-    return all(p2 == 0 for _, p2 in pairs)
+              for v in d.vertices for c in v if c != 0]
+    return bool(coords) and all(rational_parts(c / coords[0])[1] == 0 for c in coords)
 
 
 def admissible(d: DomainDescriptor, profile=None) -> bool:
@@ -91,11 +84,6 @@ def admissible(d: DomainDescriptor, profile=None) -> bool:
     if prof.smooth or all(not e.rational_sloped for e in prof.plus_edges):
         return True
     return _is_scaled_lattice(d)
-
-
-def _total_affine_length(d: DomainDescriptor, profile) -> float:
-    """a + b + affine length of the rational part of the upper boundary."""
-    return sfloat(profile.a) + sfloat(profile.b) + sfloat(profile.total_affine_plus)
 
 
 def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
@@ -113,22 +101,26 @@ def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
 
     s_from = series_for_domain(dom_from, K, limits)
     s_to = series_for_domain(dom_to, K, limits)
-    guard = 1e-12
+    # exact data with no slack compare exactly, with zero margins and slack
+    exact = exact_pair and not any(x for s in (s_from, s_to)
+                                   for x in (s.lower_slack or []) + (s.upper_slack or []))
+    num = (lambda x: x) if exact else float
+    guard = 0 if exact else 1e-12
     for k in range(min(s_from.kmax, s_to.kmax) + 1):
-        lo_from = s_from.lo(k)  # certified lower value for the source
-        hi_to = s_to.hi(k)      # certified upper value for the target
-        slack = (sfloat(s_from.value(k)) - lo_from) + (hi_to - sfloat(s_to.value(k)))
+        c_from, c_to = s_from.value(k), s_to.value(k)
+        # certified lower value for the source, upper value for the target
+        lo_from, hi_to = (c_from, c_to) if exact else (s_from.lo(k), s_to.hi(k))
         if lo_from > hi_to + guard * (1 + abs(hi_to)):
-            witnesses.append(Witness("capacity", k, sfloat(s_from.value(k)),
-                                     sfloat(s_to.value(k)), slack))
+            slack = (float(c_from) - float(lo_from)) + (float(hi_to) - float(c_to))
+            witnesses.append(Witness("capacity", k, float(c_from), float(c_to), slack))
             if len(witnesses) >= 8:
                 break
 
-    vf, vt = sfloat(area(dom_from)), sfloat(area(dom_to))
-    vol_slack = (area_tolerance(dom_from) + area_tolerance(dom_to)
-                 + VOL_RTOL * max(abs(vf), abs(vt), 1.0))
+    vf, vt = num(area(dom_from)), num(area(dom_to))
+    vol_slack = 0 if exact else (area_tolerance(dom_from) + area_tolerance(dom_to)
+                                 + VOL_RTOL * max(abs(vf), abs(vt), 1.0))
     if vf > vt + vol_slack:
-        witnesses.append(Witness("volume", None, vf, vt, vol_slack))
+        witnesses.append(Witness("volume", None, float(vf), float(vt), float(vol_slack)))
     volumes_equal = abs(vf - vt) <= vol_slack
 
     adm_from, adm_to = admissible(dom_from, prof_from), admissible(dom_to, prof_to)
@@ -136,12 +128,12 @@ def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
         notes.append("equal volumes but a weight list has no axis extents: "
                      "affine-length criterion not applied")
     elif volumes_equal and adm_from and adm_to:
-        lf = _total_affine_length(dom_from, prof_from)
-        lt = _total_affine_length(dom_to, prof_to)
-        slack = prof_from.affine_tol + prof_to.affine_tol \
+        # a + b + the affine length of the rational part of the upper boundary
+        lf, lt = (num(p.a) + num(p.b) + num(p.total_affine_plus) for p in (prof_from, prof_to))
+        slack = 0 if exact else prof_from.affine_tol + prof_to.affine_tol \
             + 1e-12 * (1 + abs(lf) + abs(lt))
         if lf < lt - slack:
-            witnesses.append(Witness("affine_length", None, lf, lt, slack))
+            witnesses.append(Witness("affine_length", None, float(lf), float(lt), float(slack)))
     elif volumes_equal and not (adm_from and adm_to):
         notes.append("equal volumes but inadmissible domain: affine-length "
                      "criterion not applied")
@@ -149,5 +141,5 @@ def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
     verdict = "OBSTRUCTED" if witnesses else "INCONCLUSIVE"
     return ObstructionReport(verdict=verdict, witnesses=witnesses,
                              admissible_from=adm_from, admissible_to=adm_to,
-                             vol_from=vf, vol_to=vt, volumes_equal=volumes_equal,
-                             notes=notes)
+                             vol_from=float(vf), vol_to=float(vt),
+                             volumes_equal=volumes_equal, notes=notes)

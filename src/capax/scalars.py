@@ -209,8 +209,13 @@ class Quad:
         return format_scalar(self)
 
 
-def sfloat(x) -> float:
-    return float(x)
+def binade(x) -> int:
+    """An e with 1 <= |x|*2^-e < 2, up to rounding, for a nonzero scalar:
+    floats of x*2^-e are normal.  An exact x is scaled before it rounds."""
+    e = 0
+    while not 2.0 ** -1000 < (f := abs(float(x * Fraction(2) ** -e))):
+        e -= 1000
+    return e + math.frexp(f)[1] - 1
 
 
 def is_exact(x) -> bool:

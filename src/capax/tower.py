@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonConvex, NonPositiveHead, NotNef, UnknownNode
-from .scalars import format_scalar, is_exact, sfloat
+from .scalars import format_scalar, is_exact
 from .weights import WeightTree, linearize
 
 AXIS_TOKENS = ("H1", "H2")
@@ -61,7 +61,7 @@ def _negative(v) -> bool:
 
 def p2_init(c) -> PicBasisSurface:
     """The plane polarised by c*H, with its three boundary lines."""
-    if not sfloat(c) > 0:
+    if not c > 0:
         raise NonPositiveHead(f"head must be positive, got {c}")
     curves = (
         BoundaryCurve("H0", (1,)),  # hypotenuse line
@@ -82,7 +82,7 @@ def blowup(s: PicBasisSurface, node, a, token=None) -> PicBasisSurface:
     i1, i2 = (tokens.index(t) if t in tokens else None for t in node)
     if None in (i1, i2) or ((i1 + 1) % m != i2 and (i2 + 1) % m != i1):
         raise UnknownNode(f"no boundary node between curves {set(node)}")
-    if sfloat(a) < 0:
+    if a < 0:
         raise ValueError("blowup weight must be nonnegative")
     n = s.n + 1
     curves = [BoundaryCurve(c.token, c.cls + ((-1,) if i in (i1, i2) else (0,)))

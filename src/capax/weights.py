@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BackendOverflow, NonConvex
-from .scalars import format_scalar, primitive_direction, sfloat
+from .scalars import format_scalar, primitive_direction
 from .domains import DomainDescriptor, shoelace_area, validate
 
 INF_NODE = "inf"  # key for the extended node in deficiency maps
@@ -98,7 +98,6 @@ class WeightTree:
 def _rational(x) -> Fraction:
     """The rational a float stands for: the one of denominator at most
     2^26 that rounds to it, else its exact dyadic value."""
-    x = sfloat(x)
     q = Fraction(x).limit_denominator(2 ** 26)
     return q if float(q) == x else Fraction(x)
 
@@ -168,7 +167,7 @@ class _Recursion:
                 continue
             svals = [x + y for x, y in graph]
             a = min(svals)
-            if sfloat(a) < self.eps:
+            if float(a) < self.eps:  # a float threshold
                 self._drop(graph)
                 continue
             introduced, left, right = self.split(graph, [s - a for s in svals],
@@ -193,7 +192,7 @@ class _Recursion:
 def _tree_from_weight_list(d: DomainDescriptor) -> WeightTree:
     zero = Fraction(0)
     rec_nodes = {}
-    order = sorted(range(len(d.weights)), key=lambda i: (-sfloat(d.weights[i]), i))
+    order = sorted(range(len(d.weights)), key=lambda i: d.weights[i], reverse=True)
     for rank, idx in enumerate(order):
         rec_nodes[rank] = WeightNode(id=rank, weight=d.weights[idx], parent=None,
                                      side=3, corner=None, introduced=zero, depth=1)
@@ -281,7 +280,7 @@ def deficiencies(t: WeightTree) -> dict:
 def is_balanced(t: WeightTree, tol=0) -> tuple[bool, list]:
     """True iff every deficiency (including the extended node) is <= tol."""
     offenders = [(key, val) for key, val in deficiencies(t).items() if val > tol]
-    offenders.sort(key=lambda kv: -sfloat(kv[1]))
+    offenders.sort(key=lambda kv: kv[1], reverse=True)
     return (not offenders), offenders
 
 

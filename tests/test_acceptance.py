@@ -31,7 +31,7 @@ from capax.capacities import (
     tower_capacity,
 )
 from capax.cli import main as cli_main
-from capax.scalars import Quad, sfloat
+from capax.scalars import Quad
 from capax.tower import F_of_n, blowup, build_tower, k_plus_dot_A, p2_init
 from capax.weights import (
     TruncationLimits,
@@ -215,13 +215,13 @@ def test_criterion_9_property_suites():
     # tower level-monotonicity
     d = random_convex_polygon(rng)
     res = tower_capacity(build_tower(convex_weights(d)), 9, all_levels=True)
-    vals = [sfloat(v) for v in res.per_level]
+    vals = [float(v) for v in res.per_level]
     ok &= vals == sorted(vals, reverse=True)
 
     # zero-weight blowup leaves capacities unchanged
     s = p2_init(Fraction(4))
     s0 = blowup(s, ("H0", "H2"), Fraction(0))
-    ok &= all(sfloat(a) == sfloat(b) for a, b in
+    ok &= all(float(a) == float(b) for a, b in
               zip(alg_capacity_series(s, 15), alg_capacity_series(s0, 15)))
 
     # F increments bounded by 5 on every constructed tower
@@ -235,9 +235,9 @@ def test_criterion_9_property_suites():
         d = random_convex_polygon(rng)
         tree = convex_weights(d)
         p = domains.validate(d)
-        defs = sorted(sfloat(v) for v in deficiencies(tree).values()
-                      if sfloat(v) > 0)
-        edges = sorted(sfloat(e.affine_length) for e in p.plus_edges
+        defs = sorted(float(v) for v in deficiencies(tree).values()
+                      if float(v) > 0)
+        edges = sorted(float(e.affine_length) for e in p.plus_edges
                        if e.rational_sloped)
         ok &= defs == edges
 

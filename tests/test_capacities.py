@@ -34,7 +34,8 @@ from capax.capacities import (
     union_of_balls,
 )
 from capax.maxplus import _ball_table, _convex_scan, _quad_pairs
-from capax.scalars import Quad, format_ratios, format_scalar, quad_sign, sfloat
+from capax.obstructions import obstruct
+from capax.scalars import Quad, format_ratios, format_scalar, quad_sign
 from capax.tower import blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, random_convex_polygon
@@ -93,7 +94,7 @@ class TestClosedForms:
         b = ellipsoid_capacities(Fraction(1), Fraction(1), 12)
         assert b.values == ball_capacities(Fraction(1), 12).values
         e = ellipsoid_capacities(1.0, PHI, 3)
-        assert sfloat(e.value(3)) == pytest.approx(2.0)
+        assert float(e.value(3)) == pytest.approx(2.0)
 
     def test_square_sequence(self, unit_square):
         s = square_capacities(Fraction(1), 8)
@@ -108,7 +109,7 @@ class TestClosedForms:
             best = min(m + 2 * n for m in range(20) for n in range(20)
                        if (m + 1) * (n + 1) >= k + 1)
             brute.append(best)
-        assert [sfloat(v) for v in s.values] == brute
+        assert [float(v) for v in s.values] == brute
 
     @pytest.mark.parametrize("w, h", [(Fraction(1), Fraction(1)),
                                       (Fraction(3, 2), Fraction(5, 7)), (2, Fraction(1, 3)),
@@ -245,8 +246,8 @@ class TestConvex:
         assert got.lower_slack == GOLDEN_K30_LOWER_SLACK
         oracle = ellipsoid_capacities(1.0, PHI, 30)
         for k in range(31):
-            assert sfloat(got.value(k)) == pytest.approx(
-                sfloat(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
+            assert float(got.value(k)) == pytest.approx(
+                float(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
 
     def test_truncated_tower_bracket(self):
         d = golden_triangle()
@@ -256,7 +257,7 @@ class TestConvex:
         for k in (1, 4, 9):
             res = tower_capacity(tw, k)
             lo, hi = res.bracket
-            assert lo - 1e-9 <= sfloat(oracle.value(k)) <= hi + 1e-9
+            assert lo - 1e-9 <= float(oracle.value(k)) <= hi + 1e-9
 
 
 def scan_data(d, limits=None):
@@ -264,10 +265,10 @@ def scan_data(d, limits=None):
     circumscribed triangle, and its full weight sum: the scan's inputs."""
     tree = convex_weights(d, limits)
     profile = domains.validate(d)
-    c_f = sfloat(tree.head)
-    w_total = 3 * c_f - (sfloat(profile.a) + sfloat(profile.b)
-                         + sfloat(profile.total_affine_plus))
-    return tree, max(c_f ** 2 / 2.0 - sfloat(domains.area(d)), 0.0), w_total
+    c_f = float(tree.head)
+    w_total = 3 * c_f - (float(profile.a) + float(profile.b)
+                         + float(profile.total_affine_plus))
+    return tree, max(c_f ** 2 / 2.0 - float(domains.area(d)), 0.0), w_total
 
 
 def reference_scan(d, K, limits=None, s_ceiling=None):
@@ -279,9 +280,9 @@ def reference_scan(d, K, limits=None, s_ceiling=None):
     scan passes s_ceiling raises PruningBoundExceeded, with that k as the
     error's `k`."""
     tree, v, w_total = scan_data(d, limits)
-    c, c_f = tree.head, sfloat(tree.head)
-    tail = sfloat(tree.truncation.dropped_tail_sum)
-    weights = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
+    c, c_f = tree.head, float(tree.head)
+    tail = float(tree.truncation.dropped_tail_sum)
+    weights = sorted(tree.weight_multiset(), key=float, reverse=True)
     M = []
     values, slack = [c - c], [0.0]
     for k in range(1, K + 1):
@@ -291,8 +292,8 @@ def reference_scan(d, K, limits=None, s_ceiling=None):
                 M = union_of_balls(weights, 2 * len(M) or 64, c - c).values
             cand = c * d_index(k + s) - M[s]
             if best is None or cand < best:
-                best, best_f = cand, sfloat(cand)
-            lo = min(lo, sfloat(cand) - d_index(s) * tail)
+                best, best_f = cand, float(cand)
+            lo = min(lo, float(cand) - d_index(s) * tail)
             u = max(s + 1, 2 * v * k / (c_f * c_f - 2 * v)) if v > 0 else s + 1
             floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * u) - w_total
             if floor >= best_f + 1e-9 * abs(best_f):
@@ -366,7 +367,7 @@ class TestConvexScan:
         got = convex_capacity(d, 200)
         values, slack = reference_scan(d, 200)
         assert all(isinstance(v, float) for v in got.values[1:])
-        assert got.values == [sfloat(v) for v in values]
+        assert got.values == [float(v) for v in values]
         assert got.lower_slack == slack
 
     @pytest.mark.parametrize("d, ceiling", [(FIG, 20), (FIG, 40), (P6, 80)],
@@ -374,14 +375,14 @@ class TestConvexScan:
     def test_ceiling_raises_for_the_smallest_k(self, d, ceiling):
         with pytest.raises(PruningBoundExceeded) as ref:
             reference_scan(d, 400, s_ceiling=ceiling)
-        data = scan_data(d)
+        tree = convex_weights(d)
         with pytest.raises(PruningBoundExceeded) as got:
-            _convex_scan(*data, 400, s_ceiling=ceiling)
+            _convex_scan(tree, 400, s_ceiling=ceiling)
         assert got.value.best == ref.value.best
         assert str(got.value) == f"no certificate after {ceiling} complement indices"
         # every k below the reference's passes
         values, slack = reference_scan(d, ref.value.k - 1)
-        got = _convex_scan(*data, ref.value.k - 1, s_ceiling=ceiling)
+        got = _convex_scan(tree, ref.value.k - 1, s_ceiling=ceiling)
         assert (got.values, got.lower_slack) == (values, slack)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -390,7 +391,7 @@ class TestConvexScan:
         exact = convex_capacity(d, 60)
         truncated = convex_capacity(d, 60, TruncationLimits(eps=eps))
         for k in range(61):
-            c = sfloat(exact.value(k))
+            c = float(exact.value(k))
             assert truncated.lo(k) - 1e-9 <= c <= truncated.hi(k) + 1e-9
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -405,7 +406,7 @@ class TestConvexScan:
                             backend="float", eps=tag)
         got = convex_capacity(f, 40, TruncationLimits(eps=eps))
         for k in range(41):
-            c = sfloat(exact.value(k))
+            c = float(exact.value(k))
             assert got.lo(k) - 1e-9 * (1 + c) <= c <= got.hi(k) + 1e-9 * (1 + c)
 
     @pytest.mark.parametrize("tag", [1e-9, 1e-5, 1e-4, 1e-3])
@@ -424,8 +425,8 @@ class TestConvexScan:
         got = convex_capacity(d, 30, TruncationLimits(eps=1e-10))
         oracle = ellipsoid_capacities(1.0, PHI, 30)
         for k in range(31):
-            assert sfloat(got.value(k)) == pytest.approx(
-                sfloat(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
+            assert float(got.value(k)) == pytest.approx(
+                float(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
 
 
 class TestFloatRecursion:
@@ -455,8 +456,8 @@ class TestFloatRecursion:
                             backend="float", eps=1e-9)
         t = convex_weights(f)
         assert t.truncation.complete
-        assert sfloat(t.head) == float(exact.head)
-        assert [sfloat(w) for w in t.weight_multiset()] == \
+        assert float(t.head) == float(exact.head)
+        assert [float(w) for w in t.weight_multiset()] == \
             [float(w) for w in exact.weight_multiset()]
         assert convex_capacity(f, 300, tree=t).lower_slack == [0.0] * 301
 
@@ -627,7 +628,7 @@ class TestQuadPairFold:
     def test_golden_concave_triangle(self):
         d = golden_triangle("concave")
         tree = concave_weights(d, TruncationLimits(eps=1e-8))
-        ws = sorted(tree.weight_multiset(), key=sfloat, reverse=True)
+        ws = sorted(tree.weight_multiset(), key=float, reverse=True)
         ds = np.array(d_values(60))
         assert concave_capacity(d, 60, tree=tree).values == reference_ball_table(ws, ds)
 
@@ -683,7 +684,7 @@ class TestTowerCapacity:
         d = random_convex_polygon(rng)
         tw = build_tower(convex_weights(d))
         res = tower_capacity(tw, 7, all_levels=True)
-        vals = [sfloat(v) for v in res.per_level]
+        vals = [float(v) for v in res.per_level]
         assert vals == sorted(vals, reverse=True)
 
 
@@ -727,22 +728,22 @@ class TestNefFloor:
         linprog = pytest.importorskip("scipy.optimize").linprog
         n = s.n
         if n == 0:
-            return sfloat(s.A[0])
+            return float(s.A[0])
         rows, rhs = [], []
         for c in s.curves:
             cls = tuple(c.cls) + (0,) * (n + 1 - len(c.cls))
             if any(cls[1:]):
                 rows.append([-float(x) for x in cls[1:]])
                 rhs.append(float(cls[0]))
-        res = linprog(c=[sfloat(s.A[i]) for i in range(1, n + 1)], A_ub=rows, b_ub=rhs,
+        res = linprog(c=[float(s.A[i]) for i in range(1, n + 1)], A_ub=rows, b_ub=rhs,
                       bounds=[(0, None)] * n, method="highs")
         assert res.success
-        return max(sfloat(s.A[0]) + res.fun, 0.0)
+        return max(float(s.A[0]) + res.fun, 0.0)
 
     def check(self, tw):
         for s in tw.surfaces:
             want = self.linprog_floor(s)
-            assert sfloat(_EnumContext(s).floor) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert float(_EnumContext(s).floor) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("vertices", BENCH_POLYGONS, ids=["p6", "fig", "rand-0", "rand-1"])
     def test_benchmark_towers(self, vertices):
@@ -782,17 +783,17 @@ class TestCPlus:
     def test_below_alg_capacity(self):
         s = p2_init(Fraction(1))
         for k in (1, 4, 9, 20):
-            assert c_plus(-3, 1, 9, k) <= sfloat(alg_capacity_enum(s, k)) + 1e-12
+            assert c_plus(-3, 1, 9, k) <= float(alg_capacity_enum(s, k)) + 1e-12
 
     def test_below_alg_capacity_on_blowup(self):
         from capax.tower import _dot
         s = blowup(p2_init(Fraction(3)), ("H0", "H1"), Fraction(1))
-        a2 = sfloat(_dot(s.A, s.A))
-        k_dot_a = -sfloat(_dot(tuple(-x for x in s.K), s.A))
+        a2 = float(_dot(s.A, s.A))
+        k_dot_a = -float(_dot(tuple(-x for x in s.K), s.A))
         k2 = 9 - s.n
         threshold = (k_dot_a * k_dot_a / a2 - k2) / 8
         for k in range(int(threshold) + 1, int(threshold) + 12):
-            assert c_plus(k_dot_a, a2, k2, k) <= sfloat(alg_capacity_enum(s, k)) + 1e-12
+            assert c_plus(k_dot_a, a2, k2, k) <= float(alg_capacity_enum(s, k)) + 1e-12
 
 
 class TestDkn:
@@ -805,7 +806,7 @@ class TestDkn:
         s = blowup(p2_init(Fraction(2)), ("H0", "H1"), Fraction(1))
         pairings = _bound_pairings(s)
         for k in (0, 1, 5, 11):
-            assert sfloat(alg_capacity_enum(s, k)) <= dkn_upper_data(*pairings, k) + 1e-9
+            assert float(alg_capacity_enum(s, k)) <= dkn_upper_data(*pairings, k) + 1e-9
 
     def test_certifies_on_random_towers(self):
         rng = random.Random(34)
@@ -813,17 +814,17 @@ class TestDkn:
         tw = build_tower(convex_weights(d))
         pairings = _bound_pairings(tw.final)
         for k in (1, 5, 13, 27):
-            assert sfloat(alg_capacity_enum(tw.final, k)) <= dkn_upper_data(*pairings, k) + 1e-9
+            assert float(alg_capacity_enum(tw.final, k)) <= dkn_upper_data(*pairings, k) + 1e-9
 
     def test_abstract_data_form_matches_surface(self):
         from capax.tower import _dot, f_from_self_intersections, k_plus_dot_A, self_int
         s = blowup(p2_init(Fraction(3)), ("H0", "H1"), Fraction(1))
         ints = [self_int(c.cls) for c in s.curves]
         abstract = dkn_upper_data(
-            sfloat(_dot(s.A, s.A)),
-            sfloat(_dot(tuple(-x for x in s.K), s.A)),
+            float(_dot(s.A, s.A)),
+            float(_dot(tuple(-x for x in s.K), s.A)),
             f_from_self_intersections(ints),
-            sfloat(k_plus_dot_A(s)), 7)
+            float(k_plus_dot_A(s)), 7)
         assert abstract == pytest.approx(dkn_upper_data(*_bound_pairings(s), 7))
 
 
@@ -913,5 +914,88 @@ class TestProperties:
         lam = hb / (1 - hb)
         for k in range(21):
             lo = max(s.lo(k), finer.lo(k))
-            hi = min(s.hi(k), finer.hi(k) + lam * sfloat(finer.value(k)))
+            hi = min(s.hi(k), finer.hi(k) + lam * float(finer.value(k)))
             assert lo <= hi + 1e-9
+
+
+@st.composite
+def rational_concave_polygons(draw):
+    """Concave polygons: under the graph of a convex decreasing function
+    from (0, b) to (a, 0), made of up to four edges of distinct slopes."""
+    steps = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1,
+                          max_size=4, unique_by=lambda v: Fraction(v[1], v[0])))
+    steps.sort(key=lambda v: Fraction(v[1], v[0]), reverse=True)  # steepest first
+    x, y = 0, sum(dy for _, dy in steps)
+    chain = [(x, y)]
+    for dx, dy in steps:
+        x, y = x + dx, y - dy
+        chain.append((x, y))
+    q = draw(st.sampled_from([1, 2, 3]))
+    return domains.polygon([(0, 0)] + [(Fraction(x, q), Fraction(y, q)) for x, y in chain[::-1]],
+                           "concave")
+
+
+@st.composite
+def rational_weight_lists(draw):
+    """Concave lists (no head) and convex lists (c; w) with c twice the
+    weight sum, so sum w^2 <= c^2/4: wide enough for the scan to certify."""
+    ws = draw(st.lists(st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 3])),
+                       min_size=1, max_size=4))
+    return domains.weight_list(2 * sum(ws) if draw(st.booleans()) else None, ws)
+
+
+# scales whose floats underflow to 0 (with their squares) or pass 1e100
+SCALES = [Fraction(1, 2 ** 1000), Fraction(1, 10 ** 200), Fraction(1, 10 ** 330),
+          Fraction(10 ** 100)]
+SHAPES = {"convex": rational_convex_polygons(), "concave": rational_concave_polygons(),
+          "weights": rational_weight_lists()}
+
+
+def scaled(d, lam):
+    """lam * d for an exact polygon, ellipsoid or weight list."""
+    if d.kind == "polygon":
+        return domains.polygon([(x * lam, y * lam) for x, y in d.vertices], d.orientation)
+    if d.kind == "ellipsoid":
+        return domains.ellipsoid(d.a * lam, d.b * lam)
+    return domains.weight_list(None if d.head is None else d.head * lam,
+                               [w * lam for w in d.weights])
+
+
+class TestScaleEquivariance:
+    """c_k(lam X) = lam c_k(X), and exact decisions do not depend on the
+    scale: exact data never decide through a float that can underflow."""
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_series_scale_exactly(self, shape, data):
+        d = data.draw(SHAPES[shape])
+        base = series_for_domain(d, 30).values
+        for lam in SCALES:
+            assert series_for_domain(scaled(d, lam), 30).values == [lam * v for v in base]
+
+    @staticmethod
+    def assert_obstruct_scales(x, y):
+        def summary(rep):
+            assert all(w.slack == 0.0 for w in rep.witnesses)  # exact: no margins
+            return rep.verdict, rep.volumes_equal, [(w.criterion, w.k) for w in rep.witnesses]
+        want = summary(obstruct(x, y, 20))
+        for lam in SCALES:
+            assert summary(obstruct(scaled(x, lam), scaled(y, lam), 20)) == want
+        return want
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(x=st.one_of(*SHAPES.values()), y=st.one_of(*SHAPES.values()))
+    def test_obstruct_verdict_scales(self, x, y):
+        self.assert_obstruct_scales(x, y)
+
+    @pytest.mark.parametrize("x, y, verdict, equal, kinds", [
+        (domains.ellipsoid(1, 2), domains.square(1), "INCONCLUSIVE", True, set()),
+        (domains.square(2), domains.ellipsoid(1, 8), "OBSTRUCTED", True,
+         {"capacity", "affine_length"}),
+        (domains.ball(Fraction(1001, 1000)), domains.ball(1), "OBSTRUCTED", False,
+         {"capacity", "volume"}),
+    ], ids=["e12-square", "square-e18", "b1001-b1"])
+    def test_equal_and_near_volumes_keep_their_verdict(self, x, y, verdict, equal, kinds):
+        got, volumes_equal, witnesses = self.assert_obstruct_scales(x, y)
+        assert (got, volumes_equal, {c for c, _ in witnesses}) == (verdict, equal, kinds)

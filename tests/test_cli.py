@@ -458,7 +458,7 @@ P6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]
 
 
 def p6_file(tmp_path, scale):
-    path = tmp_path / f"p6-over-{Fraction(scale).denominator}.json"
+    path = tmp_path / f"p6-over-2^{Fraction(scale).denominator.bit_length()}.json"
     path.write_text(json.dumps({"kind": "polygon", "orientation": "convex",
                                 "vertices": [[str(x * scale), str(y * scale)] for x, y in P6]}))
     return f"@{path}"
@@ -492,6 +492,58 @@ class TestScaleInvariance:
                         "--kmax", "2000")
         assert code == 0
         assert [Fraction(v) for v in json.loads(out)["values"]] == want
+
+    @pytest.mark.parametrize("exp", [200, 330])
+    def test_values_below_the_float_range(self, capsys, tmp_path, exp):
+        # P6's area, its weights' squares and at 1e-330 its coordinates
+        # underflow as floats; validation and the scan decide on the data
+        lam = Fraction(1, 10**exp)
+        _, out = run(capsys, "capacities", "--domain", p6_file(tmp_path, 1), "--kmax", "200")
+        want = [Fraction(v) * lam for v in json.loads(out)["values"]]
+        code, out = run(capsys, "capacities", "--domain", p6_file(tmp_path, lam),
+                        "--kmax", "200")
+        assert code == 0
+        assert [Fraction(v) for v in json.loads(out)["values"]] == want
+        if exp == 200:
+            code, out = run(capsys, "capacities", "--domain", p6_file(tmp_path, lam),
+                            "--kmax", "40", "--oracle")
+            assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
+            assert [Fraction(v) for v in json.loads(out)["values"]] == want[:41]
+            # truncated (the four weights 1/2 dropped): the oracle's bracket
+            # reads the degree bound's pairings, which A^2 ~ 1e-398 underflows
+            code, out = run(capsys, "capacities", "--domain", p6_file(tmp_path, lam),
+                            "--kmax", "40", "--eps", "7e-201", "--oracle")
+            assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
+        code, out = run(capsys, "capacities", "--domain", f"ball:1/1{'0' * exp}",
+                        "--kmax", "20")
+        assert code == 0
+        ball = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5]
+        assert [Fraction(v) for v in json.loads(out)["values"]] == [lam * c for c in ball]
+
+    def test_obstruct_scaled_ball_pair(self, capsys):
+        # B(1001/1000) -> B(1) at scale 1 and at scale 1e-12: the same witnesses,
+        # which an absolute guard of 1e-12 once hid at the small scale
+        def witnesses(scale):
+            code, out = run(capsys, "obstruct", "--from", f"ball:1001/1000{scale}",
+                            "--to", f"ball:1/1{scale}", "--kmax", "50")
+            j = json.loads(out)
+            assert (code, j["verdict"]) == (2, "OBSTRUCTED")
+            assert all(w["slack"] == 0.0 for w in j["witnesses"])
+            return [(w["criterion"], w["k"]) for w in j["witnesses"]]
+
+        assert witnesses("000000000000") == witnesses("")
+        assert {c for c, _ in witnesses("")} == {"capacity", "volume"}
+
+    def test_obstruct_exact_volumes_differ_by_2e_minus_11(self, capsys):
+        # volumes 1 and 1 + 2e-11: not equal, so the affine-length criterion
+        # (4 against 4 + 4e-11) does not apply
+        code, out = run(capsys, "obstruct", "--from", "ellipsoid:1,2",
+                        "--to", "square:100000000001/100000000000", "--kmax", "20")
+        j = json.loads(out)
+        assert (code, j["verdict"], j["witnesses"]) == (0, "INCONCLUSIVE", [])
+        assert j["volumes"]["equal_within_tolerance"] is False
+        code, out = run(capsys, "obstruct", "--from", "ellipsoid:1,2", "--to", "square:1")
+        assert code == 0 and json.loads(out)["volumes"]["equal_within_tolerance"] is True
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ from capax.errors import (
     NonConvex,
     NotInQuadrant,
 )
-from capax.scalars import Quad, sfloat
+from capax.scalars import Quad
 from capax.weights import convex_weights
 
 
@@ -36,8 +36,8 @@ class TestValidate:
 
     def test_quarter_disk(self):
         p = domains.validate(domains.quarter_disk(1))
-        assert sfloat(p.a) == 1 and sfloat(p.b) == 1
-        assert sfloat(p.total_affine_plus) == 0
+        assert float(p.a) == 1 and float(p.b) == 1
+        assert float(p.total_affine_plus) == 0
         assert p.smooth
 
     def test_orientation_normalized(self):
@@ -127,8 +127,35 @@ class TestArea:
     def test_triangle(self):
         assert domains.area(domains.ellipsoid(3, 3)) == Fraction(9, 2)
 
+    def test_exact_on_int_data(self):
+        # int data halve to Fractions, not to rounded floats
+        big = 2 ** 400 + 1
+        for a in (domains.area(domains.ball(2)), domains.area(domains.ball(big)),
+                  domains.shoelace_area([(0, 0), (3, 0), (0, 1)]),
+                  domains.area(domains.weight_list(big, [1]))):
+            assert isinstance(a, Fraction)
+        assert domains.area(domains.ball(2)) == 2
+        assert domains.area(domains.ball(big)) == Fraction(big * big, 2)
+        assert domains.shoelace_area([(0, 0), (3, 0), (0, 1)]) == Fraction(3, 2)
+        assert domains.area(domains.weight_list(big, [1])) == Fraction(big * big - 1, 2)
+        # floats still halve as floats, and Q(sqrt d) areas stay in the field
+        assert domains.area(domains.ball(3.0, backend="float")) == 4.5
+        assert domains.area(domains.ball("1*sqrt", backend="sqrt:2")) == Fraction(1)
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 10 ** 200), Fraction(1, 10 ** 330)])
+    def test_tiny_exact_domains_validate(self, scale):
+        # positivity, area and convexity are decided on the data, not on floats
+        # that underflow to 0
+        p6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]
+        d = domains.polygon([(x * scale, y * scale) for x, y in p6], "convex")
+        assert domains.validate(d).a == 7 * scale
+        assert domains.area(d) == domains.area(domains.polygon(p6, "convex")) * scale ** 2
+        assert domains.validate(domains.ball(scale)).a == scale
+        tri = domains.polygon([(0, 0), (2 * scale, 0), (0, scale)], "concave")
+        assert domains.validate(tri).b == scale
+
     def test_quarter_disk(self):
-        assert sfloat(domains.area(domains.quarter_disk(1))) == pytest.approx(math.pi / 4)
+        assert float(domains.area(domains.quarter_disk(1))) == pytest.approx(math.pi / 4)
 
     @pytest.mark.parametrize("p, r", [(2000, 2), (2000, Fraction(1, 2))])
     def test_superellipse_needs_a_finite_positive_power(self, p, r):
@@ -138,7 +165,7 @@ class TestArea:
 
     def test_superellipse_p2_matches_disk(self):
         a = domains.area(domains.superellipse(2, 1))
-        assert sfloat(a) == pytest.approx(math.pi / 4, rel=1e-9)
+        assert float(a) == pytest.approx(math.pi / 4, rel=1e-9)
 
 
 class TestHeads:

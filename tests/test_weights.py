@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from capax import domains
 from capax.errors import BackendOverflow, DegenerateEdge
-from capax.scalars import Quad, _primitive_float, sfloat
+from capax.scalars import Quad, _primitive_float
 from capax.weights import (
     INF_NODE,
     _piece_ell_plus,
@@ -52,7 +52,7 @@ class TestConcave:
         phi = (1 + math.sqrt(5)) / 2
         expected = [phi ** -j for j in range(len(ws))]
         assert ws == pytest.approx(expected)
-        assert sfloat(t.truncation.dropped_tail_sum) <= 4 * 1e-4
+        assert float(t.truncation.dropped_tail_sum) <= 4 * 1e-4
         # exact tail identities in the field
         total = Quad(0, 0, 5)
         for w in t.weight_multiset():
@@ -212,7 +212,7 @@ class TestLinearize:
         for n in t.nodes.values():
             if n.parent is not None:
                 assert pos[n.parent] < pos[n.id]
-        ws = [sfloat(t.nodes[i].weight) for i in order]
+        ws = [float(t.nodes[i].weight) for i in order]
         assert ws == sorted(ws, reverse=True)
 
     def test_tie_break_by_id(self, unit_square):
@@ -228,9 +228,9 @@ class TestDeficiencies:
     def test_fig_values(self, fig_polygon):
         t = convex_weights(fig_polygon)
         d = deficiencies(t)
-        positive = sorted(sfloat(v) for v in d.values() if sfloat(v) > 0)
+        positive = sorted(float(v) for v in d.values() if float(v) > 0)
         assert positive == [1, 1, 2]
-        assert sfloat(d[INF_NODE]) == 2
+        assert float(d[INF_NODE]) == 2
 
     def test_square_values(self, unit_square):
         t = convex_weights(unit_square)
@@ -244,8 +244,8 @@ class TestDeficiencies:
             dom = random_convex_polygon(rng)
             t = convex_weights(dom)
             p = domains.validate(dom)
-            defs = sorted(sfloat(v) for v in deficiencies(t).values() if sfloat(v) > 0)
-            edges = sorted(sfloat(e.affine_length) for e in p.plus_edges
+            defs = sorted(float(v) for v in deficiencies(t).values() if float(v) > 0)
+            edges = sorted(float(e.affine_length) for e in p.plus_edges
                            if e.rational_sloped)
             assert defs == edges  # counts and multisets agree
 
@@ -277,9 +277,9 @@ class TestBalanced:
         t = convex_weights(poly)
         ok, offenders = is_balanced(t, 0)
         assert not ok
-        total = sum(sfloat(v) for _, v in offenders)
+        total = sum(float(v) for _, v in offenders)
         # every offense is a rational edge the grid introduced
-        introduced = sfloat(domains.validate(poly).total_affine_plus)
+        introduced = float(domains.validate(poly).total_affine_plus)
         assert total <= introduced + math.sqrt(2.0) + 1e-9
 
 
@@ -306,16 +306,16 @@ class TestFloatBackend:
         approx = convex_weights(
             domains.polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (2.0, 3.0),
                              (0.0, 4.0)], "convex", backend="float", eps=1e-12))
-        assert sfloat(approx.head) == 5.0
-        assert sorted(sfloat(w) for w in approx.weight_multiset()) == \
-            sorted(sfloat(w) for w in exact.weight_multiset())
+        assert float(approx.head) == 5.0
+        assert sorted(float(w) for w in approx.weight_multiset()) == \
+            sorted(float(w) for w in exact.weight_multiset())
 
     def test_golden_triangle_float(self):
         phi = (1 + math.sqrt(5)) / 2
         d = domains.polygon([(0.0, 0.0), (1.0, 0.0), (0.0, phi)], "concave",
                             backend="float", eps=1e-12)
         t = concave_weights(d, TruncationLimits(eps=1e-4))
-        ws = [sfloat(w) for w in t.weight_multiset()]
+        ws = [float(w) for w in t.weight_multiset()]
         assert ws == pytest.approx([phi ** -j for j in range(len(ws))], abs=1e-9)
 
     def test_int_zeros_take_the_float_recursion(self):
@@ -341,11 +341,11 @@ class TestFloatBackend:
                  for tag in (1e-9, 0.0)]
         assert tree_to_json(trees[0]) == tree_to_json(trees[1])
         t = trees[0]
-        ws = [sfloat(w) for w in t.weight_multiset()]
+        ws = [float(w) for w in t.weight_multiset()]
         assert ws == pytest.approx([1 / phi] + [phi ** -j for j in range(1, len(ws))], abs=1e-9)
         assert len(ws) == 29 and ws[-1] >= 1e-6
         assert t.truncation.dropped_pieces == 1 and not t.truncation.complete
-        assert 0 < sfloat(t.truncation.dropped_tail_sum) < phi ** -26
+        assert 0 < float(t.truncation.dropped_tail_sum) < phi ** -26
 
     def test_head_contact_sliver_enters_the_tail(self):
         # (0, 3) lies 1e-10 below the head line: the contact is exact, so the
@@ -358,9 +358,9 @@ class TestFloatBackend:
                                                "convex"), limits)
         for tag in (1e-9, 0.0):
             t = convex_weights(domains.polygon(verts, "convex", backend="float", eps=tag), limits)
-            assert sfloat(t.truncation.dropped_tail_sum) == \
+            assert float(t.truncation.dropped_tail_sum) == \
                 float(exact.truncation.dropped_tail_sum) == 2.000000000199993
-            assert [sfloat(w) for w in t.weight_multiset()] == \
+            assert [float(w) for w in t.weight_multiset()] == \
                 [float(w) for w in exact.weight_multiset()]
 
     @settings(max_examples=400, deadline=None, derandomize=True)
