@@ -14,7 +14,7 @@ directly (``from capax import capacities``):
 * :mod:`capax.capacities` -- capacity sequences by decomposition DP,
   nef-divisor enumeration, and closed forms,
 * :mod:`capax.maxplus` -- the numpy kernels: max-plus ball tables and
-  the convex infimum scan, imported only when they run,
+  the convex infimum scan for large tables, imported only when they run,
 * :mod:`capax.asymptotics` -- error terms, asymptotic bands, window
   extrema and convergence verdicts,
 * :mod:`capax.obstructions` -- embedding-obstruction reports,

@@ -267,16 +267,54 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
     if d.kind == "weight_list":
         if any(w < 0 for w in d.weights):
             raise EmptyDomain("negative weight")
-        if d.head is not None and any(w > d.head for w in d.weights):
-            raise NonConvex("head must dominate every weight")
         if d.head is not None:
+            if d.head < 0 or d.zero(d.head):
+                raise EmptyDomain("a convex weight list needs a positive head")
+            if any(w > d.head for w in d.weights):
+                raise NonConvex("head must dominate every weight")
             gap = area(d)  # (head^2 - sum w^2)/2, the domain's area
             if not gap > area_tolerance(d):
                 raise EmptyDomain("weights fill the head's triangle: sum w^2 >= head^2")
+            reduced = _cremona_reduced(d)
+            if not area(reduced) > area_tolerance(reduced):
+                raise NonConvex("the weights are not a ball packing of the head's triangle: "
+                                "after Cremona reduction sum w^2 >= head^2")
         zero = _zero_of(d)
         return BoundaryProfile(a=None, b=None, plus_edges=(), total_affine_plus=zero,
                                affine_tol=0.0, backend=d.backend)
     raise ValueError(f"unknown domain kind {d.kind!r}")
+
+
+_CREMONA_MOVES = 1000
+
+
+def _cremona_reduced(d: DomainDescriptor) -> DomainDescriptor:
+    """The convex weight list (c; w) after Cremona reduction.
+
+    The balls of a convex domain's expansion pack the head's triangle, and a
+    finite ball packing of B(c) exists exactly when the reduction ends with
+    no negative entry and c^2 > sum w^2 (McDuff-Polterovich, Invent. Math.
+    1994; Karshon-Kessler, JSG 2017).  A move adds
+    delta = c - w_1 - w_2 - w_3 < 0 to c and the three largest weights
+    (zeros pad the list to three).  Exact data compare exactly, and a
+    rational list ends, since each move lowers c by a multiple of one over
+    the common denominator; float data compare with the descriptor's
+    `equal` and `zero` rules.  Past _CREMONA_MOVES moves it gives up."""
+    c, ws = d.head, sorted(d.weights, reverse=True) + [_zero_of(d)] * 3
+    for _ in range(_CREMONA_MOVES):
+        top = ws[0] + ws[1] + ws[2]
+        delta = c - top
+        if not delta < 0 or d.equal(c, top):
+            return DomainDescriptor(kind="weight_list", head=c, weights=tuple(ws),
+                                    backend=d.backend, eps=d.eps)
+        c += delta
+        ws[:3] = [w + delta for w in ws[:3]]
+        if any(x < 0 and not d.zero(x) for x in (c, *ws[:3])):
+            raise NonConvex("the weights are not a ball packing of the head's triangle: "
+                            "Cremona reduction makes an entry negative")
+        ws.sort(reverse=True)
+    raise CapaxError(f"Cremona reduction of the weight list did not end in "
+                     f"{_CREMONA_MOVES} moves")
 
 
 def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:

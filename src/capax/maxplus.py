@@ -1,8 +1,10 @@
 """The vectorised kernels: max-plus ball tables and the convex infimum scan.
 
 These are the only numpy code in capax.  `capacities` imports this module
-when it folds a second ball into a table or runs the convex scan; the
-closed forms, the series and the output run on Python ints and floats.
+when it folds a second ball into a table, or when it runs the convex scan
+on float or Q(sqrt d) data or on rational data whose table is large; a
+small rational scan (`capacities._convex_scan_py`), the closed forms, the
+series and the output run on Python ints and floats.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .capacities import CapacitySeries, _scaled, d_index, d_values
+from .capacities import CapacitySeries, _ScanData, d_index, d_values
 from .errors import PruningBoundExceeded
-from .scalars import Quad, binade, quad_sign, rational_parts
-from .weights import WeightTree
+from .scalars import Quad, quad_sign, rational_parts
 
 
 def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
@@ -142,42 +143,26 @@ def _ball_table(ws: list, ds) -> np.ndarray:
     return table
 
 
-def _convex_scan(tree: WeightTree, K: int, s_ceiling: int = 200_000) -> CapacitySeries:
+def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacitySeries:
     """c_k = min_s c*d(k+s) - M(s) for k = 0..K, with the certified lower slack.
 
     For each k the scan ends at the first s at which a lower bound for
-    every candidate beyond s clears the best candidate so far.  Inside a
-    level {s : d(k+s) = t} the candidate c*t - M(s) and its lower version
-    cand - d(s)*tail do not increase with s, and the stopping test is
-    monotone in s.  So one probe at the end of each level, plus a
-    bisection of the level where the test first holds, give the values of
-    the index-by-index scan.  Every k runs in lockstep: step j probes the
-    next level of each row still active, and the rows that stop bisect
-    together.
+    every candidate beyond s clears the best candidate so far
+    (`_ScanData.clears`).  Inside a level {s : d(k+s) = t} the candidate
+    c*t - M(s) and its lower version cand - d(s)*tail do not increase with
+    s, and the stopping test is monotone in s.  So one probe at the end of
+    each level, plus a bisection of the level where the test first holds,
+    give the values of the index-by-index scan.  Every k runs in lockstep:
+    step j probes the next level of each row still active, and the rows
+    that stop bisect together.
 
     The candidates' dtype follows the data: int64 for scaled rationals
     while every candidate and the denominator stay below 2^53, so that
     cand / den rounds as int / int does; float64 for floats; Python
-    objects for Quads and larger data.  Every float the test reads is an
-    exact value times 2^-e, 2^e the binade of the head, rounded once: a
-    power of two commutes with rounding in the normal range, so at any
-    scale the test and the slack are those of the unit-size domain."""
-    multiset = tree.weight_multiset()
-    den, (c, *ws) = _scaled([tree.head] + sorted(multiset, reverse=True))
+    objects for Quads and larger data."""
+    c, ws, den, e, unit, tail = data.c, data.ws, data.den, data.e, data.unit, data.tail
     dt = _dtype([c] + ws, d_index(K + s_ceiling), 2**53) if (den or 1) < 2**53 else object
-    e = binade(tree.head)
-    unit = Fraction(2) ** -e
-
-    def sf(x, power=1):  # float(x * 2^(-e * power))
-        return math.ldexp(x, -e * power) if isinstance(x, float) else float(x * unit ** power)
-
-    # the area between the domain and its circumscribed triangle,
-    # v = c^2/2 - area, and the full weight sum w: by the expansion's area
-    # and length identities, the weights and the dropped tail give both
-    trunc = tree.truncation
-    c_f, tail = sf(tree.head), sf(trunc.dropped_tail_sum)
-    w = sf(sum(multiset, tree.head - tree.head)) + tail
-    v = (sum((sf(x) ** 2 for x in multiset), 0.0) + sf(trunc.dropped_tail_sq, 2)) / 2.0
+    ops = (np.minimum, np.maximum, np.sqrt)
 
     def table(S):
         ds = np.array(d_values(S))
@@ -193,19 +178,10 @@ def _convex_scan(tree: WeightTree, K: int, s_ceiling: int = 200_000) -> Capacity
             return (x * unit if e else x).astype(float)
         return (x * unit.numerator / (den * unit.denominator)).astype(float)
 
-    # lb(u) = c_f*(sqrt(2(k+u)) - 1.5) - sqrt(4 v u) - w bounds every
-    # candidate at index u and is smallest at t_star, so
-    # lb(max(s+1, t_star)) bounds every candidate beyond s
-    def clears(k, t_star, s, cand_f, fbest):
-        b = np.where(cand_f < fbest, cand_f, fbest)
-        u = np.where(s + 1 >= t_star, s + 1, t_star)
-        floor = c_f * (np.sqrt(2 * (k + u)) - 1.5) - np.sqrt(4 * v * u) - w
-        return floor >= b + 1e-9 * np.abs(b)  # b > 0 for every k >= 1
-
     M, ds = table(64)
     k = np.arange(1, K + 1)
     t = np.array(d_values(K)[1:], dtype=np.int64)  # the level each row probes next
-    t_star = 2 * v * k / max(c_f * c_f - 2 * v, 1e-300) if v > 0 else np.zeros(K)
+    t_star = data.t_star(k)
     s0 = np.zeros(K, np.int64)  # the test fails at every index of the level below s0
     best, has = np.full(K, c - c, dt), np.zeros(K, bool)  # has: best is a candidate
     fbest, best_lo = np.full(K, math.inf), np.full(K, math.inf)
@@ -217,13 +193,13 @@ def _convex_scan(tree: WeightTree, K: int, s_ceiling: int = 200_000) -> Capacity
         p = np.minimum(s1, end)
         cp = cand(t[a], p)
         cf = floats(cp)
-        stop = clears(k[a], t_star[a], p, cf, fbest[a])
+        stop = data.clears(k[a], t_star[a], p, cf, fbest[a], ops)
         i = np.flatnonzero(stop)
         if i.size:  # bisect the stopping levels together
             lo, hi = s0[a[i]], p[i]
             while (j := np.flatnonzero(lo < hi)).size:
                 ij, mid = a[i[j]], (lo[j] + hi[j]) // 2
-                ok = clears(k[ij], t_star[ij], mid, floats(cand(t[ij], mid)), fbest[ij])
+                ok = data.clears(k[ij], t_star[ij], mid, floats(cand(t[ij], mid)), fbest[ij], ops)
                 hi[j] = np.where(ok, mid, hi[j])
                 lo[j] = np.where(ok, lo[j], mid + 1)
             p[i] = lo
@@ -250,5 +226,5 @@ def _convex_scan(tree: WeightTree, K: int, s_ceiling: int = 200_000) -> Capacity
                                    best=b if den is None else Fraction(b, den))
     return CapacitySeries(
         method="decomposition",
-        num=[tree.head - tree.head if den is None else 0] + best.tolist(),
+        num=[c - c if den is None else 0] + best.tolist(),
         den=den, lower_slack=[0.0] + np.ldexp(fbest - best_lo, e).tolist())

@@ -195,12 +195,17 @@ class Quad:
         return self._p != 0 or self._q != 0
 
     def __float__(self) -> float:
-        # p and q of opposite sign cancel: route through the conjugate,
-        # whose terms reinforce, via p + q*sqrt(d) = (p^2 - q^2 d)/(p - q*sqrt(d))
-        if (self._p > 0) == (self._q > 0) or self._p == 0 or self._q == 0:
-            return float(self._p) + float(self._q) * math.sqrt(self._d)
-        conj = float(self._p) - float(self._q) * math.sqrt(self._d)
-        return float(self._p * self._p - self._q * self._q * self._d) / conj
+        p, q = self._p, self._q
+        if (p > 0) == (q > 0) or p == 0 or q == 0:
+            return float(p) + float(q) * math.sqrt(self._d)
+        # p and q of opposite sign cancel: route through the conjugate, whose
+        # terms reinforce, via p + q*sqrt(d) = (p^2 - q^2 d)/(p - q*sqrt(d)).
+        # p and q are scaled by 2^-e to their binade first, so that p^2 - q^2 d
+        # does not underflow; a power of two commutes with rounding
+        e = max(x.numerator.bit_length() - x.denominator.bit_length() for x in (p, q))
+        p, q = p * Fraction(2) ** -e, q * Fraction(2) ** -e
+        conj = float(p) - float(q) * math.sqrt(self._d)
+        return math.ldexp(float(p * p - q * q * self._d) / conj, e)
 
     def __repr__(self) -> str:
         return f"Quad({self._p}, {self._q}, {self._d})"

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capax import domains, maxplus
-from capax.errors import BelowThreshold, PruningBoundExceeded, SearchSpaceEmpty
+from capax import capacities, domains, maxplus
+from capax.errors import BelowThreshold, CapaxError, PruningBoundExceeded, SearchSpaceEmpty
 from capax.capacities import (
     _EnumContext,
     _bound_pairings,
@@ -32,6 +32,9 @@ from capax.capacities import (
     tower_capacities,
     tower_capacity,
     union_of_balls,
+    _PY_SCAN_WORK,
+    _convex_scan_py,
+    _ScanData,
 )
 from capax.maxplus import _ball_table, _convex_scan, _quad_pairs
 from capax.obstructions import obstruct
@@ -283,6 +286,8 @@ def reference_scan(d, K, limits=None, s_ceiling=None):
     c, c_f = tree.head, float(tree.head)
     tail = float(tree.truncation.dropped_tail_sum)
     weights = sorted(tree.weight_multiset(), key=float, reverse=True)
+    # M(s) <= sqrt(4v(s + 9n/8)) - w_kept/2 + w_tail over the n kept balls
+    m, lift = 9 * len(weights) / 8, (w_total - tail) / 2 - tail
     M = []
     values, slack = [c - c], [0.0]
     for k in range(1, K + 1):
@@ -294,8 +299,8 @@ def reference_scan(d, K, limits=None, s_ceiling=None):
             if best is None or cand < best:
                 best, best_f = cand, float(cand)
             lo = min(lo, float(cand) - d_index(s) * tail)
-            u = max(s + 1, 2 * v * k / (c_f * c_f - 2 * v)) if v > 0 else s + 1
-            floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * u) - w_total
+            u = max(s + 1, (2 * v * k - c_f * c_f * m) / (c_f * c_f - 2 * v))
+            floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * (u + m)) + lift
             if floor >= best_f + 1e-9 * abs(best_f):
                 break
             if s == s_ceiling:
@@ -350,16 +355,22 @@ class TestConvexScan:
     def test_past_the_first_table(self, monkeypatch, d, K):
         sizes = []
 
-        def counting(ws, ds):
-            sizes.append(len(ds))
-            return _ball_table(ws, ds)
+        def counting(table):
+            def count(ws, ds):
+                sizes.append(len(ds))
+                return table(ws, ds)
+            return count
 
-        monkeypatch.setattr(maxplus, "_ball_table", counting)
-        got = convex_capacity(d, K)
-        assert max(sizes) > 65  # the table grew past its first 64 indices
+        monkeypatch.setattr(maxplus, "_ball_table", counting(_ball_table))
+        monkeypatch.setattr(capacities, "_ball_list", counting(capacities._ball_list))
         values, slack = reference_scan(d, K)
-        assert got.values == values
-        assert got.lower_slack == slack
+        data = _ScanData(convex_weights(d))
+        for scan in (_convex_scan, _convex_scan_py):
+            sizes.clear()
+            got = scan(data, K)
+            assert max(sizes) > 65  # the table grew past its first 64 indices
+            assert got.values == values
+            assert got.lower_slack == slack
 
     def test_float_backend_matches_reference(self):
         d = domains.polygon([(float(x), float(y)) for x, y in P6.vertices], "convex",
@@ -375,15 +386,16 @@ class TestConvexScan:
     def test_ceiling_raises_for_the_smallest_k(self, d, ceiling):
         with pytest.raises(PruningBoundExceeded) as ref:
             reference_scan(d, 400, s_ceiling=ceiling)
-        tree = convex_weights(d)
-        with pytest.raises(PruningBoundExceeded) as got:
-            _convex_scan(tree, 400, s_ceiling=ceiling)
-        assert got.value.best == ref.value.best
-        assert str(got.value) == f"no certificate after {ceiling} complement indices"
-        # every k below the reference's passes
         values, slack = reference_scan(d, ref.value.k - 1)
-        got = _convex_scan(tree, ref.value.k - 1, s_ceiling=ceiling)
-        assert (got.values, got.lower_slack) == (values, slack)
+        data = _ScanData(convex_weights(d))
+        for scan in (_convex_scan, _convex_scan_py):
+            with pytest.raises(PruningBoundExceeded) as got:
+                scan(data, 400, s_ceiling=ceiling)
+            assert got.value.best == ref.value.best
+            assert str(got.value) == f"no certificate after {ceiling} complement indices"
+            # every k below the reference's passes
+            got = scan(data, ref.value.k - 1, s_ceiling=ceiling)
+            assert (got.values, got.lower_slack) == (values, slack)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), eps=st.sampled_from([0.05, 0.3, 1.0]))
@@ -427,6 +439,65 @@ class TestConvexScan:
         for k in range(31):
             assert float(got.value(k)) == pytest.approx(
                 float(oracle.value(k)), abs=got.lower_slack[k] + 1e-9)
+
+
+    def test_thin_triangle_certifies_as_a_polygon(self):
+        # E(10, 1/10) given as a polygon: under the bound sqrt(4vs) + w the
+        # scan walked all 200,000 complement indices at k = 1 and gave up
+        d = domains.polygon([(0, 0), (10, 0), (0, "1/10")], "convex")
+        got = convex_capacity(d, 20)
+        assert got.values == ellipsoid_capacities(Fraction(10), Fraction(1, 10), 20).values
+        assert got.lower_slack == [0.0] * 21
+
+
+class TestPythonScan:
+    """`_convex_scan_py` runs the numpy scan's rows one at a time on Python
+    ints: the same values, denominator and slack, at any scale."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=rational_convex_polygons(), cut=st.sampled_from(["complete", "eps", "depth"]),
+           lam=st.sampled_from([Fraction(1), Fraction(1, 10**200), Fraction(1, 10**330)]),
+           K=st.integers(0, 60))
+    def test_matches_numpy_scan(self, d, cut, lam, K):
+        limits = {"complete": None, "eps": TruncationLimits(eps=float(Fraction(3, 10) * lam)),
+                  "depth": TruncationLimits(max_depth=1)}[cut]
+        data = _ScanData(convex_weights(scaled(d, lam), limits))
+        got, want = _convex_scan_py(data, K), _convex_scan(data, K)
+        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
+
+    @staticmethod
+    def scans_run(monkeypatch, d, K):
+        """convex_capacity(d, K), and which of the two scans it ran."""
+        ran = []
+
+        def spy(scan, name):
+            def run(*args):
+                ran.append(name)
+                return scan(*args)
+            return run
+
+        monkeypatch.setattr(capacities, "_convex_scan_py", spy(_convex_scan_py, "python"))
+        monkeypatch.setattr(maxplus, "_convex_scan", spy(_convex_scan, "numpy"))
+        return convex_capacity(d, K), ran
+
+    @pytest.mark.parametrize("d, K", [(FIG, 60), (P6, 120), (DRAWS[1], 30)],
+                             ids=["fig", "p6", "draw-1"])
+    def test_small_rational_scans_run_in_python(self, monkeypatch, d, K):
+        got, ran = self.scans_run(monkeypatch, d, K)
+        assert ran == ["python"]
+        want = _convex_scan(_ScanData(convex_weights(d)), K)
+        assert (got.num, got.lower_slack) == (want.num, want.lower_slack)
+
+    @pytest.mark.parametrize("d, K", [
+        (P6, 2000),
+        (domains.polygon([(x * PHI, y * PHI) for x, y in P6.vertices], "convex",
+                         backend="float", eps=1e-9), 120),
+    ], ids=["p6-2000", "float-p6"])
+    def test_large_tables_and_float_data_take_the_numpy_scan(self, monkeypatch, d, K):
+        if d.backend == "exact":  # over the budget by its own bound
+            assert _ScanData(convex_weights(d)).py_work(K, math.inf) > _PY_SCAN_WORK
+        _, ran = self.scans_run(monkeypatch, d, K)
+        assert ran == ["numpy"]
 
 
 class TestFloatRecursion:
@@ -999,3 +1070,34 @@ class TestScaleEquivariance:
     def test_equal_and_near_volumes_keep_their_verdict(self, x, y, verdict, equal, kinds):
         got, volumes_equal, witnesses = self.assert_obstruct_scales(x, y)
         assert (got, volumes_equal, {c for c, _ in witnesses}) == (verdict, equal, kinds)
+
+
+@st.composite
+def convex_weight_lists(draw):
+    """(c; w) with c = p/q, q <= 4, and up to six weights c*j/12: about
+    two in five are ball packings."""
+    head = draw(st.builds(Fraction, st.integers(1, 24), st.sampled_from([1, 2, 3, 4])))
+    ws = draw(st.lists(st.builds(Fraction, st.integers(1, 12), st.just(12)), max_size=6))
+    return domains.weight_list(head, [head * w for w in ws])
+
+
+class TestBallPacking:
+    """`validate` takes a convex weight list only when it is a ball packing
+    of the head's triangle, the case the corner-complement formula holds for."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(d=convex_weight_lists())
+    def test_accepted_lists_have_positive_nondecreasing_series(self, d):
+        try:
+            domains.validate(d)
+        except CapaxError:
+            return
+        series = series_for_domain(d, 20)
+        assert series.value(1) > 0
+        series.assert_nondecreasing()
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(d=rational_convex_polygons())
+    def test_polygon_weights_are_a_packing(self, d):
+        tree = convex_weights(d)
+        domains.validate(domains.weight_list(tree.head, tree.weight_multiset()))

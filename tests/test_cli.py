@@ -221,6 +221,14 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err.startswith("capax: ")
 
+    @pytest.mark.parametrize("spec", ["3;2,2,9/10", "3;2,2,99/100", "3;2,2,1/2", "3;2,2", "-3;"])
+    def test_weight_list_that_is_no_ball_packing_exits_one(self, capsys, spec):
+        # these once printed 0, -9/10, ... (and 0, -3, -3, -6 for -3;)
+        code = main(["capacities", "--domain", f"weights:{spec}", "--kmax", "5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("capax: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,message", [
         (["errors", "--domain", "ball:1", "--kmax", "20", "--window", "abc"], "--window"),
         (["errors", "--domain", "ball:1", "--kmax", "20", "--window", "10"], "--window"),
@@ -428,9 +436,11 @@ class TestOracleRun:
 
 
 class TestStartup:
-    def test_closed_forms_and_output_do_not_import_numpy(self, fig_file):
+    def test_closed_forms_and_output_do_not_import_numpy(self, fig_file, tmp_path):
         # numpy serves only the max-plus fold of two or more balls and the
-        # convex scan; the enum-io closed-form children never need it
+        # convex scans whose tables are large: the closed forms and the
+        # --oracle checks of small rational polygons never need it
+        p6 = p6_file(tmp_path, 1)
         script = f"""
 import os, sys
 import capax.cli
@@ -446,12 +456,15 @@ for argv in (["capacities", "--domain", "ball:1", "--kmax", "100000"],
 assert run("obstruct", "--from", "ellipsoid:1,phi", "--to", "ball:sqrt_phi",
            "--kmax", "500", "--backend", "float") == 2
 assert "numpy" not in sys.modules, "obstruct"
-assert run("capacities", "--domain", "@{fig_file}", "--kmax", "10", "--oracle") == 0
+assert run("capacities", "--domain", "@{fig_file}", "--kmax", "60", "--oracle") == 0
+assert run("capacities", "--domain", "{p6}", "--kmax", "120", "--oracle") == 0
+print("numpy" in sys.modules)
+assert run("errors", "--domain", "@{fig_file}", "--kmax", "20000") == 0
 print("numpy" in sys.modules)
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), timeout=120)
-        assert proc.returncode == 0 and proc.stdout.split() == ["True"], proc.stderr
+        assert proc.returncode == 0 and proc.stdout.split() == ["False", "True"], proc.stderr
 
 
 P6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]

@@ -66,13 +66,28 @@ class TestValidate:
         for ws in (["2", "2", "2"], ["2", "2", "1"], ["1"] * 9):
             with pytest.raises(EmptyDomain):
                 domains.validate(domains.weight_list("3", ws))
-        domains.validate(domains.weight_list("3", ["2", "2"]))
+        domains.validate(domains.weight_list("3", ["2", "1"]))
         with pytest.raises(EmptyDomain):
             domains.validate(domains.weight_list("3", ["2", "2", "1"], "float", 1e-9))
-        near = ["2", "2", "0.9999"]  # twice the area is 2e-4
+        near = ["1"] * 8 + ["0.9999"]  # twice the area is 2e-4
         with pytest.raises(EmptyDomain):
             domains.validate(domains.weight_list("3", near, "float", 1e-2))
         domains.validate(domains.weight_list("3", near, "float", 1e-9))
+
+    @pytest.mark.parametrize("backend", ["exact", "float", "sqrt:5"])
+    def test_convex_weights_must_be_a_ball_packing(self, backend):
+        # Cremona reduction: (3; 2, 2, x) moves to (3 + delta; ...) with a
+        # negative entry, and eight unit balls need a head of at least 17/6
+        def check(head, ws):
+            return domains.validate(domains.weight_list(head, ws, backend, 1e-9))
+        for ws in (["2", "2", "9/10"], ["2", "2", "99/100"], ["2", "2", "1/2"], ["2", "2"],
+                   ["1"] * 8):
+            with pytest.raises(NonConvex, match="not a ball packing"):
+                check("283/100", ws) if len(ws) == 8 else check("3", ws)
+        check("284/100", ["1"] * 8)
+        for head in ("-3", "0"):
+            with pytest.raises(EmptyDomain, match="positive head"):
+                check(head, [])
 
     def test_float_input_tolerance(self):
         # each float input coordinate carries eps: equal within 2 eps, zero

@@ -108,3 +108,11 @@ def test_parse_format_roundtrip():
     assert parse_scalar(format_scalar(neg), field_d=2) == neg
     e = parse_scalar("1.5", backend="float")
     assert type(e) is float and e == 1.5
+
+
+def test_quad_float_of_tiny_opposite_parts():
+    # p^2 - q^2 d once underflowed to 0 for parts below about 1e-154
+    for p, q in [(-1, 1), (3, -1), (Fraction(-1, 2), Fraction(1, 2)), (-4, Fraction(9, 5))]:
+        x = Quad(p, q, 5)
+        assert float(x * Fraction(2) ** -800) == math.ldexp(float(x), -800)
+        assert float(x * Fraction(1, 10**200)) == pytest.approx(float(x) * 1e-200, rel=1e-15)

@@ -379,3 +379,16 @@ class TestZeroEdge:
                  (Fraction(1), Fraction(1)), (Fraction(2), Fraction(0))]
         with pytest.raises(DegenerateEdge, match="zero edge vector"):
             _piece_ell_plus(graph)
+
+
+def test_golden_triangle_at_scale_1e_minus_200_keeps_its_weights():
+    # float(Quad) of a piece once underflowed to 0, so eps 1e-206 dropped the
+    # whole tree into its tail
+    lam = Fraction(1, 10**200)
+    z = Quad(0, 0, 5)
+    unit = convex_weights(phi_triangle("convex"), TruncationLimits(eps=1e-6))
+    small = convex_weights(domains.polygon([(z, z), (z + lam, z), (z, PHI * lam)], "convex",
+                                           backend="sqrt:5"), TruncationLimits(eps=1e-206))
+    assert len(unit.weight_multiset()) == 29
+    assert sorted(small.weight_multiset()) == sorted(w * lam for w in unit.weight_multiset())
+    assert small.truncation.dropped_tail_sum == unit.truncation.dropped_tail_sum * lam
