@@ -15,10 +15,11 @@ Exact backends flow through both routes unchanged, so agreement is
 exact, which is what the oracle-equivalence tests assert.
 
 The closed forms, the series and their output run on Python ints and
-floats, and so does the convex scan of rational data whose table stays
-small (`_convex_scan_py`).  The max-plus fold of two or more balls and
-the other convex scans are numpy code in `maxplus`, imported only when
-they run, so a command that needs neither never loads numpy.
+floats.  So do the max-plus folds and the convex scans whose work stays
+under `_PY_SCAN_WORK` (`_ball_list`, `_convex_scan_py`), for rational,
+float and Q(sqrt d) data alike.  Larger folds and scans are numpy code in
+`maxplus`, imported only when they run, so a command that needs neither
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ from .errors import (
     PruningBoundExceeded,
     SearchSpaceEmpty,
 )
-from .scalars import backend_of, binade, format_ratios, format_scalar
+from .scalars import (
+    Quad,
+    backend_of,
+    binade,
+    format_ratios,
+    format_scalar,
+    quad_sign,
+    rational_parts,
+)
 from .domains import BoundaryProfile, DomainDescriptor, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
 from . import tower as tower_mod
@@ -239,17 +248,86 @@ def _scaled(xs: list) -> tuple[int | None, list]:
     return None, list(xs)
 
 
+def _quad_pairs(ws: list, d_max: int):
+    """Weights over one field Q(sqrt d) as int pairs over a common
+    denominator D, w = (p + q*sqrt d)/D, rationals lifted with q = 0.
+
+    Returns (d, D, [(p, q, float(w))]), or None for other data or when an
+    entry sum |p_i|*t_i + |q_i|*t_i (t_i <= d_max) could reach 2^62."""
+    fields = {w.d for w in ws if isinstance(w, Quad)}
+    if len(fields) != 1 or not all(isinstance(w, (int, Fraction, Quad)) for w in ws):
+        return None
+    parts = [rational_parts(w) for w in ws]
+    den = math.lcm(*(x.denominator for pq in parts for x in pq))
+    pairs = [(int(p * den), int(q * den), float(w)) for (p, q), w in zip(parts, ws)]
+    if sum(abs(p) + abs(q) for p, q, _ in pairs) * d_max >= 2**62:
+        return None
+    return fields.pop(), den, pairs
+
+
+def _fold_ball(below: list, w) -> list:
+    """maxplus._fold_ball_np on a list of ints or floats."""
+    out = below[:]
+    t = 1
+    while (base := (t - 1) * (t + 2) // 2 + 1) < len(below):
+        wt = w * t
+        out[base:] = [x if x >= y + wt else y + wt for x, y in zip(out[base:], below)]
+        t += 1
+    return out
+
+
+def _fold_pairs(below: list, p: int, q: int, field: int) -> list:
+    """_fold_ball on a Q(sqrt d) table of int pairs (P_j, Q_j) over one
+    denominator, each comparison decided by the exact sign of the
+    difference."""
+    out = below[:]
+    t = 1
+    while (base := (t - 1) * (t + 2) // 2 + 1) < len(below):
+        pt, qt = p * t, q * t
+        out[base:] = [x if quad_sign(y[0] + pt - x[0], y[1] + qt - x[1], field) <= 0
+                      else (y[0] + pt, y[1] + qt) for x, y in zip(out[base:], below)]
+        t += 1
+    return out
+
+
+def _ball_list(ws: list, ds: list) -> list:
+    """maxplus._ball_table as a list.  Ints and floats fold as they are;
+    two or more Q(sqrt d) weights fold as int pairs over their common
+    denominator (`_quad_pairs`, with no bound on Python ints) and come
+    back as Quads."""
+    if len(ws) < 2 or (quad := _quad_pairs(ws, 0)) is None:
+        table = [ws[0] * d for d in ds] if ws else [0] * len(ds)
+        for w in ws[1:]:
+            table = _fold_ball(table, w)
+        return table
+    field, den, ((p, q, _), *rest) = quad
+    table = [(p * d, q * d) for d in ds]
+    for p, q, _ in rest:
+        table = _fold_pairs(table, p, q, field)
+    return [Quad(Fraction(a, den), Fraction(b, den), field) for a, b in table]
+
+
+# the work, in int fold steps of 40-60 ns, under which a fold or a convex
+# scan runs in Python, for every data kind: about 30 ms on ints and floats.
+# A Q(sqrt d) pair step (`quad_sign` on int differences) costs 230-450 ns,
+# and the golden-triangle scans just under the budget take 0.06-0.09 s:
+# still below the 0.18 s that `import numpy` costs
+_PY_SCAN_WORK = 500_000
+
+
 def union_of_balls(weights: list, K: int, zero) -> CapacitySeries:
-    """Max-plus union of ball series, one ball folded at a time.  One ball
-    is its own series w*d; more are folded by `maxplus`."""
+    """Max-plus union of ball series, one ball folded at a time: in Python
+    (`_ball_list`) while the fold's work (n-1)*(K+1)^1.5 stays under
+    `_PY_SCAN_WORK`, else by `maxplus`."""
     if not weights:
         return CapacitySeries(method="decomposition", num=[zero] * (K + 1))
     den, ws = _scaled(weights)
-    if len(ws) == 1:
-        num = [ws[0] * d for d in d_values(K)]
+    ds = d_values(K)
+    if (len(ws) - 1) * (K + 1) ** 1.5 <= _PY_SCAN_WORK:
+        num = _ball_list(ws, ds)
     else:
         from .maxplus import _ball_table
-        num = _ball_table(ws, d_values(K)).tolist()
+        num = _ball_table(ws, ds).tolist()
     return CapacitySeries(method="decomposition", num=num, den=den)
 
 
@@ -335,9 +413,9 @@ class _ScanData:
         return floor >= b + 1e-9 * abs(b)
 
     def py_work(self, K: int, budget: float) -> float:
-        """The work of `_convex_scan_py` for k <= K, in fold steps of about
-        60 ns, from a bound on each row's stop index; the count ends once it
-        passes `budget`.
+        """The work of `_convex_scan_py` for k <= K, in int fold steps (see
+        `_PY_SCAN_WORK`), from a bound on each row's stop index; the count
+        ends once it passes `budget`.
 
         The s = 0 candidate is c*d(k), so row k stops before the first
         u >= t_star at which lb(u) clears it, and with x = sqrt(u + 9n/8)
@@ -368,44 +446,34 @@ class _ScanData:
         return work
 
 
-def _fold_ball(below: list, w: int) -> list:
-    """maxplus._fold_ball_np on a list of ints."""
-    out = below[:]
-    t = 1
-    while (base := (t - 1) * (t + 2) // 2 + 1) < len(below):
-        wt = w * t
-        out[base:] = [x if x >= y + wt else y + wt for x, y in zip(out[base:], below)]
-        t += 1
-    return out
-
-
-def _ball_list(ws: list, ds: list) -> list:
-    """maxplus._ball_table of int weights as a list of ints."""
-    if not ws:
-        return [0] * len(ds)
-    table = [ws[0] * d for d in ds]
-    for w in ws[1:]:
-        table = _fold_ball(table, w)
-    return table
-
-
 def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacitySeries:
-    """maxplus._convex_scan on Python ints, one k at a time, for rational data.
+    """maxplus._convex_scan in plain Python, one k at a time.
 
     Row k probes the end of each level {s : d(k+s) = t}, bisects the level
     where the stopping test first holds and doubles the table when it ends
     inside a level, as the numpy scan does for every k in lockstep.  The
-    table's values do not depend on its length and the test reads the same
-    floats, so the values and the slack are bit-identical."""
-    c, den, tail, e = data.c, data.den, data.tail, data.e
-    un, ud = data.unit.numerator, den * data.unit.denominator  # x/den * 2^-e = x*un/ud
+    table's values do not depend on its length, and the test reads the
+    floats the numpy scan reads for each kind of data, so the values and
+    the slack are bit-identical."""
+    c, den, tail, e, unit = data.c, data.den, data.tail, data.e, data.unit
+    if den is not None:  # x/den * 2^-e = x*un/ud, rounded once
+        un, ud = unit.numerator, den * unit.denominator
+
+        def floats(x):
+            return x * un / ud
+    elif isinstance(c, float):
+        def floats(x):
+            return math.ldexp(x, -e)
+    else:  # Quads
+        def floats(x):
+            return float(x * unit if e else x)
 
     def table(S):
         ds = d_values(S)
         return _ball_list(data.ws, ds), ds
 
     M, ds = table(64)
-    num, slack = [0], [0.0]
+    num, slack = [c - c], [0.0]
     for k in range(1, K + 1):
         t, t_star = d_index(k), data.t_star(k)
         s0, best, fbest, lo = 0, None, math.inf, math.inf
@@ -413,19 +481,19 @@ def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> Capaci
             s1 = t * (t + 3) // 2 - k  # the level d(k+s) = t ends at s1
             p = min(s1, len(M) - 1, s_ceiling)
             cp = c * t - M[p]
-            cf = cp * un / ud
+            cf = floats(cp)
             stop = data.clears(k, t_star, p, cf, fbest)
             if stop:
                 a, b = s0, p
                 while a < b:
                     mid = (a + b) // 2
-                    if data.clears(k, t_star, mid, (c * t - M[mid]) * un / ud, fbest):
+                    if data.clears(k, t_star, mid, floats(c * t - M[mid]), fbest):
                         b = mid
                     else:
                         a = mid + 1
                 p = a
                 cp = c * t - M[p]
-                cf = cp * un / ud
+                cf = floats(cp)
             if best is None or cp < best:
                 best, fbest = cp, cf
             if stop:
@@ -433,7 +501,7 @@ def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> Capaci
                 break
             if p == s_ceiling:
                 raise PruningBoundExceeded(f"no certificate after {s_ceiling} complement indices",
-                                           best=Fraction(best, den))
+                                           best=best if den is None else Fraction(best, den))
             if p < s1:  # the table ends inside the level: grow it
                 s0 = p + 1
                 M, ds = table(2 * len(M))
@@ -445,20 +513,16 @@ def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> Capaci
     return CapacitySeries(method="decomposition", num=num, den=den, lower_slack=slack)
 
 
-# the work (`_ScanData.py_work`) under which the convex scan runs on Python
-# ints: about 30 ms, a fifth of what `import numpy` costs
-_PY_SCAN_WORK = 500_000
-
-
 def convex_capacity(d: DomainDescriptor, K: int,
                     limits: TruncationLimits | None = None,
                     tree: WeightTree | None = None) -> CapacitySeries:
     """Capacities of a convex domain from its weight expansion, by the
-    certified scan: `_convex_scan_py` for rational data whose table stays
-    small, so that numpy is never imported, else `maxplus._convex_scan`."""
+    certified scan: `_convex_scan_py` while its work stays under
+    `_PY_SCAN_WORK`, so that numpy is never imported, else
+    `maxplus._convex_scan`."""
     t = tree if tree is not None else convex_weights(d, limits)
     data = _ScanData(t)
-    if data.den is not None and data.py_work(K, _PY_SCAN_WORK) <= _PY_SCAN_WORK:
+    if data.py_work(K, _PY_SCAN_WORK) <= _PY_SCAN_WORK:
         series = _convex_scan_py(data, K)
     else:
         from .maxplus import _convex_scan

@@ -51,6 +51,10 @@ class NotNef(CapaxError):
         self.value = value
 
 
+class TowerTooLarge(CapaxError):
+    """A blowup tower needs more blowups than `tower.MAX_BLOWUPS`."""
+
+
 class UnknownNode(CapaxError):
     """Blowup centre is not a current boundary node."""
 

@@ -1,10 +1,10 @@
 """The vectorised kernels: max-plus ball tables and the convex infimum scan.
 
 These are the only numpy code in capax.  `capacities` imports this module
-when it folds a second ball into a table, or when it runs the convex scan
-on float or Q(sqrt d) data or on rational data whose table is large; a
-small rational scan (`capacities._convex_scan_py`), the closed forms, the
-series and the output run on Python ints and floats.
+only for a fold or a convex scan whose work passes
+`capacities._PY_SCAN_WORK`, whatever the data kind; smaller ones run in
+Python (`capacities._ball_list`, `capacities._convex_scan_py`), as do the
+closed forms, the series and the output.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .capacities import CapacitySeries, _ScanData, d_index, d_values
+from .capacities import CapacitySeries, _ScanData, _quad_pairs, d_index, d_values
 from .errors import PruningBoundExceeded
-from .scalars import Quad, quad_sign, rational_parts
+from .scalars import Quad, quad_sign
 
 
 def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
@@ -43,23 +43,6 @@ def _fold_ball_np(below: np.ndarray, w) -> np.ndarray:
 # sum adds 2^-53 of its result (_SUM_REL)
 _PAIR_REL = 2.0 ** -48
 _SUM_REL = 2.0 ** -51
-
-
-def _quad_pairs(ws: list, d_max: int):
-    """Weights over one field Q(sqrt d) as int pairs over a common
-    denominator D, w = (p + q*sqrt d)/D, rationals lifted with q = 0.
-
-    Returns (d, D, [(p, q, float(w))]), or None for other data or when an
-    entry sum |p_i|*t_i + |q_i|*t_i (t_i <= d_max) could reach 2^62."""
-    fields = {w.d for w in ws if isinstance(w, Quad)}
-    if len(fields) != 1 or not all(isinstance(w, (int, Fraction, Quad)) for w in ws):
-        return None
-    parts = [rational_parts(w) for w in ws]
-    den = math.lcm(*(x.denominator for pq in parts for x in pq))
-    pairs = [(int(p * den), int(q * den), float(w)) for (p, q), w in zip(parts, ws)]
-    if sum(abs(p) + abs(q) for p, q, _ in pairs) * d_max >= 2**62:
-        return None
-    return fields.pop(), den, pairs
 
 
 def _fold_ball_pairs(below: tuple, w: tuple, field: int) -> tuple:

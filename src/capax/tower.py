@@ -13,11 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonConvex, NonPositiveHead, NotNef, UnknownNode
+from .errors import NonConvex, NonPositiveHead, NotNef, TowerTooLarge, UnknownNode
 from .scalars import format_scalar, is_exact
 from .weights import WeightTree, linearize
 
 AXIS_TOKENS = ("H1", "H2")
+
+# the most blowups `build_tower` realizes.  Every level keeps a class of
+# n+1 coefficients for each of its boundary curves, so a tower of n blowups
+# holds about n^3/3 of them: `capacities --oracle` on the triangle
+# (0,0), (n,0), (0,1) peaks at 199 MB for n = 400, 365 MB for n = 500 and
+# 686 MB for n = 625 (max-RSS, CPython 3.11 on x86-64).
+MAX_BLOWUPS = 500
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,10 @@ def build_tower(t: WeightTree) -> Tower:
     if t.head is None:
         raise NonPositiveHead("tower construction needs a convex tree (with head)")
     order = linearize(t)
+    if len(order) > MAX_BLOWUPS:
+        raise TowerTooLarge(f"the tower needs {len(order)} blowups, more than the "
+                            f"{MAX_BLOWUPS} it can keep: its memory grows like the cube "
+                            "of the count")
     s = p2_init(t.head)
     surfaces = [s]
     for nid in order:

@@ -33,10 +33,12 @@ from capax.capacities import (
     tower_capacity,
     union_of_balls,
     _PY_SCAN_WORK,
+    _ball_list,
     _convex_scan_py,
+    _quad_pairs,
     _ScanData,
 )
-from capax.maxplus import _ball_table, _convex_scan, _quad_pairs
+from capax.maxplus import _ball_table, _convex_scan
 from capax.obstructions import obstruct
 from capax.scalars import Quad, format_ratios, format_scalar, quad_sign
 from capax.tower import blowup, build_tower, p2_init
@@ -75,6 +77,10 @@ def golden_ellipsoid_values(K):
     """c_0..c_K of E(1, phi), computed in Q(sqrt 5), as floats."""
     phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
     return ellipsoid_capacities(Quad(1, 0, 5), phi, K).float_values()
+
+
+FLOAT_P6 = domains.polygon([(x * PHI, y * PHI) for x, y in P6.vertices], "convex",
+                           backend="float", eps=1e-9)
 
 
 def golden_triangle(orientation="convex"):
@@ -466,8 +472,8 @@ class TestPythonScan:
         assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
 
     @staticmethod
-    def scans_run(monkeypatch, d, K):
-        """convex_capacity(d, K), and which of the two scans it ran."""
+    def scans_run(monkeypatch, d, K, limits=None):
+        """convex_capacity(d, K, limits), and which of the two scans it ran."""
         ran = []
 
         def spy(scan, name):
@@ -478,7 +484,7 @@ class TestPythonScan:
 
         monkeypatch.setattr(capacities, "_convex_scan_py", spy(_convex_scan_py, "python"))
         monkeypatch.setattr(maxplus, "_convex_scan", spy(_convex_scan, "numpy"))
-        return convex_capacity(d, K), ran
+        return convex_capacity(d, K, limits), ran
 
     @pytest.mark.parametrize("d, K", [(FIG, 60), (P6, 120), (DRAWS[1], 30)],
                              ids=["fig", "p6", "draw-1"])
@@ -488,16 +494,49 @@ class TestPythonScan:
         want = _convex_scan(_ScanData(convex_weights(d)), K)
         assert (got.num, got.lower_slack) == (want.num, want.lower_slack)
 
-    @pytest.mark.parametrize("d, K", [
-        (P6, 2000),
-        (domains.polygon([(x * PHI, y * PHI) for x, y in P6.vertices], "convex",
-                         backend="float", eps=1e-9), 120),
-    ], ids=["p6-2000", "float-p6"])
+    @pytest.mark.parametrize("d, K", [(golden_triangle(), 20), (FLOAT_P6, 120)],
+                             ids=["golden-20", "float-p6-120"])
+    def test_small_quad_and_float_scans_run_in_python(self, monkeypatch, d, K):
+        limits = TruncationLimits(eps=1e-6) if d.backend == "sqrt:5" else None
+        got, ran = self.scans_run(monkeypatch, d, K, limits)
+        assert ran == ["python"]
+        want = _convex_scan(_ScanData(convex_weights(d, limits)), K)
+        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
+
+    # the data kind plays no part: each case is over the budget by its own bound
+    @pytest.mark.parametrize("d, K", [(P6, 2000), (FLOAT_P6, 1000)],
+                             ids=["p6-2000", "float-p6-1000"])
     def test_large_tables_and_float_data_take_the_numpy_scan(self, monkeypatch, d, K):
-        if d.backend == "exact":  # over the budget by its own bound
-            assert _ScanData(convex_weights(d)).py_work(K, math.inf) > _PY_SCAN_WORK
+        assert _ScanData(convex_weights(d)).py_work(K, math.inf) > _PY_SCAN_WORK
         _, ran = self.scans_run(monkeypatch, d, K)
         assert ran == ["numpy"]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(legs=st.sampled_from(["1,phi", "phi,1"]),
+           eps=st.sampled_from([1e-3, 1e-6, 1e-8, 1e-10]), K=st.integers(0, 60))
+    def test_matches_numpy_scan_on_quads(self, legs, eps, K):
+        # the golden triangle with its irrational leg on either axis
+        one, phi = Quad(1, 0, 5), Quad(Fraction(1, 2), Fraction(1, 2), 5)
+        a, b = (one, phi) if legs == "1,phi" else (phi, one)
+        z = one - one
+        d = domains.polygon([(z, z), (a, z), (z, b)], "convex", backend="sqrt:5")
+        data = _ScanData(convex_weights(d, TruncationLimits(eps=eps)))
+        got, want = _convex_scan_py(data, K), _convex_scan(data, K)
+        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
+        assert all(isinstance(x, Quad) for x in got.num)
+
+    # float data keep an absolute edge tolerance, so the scales stay near 1
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=rational_convex_polygons(), lam=st.sampled_from([1.0, PHI, 1e6]),
+           cut=st.sampled_from(["complete", "eps"]), K=st.integers(0, 60))
+    def test_matches_numpy_scan_on_floats(self, d, lam, cut, K):
+        f = domains.polygon([(float(x) * lam, float(y) * lam) for x, y in d.vertices],
+                            "convex", backend="float", eps=1e-9 * lam)
+        limits = TruncationLimits(eps=0.3 * lam) if cut == "eps" else None
+        data = _ScanData(convex_weights(f, limits))
+        got, want = _convex_scan_py(data, K), _convex_scan(data, K)
+        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
+        assert all(isinstance(x, float) for x in got.num)
 
 
 class TestFloatRecursion:
@@ -632,6 +671,17 @@ class TestPlainForms:
         self.check_single_ball(w, K)
         self.check_single_ball(w + Quad(2**70, 0, w.d), K)  # past the int64 pairs
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ws=st.one_of(st.lists(POSITIVE_FRACTIONS, min_size=2, max_size=6),
+                        st.lists(POSITIVE_FLOATS, min_size=2, max_size=6)),
+           K=st.integers(0, 80))
+    def test_list_fold_is_the_ball_table(self, ws, K):
+        _, ws = _scaled(sorted(ws, reverse=True))
+        table = _ball_table(ws, np.array(d_values(K))).tolist()
+        got = union_of_balls(ws, K, ws[0] - ws[0])
+        assert got.num == _ball_list(ws, d_values(K)) == table
+        assert [type(x) for x in got.num] == [type(x) for x in table]
+
     @staticmethod
     def check_single_ball(w, K):
         den, ws = _scaled([w])
@@ -695,6 +745,39 @@ class TestQuadPairFold:
         # the int64 arrays (the rational case raised OverflowError)
         assert union_of_balls([Fraction(10 ** 23), Fraction(1)], 0, Fraction(0)).values == [0]
         assert union_of_balls([Quad(2 ** 70, 1, 5)], 0, Fraction(0)).values == [0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ws=quad_weight_lists(), K=st.integers(0, 60))
+    def test_python_fold_matches_object_fold(self, ws, K):
+        got = _ball_list(ws, d_values(K))
+        assert all(isinstance(x, Quad) for x in got)
+        assert got == reference_ball_table(ws, np.array(d_values(K)))
+
+    @pytest.mark.parametrize("ws", [
+        [golden_power(n) for n in range(12)] + [golden_power(3)] * 2,  # exact ties
+        [Quad.rational(1, 5), golden_power(72)],  # near-ties of distinct values
+        [Quad(1, Fraction(29, 7), 5), Quad(1, Fraction(29, 7), 5) - golden_power(72)],
+        [Quad(2 ** 58, 3, 5), Quad(Fraction(1, 2), Fraction(1, 2), 5),
+         Quad(2 ** 58, -2 ** 57, 5), Fraction(7, 3)],  # past the int64 pairs
+    ], ids=["golden-ties", "unit-plus-phi^-72", "phi^-72-apart", "huge"])
+    def test_python_fold_decides_ties_exactly(self, ws):
+        ds = d_values(120)
+        assert _ball_list(ws, ds) == reference_ball_table(ws, np.array(ds))
+
+    @pytest.mark.parametrize("K, folder", [(60, "python"), (2000, "numpy")])
+    def test_small_folds_run_in_python(self, monkeypatch, K, folder):
+        ran = []
+        for module, name in ((capacities, "_ball_list"), (maxplus, "_ball_table")):
+            def spy(*args, fold=getattr(module, name), name=name):
+                ran.append(name)
+                return fold(*args)
+            monkeypatch.setattr(module, name, spy)
+        d = golden_triangle("concave")
+        tree = concave_weights(d, TruncationLimits(eps=1e-8))
+        n = len(tree.weight_multiset())
+        assert ((n - 1) * (K + 1) ** 1.5 <= _PY_SCAN_WORK) == (folder == "python")
+        concave_capacity(d, K, tree=tree)
+        assert ran == [{"python": "_ball_list", "numpy": "_ball_table"}[folder]]
 
     def test_golden_concave_triangle(self):
         d = golden_triangle("concave")

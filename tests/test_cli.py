@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capax
-from capax import capacities, domains
+from capax import capacities, domains, tower
 from capax.cli import main, parse_domain
 from capax.errors import CapaxError
 
@@ -425,6 +425,29 @@ class TestOracleRun:
         assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
         assert len(built) == 1
 
+    @pytest.mark.parametrize("command", [["capacities", "--kmax", "3", "--oracle"], ["tower"]])
+    def test_refuses_a_tower_past_the_blowup_limit(self, capsys, command):
+        # the triangle (0,0), (n,0), (0,1) expands into n weights, one blowup
+        # each; without the limit a tower of 625 peaked at 686 MB
+        n = tower.MAX_BLOWUPS + 1
+        spec = json.dumps({"kind": "polygon", "orientation": "convex",
+                           "vertices": [["0", "0"], [str(n), "0"], ["0", "1"]]})
+        code = main([*command, "--domain", f"polygon:{spec}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("capax: ") and captured.err.count("\n") == 1
+        assert f"needs {n} blowups, more than the {n - 1}" in captured.err
+
+    def test_blowup_limit_counts_the_weights(self, capsys, monkeypatch, fig_file):
+        # the figure polygon's tree (5; 1,1,1) needs three blowups
+        argv = ["capacities", "--domain", f"@{fig_file}", "--kmax", "10", "--oracle"]
+        monkeypatch.setattr(tower, "MAX_BLOWUPS", 3)
+        assert main(argv) == 0
+        monkeypatch.setattr(tower, "MAX_BLOWUPS", 2)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "needs 3 blowups, more than the 2" in capsys.readouterr().err
+
     def test_does_not_import_scipy(self, fig_file, tmp_path):
         script = ("import sys, capax.cli\n"
                   f"code = capax.cli.main(['capacities', '--domain', '@{fig_file}', "
@@ -435,36 +458,59 @@ class TestOracleRun:
         assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
+def _polygon_file(tmp_path, name, orientation, vertices, **extra):
+    path = tmp_path / name
+    path.write_text(json.dumps({"kind": "polygon", "orientation": orientation, **extra,
+                                "vertices": vertices}))
+    return f"@{path}"
+
+
 class TestStartup:
-    def test_closed_forms_and_output_do_not_import_numpy(self, fig_file, tmp_path):
-        # numpy serves only the max-plus fold of two or more balls and the
-        # convex scans whose tables are large: the closed forms and the
-        # --oracle checks of small rational polygons never need it
-        p6 = p6_file(tmp_path, 1)
+    @staticmethod
+    def loads_numpy(*calls):
+        """Run the CLI calls in order in one child Python, each expecting its
+        exit code; whether numpy got imported."""
         script = f"""
 import os, sys
 import capax.cli
-def run(*argv):
-    return capax.cli.main([*argv, "--out", os.devnull])
 assert "numpy" not in sys.modules, "import capax.cli"
-for argv in (["capacities", "--domain", "ball:1", "--kmax", "100000"],
-             ["capacities", "--domain", "ellipsoid:1,2", "--kmax", "50000"],
-             ["capacities", "--domain", "square:1", "--kmax", "2000"],
-             ["errors", "--domain", "ball:1", "--kmax", "1000"]):
-    assert run(*argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
-assert run("obstruct", "--from", "ellipsoid:1,phi", "--to", "ball:sqrt_phi",
-           "--kmax", "500", "--backend", "float") == 2
-assert "numpy" not in sys.modules, "obstruct"
-assert run("capacities", "--domain", "@{fig_file}", "--kmax", "60", "--oracle") == 0
-assert run("capacities", "--domain", "{p6}", "--kmax", "120", "--oracle") == 0
-print("numpy" in sys.modules)
-assert run("errors", "--domain", "@{fig_file}", "--kmax", "20000") == 0
+for argv, code in {calls!r}:
+    assert capax.cli.main([*argv, "--out", os.devnull]) == code, argv
 print("numpy" in sys.modules)
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), timeout=120)
-        assert proc.returncode == 0 and proc.stdout.split() == ["False", "True"], proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split() == ["True"]
+
+    def test_closed_forms_and_output_do_not_import_numpy(self, fig_file, tmp_path):
+        # numpy serves only the max-plus folds and the convex scans whose
+        # tables are large: the closed forms, the --oracle checks of small
+        # rational polygons and the small Q(sqrt 5) scans and folds never
+        # need it, whatever the data kind
+        golden = [["0", "0"], ["1", "0"], ["0", "1/2+1/2*sqrt"]]
+        golden_convex = _polygon_file(tmp_path, "golden_convex.json", "convex", golden,
+                                      field_d=5)
+        golden_concave = _polygon_file(tmp_path, "golden_concave.json", "concave", golden,
+                                       field_d=5)
+        assert not self.loads_numpy(
+            (["capacities", "--domain", "ball:1", "--kmax", "100000"], 0),
+            (["capacities", "--domain", "ellipsoid:1,2", "--kmax", "50000"], 0),
+            (["capacities", "--domain", "square:1", "--kmax", "2000"], 0),
+            (["errors", "--domain", "ball:1", "--kmax", "1000"], 0),
+            (["obstruct", "--from", "ellipsoid:1,phi", "--to", "ball:sqrt_phi",
+              "--kmax", "500", "--backend", "float"], 2),
+            (["capacities", "--domain", f"@{fig_file}", "--kmax", "60", "--oracle"], 0),
+            (["capacities", "--domain", p6_file(tmp_path, 1), "--kmax", "120", "--oracle"], 0),
+            (["capacities", "--domain", golden_convex, "--kmax", "20", "--eps", "1e-6"], 0),
+            (["capacities", "--domain", golden_concave, "--kmax", "100", "--eps", "1e-8"], 0))
+
+    def test_large_scans_and_folds_import_numpy(self, fig_file, tmp_path):
+        concave = _polygon_file(tmp_path, "concave.json", "concave",
+                                [["0", "0"], ["5", "0"], ["2", "1"], ["1", "2"], ["0", "4"]])
+        assert self.loads_numpy((["errors", "--domain", f"@{fig_file}", "--kmax", "20000"], 0))
+        assert self.loads_numpy((["capacities", "--domain", concave, "--kmax", "50000",
+                                  "--format", "csv"], 0))
 
 
 P6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]
