@@ -11,7 +11,7 @@ that is the only case in which a convergence verdict is issued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import CapaxError, WindowOutOfRange
 from .scalars import rational_parts
@@ -19,23 +19,25 @@ from .domains import BoundaryProfile
 from .capacities import CapacitySeries
 
 
-@dataclass(frozen=True)
-class Band:
-    lower: float  # (1/2) K.A
-    upper: float  # (1/2) K.A - K+.A
+class Band(namedtuple("Band", "lower upper")):
+    """The band [(1/2) K.A, (1/2) K.A - K+.A]."""
+
+    __slots__ = ()
 
     @property
     def mid(self) -> float:
         return (self.lower + self.upper) / 2.0
 
 
-@dataclass
 class ErrorSeries:
-    source: str
-    vol: float
-    ks: range | list
-    e: list
-    band: Band | None = None
+    __slots__ = ("source", "vol", "ks", "e", "band")
+
+    def __init__(self, source: str, vol: float, ks, e: list, band: Band | None = None):
+        self.source = source
+        self.vol = vol
+        self.ks = ks  # a range or a list
+        self.e = e
+        self.band = band
 
     def to_csv(self) -> str:
         lo = float(self.band.lower) if self.band else float("nan")
@@ -79,10 +81,8 @@ def band_for_profile(profile: BoundaryProfile) -> Band:
     return band_from_pairings(-(a + b + ell), -ell)
 
 
-@dataclass(frozen=True)
-class WindowStats:
-    minimum: float
-    maximum: float
+class WindowStats(namedtuple("WindowStats", "minimum maximum")):
+    __slots__ = ()
 
     @property
     def midpoint(self) -> float:
@@ -98,10 +98,11 @@ def window_extrema(e: ErrorSeries, window: tuple[int, int]) -> WindowStats:
     return WindowStats(minimum=min(vals), maximum=max(vals))
 
 
-@dataclass(frozen=True)
-class EdgeInvariants:
-    n_rational: int
-    v_rank: int | None  # None = unknown (float backend)
+class EdgeInvariants(namedtuple("EdgeInvariants", "n_rational v_rank")):
+    """The count of rational-sloped upper edges and the rational rank of
+    their affine lengths (None: unknown, on the float backend)."""
+
+    __slots__ = ()
 
 
 def edge_invariants(profile: BoundaryProfile) -> EdgeInvariants:
@@ -127,15 +128,20 @@ def edge_invariants(profile: BoundaryProfile) -> EdgeInvariants:
     return EdgeInvariants(n_rational=n, v_rank=rank)
 
 
-@dataclass
 class ConvergenceReport:
-    proven: bool
-    limit: float | None
-    band: Band
-    ruelle_proxy: float  # -(a+b)/2
-    empirical_mid: float | None
-    invariants: EdgeInvariants
-    notes: list = field(default_factory=list)
+    __slots__ = ("proven", "limit", "band", "ruelle_proxy", "empirical_mid", "invariants",
+                 "notes")
+
+    def __init__(self, proven: bool, limit: float | None, band: Band, ruelle_proxy: float,
+                 empirical_mid: float | None, invariants: EdgeInvariants,
+                 notes: list | None = None):
+        self.proven = proven
+        self.limit = limit
+        self.band = band
+        self.ruelle_proxy = ruelle_proxy  # -(a+b)/2
+        self.empirical_mid = empirical_mid
+        self.invariants = invariants
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         return {

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -75,7 +74,6 @@ def d_values(K: int) -> list[int]:
     return out
 
 
-@dataclass
 class CapacitySeries:
     """c_0..c_K with per-entry slack; values stay in the input backend.
 
@@ -83,14 +81,20 @@ class CapacitySeries:
     c_k = num[k]/den.  Quad and float values have `den` None and sit in
     `num` as they are."""
 
-    method: str
-    num: list
-    den: int | None = None
-    lower_slack: list | None = None
-    upper_slack: list | None = None
-    source: str = ""
-    backend: str = "exact"
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("method", "num", "den", "lower_slack", "upper_slack", "source", "backend",
+                 "meta")
+
+    def __init__(self, method: str, num: list, den: int | None = None,
+                 lower_slack: list | None = None, upper_slack: list | None = None,
+                 source: str = "", backend: str = "exact", meta: dict | None = None):
+        self.method = method
+        self.num = num
+        self.den = den
+        self.lower_slack = lower_slack
+        self.upper_slack = upper_slack
+        self.source = source
+        self.backend = backend
+        self.meta = {} if meta is None else meta
 
     @property
     def kmax(self) -> int:
@@ -173,8 +177,9 @@ def _in_float_range(top, form: str, K: int) -> None:
 def ball_capacities(a, K: int) -> CapacitySeries:
     """c_k(B(a)) = a*d with d minimal such that d(d+3)/2 >= k."""
     _in_float_range(a * d_index(K), f"ball({a})", K)
-    return replace(union_of_balls([a], K, a - a), method="ball_closed_form",
-                   backend=backend_of(a), source=f"ball({a})")
+    s = union_of_balls([a], K, a - a)
+    return CapacitySeries("ball_closed_form", s.num, s.den, source=f"ball({a})",
+                          backend=backend_of(a))
 
 
 def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
@@ -309,9 +314,11 @@ def _ball_list(ws: list, ds: list) -> list:
 
 # the work, in int fold steps of 40-60 ns, under which a fold or a convex
 # scan runs in Python, for every data kind: about 30 ms on ints and floats.
-# A Q(sqrt d) pair step (`quad_sign` on int differences) costs 230-450 ns,
-# and the golden-triangle scans just under the budget take 0.06-0.09 s:
-# still below the 0.18 s that `import numpy` costs
+# A Q(sqrt d) pair step (`quad_sign` on int differences) costs 230-450 ns.
+# The golden-triangle scans just under the budget (kmax 44-119, eps 1e-3 to
+# 1e-10) take 71-115 ms here against 57-103 ms in `maxplus`, whose numpy
+# import costs a running CLI another 59 ms with its one BLAS thread (113 ms
+# with OpenBLAS's default pool): Python stays the faster pick, by 9-55 ms
 _PY_SCAN_WORK = 500_000
 
 
@@ -345,9 +352,10 @@ def concave_capacity(d: DomainDescriptor, K: int,
     tail = t.truncation.dropped_tail_sum
     tail_f = float(tail)
     upper = [dk * tail_f for dk in d_values(K)] if tail > 0 else None
-    return replace(union_of_balls(weights, K, zero - zero),
-                   upper_slack=upper, backend=t.backend, source=f"concave:{d.kind}",
-                   meta={"dropped_tail_sum": tail_f})
+    s = union_of_balls(weights, K, zero - zero)
+    return CapacitySeries(s.method, s.num, s.den, upper_slack=upper,
+                          source=f"concave:{d.kind}", backend=t.backend,
+                          meta={"dropped_tail_sum": tail_f})
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +535,11 @@ def convex_capacity(d: DomainDescriptor, K: int,
     else:
         from .maxplus import _convex_scan
         series = _convex_scan(data, K)
-    return replace(series, upper_slack=[0.0] * (K + 1),
-                   backend=t.backend, source=f"convex:{d.kind}",
-                   meta={"head": float(t.head),
-                         "dropped_tail_sum": float(t.truncation.dropped_tail_sum)})
+    return CapacitySeries(series.method, series.num, series.den, series.lower_slack,
+                          upper_slack=[0.0] * (K + 1), source=f"convex:{d.kind}",
+                          backend=t.backend,
+                          meta={"head": float(t.head),
+                                "dropped_tail_sum": float(t.truncation.dropped_tail_sum)})
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +649,7 @@ class _EnumContext:
         self.floor = _nef_floor(classes, a)
         # the degree bound's floats, of A*2^-e with 2^e the head's binade, never underflow
         unit = Fraction(2) ** -binade(s.A[0])
-        self.pairings = _bound_pairings(replace(s, A=tuple(x * unit for x in s.A)))
+        self.pairings = _bound_pairings(s._replace(A=tuple(x * unit for x in s.A)))
         self.floor_f = float(self.floor * unit)
         # the parent blowup index
         self.parent = [None] * (n + 1)
@@ -760,11 +769,13 @@ def alg_capacity_series(s: PicBasisSurface, kmax: int,
     return out
 
 
-@dataclass
 class TowerCapacityResult:
-    value: object
-    bracket: tuple[float, float]
-    per_level: list | None = None
+    __slots__ = ("value", "bracket", "per_level")
+
+    def __init__(self, value, bracket: tuple[float, float], per_level: list | None = None):
+        self.value = value
+        self.bracket = bracket
+        self.per_level = per_level
 
 
 def _tower_result(tw: Tower, k: int, value, ctx: _EnumContext,
@@ -861,11 +872,19 @@ def _polygon_closed_form(d: DomainDescriptor, profile: BoundaryProfile,
     return None
 
 
+# the largest kmax `series_for_domain` computes.  The output, not the series,
+# sets the peak: c_0..c_{10^6} of a ball, an ellipsoid or a square peaks at
+# 205-237 MB max-RSS (JSON and CSV; 279 MB for a float ellipsoid), about
+# 190-265 bytes per value over the interpreter's 14 MB, so the largest
+# series allowed peaks near 1.1 GB
+MAX_KMAX = 4_000_000
+
+
 def series_for_domain(d: DomainDescriptor, K: int,
                       limits: TruncationLimits | None = None) -> CapacitySeries:
     """Pick the natural route for the descriptor, after validating it."""
-    if K < 0:
-        raise CapaxError(f"kmax must be >= 0, got {K}")
+    if not 0 <= K <= MAX_KMAX:
+        raise CapaxError(f"kmax must be between 0 and {MAX_KMAX}, got {K}")
     profile = validate(d)
     if d.kind == "ellipsoid":
         if d.is_ball():

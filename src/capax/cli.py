@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -368,6 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's bundled OpenBLAS starts a worker thread per extra core when it
+    # loads, and capax calls no BLAS routine (`maxplus` is elementwise
+    # ufuncs and slicing): one thread saves each child about 0.07 s.  The
+    # caller's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         ns = build_parser().parse_args(argv)
         return ns.fn(ns)

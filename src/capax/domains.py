@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -38,24 +38,20 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class DomainDescriptor:
+class DomainDescriptor(namedtuple(
+        "DomainDescriptor",
+        "kind orientation vertices a b curve params head weights backend eps",
+        defaults=(None, None, None, None, None, (), None, (), "exact", 0.0))):
     """A convex or concave toric-domain region with a numeric backend.
 
+    `kind` is "polygon", "ellipsoid", "curve" or "weight_list".  A polygon
+    has its `orientation` ("convex" or "concave") and `vertices`; an
+    ellipsoid its legs `a` and `b`; a curve domain its family name `curve`
+    and `params`; a weight list its `head` (None if concave) and `weights`.
     `eps` is the absolute tolerance of each float input coordinate; exact
     backends ignore it.  Zeros the code makes carry none."""
 
-    kind: str  # "polygon" | "ellipsoid" | "curve" | "weight_list"
-    orientation: str | None = None  # "convex" | "concave" (polygons)
-    vertices: tuple | None = None
-    a: object = None  # ellipsoid legs
-    b: object = None
-    curve: str | None = None  # curve family name
-    params: tuple = ()
-    head: object = None  # weight_list head
-    weights: tuple = ()
-    backend: str = "exact"
-    eps: float = 0.0
+    __slots__ = ()
 
     @property
     def field_d(self) -> int | None:
@@ -94,25 +90,24 @@ class DomainDescriptor:
         return self.kind == "weight_list" and self.head is None
 
 
-@dataclass(frozen=True)
-class Edge:
-    direction: tuple[int, int] | None  # primitive integer vector, None if irrational
-    affine_length: object  # zero scalar on irrational-slope edges
-    rational_sloped: bool
+class Edge(namedtuple("Edge", "direction affine_length rational_sloped")):
+    """One upper-boundary edge: its primitive integer `direction` (None if
+    irrational) and its `affine_length` (a zero scalar on an
+    irrational-slope edge)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """Axis extents and the affine data of the upper boundary."""
+class BoundaryProfile(namedtuple(
+        "BoundaryProfile",
+        "a b plus_edges total_affine_plus affine_tol backend chain smooth",
+        defaults=(None, False))):
+    """Axis extents and the affine data of the upper boundary.
 
-    a: object
-    b: object
-    plus_edges: tuple[Edge, ...]
-    total_affine_plus: object
-    affine_tol: float  # absolute tolerance of total_affine_plus (0 for exact data)
-    backend: str
-    chain: tuple | None = None  # upper-boundary polyline, (0,b) .. (a,0)
-    smooth: bool = False
+    `affine_tol` is the absolute tolerance of `total_affine_plus` (0 for
+    exact data); `chain` is the upper-boundary polyline, (0,b) .. (a,0)."""
+
+    __slots__ = ()
 
 
 def polygon(vertices, orientation: str, backend: str = "exact",

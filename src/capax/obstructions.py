@@ -14,7 +14,7 @@ Float or truncated data compare in floats, with margins.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotComparable
@@ -26,28 +26,31 @@ from .weights import TruncationLimits
 VOL_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Witness:
-    criterion: str  # "capacity" | "volume" | "affine_length"
-    k: int | None
-    from_value: float
-    to_value: float
-    slack: float
+class Witness(namedtuple("Witness", "criterion k from_value to_value slack")):
+    """One violated condition: `criterion` is "capacity", "volume" or
+    "affine_length"; `k` is None but for a capacity."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
 class ObstructionReport:
-    verdict: str  # "OBSTRUCTED" | "INCONCLUSIVE"
-    witnesses: list[Witness]
-    admissible_from: bool
-    admissible_to: bool
-    vol_from: float
-    vol_to: float
-    volumes_equal: bool
-    notes: list = field(default_factory=list)
+    __slots__ = ("verdict", "witnesses", "admissible_from", "admissible_to", "vol_from",
+                 "vol_to", "volumes_equal", "notes")
+
+    def __init__(self, verdict: str, witnesses: list, admissible_from: bool,
+                 admissible_to: bool, vol_from: float, vol_to: float, volumes_equal: bool,
+                 notes: list | None = None):
+        self.verdict = verdict  # "OBSTRUCTED" | "INCONCLUSIVE"
+        self.witnesses = witnesses
+        self.admissible_from = admissible_from
+        self.admissible_to = admissible_to
+        self.vol_from = vol_from
+        self.vol_to = vol_to
+        self.volumes_equal = volumes_equal
+        self.notes = [] if notes is None else notes
 
     @property
     def exit_code(self) -> int:

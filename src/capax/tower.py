@@ -11,7 +11,7 @@ the new basis vector from both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonConvex, NonPositiveHead, NotNef, TowerTooLarge, UnknownNode
 from .scalars import format_scalar, is_exact
@@ -27,10 +27,11 @@ AXIS_TOKENS = ("H1", "H2")
 MAX_BLOWUPS = 500
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
-    token: object  # "H0" | "H1" | "H2" | tree-node id
-    cls: tuple  # signed coefficients over (H, e_1, .., e_n)
+class BoundaryCurve(namedtuple("BoundaryCurve", "token cls")):
+    """A boundary curve: its `token` ("H0", "H1", "H2" or a tree-node id)
+    and its class `cls`, signed coefficients over (H, e_1, .., e_n)."""
+
+    __slots__ = ()
 
     @property
     def is_plus(self) -> bool:
@@ -38,11 +39,11 @@ class BoundaryCurve:
         return self.token not in AXIS_TOKENS
 
 
-@dataclass(frozen=True)
-class PicBasisSurface:
-    n: int  # number of blowups so far
-    A: tuple  # polarisation class vector, length n+1
-    curves: tuple[BoundaryCurve, ...]  # the boundary cycle, in order
+class PicBasisSurface(namedtuple("PicBasisSurface", "n A curves")):
+    """The plane blown up `n` times, with its polarisation class vector
+    `A` (length n+1) and its boundary cycle `curves`, in order."""
+
+    __slots__ = ()
 
     @property
     def K(self) -> tuple:
@@ -108,13 +109,16 @@ def blowup(s: PicBasisSurface, node, a, token=None) -> PicBasisSurface:
     return PicBasisSurface(n=n, A=A, curves=tuple(curves))
 
 
-@dataclass
 class Tower:
-    """Surfaces Y_0..Y_n built from a convex weight tree, plus tail data."""
+    """Surfaces Y_0..Y_n built from a convex weight tree, plus tail data;
+    `order` lists the tree-node ids in blowup order."""
 
-    surfaces: list[PicBasisSurface]
-    tree: WeightTree
-    order: list[int]  # tree-node ids in blowup order
+    __slots__ = ("surfaces", "tree", "order")
+
+    def __init__(self, surfaces: list, tree: WeightTree, order: list):
+        self.surfaces = surfaces
+        self.tree = tree
+        self.order = order
 
     @property
     def final(self) -> PicBasisSurface:

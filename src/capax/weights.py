@@ -30,8 +30,7 @@ tolerance is read where float input is compared (``validate``), not here.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from .errors import BackendOverflow, NonConvex
@@ -41,32 +40,24 @@ from .domains import DomainDescriptor, shoelace_area, validate
 INF_NODE = "inf"  # key for the extended node in deficiency maps
 
 
-@dataclass(frozen=True)
-class WeightNode:
-    id: int
-    weight: object
-    parent: int | None
-    side: int  # 2 = piece left of the contact, 3 = piece right of it
-    corner: tuple | None  # pair of boundary-curve tokens
-    introduced: object  # affine length of the boundary edge created here
-    depth: int
-    children: tuple[int, ...] = ()
+class WeightNode(namedtuple("WeightNode",
+                            "id weight parent side corner introduced depth children",
+                            defaults=((),))):
+    """One ball of the expansion.  `side` is 2 for the piece left of the
+    contact, 3 for the piece right of it; `corner` is the pair of
+    boundary-curve tokens; `introduced` is the affine length of the
+    boundary edge created here; `children` are node ids."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Truncation:
-    max_depth: int
-    eps: float
-    dropped_tail_sum: object
-    dropped_tail_sq: object
-    dropped_pieces: int
-    complete: bool
+class Truncation(namedtuple("Truncation", "max_depth eps dropped_tail_sum dropped_tail_sq "
+                                          "dropped_pieces complete")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TruncationLimits:
-    max_depth: int | None = None
-    eps: float | None = None
+class TruncationLimits(namedtuple("TruncationLimits", "max_depth eps", defaults=(None, None))):
+    __slots__ = ()
 
     def resolved(self, exact: bool) -> tuple[int, float]:
         depth = self.max_depth if self.max_depth is not None else (4096 if exact else 256)
@@ -74,14 +65,21 @@ class TruncationLimits:
         return depth, eps
 
 
-@dataclass
 class WeightTree:
-    head: object | None
-    head_introduced: object  # deficiency of the extended node; 0-scalar if concave
-    roots: tuple[int, ...]
-    nodes: dict[int, WeightNode]
-    truncation: Truncation
-    backend: str
+    """A weight expansion: the `head` (None if concave), the deficiency of
+    the extended node `head_introduced` (a zero scalar if concave), the
+    root ids and the nodes by id."""
+
+    __slots__ = ("head", "head_introduced", "roots", "nodes", "truncation", "backend")
+
+    def __init__(self, head, head_introduced, roots: tuple, nodes: dict,
+                 truncation: Truncation, backend: str):
+        self.head = head
+        self.head_introduced = head_introduced
+        self.roots = roots
+        self.nodes = nodes
+        self.truncation = truncation
+        self.backend = backend
 
     def weight_multiset(self) -> list:
         """All weights excluding the head, in h-order."""
@@ -237,8 +235,8 @@ def _weights(d: DomainDescriptor, limits: TruncationLimits | None, convex: bool)
     tree = WeightTree(
         head=None if head is None else out(head), head_introduced=out(head_introduced),
         roots=tuple(rec.children[None]),
-        nodes={i: replace(n, weight=out(n.weight), introduced=out(n.introduced),
-                          children=tuple(rec.children[i])) for i, n in rec.nodes.items()},
+        nodes={i: n._replace(weight=out(n.weight), introduced=out(n.introduced),
+                             children=tuple(rec.children[i])) for i, n in rec.nodes.items()},
         truncation=Truncation(
             max_depth=rec.max_depth, eps=rec.eps,
             dropped_tail_sum=out(zero if rec.tail_sum is None else rec.tail_sum),

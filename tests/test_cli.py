@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,7 +86,8 @@ class TestCommands:
         real = capacities.tower_capacities
 
         def bumped(tw, kmax):
-            return [replace(r, value=r.value + Fraction(1, 10**20)) for r in real(tw, kmax)]
+            return [capacities.TowerCapacityResult(r.value + Fraction(1, 10**20), r.bracket)
+                    for r in real(tw, kmax)]
 
         monkeypatch.setattr(capacities, "tower_capacities", bumped)
         code = main(["capacities", "--domain", "ball:1/1000000000000", "--kmax", "5", "--oracle"])
@@ -254,6 +254,9 @@ class TestInputBoundary:
          "float range"),
         (["capacities", "--domain", "ellipsoid:1e307,1e306", "--backend", "float",
           "--kmax", "100000"], "float range"),
+        # refused before any work starts
+        (["capacities", "--domain", "ball:1", "--kmax", str(capacities.MAX_KMAX + 1)],
+         f"kmax must be between 0 and {capacities.MAX_KMAX}"),
         # a rational expansion ends, deeper than the default depth (braces
         # doubled for str.format)
         (["weights", "--domain", 'polygon:{{"kind":"polygon","orientation":"convex",'
@@ -268,16 +271,22 @@ class TestInputBoundary:
             "tower-of-a-weight-list", "oracle-of-a-weight-list", "superellipse-overflow",
             "superellipse-underflow", "errors-past-float-range", "obstruct-infinite-volume",
             "ball-past-float-range", "square-past-float-range", "ellipsoid-past-float-range",
-            "rational-depth",
+            "kmax-past-the-ceiling", "rational-depth",
             "unknown-flag", "kmax-not-a-number", "missing-domain"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
         argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
-        code = main(argv)
-        captured = capsys.readouterr()
+        kmax = argv[argv.index("--kmax") + 1] if "--kmax" in argv else ""
+        if kmax.isdigit() and int(kmax) > capacities.MAX_KMAX:
+            # without its ceiling this call would allocate gigabytes: it runs
+            # in a child whose address space is capped
+            code, out, err = main_in_child(argv)
+        else:
+            code = main(argv)
+            out, err = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("capax: ") and captured.err.count("\n") == 1
-        assert message in captured.err
+        assert out == ""
+        assert err.startswith("capax: ") and err.count("\n") == 1
+        assert message in err
 
     def test_depth_alone_truncates_exact_data(self, capsys, fig_file):
         # a depth limit the caller sets truncates rational data without an eps
@@ -410,6 +419,18 @@ def child_env():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
+def main_in_child(argv):
+    """capax.cli.main(argv) in a child Python whose address space is capped
+    at 1 GB: its exit code, stdout and stderr."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "import capax.cli\n"
+              f"sys.exit(capax.cli.main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestOracleRun:
     def test_builds_one_enum_context(self, capsys, monkeypatch, fig_file):
         built = []
@@ -467,33 +488,36 @@ def _polygon_file(tmp_path, name, orientation, vertices, **extra):
 
 class TestStartup:
     @staticmethod
-    def loads_numpy(*calls):
+    def loaded(*calls):
         """Run the CLI calls in order in one child Python, each expecting its
-        exit code; whether numpy got imported."""
+        exit code.  Which of numpy, dataclasses and inspect `import
+        capax.cli` loaded, and which were loaded after the calls."""
         script = f"""
 import os, sys
+watched = ("numpy", "dataclasses", "inspect")
 import capax.cli
-assert "numpy" not in sys.modules, "import capax.cli"
+print(",".join(m for m in watched if m in sys.modules))
 for argv, code in {calls!r}:
     assert capax.cli.main([*argv, "--out", os.devnull]) == code, argv
-print("numpy" in sys.modules)
+print(",".join(m for m in watched if m in sys.modules))
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split() == ["True"]
+        return tuple(set(filter(None, line.split(","))) for line in proc.stdout.splitlines())
 
     def test_closed_forms_and_output_do_not_import_numpy(self, fig_file, tmp_path):
         # numpy serves only the max-plus folds and the convex scans whose
         # tables are large: the closed forms, the --oracle checks of small
         # rational polygons and the small Q(sqrt 5) scans and folds never
-        # need it, whatever the data kind
+        # need it, whatever the data kind.  capax defines its records
+        # without class factories, so dataclasses and inspect stay out too
         golden = [["0", "0"], ["1", "0"], ["0", "1/2+1/2*sqrt"]]
         golden_convex = _polygon_file(tmp_path, "golden_convex.json", "convex", golden,
                                       field_d=5)
         golden_concave = _polygon_file(tmp_path, "golden_concave.json", "concave", golden,
                                        field_d=5)
-        assert not self.loads_numpy(
+        assert self.loaded(
             (["capacities", "--domain", "ball:1", "--kmax", "100000"], 0),
             (["capacities", "--domain", "ellipsoid:1,2", "--kmax", "50000"], 0),
             (["capacities", "--domain", "square:1", "--kmax", "2000"], 0),
@@ -503,14 +527,41 @@ print("numpy" in sys.modules)
             (["capacities", "--domain", f"@{fig_file}", "--kmax", "60", "--oracle"], 0),
             (["capacities", "--domain", p6_file(tmp_path, 1), "--kmax", "120", "--oracle"], 0),
             (["capacities", "--domain", golden_convex, "--kmax", "20", "--eps", "1e-6"], 0),
-            (["capacities", "--domain", golden_concave, "--kmax", "100", "--eps", "1e-8"], 0))
+            (["capacities", "--domain", golden_concave, "--kmax", "100", "--eps", "1e-8"], 0),
+        ) == (set(), set())
 
     def test_large_scans_and_folds_import_numpy(self, fig_file, tmp_path):
         concave = _polygon_file(tmp_path, "concave.json", "concave",
                                 [["0", "0"], ["5", "0"], ["2", "1"], ["1", "2"], ["0", "4"]])
-        assert self.loads_numpy((["errors", "--domain", f"@{fig_file}", "--kmax", "20000"], 0))
-        assert self.loads_numpy((["capacities", "--domain", concave, "--kmax", "50000",
-                                  "--format", "csv"], 0))
+        assert "numpy" in self.loaded(
+            (["errors", "--domain", f"@{fig_file}", "--kmax", "20000"], 0))[1]
+        assert "numpy" in self.loaded((["capacities", "--domain", concave, "--kmax", "50000",
+                                        "--format", "csv"], 0))[1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_numpy_scan_starts_no_blas_threads(self, fig_file):
+        # capax calls no BLAS routine, so the CLI keeps OpenBLAS to the
+        # calling thread unless the caller set its own thread count
+        script = f"""
+import os, sys
+import capax.cli
+assert capax.cli.main(["errors", "--domain", "@{fig_file}", "--kmax", "20000",
+                       "--out", os.devnull]) == 0
+print("numpy" in sys.modules, len(os.listdir("/proc/self/task")),
+      os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+        def scan(**caller):
+            env = child_env()
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env={**env, **caller}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.split()
+
+        assert scan() == ["True", "1", "1"]
+        numpy_loaded, _, setting = scan(OPENBLAS_NUM_THREADS="2")
+        assert (numpy_loaded, setting) == ("True", "2")
 
 
 P6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -263,7 +262,7 @@ class TestBalanced:
     def test_exact_deficiency_below_float_resolution(self, unit_square):
         t = convex_weights(unit_square)
         tiny = Fraction(1, 10**400)  # 0.0 as a float
-        t.nodes = {i: replace(n, introduced=Fraction(0)) for i, n in t.nodes.items()}
+        t.nodes = {i: n._replace(introduced=Fraction(0)) for i, n in t.nodes.items()}
         t.head_introduced = tiny
         assert is_balanced(t, 0) == (False, [(INF_NODE, tiny)])
 
