@@ -9,7 +9,8 @@ Two independent routes compute the same numbers:
   stopping rule;
 * the enumeration route minimizes D.A over nef integer classes with
   D.(D-K) >= 2k on a tower surface, by depth-first search with residual
-  caps per boundary curve.
+  caps per boundary curve and one prune, a Cauchy-Schwarz bound from the
+  quadratic budget sum m_i(m_i + 1) <= d(d+3) - 2k.
 
 Exact backends flow through both routes unchanged, so agreement is
 exact, which is what the oracle-equivalence tests assert.
@@ -635,14 +636,12 @@ class _EnumContext:
         self.curve_gamma = [cls[0] for cls in classes]
         self.owners = [[] for _ in range(n + 1)]
         self.ecurve = [None] * (n + 1)
-        curve_blowup = {}
         for ci, cls in enumerate(classes):
             for i in range(1, n + 1):
                 if cls[i] == -1:
                     self.owners[i].append(ci)
                 elif cls[i] == 1:
                     self.ecurve[i] = ci
-                    curve_blowup[ci] = i
         for i in range(1, n + 1):
             if len(self.owners[i]) != 2:
                 raise AssertionError(f"blowup {i} has {len(self.owners[i])} owner curves")
@@ -651,24 +650,11 @@ class _EnumContext:
         unit = Fraction(2) ** -binade(s.A[0])
         self.pairings = _bound_pairings(s._replace(A=tuple(x * unit for x in s.A)))
         self.floor_f = float(self.floor * unit)
-        # the parent blowup index
-        self.parent = [None] * (n + 1)
-        for i in range(1, n + 1):
-            js = [curve_blowup[ci] for ci in self.owners[i] if ci in curve_blowup]
-            self.parent[i] = max(js) if js else None
-        # per-unit yield of the optimal descendant chain from each node
-        children = [[] for _ in range(n + 1)]
-        for i in range(1, n + 1):
-            if self.parent[i] is not None:
-                children[self.parent[i]].append(i)
-        self.psi = [0] * (n + 2)
+        # the budget prune's suffix sums: A2_i = sum_{j>=i} a_j^2, S_i = sum_{j>=i} a_j
+        self.suffix_sq, self.suffix_sum = [0] * (n + 2), [0] * (n + 2)
         for i in range(n, 0, -1):
-            self.psi[i] = self.a[i] + max((self.psi[c] for c in children[i]), default=0)
-        # at position i, nodes >= i whose cap is set by current residuals
-        self.entries_at = [[] for _ in range(n + 2)]
-        for i in range(1, n + 2):
-            self.entries_at[i] = [j for j in range(i, n + 1)
-                                  if self.parent[j] is None or self.parent[j] < i]
+            self.suffix_sq[i] = self.suffix_sq[i + 1] + self.a[i] * self.a[i]
+            self.suffix_sum[i] = self.suffix_sum[i + 1] + self.a[i]
 
 
 _D_CEILING = 10_000  # the degree at which the enumeration gives up
@@ -710,50 +696,49 @@ def alg_capacity_enum(s: PicBasisSurface, k: int, ub=None,
 
 def _dfs_min(ctx: _EnumContext, d: int, budget: int, bound):
     """Least objective at degree d, in ctx.a's units, among those at most
-    `bound` (any, when bound is None); None if there is none."""
+    `bound` (any, when bound is None); None if there is none.
+
+    One prune: at blowup i the r = n - i + 1 open entries m_j >= 0 keep
+    sum m_j(m_j + 1) <= B, the budget left, so sum (m_j + 1/2)^2 <= B + r/4
+    and, by Cauchy-Schwarz, 2 sum a_j m_j + S_i <= sqrt(A2_i (4B + r)), with
+    A2_i = sum_{j>=i} a_j^2 and S_i = sum_{j>=i} a_j.  A leaf below reaches
+    `best` only if sum a_j m_j >= lim = obj0 - subtracted - best, so the node
+    is cut when lim > 0 and (2 lim + S_i)^2 > A2_i (4B + r), exactly on ints
+    and Quads alike.  Residuals stay in [0, d] and sum to 3d - sum m_j, so
+    the loop caps need no m_j <= d or sum m_j <= 3d."""
     n = ctx.n
-    a, owners, ecurve, psi = ctx.a, ctx.owners, ctx.ecurve, ctx.psi
+    a, owners, ecurve = ctx.a, ctx.owners, ctx.ecurve
+    suffix_sq, suffix_sum = ctx.suffix_sq, ctx.suffix_sum
     residual = [d * g for g in ctx.curve_gamma]
     best, found = bound, None
     obj0 = d * a[0]
 
-    def potential(i, mcap):
-        # entry nodes own independent residual caps; each unit assigned in an
-        # entry's subtree yields at most psi (its best descendant chain)
-        pot = 0
-        for j in ctx.entries_at[i]:
-            cap = residual[owners[j][0]]
-            r2 = residual[owners[j][1]]
-            if r2 < cap:
-                cap = r2
-            if cap > mcap:
-                cap = mcap
-            if cap > 0:
-                pot += cap * psi[j]
-        return pot
-
-    def rec(i, budget_left, sum_m, subtracted):
+    def rec(i, budget_left, subtracted):
         nonlocal best, found
         if i > n:
             obj = obj0 - subtracted
             if best is None or obj <= best:
                 best = found = obj
             return
+        if best is not None:
+            lim = obj0 - subtracted - best
+            if lim > 0:
+                y = 2 * lim + suffix_sum[i]
+                if y * y > suffix_sq[i] * (4 * budget_left + n - i + 1):
+                    return
         # (isqrt(4b + 1) - 1) // 2 is the largest m with m(m+1) <= b
-        mcap_global = min(d, (math.isqrt(4 * budget_left + 1) - 1) // 2, 3 * d - sum_m)
-        if best is not None and obj0 - subtracted - potential(i, mcap_global) > best:
-            return
-        cap = min(residual[owners[i][0]], residual[owners[i][1]], mcap_global)
+        cap = min(residual[owners[i][0]], residual[owners[i][1]],
+                  (math.isqrt(4 * budget_left + 1) - 1) // 2)
         for mi in range(cap, -1, -1):
             residual[owners[i][0]] -= mi
             residual[owners[i][1]] -= mi
             residual[ecurve[i]] += mi
-            rec(i + 1, budget_left - mi * (mi + 1), sum_m + mi, subtracted + mi * a[i])
+            rec(i + 1, budget_left - mi * (mi + 1), subtracted + mi * a[i])
             residual[owners[i][0]] += mi
             residual[owners[i][1]] += mi
             residual[ecurve[i]] -= mi
 
-    rec(1, budget, 0, 0)
+    rec(1, budget, 0)
     return found
 
 

@@ -184,7 +184,7 @@ def _window(ns, default_hi):
             return int(k0), int(k1)
         except ValueError:
             raise CapaxError(f"--window {ns.window!r}: expected k0:k1 with integers") from None
-    return max(1, default_hi // 10), default_hi
+    return min(max(1, default_hi // 10), default_hi), default_hi
 
 
 def cmd_errors(ns) -> int:

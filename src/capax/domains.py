@@ -244,6 +244,8 @@ def shoelace_area(vs):
 
 def validate(d: DomainDescriptor) -> BoundaryProfile:
     """Check the descriptor's invariants and return its boundary profile."""
+    if not math.isfinite(d.eps):  # a nan tolerance makes every comparison false
+        raise InvalidSpec(f"input tolerance eps must be finite, got {d.eps}")
     if d.kind == "polygon":
         return _validate_polygon(d)
     if d.kind == "ellipsoid":

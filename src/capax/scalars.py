@@ -24,6 +24,7 @@ from functools import lru_cache, total_ordering
 from .errors import DegenerateEdge, InvalidSpec, MixedBackend
 
 RationalLike = int | Fraction
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +69,13 @@ class Quad:
         self._q = Fraction(q)
         self._d = d
 
+    @classmethod
+    def _of(cls, p: Fraction, q: Fraction, d: int) -> Quad:
+        """A Quad from Fraction parts over a field already checked."""
+        x = object.__new__(cls)
+        x._p, x._q, x._d = p, q, d
+        return x
+
     @property
     def p(self) -> Fraction:
         return self._p
@@ -104,7 +112,7 @@ class Quad:
                 return Quad(self._p, 0, other._d), other
             raise MixedBackend(f"cannot mix Q(sqrt {self._d}) with Q(sqrt {other._d})")
         if isinstance(other, (int, Fraction)):
-            return self, Quad(other, 0, self._d)
+            return self, Quad._of(Fraction(other), _ZERO, self._d)
         if isinstance(other, float):
             raise MixedBackend("cannot mix exact Q(sqrt d) scalars with floats")
         return None
@@ -114,7 +122,7 @@ class Quad:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return Quad(a._p + b._p, a._q + b._q, a._d)
+        return Quad._of(a._p + b._p, a._q + b._q, a._d)
 
     __radd__ = __add__
 
@@ -123,27 +131,25 @@ class Quad:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return Quad(a._p - b._p, a._q - b._q, a._d)
+        return Quad._of(a._p - b._p, a._q - b._q, a._d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> Quad:
-        return Quad(-self._p, -self._q, self._d)
+        return Quad._of(-self._p, -self._q, self._d)
 
     def __abs__(self) -> Quad:
         return -self if self.sign() < 0 else self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return Quad._of(self._p * other, self._q * other, self._d)
         pair = self._align(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return Quad(
-            a._p * b._p + a._q * b._q * a._d,
-            a._p * b._q + a._q * b._p,
-            a._d,
-        )
+        return Quad._of(a._p * b._p + a._q * b._q * a._d, a._p * b._q + a._q * b._p, a._d)
 
     __rmul__ = __mul__
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from .errors import BackendOverflow, NonConvex
+from .errors import BackendOverflow, InvalidSpec, NonConvex
 from .scalars import format_scalar, primitive_direction
 from .domains import DomainDescriptor, shoelace_area, validate
 
@@ -60,6 +60,11 @@ class TruncationLimits(namedtuple("TruncationLimits", "max_depth eps", defaults=
     __slots__ = ()
 
     def resolved(self, exact: bool) -> tuple[int, float]:
+        # a nan or negative threshold drops no piece, yet is not "unlimited"
+        if self.eps is not None and not self.eps >= 0:
+            raise InvalidSpec(f"weight threshold must be >= 0, got {self.eps}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise InvalidSpec(f"depth limit must be >= 0, got {self.max_depth}")
         depth = self.max_depth if self.max_depth is not None else (4096 if exact else 256)
         eps = self.eps if self.eps is not None else (0.0 if exact else 1e-9)
         return depth, eps

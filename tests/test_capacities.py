@@ -41,7 +41,7 @@ from capax.capacities import (
 from capax.maxplus import _ball_table, _convex_scan
 from capax.obstructions import obstruct
 from capax.scalars import Quad, format_ratios, format_scalar, quad_sign
-from capax.tower import blowup, build_tower, p2_init
+from capax.tower import _dot, blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, random_convex_polygon
 
@@ -787,6 +787,66 @@ class TestQuadPairFold:
         assert concave_capacity(d, 60, tree=tree).values == reference_ball_table(ws, ds)
 
 
+def exhaustive_series(s, kmax: int) -> list:
+    """c_0..c_kmax on a tower surface from every nef class D = dH - sum m_i e_i
+    with D.(D-K) >= 2k, bounding no value: the reference for the
+    enumeration's budget prune.
+
+    A class of degree d has D.A >= d * floor (the nef floor, checked against
+    scipy in TestNefFloor), so degree d is searched while it can still lower
+    some c_k.  Inside a degree a prefix m_1..m_i is cut only when it is
+    infeasible: past its last positive coefficient a boundary curve's
+    pairing with D can only fall, and a negative one stays negative."""
+    n, floor = s.n, _EnumContext(s).floor
+    assert floor > 0
+    settled = [[] for _ in range(n + 1)]  # curves by their last positive coefficient
+    for c in s.curves:
+        settled[max((i for i in range(1, n + 1) if c.cls[i] > 0), default=0)].append(c.cls)
+    best = [s.A[0] - s.A[0]] + [None] * kmax
+    d = 0
+    while True:
+        d += 1
+        open_ks = [k for k in range(1, kmax + 1) if best[k] is None or d * floor <= best[k]]
+        if not open_ks:
+            return best
+        k0 = open_ks[0]
+
+        def rec(m, left):
+            D = (d,) + tuple(-x for x in m) + (0,) * (n - len(m))
+            if any(_dot(D, c) < 0 for j in range(len(m) + 1) for c in settled[j]):
+                return
+            if len(m) == n:
+                value = _dot(D, s.A)
+                for k in range(k0, min(kmax, k0 + left // 2) + 1):  # D.(D-K) >= 2k
+                    if best[k] is None or value < best[k]:
+                        best[k] = value
+                return
+            x = 0
+            while x * (x + 1) <= left:
+                rec(m + [x], left - x * (x + 1))
+                x += 1
+
+        if d * (d + 3) >= 2 * k0:
+            rec([], d * (d + 3) - 2 * k0)
+
+
+@st.composite
+def enum_towers(draw):
+    """Final surfaces of towers: rational polygons, or the triangle
+    (0,0), (1,0), (0, p + q sqrt d) over Q(sqrt 5) or Q(sqrt 2), truncated."""
+    if draw(st.booleans()):
+        d = random_convex_polygon(random.Random(draw(st.integers(0, 2**32 - 1))))
+        return build_tower(convex_weights(d)).final
+    field = draw(st.sampled_from([2, 5]))
+    p = draw(st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2])))
+    q = draw(st.builds(Fraction, st.integers(1, 2), st.sampled_from([1, 2])))
+    z, one = Quad(0, 0, field), Quad(1, 0, field)
+    d = domains.polygon([(z, z), (one, z), (z, Quad(p, q, field))], "convex",
+                        backend=f"sqrt:{field}")
+    eps = draw(st.sampled_from([1e-2, 1e-3]))
+    return build_tower(convex_weights(d, TruncationLimits(eps=eps))).final
+
+
 class TestEnum:
     def test_plane(self):
         assert alg_capacity_enum(p2_init(Fraction(5)), 1) == 5
@@ -819,6 +879,11 @@ class TestEnum:
             dp = convex_capacity(d, 25)
             enum = alg_capacity_series(tw.final, 25)
             assert dp.values == enum
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=enum_towers(), kmax=st.integers(1, 12))
+    def test_budget_prune_matches_exhaustive_search(self, s, kmax):
+        assert alg_capacity_series(s, kmax) == exhaustive_series(s, kmax)
 
 
 class TestTowerCapacity:

@@ -17,6 +17,9 @@ from capax.cli import main, parse_domain
 from capax.errors import CapaxError
 
 
+PERF_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
 @pytest.fixture
 def fig_file(tmp_path):
     path = tmp_path / "fig.json"
@@ -142,6 +145,13 @@ class TestCommands:
         assert -1.51 <= j["window"]["min"] <= -1.45
         assert j["N_rational_edges"] == 1
 
+    def test_errors_default_window_at_kmax_zero(self, capsys):
+        # the default window stays inside [0, kmax]
+        code, out = run(capsys, "errors", "--domain", "ball:1", "--kmax", "0")
+        assert code == 0
+        j = json.loads(out)["window"]
+        assert (j["k0"], j["k1"], j["min"], j["max"]) == (0, 0, 0.0, 0.0)
+
     def test_obstruct_exit_codes(self, capsys):
         code, out = run(capsys, "obstruct", "--from", "ellipsoid:1,phi",
                         "--to", "ball:sqrt_phi", "--kmax", "200",
@@ -262,6 +272,18 @@ class TestInputBoundary:
         (["weights", "--domain", 'polygon:{{"kind":"polygon","orientation":"convex",'
                                  '"vertices":[["0","0"],["100","0"],["0","1/100"]]}}'],
          "(--depth) or set a weight threshold (--eps)"),
+        # a nan or negative threshold never drops a piece: the golden triangle
+        # ran its expansion to depth 4096 and then folded for minutes
+        (["capacities", "--domain", f"@{PERF_INPUTS / 'golden_convex.json'}", "--kmax", "5",
+          "--eps", "-1"], "weight threshold must be >= 0"),
+        (["weights", "--domain", "square:1", "--eps", "nan"], "weight threshold must be >= 0"),
+        (["weights", "--domain", "square:1", "--depth", "-1"], "depth limit must be >= 0"),
+        # a nan input tolerance makes every float comparison false
+        (["capacities", "--domain", "ball:1", "--eps-backend", "nan"],
+         "input tolerance eps must be finite"),
+        (["capacities", "--domain",
+          'polygon:{{"kind":"ellipsoid","a":1,"b":2,"backend":"float","eps":"nan"}}'],
+         "input tolerance eps must be finite"),
         # usage errors: argparse's own exit code, 2, is capax's OBSTRUCTED
         (["capacities", "--domain", "ball:1", "--bogus"], "unrecognized arguments: --bogus"),
         (["capacities", "--domain", "ball:1", "--kmax", "abc"], "argument --kmax"),
@@ -271,14 +293,16 @@ class TestInputBoundary:
             "tower-of-a-weight-list", "oracle-of-a-weight-list", "superellipse-overflow",
             "superellipse-underflow", "errors-past-float-range", "obstruct-infinite-volume",
             "ball-past-float-range", "square-past-float-range", "ellipsoid-past-float-range",
-            "kmax-past-the-ceiling", "rational-depth",
+            "kmax-past-the-ceiling", "rational-depth", "golden-negative-eps", "nan-eps",
+            "negative-depth", "nan-eps-backend", "json-nan-eps",
             "unknown-flag", "kmax-not-a-number", "missing-domain"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
         argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
         kmax = argv[argv.index("--kmax") + 1] if "--kmax" in argv else ""
-        if kmax.isdigit() and int(kmax) > capacities.MAX_KMAX:
-            # without its ceiling this call would allocate gigabytes: it runs
-            # in a child whose address space is capped
+        eps = float(argv[argv.index("--eps") + 1]) if "--eps" in argv else 0.0
+        if (kmax.isdigit() and int(kmax) > capacities.MAX_KMAX) or eps < 0:
+            # without its guard this call would allocate gigabytes or run for
+            # minutes: it runs in a child whose address space and time are capped
             code, out, err = main_in_child(argv)
         else:
             code = main(argv)
@@ -445,6 +469,12 @@ class TestOracleRun:
                         "--kmax", "20", "--oracle")
         assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
         assert len(built) == 1
+
+    def test_p6_oracle_at_kmax_1000(self, capsys):
+        # the oracle's reach: the budget prune keeps this series under a second
+        code, out = run(capsys, "capacities", "--domain", f"@{PERF_INPUTS / 'p6.json'}",
+                        "--kmax", "1000", "--oracle")
+        assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
 
     @pytest.mark.parametrize("command", [["capacities", "--kmax", "3", "--oracle"], ["tower"]])
     def test_refuses_a_tower_past_the_blowup_limit(self, capsys, command):
@@ -684,8 +714,6 @@ class TestRoundTrip:
         back = [parse_scalar(v) for v in json.loads(out)["values"]]
         assert back == [0, 1, Fraction(3, 2), 2, Fraction(5, 2), 3, 3]
 
-
-PERF_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 # sha256 of the stdout of small CLI calls over every rational route (closed
 # forms, the concave table, the convex scan, the nef enumeration), plus the

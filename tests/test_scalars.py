@@ -41,6 +41,28 @@ def test_quad_rejects_other_field_and_floats():
     assert Quad(3, 0, 2) + b == Quad(4, 1, 3)
 
 
+@pytest.mark.parametrize("x, y", [
+    (Quad(Fraction(1, 2), Fraction(1, 2), 5), Quad(Fraction(-3, 7), 2, 5)),
+    (Quad(1, 1, 2), Quad(0, Fraction(-5, 3), 2)),
+    (Quad(Fraction(9, 4), 0, 2), 3),
+    (Quad(-2, Fraction(1, 6), 5), Fraction(-7, 5)),
+    (Quad(0, 1, 2), -4),
+])
+def test_quad_results_match_the_validated_constructor(x, y):
+    # +, -, * and negation build their results through the unchecked
+    # constructor, and Quad * int takes its own branch
+    p, q = (y.p, y.q) if isinstance(y, Quad) else (Fraction(y), Fraction(0))
+    d = x.d
+    product = (x.p * p + x.q * q * d, x.p * q + x.q * p)
+    for got, parts in [(x + y, (x.p + p, x.q + q)), (y + x, (x.p + p, x.q + q)),
+                       (x - y, (x.p - p, x.q - q)), (y - x, (p - x.p, q - x.q)),
+                       (x * y, product), (y * x, product), (-x, (-x.p, -x.q))]:
+        want = Quad(*parts, d)
+        assert isinstance(got, Quad) and got.d == d
+        assert (got.p, got.q) == (want.p, want.q)
+        assert type(got.p) is Fraction and type(got.q) is Fraction
+
+
 def test_quad_requires_squarefree():
     with pytest.raises(ValueError):
         Quad(1, 1, 4)
