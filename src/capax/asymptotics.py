@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from .errors import CapaxError, WindowOutOfRange
-from .scalars import rational_parts
+from .scalars import Column, rational_parts, write_csv
 from .domains import BoundaryProfile
 from .capacities import CapacitySeries
 
@@ -39,14 +39,13 @@ class ErrorSeries:
         self.e = e
         self.band = band
 
-    def to_csv(self) -> str:
+    def to_csv(self, write) -> None:
+        """The CSV rows, in chunks to `write`."""
         lo = float(self.band.lower) if self.band else float("nan")
         hi = float(self.band.upper) if self.band else float("nan")
-        lines = [f"# capax-csv v1 errors source={self.source} vol={self.vol!r}",
-                 "k,e_k,band_lower,band_upper"]
-        for k, e in zip(self.ks, self.e):
-            lines.append(f"{int(k)},{float(e)!r},{lo!r},{hi!r}")
-        return "\n".join(lines) + "\n"
+        write_csv(write, f"# capax-csv v1 errors source={self.source} vol={self.vol!r}\n"
+                         "k,e_k,band_lower,band_upper\n",
+                  self.ks[:len(self.e)], [Column(self.e), repr(lo), repr(hi)])
 
 
 def error_series(series: CapacitySeries, vol: float,

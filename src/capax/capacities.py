@@ -25,9 +25,9 @@ never loads numpy.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .errors import (
     BelowThreshold,
@@ -37,13 +37,15 @@ from .errors import (
     SearchSpaceEmpty,
 )
 from .scalars import (
+    Column,
     Quad,
     backend_of,
     binade,
-    format_ratios,
+    format_ratio,
     format_scalar,
     quad_sign,
     rational_parts,
+    write_csv,
 )
 from .domains import BoundaryProfile, DomainDescriptor, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
@@ -135,32 +137,35 @@ class CapacitySeries:
         if down is not None:
             raise AssertionError(f"series decreases at k={down}")
 
-    def _formatted(self) -> list[str]:
+    def _value_column(self) -> Column:
         if self.den is None:
-            return [format_scalar(v) for v in self.num]
-        return format_ratios(self.num, self.den)
+            return Column(self.num, format_scalar)
+        den = self.den
+        return Column(self.num, str if den == 1 else lambda n: format_ratio(n, den))
 
     def to_json(self) -> dict:
+        """The JSON document, its arrays as Columns for `write_json`."""
         return {
             "schema": "capax.capacities.v1",
             "method": self.method,
             "backend": self.backend,
             "source": self.source,
             "kmax": self.kmax,
-            "values": self._formatted(),
-            "lower_slack": [float(s) for s in self.lower_slack] if self.lower_slack else None,
-            "upper_slack": [float(s) for s in self.upper_slack] if self.upper_slack else None,
+            "values": self._value_column(),
+            "lower_slack": Column(self.lower_slack) if self.lower_slack else None,
+            "upper_slack": Column(self.upper_slack) if self.upper_slack else None,
             "meta": self.meta,
         }
 
-    def to_csv(self) -> str:
-        lines = [f"# capax-csv v1 capacities method={self.method} source={self.source}",
-                 "k,c_k,lower_slack,upper_slack,method"]
-        for k, v in enumerate(self._formatted()):
-            lo = float(self.lower_slack[k]) if self.lower_slack else 0.0
-            hi = float(self.upper_slack[k]) if self.upper_slack else 0.0
-            lines.append(f"{k},{v},{lo!r},{hi!r},{self.method}")
-        return "\n".join(lines) + "\n"
+    def to_csv(self, write) -> None:
+        """The CSV rows, in chunks to `write`."""
+        write_csv(write, f"# capax-csv v1 capacities method={self.method} source={self.source}\n"
+                         "k,c_k,lower_slack,upper_slack,method\n",
+                  range(len(self.num)),
+                  [self._value_column(),
+                   Column(self.lower_slack) if self.lower_slack else "0.0",
+                   Column(self.upper_slack) if self.upper_slack else "0.0"],
+                  "," + self.method)
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +189,58 @@ def ball_capacities(a, K: int) -> CapacitySeries:
 
 
 def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
-    """(k+1)-th smallest value of {a*m + b*n}, heap-merged without a grid.
+    """(k+1)-th smallest value of {a*m + b*n : m, n >= 0}, for k = 0..K.
 
-    Rational legs run on Python ints over their common denominator; float
-    legs keep the step-by-step sums v + a, which fix the float values."""
-    # c_K <= min(a, b)*K and every push adds a leg to some c_k; the factor
-    # 2 covers the rounding of the step-by-step float sums
+    Every value up to a bound L is collected and sorted once.  The lattice
+    points with a*m + b*n <= L number at least their triangle's area
+    L^2/(2ab), and at least K+1 once L >= min(a, b)*K, so L starts at the
+    smaller of sqrt(2ab(K+1)) and min(a, b)*K, and doubles while float
+    rounding leaves fewer than K+1 values up to it.  A value is at least
+    every value with one step fewer, so the values up to L are the
+    smallest ones, with their multiplicities.  Rational legs run on Python
+    ints over their common denominator, as ranges.  Float and Q(sqrt d)
+    legs keep fixed step-by-step sums: column n is b added n times, then a
+    added m times."""
+    # c_K <= min(a, b)*K, L is at most twice that, and a column ends one
+    # step of a past L; the factor 2 covers the rounding of the float sums
     _in_float_range(2 * (min(a, b) * K + max(a, b)), f"ellipsoid({a},{b})", K)
     den, (sa, sb) = _scaled([a, b])
-    heap = [(sa - sa, 0, 0)]
-    vals = []
-    while len(vals) <= K:
-        v, m, n = heapq.heappop(heap)
-        vals.append(v)
-        heapq.heappush(heap, (v + sa, m + 1, n))
-        if m == 0:
-            heapq.heappush(heap, (v + sb, m, n + 1))
+    if den is not None:
+        L = min(math.isqrt(2 * sa * sb * (K + 1)) + 1, min(sa, sb) * K)
+    else:
+        fa, fb = float(sa), float(sb)
+        L = min(math.sqrt(2 * (K + 1)) * math.sqrt(fa) * math.sqrt(fb), min(fa, fb) * K)
+        if isinstance(sa, Quad):
+            L = Fraction(L)  # Quads compare with it exactly
+    while True:
+        vals = _lattice_values(sa, sb, L)
+        vals.sort()
+        if len(vals) > K and vals[K] <= L:
+            break
+        L *= 2  # the float sums rounded past L
+    del vals[K + 1:]
     return CapacitySeries(method="ellipsoid_closed_form", num=vals, den=den,
                           backend=backend_of(a), source=f"ellipsoid({a},{b})")
+
+
+def _lattice_values(sa, sb, L) -> list:
+    """Every sa*m + sb*n <= L (m, n >= 0), and for floats and Quads a few
+    more past L."""
+    if isinstance(sa, int):
+        small, big = sorted((sa, sb))  # exact sums commute: fewer columns
+        out = []
+        for base in range(0, L + 1, big):
+            out += range(base, L + 1, small)
+        return out
+    out = []
+    base = sa - sa
+    while base <= L:
+        col = list(accumulate(repeat(sa, int(float(L - base) / float(sa)) + 1), initial=base))
+        while col[-1] <= L:
+            col.append(col[-1] + sa)
+        out += col
+        base += sb
+    return out
 
 
 def polydisk_capacities(w, h, K: int) -> CapacitySeries:
@@ -857,12 +896,12 @@ def _polygon_closed_form(d: DomainDescriptor, profile: BoundaryProfile,
     return None
 
 
-# the largest kmax `series_for_domain` computes.  The output, not the series,
-# sets the peak: c_0..c_{10^6} of a ball, an ellipsoid or a square peaks at
-# 205-237 MB max-RSS (JSON and CSV; 279 MB for a float ellipsoid), about
-# 190-265 bytes per value over the interpreter's 14 MB, so the largest
-# series allowed peaks near 1.1 GB
-MAX_KMAX = 4_000_000
+# the largest kmax `series_for_domain` computes.  Output is streamed, so the
+# lists a command holds set the peak: 39-46 bytes per value of max-RSS over
+# the interpreter's 16 MB for the closed forms (ball, ellipsoid, square, at
+# kmax 4*10^6, JSON and CSV), and 83 for `errors`, which holds the e_k too.
+# At this ceiling `errors` on a ball peaks near 1.0 GB
+MAX_KMAX = 12_000_000
 
 
 def series_for_domain(d: DomainDescriptor, K: int,

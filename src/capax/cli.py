@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import asymptotics, capacities, domains, obstructions, tower, weights
+from . import asymptotics, capacities, domains, obstructions, scalars, tower, weights
 from .errors import CapaxError
 
 CSV_HEADER = "# capax-csv v1"
@@ -42,28 +42,36 @@ def _scalar_arg(text: str, backend: str):
 _ARITY = {"ball": 1, "ellipsoid": 2, "square": 1, "quarter_disk": 1, "superellipse": 2}
 
 
-def _json_domain(doc, eps: float) -> domains.DomainDescriptor:
+def _json_domain(doc, eps: float, backend: str | None) -> domains.DomainDescriptor:
     """The descriptor of a JSON document; `eps` is the tolerance of a
-    document that sets no "eps" of its own."""
+    document that sets no "eps" of its own, and a `backend` other than the
+    document's own is refused."""
     if isinstance(doc, dict):
         doc.setdefault("eps", eps)
-    return domains.descriptor_from_json(doc)
+    d = domains.descriptor_from_json(doc)
+    if backend is not None and domains.parse_backend(backend) != domains.parse_backend(d.backend):
+        raise CapaxError(f"--backend {backend} disagrees with the document's backend {d.backend}")
+    return d
 
 
-def parse_domain(spec: str, backend: str = "exact", eps: float = 1e-9) -> domains.DomainDescriptor:
+def parse_domain(spec: str, backend: str | None = None,
+                 eps: float = 1e-9) -> domains.DomainDescriptor:
     """Inline shorthands (ball:a, ellipsoid:a,b, square:s, quarter_disk:r,
     superellipse:p,r, weights:c;w1,w2, polygon:<JSON>) or @file.json.
-    `eps` is the absolute tolerance of each float input coordinate; a JSON
-    document's own "eps" wins over it.
+    `backend` is that of the shorthands, exact when None; a JSON document
+    names its own, which a given `backend` must match.  `eps` is the
+    absolute tolerance of each float input coordinate; a JSON document's
+    own "eps" wins over it.
 
     Malformed input raises CapaxError: an unknown backend, an unreadable
     file, a wrong number of arguments, a malformed number (1/0 too) or JSON
-    document, a bad field."""
-    domains.parse_backend(backend)
+    document, a bad field, a backend the document does not have."""
+    inline = "exact" if backend is None else backend
+    domains.parse_backend(inline)
     try:
         if spec.startswith("@"):
             with open(spec[1:], "r", encoding="utf-8") as fh:
-                return _json_domain(json.load(fh), eps)
+                return _json_domain(json.load(fh), eps, backend)
         if ":" not in spec:
             raise CapaxError(f"domain spec {spec!r}: expected kind:args or @file.json")
         kind, rest = spec.split(":", 1)
@@ -71,24 +79,24 @@ def parse_domain(spec: str, backend: str = "exact", eps: float = 1e-9) -> domain
         if len(args) < _ARITY.get(kind, 0):
             raise CapaxError(f"domain spec {spec!r}: {kind} needs {_ARITY[kind]} "
                              f"argument(s), got {len(args)}")
-        val = lambda s: _scalar_arg(s, backend)
+        val = lambda s: _scalar_arg(s, inline)
         if kind == "ball":
-            return domains.ball(val(args[0]), backend=backend, eps=eps)
+            return domains.ball(val(args[0]), backend=inline, eps=eps)
         if kind == "ellipsoid":
-            return domains.ellipsoid(val(args[0]), val(args[1]), backend=backend, eps=eps)
+            return domains.ellipsoid(val(args[0]), val(args[1]), backend=inline, eps=eps)
         if kind == "square":
-            return domains.square(val(args[0]), backend=backend, eps=eps)
+            return domains.square(val(args[0]), backend=inline, eps=eps)
         if kind == "quarter_disk":
             return domains.quarter_disk(Fraction(args[0]), eps=eps)
         if kind == "superellipse":
             return domains.superellipse(Fraction(args[0]), Fraction(args[1]), eps=eps)
         if kind == "polygon":
-            return _json_domain(json.loads(rest), eps)
+            return _json_domain(json.loads(rest), eps, backend)
         if kind == "weights":
             head, _, tail = rest.partition(";")
             ws = [val(w) for w in tail.split(",") if w]
             return domains.weight_list(val(head) if head else None, ws,
-                                       backend=backend, eps=eps)
+                                       backend=inline, eps=eps)
     except OSError as exc:
         raise CapaxError(f"cannot read domain file {spec[1:]!r}: {exc.strerror}") from exc
     except (KeyError, ValueError, ArithmeticError) as exc:  # malformed number or field
@@ -100,22 +108,41 @@ def _limits(ns) -> weights.TruncationLimits:
     return weights.TruncationLimits(max_depth=ns.depth, eps=ns.eps)
 
 
-def _emit(ns, text: str):
-    if ns.out:
-        try:
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CapaxError(f"cannot write output file {ns.out!r}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(ns, produce) -> None:
+    """Run `produce(write)`, which writes the output in chunks, to stdout or
+    to --out.  Every check runs before the first chunk, and the file opens
+    at the first chunk, so refused output leaves stdout empty and creates
+    no file."""
+    if not ns.out:
+        produce(sys.stdout.write)
+        return
+    fh = None
 
+    def write(text):
+        nonlocal fh
+        if fh is None:
+            fh = open(ns.out, "w", encoding="utf-8")
+        fh.write(text)
 
-def _dump_json(obj) -> str:
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        try:
+            produce(write)
+        finally:
+            if fh is not None:
+                fh.close()
+    except OSError as exc:
+        raise CapaxError(f"cannot write output file {ns.out!r}: {exc.strerror}") from exc
+
+
+def _dump_json(obj, write) -> None:
+    try:
+        scalars.write_json(obj, write)
     except ValueError as exc:  # NaN or an infinity: not a JSON number
         raise CapaxError(f"a result left the float range: {exc}") from None
+
+
+def _emit_json(ns, obj) -> None:
+    _emit(ns, lambda write: _dump_json(obj, write))
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +164,9 @@ def cmd_weights(ns) -> int:
     else:
         tree = weights.concave_weights(d, _limits(ns))
     if ns.format == "csv":
-        _emit(ns, weights.weights_to_csv(tree))
+        _emit(ns, lambda write: weights.weights_to_csv(tree, write))
     else:
-        _emit(ns, _dump_json(weights.tree_to_json(tree)))
+        _emit_json(ns, weights.tree_to_json(tree))
     return 0
 
 
@@ -160,9 +187,9 @@ def cmd_capacities(ns) -> int:
             return 1
         series.meta["oracle"] = "verified"
     if ns.format == "csv":
-        _emit(ns, series.to_csv())
+        _emit(ns, series.to_csv)
     else:
-        _emit(ns, _dump_json(series.to_json()))
+        _emit_json(ns, series.to_json())
     return 0
 
 
@@ -195,7 +222,7 @@ def cmd_errors(ns) -> int:
     band = asymptotics.band_for_profile(profile) if has_geometry else None
     err = asymptotics.error_series(series, float(domains.area(d)), band=band)
     if ns.format == "csv":
-        _emit(ns, err.to_csv())
+        _emit(ns, err.to_csv)
         return 0
     win = _window(ns, series.kmax)
     stats = asymptotics.window_extrema(err, win)
@@ -206,7 +233,7 @@ def cmd_errors(ns) -> int:
         inv = asymptotics.edge_invariants(profile)
         report = asymptotics.convergence_verdict(profile, inv, err, win)
         out.update(report.to_json())
-    _emit(ns, _dump_json(out))
+    _emit_json(ns, out)
     return 0
 
 
@@ -228,11 +255,11 @@ def cmd_bounds(ns) -> int:
         "v_rank": inv.v_rank,
     }
     if ns.format == "csv":
-        lines = [f"{CSV_HEADER} bounds", "band_lower,band_upper,mid",
-                 f"{band.lower!r},{band.upper!r},{band.mid!r}"]
-        _emit(ns, "\n".join(lines) + "\n")
+        text = (f"{CSV_HEADER} bounds\nband_lower,band_upper,mid\n"
+                f"{band.lower!r},{band.upper!r},{band.mid!r}\n")
+        _emit(ns, lambda write: write(text))
     else:
-        _emit(ns, _dump_json(out))
+        _emit_json(ns, out)
     return 0
 
 
@@ -244,13 +271,14 @@ def cmd_tower(ns) -> int:
     tw = tower.build_tower(tree)
     dump = tower.tower_dump(tw)
     if ns.format == "csv":
-        lines = [f"{CSV_HEADER} tower", "n,A2,minus_K_dot_A,minus_Kplus_dot_A,F"]
-        for lv in dump["levels"]:
-            lines.append(f"{lv['n']},{lv['A2']},{lv['minus_K_dot_A']},"
-                         f"{lv['minus_Kplus_dot_A']},{lv['F']}")
-        _emit(ns, "\n".join(lines) + "\n")
+        levels = dump["levels"]
+        columns = [scalars.Column([lv[key] for lv in levels], str)
+                   for key in ("A2", "minus_K_dot_A", "minus_Kplus_dot_A", "F")]
+        _emit(ns, lambda write: scalars.write_csv(
+            write, f"{CSV_HEADER} tower\nn,A2,minus_K_dot_A,minus_Kplus_dot_A,F\n",
+            [lv["n"] for lv in levels], columns))
     else:
-        _emit(ns, _dump_json(dump))
+        _emit_json(ns, dump)
     return 0
 
 
@@ -258,7 +286,7 @@ def cmd_obstruct(ns) -> int:
     d_from = parse_domain(ns.domain_from, ns.backend, ns.eps_backend)
     d_to = parse_domain(ns.domain_to, ns.backend, ns.eps_backend)
     report = obstructions.obstruct(d_from, d_to, ns.kmax, _limits(ns))
-    _emit(ns, _dump_json(report.to_json()))
+    _emit_json(ns, report.to_json())
     return report.exit_code
 
 
@@ -311,8 +339,9 @@ def _add_common(p: argparse.ArgumentParser, domain: bool = True):
     p.add_argument("--depth", type=int, default=None, help="recursion depth limit")
     p.add_argument("--eps", type=float, default=None, dest="eps",
                    help="weight truncation threshold")
-    p.add_argument("--backend", default="exact",
-                   help="exact | sqrt:d | float")
+    p.add_argument("--backend", default=None,
+                   help="exact | sqrt:d | float: that of the inline specs (default "
+                        "exact); a JSON document names its own")
     p.add_argument("--eps-backend", type=float, default=1e-9,
                    help="the absolute tolerance of each float input coordinate")
     p.add_argument("--format", choices=("csv", "json"), default="json")

@@ -20,6 +20,9 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import chain, compress, filterfalse, islice, repeat
+from json.encoder import encode_basestring_ascii
+from operator import add, ne, sub
 
 from .errors import DegenerateEdge, InvalidSpec, MixedBackend
 
@@ -389,23 +392,199 @@ def bounded(x):
 
 
 def format_scalar(x) -> str:
+    if isinstance(x, float):
+        return repr(float(x))  # collapse numpy scalars
     if isinstance(x, Quad):
         if x.q == 0:
             return str(x.p)
         head = f"{x.p}" if x.p else ""
         sgn = "-" if x.q < 0 else ("+" if head else "")
         return f"{head}{sgn}{abs(x.q)}*sqrt"
-    if isinstance(x, float):
-        return repr(float(x))  # collapse numpy scalars
     return str(Fraction(x))
 
 
-def format_ratios(num: list, den: int) -> list[str]:
-    """str(Fraction(n, den)) for every int n of `num`, den >= 1."""
-    if den == 1:
-        return list(map(str, num))
-    out = []
-    for n in num:
-        g = math.gcd(n, den)
-        out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-    return out
+def format_ratio(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for ints n and den >= 1."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+# ---------------------------------------------------------------------------
+# streamed output
+# ---------------------------------------------------------------------------
+
+# entries per window of a Column: each window is formatted and written as one
+# chunk, so output holds a few thousand entries' text at a time
+CHUNK = 4096
+
+
+class Column:
+    """A long array written a window at a time, never held as text.
+
+    `text` formats one entry, once per run of equal consecutive entries:
+    capacity series are step functions, and the entries of one column share
+    a type.  With `text` None they are written as repr(float(x)) (JSON
+    numbers, which must be finite); any other column is written as JSON
+    strings."""
+
+    __slots__ = ("items", "text")
+
+    def __init__(self, items, text=None):
+        self.items = items
+        self.text = text
+
+    def csv_text(self, x) -> str:
+        return repr(float(x)) if self.text is None else self.text(x)
+
+    def json_text(self, x) -> str:
+        return repr(float(x)) if self.text is None else encode_basestring_ascii(self.text(x))
+
+    def check(self) -> None:
+        """Raise json's ValueError for the first non-finite float entry."""
+        if self.text is None and not math.isfinite(sum(map(float, self.items), 0.0)):
+            bad = next(filterfalse(math.isfinite, map(float, self.items)), None)
+            if bad is not None:  # else a finite sum that overflowed
+                _non_finite(bad)
+
+    def heads(self, starts: list, fmt):
+        """fmt of the entry at each index of `starts`."""
+        return map(fmt, map(self.items.__getitem__, starts))
+
+    def json_chunks(self, indent: str):
+        """The array at `indent` ("\n" and its enclosing level's spaces)."""
+        items, sep = self.items, f",{indent}  "
+        if not items:
+            yield "[]"
+            return
+        for lo in range(0, len(items), CHUNK):
+            hi = min(lo + CHUNK, len(items))
+            starts = _starts([self], lo, hi)
+            chunk = sep + sep.join(_spread(self.heads(starts, self.json_text), starts, hi))
+            yield "[" + chunk[1:] if lo == 0 else chunk
+        yield indent + "]"
+
+
+def _starts(columns, lo: int, hi: int) -> list[int]:
+    """The indices of [lo, hi) where a run of some column starts, in order."""
+    cuts, parts = [lo], 0
+    for c in columns:
+        seg = c.items[lo:hi]
+        cuts += compress(range(lo + 1, hi), map(ne, seg, islice(seg, 1, None)))
+        parts += 1
+        if (c.text is None or isinstance(seg[0], float)) and 0 in seg:
+            # 0.0 and -0.0 are equal but print apart
+            signs = list(map(math.copysign, repeat(1.0), seg))
+            cuts += compress(range(lo + 1, hi), map(ne, signs, islice(signs, 1, None)))
+            parts += 1
+    return cuts if parts < 2 else sorted(set(cuts))
+
+
+def _spread(texts, starts: list, hi: int):
+    """Each text repeated over its run: the runs start at `starts` and the
+    last one ends at hi."""
+    lengths = map(sub, chain(islice(starts, 1, None), (hi,)), starts)
+    return chain.from_iterable(map(repeat, texts, lengths))
+
+
+def write_csv(write, head: str, ks, fields, tail: str = "") -> None:
+    """`head`, then the row "k,f_1,...,f_m" + `tail` for each k of `ks`,
+    CHUNK rows per `write`.  A field is a Column aligned with `ks` or one
+    string for every row."""
+    columns = [f for f in fields if isinstance(f, Column)]
+    end = tail + "\n"
+    write(head)
+    for lo in range(0, len(ks), CHUNK):
+        hi = min(lo + CHUNK, len(ks))
+        kw = ks[lo:hi] if isinstance(ks, range) else list(map(int, ks[lo:hi]))
+        starts = _starts(columns, lo, hi)
+        heads = [repeat(f) if isinstance(f, str) else f.heads(starts, f.csv_text) for f in fields]
+        rests = map(",".join, zip(repeat(""), *heads))  # ",f_1,...,f_m" once per run
+        write(end.join(map(add, map(str, kw), _spread(rests, starts, hi))) + end)
+
+
+def write_json(obj, write) -> None:
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+    written in chunks of about 64 kB; a Column is an array, and keys are
+    strings.  Every check runs before the first write: a non-finite float
+    raises json's ValueError, and an object JSON cannot hold TypeError."""
+    _json_check(obj)
+    buf, size = [], 0
+    for piece in _json_pieces(obj, "\n"):
+        buf.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            write("".join(buf))
+            buf, size = [], 0
+    buf.append("\n")
+    write("".join(buf))
+
+
+def _non_finite(x: float):
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_scalar(x) -> str:
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json_check(obj) -> None:
+    """Every check of write_json, in json's order."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            _non_finite(obj)
+    elif isinstance(obj, dict):
+        for key, value in sorted(obj.items()):
+            _json_key(key)
+            _json_check(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _json_check(value)
+    elif isinstance(obj, Column):
+        obj.check()
+    else:
+        _json_scalar(obj)
+
+
+def _json_pieces(obj, indent: str):
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner, sep = indent + "  ", "{"
+        for key, value in sorted(obj.items()):
+            yield f"{sep}{inner}{_json_key(key)}: "
+            yield from _json_pieces(value, inner)
+            sep = ","
+        yield indent + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner, sep = indent + "  ", "["
+        for value in obj:
+            yield sep + inner
+            yield from _json_pieces(value, inner)
+            sep = ","
+        yield indent + "]"
+    elif isinstance(obj, Column):
+        yield from obj.json_chunks(indent)
+    else:
+        yield _json_scalar(obj)

@@ -34,7 +34,7 @@ from collections import deque, namedtuple
 from fractions import Fraction
 
 from .errors import BackendOverflow, InvalidSpec, NonConvex
-from .scalars import format_scalar, primitive_direction
+from .scalars import Column, format_scalar, primitive_direction, write_csv
 from .domains import DomainDescriptor, shoelace_area, validate
 
 INF_NODE = "inf"  # key for the extended node in deficiency maps
@@ -323,8 +323,8 @@ def tree_to_json(t: WeightTree) -> dict:
     }
 
 
-def weights_to_csv(t: WeightTree) -> str:
-    lines = ["# capax-csv v1 weights", "rank,weight"]
-    for rank, i in enumerate(linearize(t)):
-        lines.append(f"{rank},{format_scalar(t.nodes[i].weight)}")
-    return "\n".join(lines) + "\n"
+def weights_to_csv(t: WeightTree, write) -> None:
+    """The CSV rows, in chunks to `write`."""
+    ws = [t.nodes[i].weight for i in linearize(t)]
+    write_csv(write, "# capax-csv v1 weights\nrank,weight\n", range(len(ws)),
+              [Column(ws, format_scalar)])

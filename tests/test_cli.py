@@ -288,6 +288,12 @@ class TestInputBoundary:
         (["capacities", "--domain", "ball:1", "--bogus"], "unrecognized arguments: --bogus"),
         (["capacities", "--domain", "ball:1", "--kmax", "abc"], "argument --kmax"),
         (["capacities"], "required: --domain"),
+        # a JSON document names its own backend: a flag may only repeat it
+        (["capacities", "--domain", f"@{PERF_INPUTS / 'fig.json'}", "--backend", "float"],
+         "--backend float disagrees with the document's backend exact"),
+        (["capacities", "--domain",
+          'polygon:{{"kind":"ellipsoid","a":1,"b":2,"backend":"float"}}', "--backend", "sqrt:5"],
+         "--backend sqrt:5 disagrees with the document's backend float"),
     ], ids=["window-not-a-number", "window-one-number", "out-in-missing-dir",
             "bounds-of-weight-list", "huge-ellipsoid", "tower-of-a-curve",
             "tower-of-a-weight-list", "oracle-of-a-weight-list", "superellipse-overflow",
@@ -295,7 +301,8 @@ class TestInputBoundary:
             "ball-past-float-range", "square-past-float-range", "ellipsoid-past-float-range",
             "kmax-past-the-ceiling", "rational-depth", "golden-negative-eps", "nan-eps",
             "negative-depth", "nan-eps-backend", "json-nan-eps",
-            "unknown-flag", "kmax-not-a-number", "missing-domain"])
+            "unknown-flag", "kmax-not-a-number", "missing-domain",
+            "backend-against-a-file", "backend-against-a-polygon-spec"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
         argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
         kmax = argv[argv.index("--kmax") + 1] if "--kmax" in argv else ""
@@ -311,6 +318,18 @@ class TestInputBoundary:
         assert out == ""
         assert err.startswith("capax: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("spec,backend", [
+        (f"@{PERF_INPUTS / 'fig.json'}", "exact"),
+        ('polygon:{"kind":"ellipsoid","a":1,"b":2,"backend":"float"}', "float"),
+        ('polygon:{"kind":"ellipsoid","a":"1","b":"2","field_d":5}', "sqrt:5"),
+    ])
+    def test_backend_flag_that_agrees_with_the_document(self, capsys, spec, backend):
+        _, plain = run(capsys, "capacities", "--domain", spec, "--kmax", "20")
+        code, flagged = run(capsys, "capacities", "--domain", spec, "--kmax", "20",
+                            "--backend", backend)
+        assert code == 0 and flagged == plain
+        assert json.loads(flagged)["backend"] == backend
 
     def test_depth_alone_truncates_exact_data(self, capsys, fig_file):
         # a depth limit the caller sets truncates rational data without an eps

@@ -293,7 +293,9 @@ class TestSerialization:
 
     def test_csv_h_order(self, fig_polygon):
         t = convex_weights(fig_polygon)
-        lines = weights_to_csv(t).strip().splitlines()
+        out = []
+        weights_to_csv(t, out.append)
+        lines = "".join(out).strip().splitlines()
         assert lines[0].startswith("# capax-csv")
         assert [ln.split(",")[1] for ln in lines[2:]] == ["1", "1", "1"]
 
