@@ -506,7 +506,8 @@ def write_json(obj, write) -> None:
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
     written in chunks of about 64 kB; a Column is an array, and keys are
     strings.  Every check runs before the first write: a non-finite float
-    raises json's ValueError, and an object JSON cannot hold TypeError."""
+    raises json's ValueError, and a value JSON cannot hold raises
+    TypeError."""
     _json_check(obj)
     buf, size = [], 0
     for piece in _json_pieces(obj, "\n"):

@@ -153,8 +153,8 @@ class TestClosedForms:
             assert ellipsoid_capacities(a, b, K).values == pytest.approx(lattice, rel=1e-15)
 
     def test_float_golden_ellipsoid_is_sorted(self):
-        # float legs compare exactly in the heap; sums within the input
-        # tolerance of each other used to come out of it in the wrong order
+        # float legs compare exactly in the sort; sums within the input
+        # tolerance of each other once came out in the wrong order
         d = domains.ellipsoid(1.0, PHI, backend="float", eps=1e-3)
         got = np.asarray(series_for_domain(d, 1000).float_values())
         assert np.all(np.diff(got) >= 0)

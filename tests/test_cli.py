@@ -736,7 +736,7 @@ class TestRoundTrip:
 
 # sha256 of the stdout of small CLI calls over every rational route (closed
 # forms, the concave table, the convex scan, the nef enumeration), plus the
-# float ellipsoid heap and data whose scaled integers pass 2^53 and 2^62.
+# float ellipsoid and data whose scaled integers pass 2^53 and 2^62.
 # Recorded before rational series moved onto scaled integers; the output
 # bytes must not change.
 BYTE_PINS = [
