@@ -16,16 +16,18 @@ Exact backends flow through both routes unchanged, so agreement is
 exact, which is what the oracle-equivalence tests assert.
 
 The closed forms, the series and their output run on Python ints and
-floats.  So do the max-plus folds and the convex scans whose work stays
-under `_PY_SCAN_WORK` (`_ball_list`, `_convex_scan_py`), for rational,
-float and Q(sqrt d) data alike.  Larger folds and scans are numpy code in
-`maxplus`, imported only when they run, so a command that needs neither
-never loads numpy.
+floats.  So do the convex scans whose work stays under `_PY_SCAN_WORK`
+(`_convex_scan_py`), and the unions of balls whose staircase work stays
+under `_PY_FOLD_WORK` (`_ball_list`, which holds each table by the indices
+where it rises), for rational, float and Q(sqrt d) data alike.  Larger
+folds and scans are numpy code in `maxplus`, imported only when they run,
+so a command that needs neither never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -310,67 +312,139 @@ def _quad_pairs(ws: list, d_max: int):
     return fields.pop(), den, pairs
 
 
-def _fold_ball(below: list, w) -> list:
-    """maxplus._fold_ball_np on a list of ints or floats."""
-    out = below[:]
-    t = 1
-    while (base := (t - 1) * (t + 2) // 2 + 1) < len(below):
-        wt = w * t
-        out[base:] = [x if x >= y + wt else y + wt for x, y in zip(out[base:], below)]
-        t += 1
-    return out
+def _stairs(idx: list, val: list, w, tri: list, S: int) -> tuple[list, list]:
+    """Fold the ball series w*d into a table of ints or floats held as a
+    staircase: the indices `idx` at which the table rises and its values
+    `val` there.  Breakpoint (b, v) and level t give the candidate v + w*t
+    at b + tri[t]; the candidates go into a scratch list of the indices
+    0..S, and its running max is the new table.  These are the sums the
+    dense fold takes, so the values are bit-identical to it."""
+    sc = [val[0] - 1] * (S + 1)  # below every value: val[0] = 0
+    for t, base in enumerate(tri):
+        x = w * t
+        for b, v in zip(idx[:bisect_right(idx, S - base)], val):
+            c = v + x
+            if c > sc[b + base]:
+                sc[b + base] = c
+    idx, val, top = [], [], sc[0] - 1
+    for i, c in enumerate(sc):
+        if c > top:
+            top = c
+            idx.append(i)
+            val.append(c)
+    return idx, val
 
 
-def _fold_pairs(below: list, p: int, q: int, field: int) -> list:
-    """_fold_ball on a Q(sqrt d) table of int pairs (P_j, Q_j) over one
-    denominator, each comparison decided by the exact sign of the
-    difference."""
-    out = below[:]
-    t = 1
-    while (base := (t - 1) * (t + 2) // 2 + 1) < len(below):
-        pt, qt = p * t, q * t
-        out[base:] = [x if quad_sign(y[0] + pt - x[0], y[1] + qt - x[1], field) <= 0
-                      else (y[0] + pt, y[1] + qt) for x, y in zip(out[base:], below)]
-        t += 1
-    return out
+def _stairs_pairs(idx: list, P: list, Q: list, p: int, q: int, tri: list, S: int,
+                  field: int) -> tuple[list, list, list]:
+    """_stairs on a Q(sqrt d) staircase of int pairs (P_j, Q_j) over one
+    denominator.  Each candidate is compared by the exact sign of
+    dp + dq*sqrt d, written out in the loop: a call per candidate would
+    cost more than the fold."""
+    sp, sq = [-1] * (S + 1), [0] * (S + 1)  # -1/D, below every value
+    for t, base in enumerate(tri):
+        xp, xq = p * t, q * t
+        for b, vp, vq in zip(idx[:bisect_right(idx, S - base)], P, Q):
+            i = b + base
+            cp, cq = vp + xp, vq + xq
+            dp, dq = cp - sp[i], cq - sq[i]
+            if (dp > 0 or dq > 0 and dq * dq * field > dp * dp) if dq >= 0 else \
+                    (dp > 0 and dp * dp > dq * dq * field):
+                sp[i], sq[i] = cp, cq
+    idx, P, Q, tp, tq = [], [], [], -2, 0
+    for i, cp, cq in zip(range(S + 1), sp, sq):
+        dp, dq = cp - tp, cq - tq
+        if (dp > 0 or dq > 0 and dq * dq * field > dp * dp) if dq >= 0 else \
+                (dp > 0 and dp * dp > dq * dq * field):
+            tp, tq = cp, cq
+            idx.append(i)
+            P.append(cp)
+            Q.append(cq)
+    return idx, P, Q
 
 
 def _ball_list(ws: list, ds: list) -> list:
-    """maxplus._ball_table as a list.  Ints and floats fold as they are;
-    two or more Q(sqrt d) weights fold as int pairs over their common
-    denominator (`_quad_pairs`, with no bound on Python ints) and come
-    back as Quads."""
+    """maxplus._ball_table as a list, folded as staircases (`_stairs`):
+    over rational weights a table of K + 1 entries holds only O(sqrt K)
+    distinct values.  Ints and floats fold as they are; two or more
+    Q(sqrt d) weights fold as int pairs over their common denominator
+    (`_quad_pairs`, with no bound on Python ints) and come back as Quads.
+    The dense list is built once, at the end."""
+    S = len(ds) - 1
+    if not ws:
+        return [0] * (S + 1)
+    tri = [t * (t + 1) // 2 for t in range(ds[-1] + 1)]  # level t of a ball starts at tri[t]
     if len(ws) < 2 or (quad := _quad_pairs(ws, 0)) is None:
-        table = [ws[0] * d for d in ds] if ws else [0] * len(ds)
+        idx, val = tri, [ws[0] * t for t in range(len(tri))]
         for w in ws[1:]:
-            table = _fold_ball(table, w)
-        return table
-    field, den, ((p, q, _), *rest) = quad
-    table = [(p * d, q * d) for d in ds]
-    for p, q, _ in rest:
-        table = _fold_pairs(table, p, q, field)
-    return [Quad(Fraction(a, den), Fraction(b, den), field) for a, b in table]
+            idx, val = _stairs(idx, val, w, tri, S)
+    else:
+        field, den, ((p, q, _), *rest) = quad
+        idx, P, Q = tri, [p * t for t in range(len(tri))], [q * t for t in range(len(tri))]
+        for p, q, _ in rest:
+            idx, P, Q = _stairs_pairs(idx, P, Q, p, q, tri, S, field)
+        val = [Quad(Fraction(a, den), Fraction(b, den), field) for a, b in zip(P, Q)]
+    out = []
+    for i, j, v in zip(idx, idx[1:] + [S + 1], val):
+        out += repeat(v, j - i)
+    return out
 
 
-# the work, in int fold steps of 40-60 ns, under which a fold or a convex
-# scan runs in Python, for every data kind: about 30 ms on ints and floats.
-# A Q(sqrt d) pair step (`quad_sign` on int differences) costs 230-450 ns.
-# The golden-triangle scans just under the budget (kmax 44-119, eps 1e-3 to
-# 1e-10) take 71-115 ms here against 57-103 ms in `maxplus`, whose numpy
-# import costs a running CLI another 59 ms with its one BLAS thread (113 ms
-# with OpenBLAS's default pool): Python stays the faster pick, by 9-55 ms
+def _stair_work(ws: list, S: int) -> int:
+    """An a-priori bound on the steps of `_ball_list(ws, d_values(S))`:
+    the sum over the folds of (breakpoints of the table so far) * L, with
+    L the levels of a ball.  A pair step counts twice.
+
+    For ints, the table of w_1..w_i has at most min(S + 1, F_i/g_i + 1)
+    breakpoints: its values are multiples of g_i = gcd(w_1..w_i) up to
+    F_i = max sum w_j t_j over sum t_j(t_j + 1)/2 <= S, and Cauchy-Schwarz
+    over sum (t_j + 1/2)^2 <= 2S + i/4 gives
+    2F_i + sum w_j <= sqrt(A_i (8S + i)), A_i = sum w_j^2 (the bound behind
+    the convex scan's 9n/8 shift).  Floats and Quads may rise at every
+    index."""
+    L = d_index(S) + 1
+    if not all(isinstance(w, int) for w in ws):
+        steps = 2 if any(isinstance(w, Quad) for w in ws) else 1
+        return steps * (len(ws) - 1) * (S + 1) * L
+    work = a2 = total = g = 0
+    for i, w in enumerate(ws[:-1], 1):
+        a2, total, g = a2 + w * w, total + w, math.gcd(g, w)
+        top = (math.isqrt(a2 * (8 * S + i)) - total) // 2
+        work += min(S + 1, top // g + 1) * L
+    return work
+
+
+# the work, in dense int fold steps of 40-60 ns (`_ScanData.py_work`'s
+# model, sized on the dense fold; the staircase fold takes fewer steps),
+# under which a convex scan runs in Python, for every data kind: about 30 ms
+# on ints and floats.  A dense Q(sqrt d) pair step cost 230-450 ns.  The
+# golden-triangle scans just under the budget (kmax 44-119, eps 1e-3 to
+# 1e-10) took 71-115 ms with the dense fold against 57-103 ms in `maxplus`,
+# whose numpy import costs a running CLI another 59 ms with its one BLAS
+# thread (113 ms with OpenBLAS's default pool): Python stays the faster
+# pick, by 9-55 ms
 _PY_SCAN_WORK = 500_000
+
+# the staircase work (`_stair_work`) under which `union_of_balls` folds in
+# Python.  On a 2-vCPU x86-64 machine a step costs about 60 ns on ints and
+# 130 ns on pairs (which W counts twice); W over-counts a dense float table.
+# numpy's import alone costs a running CLI 59-78 ms.  The perfbench concave
+# file (weights 3,1,1,1; W = 746,392 at kmax 50,000) folds in 46 ms, against
+# 23 ms in `maxplus._ball_table` plus the import.  The golden concave
+# triangle's 39 Q(sqrt 5) weights break even near kmax 500 (W = 1,218,432;
+# 79 ms, against 25 ms plus the import) and go to numpy past kmax 437
+_PY_FOLD_WORK = 1_000_000
 
 
 def union_of_balls(weights: list, K: int, zero) -> CapacitySeries:
     """Max-plus union of ball series, one ball folded at a time: in Python
-    (`_ball_list`) while the fold's work (n-1)*(K+1)^1.5 stays under
-    `_PY_SCAN_WORK`, else by `maxplus`."""
+    (`_ball_list`) while the staircase work `_stair_work` stays under
+    `_PY_FOLD_WORK`, else by `maxplus`."""
     if not weights:
         return CapacitySeries(method="decomposition", num=[zero] * (K + 1))
     den, ws = _scaled(weights)
     ds = d_values(K)
-    if (len(ws) - 1) * (K + 1) ** 1.5 <= _PY_SCAN_WORK:
+    if _stair_work(ws, K) <= _PY_FOLD_WORK:
         num = _ball_list(ws, ds)
     else:
         from .maxplus import _ball_table

@@ -1,10 +1,12 @@
 """The vectorised kernels: max-plus ball tables and the convex infimum scan.
 
 These are the only numpy code in capax.  `capacities` imports this module
-only for a fold or a convex scan whose work passes
-`capacities._PY_SCAN_WORK`, whatever the data kind; smaller ones run in
-Python (`capacities._ball_list`, `capacities._convex_scan_py`), as do the
-closed forms, the series and the output.
+only for a convex scan whose work passes `capacities._PY_SCAN_WORK`, or
+for a union of balls whose staircase work passes
+`capacities._PY_FOLD_WORK`, whatever the data kind: `_ball_table` serves
+those scans and those unions.  Smaller ones run in Python
+(`capacities._convex_scan_py`, `capacities._ball_list`), as do the closed
+forms, the series and the output.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -33,11 +34,13 @@ from capax.capacities import (
     tower_capacities,
     tower_capacity,
     union_of_balls,
+    _PY_FOLD_WORK,
     _PY_SCAN_WORK,
     _ball_list,
     _convex_scan_py,
     _quad_pairs,
     _ScanData,
+    _stair_work,
 )
 from capax.maxplus import _ball_table, _convex_scan
 from capax.obstructions import obstruct
@@ -775,8 +778,8 @@ class TestQuadPairFold:
             monkeypatch.setattr(module, name, spy)
         d = golden_triangle("concave")
         tree = concave_weights(d, TruncationLimits(eps=1e-8))
-        n = len(tree.weight_multiset())
-        assert ((n - 1) * (K + 1) ** 1.5 <= _PY_SCAN_WORK) == (folder == "python")
+        _, ws = _scaled(sorted(tree.weight_multiset(), reverse=True))
+        assert (_stair_work(ws, K) <= _PY_FOLD_WORK) == (folder == "python")
         concave_capacity(d, K, tree=tree)
         assert ran == [{"python": "_ball_list", "numpy": "_ball_table"}[folder]]
 
@@ -786,6 +789,71 @@ class TestQuadPairFold:
         ws = sorted(tree.weight_multiset(), key=float, reverse=True)
         ds = np.array(d_values(60))
         assert concave_capacity(d, 60, tree=tree).values == reference_ball_table(ws, ds)
+
+
+@st.composite
+def tied_lists(draw, elements):
+    """Weight lists with repeats and small multiples of their entries, which
+    give exact ties between candidates, in any order."""
+    base = draw(st.lists(elements, min_size=1, max_size=6))
+    ties = draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from([1, 2, 3])),
+                         max_size=3))
+    return draw(st.permutations(base + [w * m for w, m in ties]))
+
+
+# ints with a common factor (the bound divides by the gcd) and non-dyadic
+# floats, whose rounded sums give near-ties
+INT_LISTS = st.integers(1, 6).flatmap(
+    lambda g: tied_lists(st.integers(1, 30).map(lambda w: g * w)))
+FLOAT_LISTS = tied_lists(st.one_of(POSITIVE_FLOATS, st.sampled_from([0.1, 0.2, 0.3, 0.7])))
+
+
+def breakpoints(table: list) -> list:
+    """The indices at which a table rises, 0 first."""
+    return [0] + [j for j in range(1, len(table)) if table[j] > table[j - 1]]
+
+
+class TestStaircaseFold:
+    """`_ball_list` holds each table by its breakpoints; the dense object
+    fold is its reference, and `_stair_work` bounds its steps a priori."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ws=st.one_of(INT_LISTS, FLOAT_LISTS, quad_weight_lists()), K=st.integers(0, 150))
+    def test_matches_the_dense_fold(self, ws, K):
+        ds = d_values(K)
+        got = _ball_list(ws, ds)
+        want = reference_ball_table(ws, np.array(ds))
+        assert got == want
+        if any(isinstance(w, Quad) for w in ws):
+            assert all(isinstance(x, Quad) for x in got)
+        else:
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ws=INT_LISTS.filter(lambda ws: len(ws) > 1), K=st.integers(0, 3000))
+    def test_int_bound_covers_every_breakpoint(self, ws, K):
+        ds = d_values(K)
+        L = ds[-1] + 1
+        tri = [t * (t + 1) // 2 for t in range(L)]
+        steps = 0
+        for i in range(1, len(ws)):
+            idx = breakpoints(_ball_list(ws[:i], ds))
+            bound = (_stair_work(ws[:i + 1], K) - _stair_work(ws[:i], K)) // L
+            assert len(idx) <= bound <= K + 1
+            steps += sum(bisect_right(idx, K - base) for base in tri)
+        assert steps <= _stair_work(ws, K)
+
+    def test_concave_file_stays_in_python(self):
+        # the perfbench concave polygon: 4 weights, O(sqrt K) breakpoints
+        ws = [3, 1, 1, 1]
+        assert _stair_work(ws, 50_000) <= _PY_FOLD_WORK
+        assert len(breakpoints(_ball_list(ws, d_values(50_000)))) < 1_100
+
+    def test_floats_and_quads_may_rise_everywhere(self):
+        K, L = 1000, d_index(1000) + 1
+        assert _stair_work([0.3, 0.1, 0.1], K) == 2 * (K + 1) * L
+        assert _stair_work([golden_power(1), Fraction(1), golden_power(2)], K) == \
+            2 * 2 * (K + 1) * L
 
 
 def exhaustive_series(s, kmax: int) -> list:

@@ -580,12 +580,21 @@ print(",".join(m for m in watched if m in sys.modules))
         ) == (set(), set())
 
     def test_large_scans_and_folds_import_numpy(self, fig_file, tmp_path):
+        # the fold's gate reads a bound on its staircase: the rational concave
+        # polygon's 4 weights hold about a thousand distinct values at kmax
+        # 50000 and fold in Python, while the same shape with non-dyadic
+        # float vertices rises at nearly every index and goes to numpy
         concave = _polygon_file(tmp_path, "concave.json", "concave",
                                 [["0", "0"], ["5", "0"], ["2", "1"], ["1", "2"], ["0", "4"]])
+        float_concave = _polygon_file(tmp_path, "float_concave.json", "concave",
+                                      [[0, 0], [1, 0], [0.3, 0.1], [0.1, 0.3], [0, 1]],
+                                      backend="float")
         assert "numpy" in self.loaded(
             (["errors", "--domain", f"@{fig_file}", "--kmax", "20000"], 0))[1]
-        assert "numpy" in self.loaded((["capacities", "--domain", concave, "--kmax", "50000",
-                                        "--format", "csv"], 0))[1]
+        assert "numpy" not in self.loaded((["capacities", "--domain", concave, "--kmax", "50000",
+                                            "--format", "csv"], 0))[1]
+        assert "numpy" in self.loaded((["capacities", "--domain", float_concave, "--kmax",
+                                        "50000", "--format", "csv"], 0))[1]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
     def test_numpy_scan_starts_no_blas_threads(self, fig_file):
