@@ -11,6 +11,7 @@ that is the only case in which a convergence verdict is issued.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .errors import CapaxError, WindowOutOfRange
@@ -93,7 +94,7 @@ def window_extrema(e: ErrorSeries, window: tuple[int, int]) -> WindowStats:
     lo, hi = int(e.ks[0]), int(e.ks[-1])
     if k0 < lo or k1 > hi or k0 > k1:
         raise WindowOutOfRange(f"window [{k0},{k1}] not inside [{lo},{hi}]")
-    vals = [x for k, x in zip(e.ks, e.e) if k0 <= k <= k1]
+    vals = e.e[bisect_left(e.ks, k0):bisect_right(e.ks, k1)]  # ks is sorted
     return WindowStats(minimum=min(vals), maximum=max(vals))
 
 
@@ -158,24 +159,20 @@ class ConvergenceReport:
 
 def convergence_verdict(profile: BoundaryProfile,
                         invariants: EdgeInvariants | None = None,
-                        e: ErrorSeries | None = None,
-                        window: tuple[int, int] | None = None) -> ConvergenceReport:
+                        stats: WindowStats | None = None) -> ConvergenceReport:
     """Proven-convergent (limit -(a+b)/2) only when there are no
     rational-sloped upper edges, equivalently the tower is balanced;
-    otherwise report the band and the empirical window midpoint."""
+    otherwise report the band and the midpoint of the window `stats`."""
     inv = invariants if invariants is not None else edge_invariants(profile)
     band = band_for_profile(profile)
     ruelle = -(float(profile.a) + float(profile.b)) / 2.0
     notes = []
     proven = inv.n_rational == 0
-    mid = None
-    if e is not None:
-        win = window or (int(e.ks[0]), int(e.ks[-1]))
-        mid = window_extrema(e, win).midpoint
     if proven:
         notes.append("no rational-sloped upper edges: error terms converge")
     else:
         notes.append("convergence not proven; reporting band and window data")
     return ConvergenceReport(proven=proven, limit=ruelle if proven else None,
-                             band=band, ruelle_proxy=ruelle, empirical_mid=mid,
+                             band=band, ruelle_proxy=ruelle,
+                             empirical_mid=None if stats is None else stats.midpoint,
                              invariants=inv, notes=notes)

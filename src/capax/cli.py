@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, capacities, domains, obstructions, scalars, tower, weights
-from .errors import CapaxError
+from .errors import CapaxError, WindowOutOfRange
 
 CSV_HEADER = "# capax-csv v1"
 
@@ -204,18 +204,24 @@ def _agree(series, k: int, res, exact: bool) -> bool:
     return res.bracket[1] >= lo - margin and res.bracket[0] <= hi + margin
 
 
-def _window(ns, default_hi):
-    if ns.window:
-        k0, _, k1 = ns.window.partition(":")
-        try:
-            return int(k0), int(k1)
-        except ValueError:
-            raise CapaxError(f"--window {ns.window!r}: expected k0:k1 with integers") from None
-    return min(max(1, default_hi // 10), default_hi), default_hi
+def _window(ns):
+    """--window k0:k1, inside [0, kmax]; the last nine tenths by default."""
+    kmax = ns.kmax
+    if not ns.window:
+        return min(max(1, kmax // 10), kmax), kmax
+    k0, _, k1 = ns.window.partition(":")
+    try:
+        k0, k1 = int(k0), int(k1)
+    except ValueError:
+        raise CapaxError(f"--window {ns.window!r}: expected k0:k1 with integers") from None
+    if not 0 <= k0 <= k1 <= kmax:
+        raise WindowOutOfRange(f"window [{k0},{k1}] not inside [0,{kmax}]")
+    return k0, k1
 
 
 def cmd_errors(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
+    win = _window(ns)
     series = capacities.series_for_domain(d, ns.kmax, _limits(ns))
     profile = domains.validate(d)
     has_geometry = profile.a is not None
@@ -224,14 +230,13 @@ def cmd_errors(ns) -> int:
     if ns.format == "csv":
         _emit(ns, err.to_csv)
         return 0
-    win = _window(ns, series.kmax)
     stats = asymptotics.window_extrema(err, win)
     out = {"schema": "capax.errors.v1",
            "window": {"k0": win[0], "k1": win[1], "min": stats.minimum,
                       "max": stats.maximum, "mid": stats.midpoint}}
     if has_geometry:
         inv = asymptotics.edge_invariants(profile)
-        report = asymptotics.convergence_verdict(profile, inv, err, win)
+        report = asymptotics.convergence_verdict(profile, inv, stats)
         out.update(report.to_json())
     _emit_json(ns, out)
     return 0

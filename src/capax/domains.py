@@ -60,7 +60,7 @@ class DomainDescriptor(namedtuple(
     @property
     def tol(self):
         """The tolerance of one input coordinate: eps for float data, 0 for exact."""
-        return abs(self.eps) if self.backend == "float" else 0
+        return self.eps if self.backend == "float" else 0
 
     def equal(self, x, y) -> bool:
         """Two input coordinates agree: within 2 eps for float data."""
@@ -244,8 +244,8 @@ def shoelace_area(vs):
 
 def validate(d: DomainDescriptor) -> BoundaryProfile:
     """Check the descriptor's invariants and return its boundary profile."""
-    if not math.isfinite(d.eps):  # a nan tolerance makes every comparison false
-        raise InvalidSpec(f"input tolerance eps must be finite, got {d.eps}")
+    if not 0 <= d.eps < math.inf:  # a nan tolerance makes every comparison false
+        raise InvalidSpec(f"input tolerance eps must be finite and >= 0, got {d.eps}")
     if d.kind == "polygon":
         return _validate_polygon(d)
     if d.kind == "ellipsoid":

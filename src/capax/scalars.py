@@ -16,6 +16,7 @@ where float input is compared.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -444,7 +445,7 @@ class Column:
         if self.text is None and not math.isfinite(sum(map(float, self.items), 0.0)):
             bad = next(filterfalse(math.isfinite, map(float, self.items)), None)
             if bad is not None:  # else a finite sum that overflowed
-                _non_finite(bad)
+                raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
 
     def heads(self, starts: list, fmt):
         """fmt of the entry at each index of `starts`."""
@@ -502,90 +503,33 @@ def write_csv(write, head: str, ks, fields, tail: str = "") -> None:
         write(end.join(map(add, map(str, kw), _spread(rests, starts, hi))) + end)
 
 
+# write_json's stand-in for a Column inside json.dumps.  Only a string equal
+# to _MARK encodes to _MARK_JSON, and no capax document holds a NUL
+_MARK = "\0capax.Column"
+_MARK_JSON = json.dumps(_MARK)
+
+
 def write_json(obj, write) -> None:
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    written in chunks of about 64 kB; a Column is an array, and keys are
-    strings.  Every check runs before the first write: a non-finite float
-    raises json's ValueError, and a value JSON cannot hold raises
-    TypeError."""
-    _json_check(obj)
-    buf, size = [], 0
-    for piece in _json_pieces(obj, "\n"):
-        buf.append(piece)
-        size += len(piece)
-        if size >= 1 << 16:
-            write("".join(buf))
-            buf, size = [], 0
-    buf.append("\n")
-    write("".join(buf))
+    with each Column written as an array a window at a time.  json.dumps
+    lays out the rest whole, a marker in each Column's place, so every
+    check runs before the first write: a non-finite float raises json's
+    ValueError, and a value JSON cannot hold its TypeError."""
+    columns = []
 
+    def mark(x):
+        if not isinstance(x, Column):
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        x.check()
+        columns.append(x)
+        return _MARK
 
-def _non_finite(x: float):
-    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
-def _json_scalar(x) -> str:
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return float.__repr__(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _json_check(obj) -> None:
-    """Every check of write_json, in json's order."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            _non_finite(obj)
-    elif isinstance(obj, dict):
-        for key, value in sorted(obj.items()):
-            _json_key(key)
-            _json_check(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            _json_check(value)
-    elif isinstance(obj, Column):
-        obj.check()
-    else:
-        _json_scalar(obj)
-
-
-def _json_pieces(obj, indent: str):
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner, sep = indent + "  ", "{"
-        for key, value in sorted(obj.items()):
-            yield f"{sep}{inner}{_json_key(key)}: "
-            yield from _json_pieces(value, inner)
-            sep = ","
-        yield indent + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner, sep = indent + "  ", "["
-        for value in obj:
-            yield sep + inner
-            yield from _json_pieces(value, inner)
-            sep = ","
-        yield indent + "]"
-    elif isinstance(obj, Column):
-        yield from obj.json_chunks(indent)
-    else:
-        yield _json_scalar(obj)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=mark)
+    pieces = text.split(_MARK_JSON)
+    for column, piece in zip(columns, pieces):
+        write(piece)
+        line = piece[piece.rfind("\n") + 1:]  # the marker's line up to the marker
+        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        for chunk in column.json_chunks(indent):
+            write(chunk)
+    write(pieces[-1] + "\n")

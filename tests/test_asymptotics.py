@@ -116,8 +116,8 @@ class TestVerdicts:
     def test_ball_unproven_with_midpoint(self):
         ks = np.arange(1000, 100001)
         e = error_values(d_values(100000)[1000:], ks, 0.5)
-        v = convergence_verdict(domains.validate(domains.ball(1)), e=e,
-                                window=(1000, 100000))
+        v = convergence_verdict(domains.validate(domains.ball(1)),
+                                stats=window_extrema(e, (1000, 100000)))
         assert not v.proven and v.limit is None
         assert v.empirical_mid == pytest.approx(-1.0, abs=0.01)
         assert v.ruelle_proxy == -1.0

@@ -242,6 +242,11 @@ class TestInputBoundary:
     @pytest.mark.parametrize("argv,message", [
         (["errors", "--domain", "ball:1", "--kmax", "20", "--window", "abc"], "--window"),
         (["errors", "--domain", "ball:1", "--kmax", "20", "--window", "10"], "--window"),
+        # checked before the series is computed, in CSV mode too
+        (["errors", "--domain", "ball:1", "--kmax", "10", "--window", "x", "--format", "csv"],
+         "--window"),
+        (["errors", "--domain", "ball:1", "--kmax", "10", "--window", "5:2", "--format", "csv"],
+         "window [5,2] not inside [0,10]"),
         (["capacities", "--domain", "ball:1", "--out", "{missing}"], "cannot write"),
         (["bounds", "--domain", "weights:5;1,1"], "axis extents"),
         (["errors", "--domain", "ellipsoid:1e200,1e200"], "out of range"),
@@ -284,6 +289,12 @@ class TestInputBoundary:
         (["capacities", "--domain",
           'polygon:{{"kind":"ellipsoid","a":1,"b":2,"backend":"float","eps":"nan"}}'],
          "input tolerance eps must be finite"),
+        # a negative one was taken as its absolute value, or refused as a zero edge
+        (["capacities", "--domain", "ball:1", "--backend", "float", "--eps-backend", "-1"],
+         "input tolerance eps must be finite and >= 0"),
+        (["capacities", "--domain",
+          'polygon:{{"kind":"ellipsoid","a":1,"b":2,"backend":"float","eps":-0.1}}'],
+         "input tolerance eps must be finite and >= 0"),
         # usage errors: argparse's own exit code, 2, is capax's OBSTRUCTED
         (["capacities", "--domain", "ball:1", "--bogus"], "unrecognized arguments: --bogus"),
         (["capacities", "--domain", "ball:1", "--kmax", "abc"], "argument --kmax"),
@@ -294,13 +305,15 @@ class TestInputBoundary:
         (["capacities", "--domain",
           'polygon:{{"kind":"ellipsoid","a":1,"b":2,"backend":"float"}}', "--backend", "sqrt:5"],
          "--backend sqrt:5 disagrees with the document's backend float"),
-    ], ids=["window-not-a-number", "window-one-number", "out-in-missing-dir",
+    ], ids=["window-not-a-number", "window-one-number", "csv-window-not-a-number",
+            "csv-window-reversed", "out-in-missing-dir",
             "bounds-of-weight-list", "huge-ellipsoid", "tower-of-a-curve",
             "tower-of-a-weight-list", "oracle-of-a-weight-list", "superellipse-overflow",
             "superellipse-underflow", "errors-past-float-range", "obstruct-infinite-volume",
             "ball-past-float-range", "square-past-float-range", "ellipsoid-past-float-range",
             "kmax-past-the-ceiling", "rational-depth", "golden-negative-eps", "nan-eps",
-            "negative-depth", "nan-eps-backend", "json-nan-eps",
+            "negative-depth", "nan-eps-backend", "json-nan-eps", "negative-eps-backend",
+            "json-negative-eps",
             "unknown-flag", "kmax-not-a-number", "missing-domain",
             "backend-against-a-file", "backend-against-a-polygon-spec"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):

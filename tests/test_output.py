@@ -169,6 +169,16 @@ class TestWriteJson:
         assert str(got.value) == str(ref.value)
         assert out == []
 
+    def test_value_json_cannot_hold_raises_json_type_error_before_any_write(self):
+        doc = {"a": Column([1.0]), "b": {1, 2}}
+        with pytest.raises(TypeError) as ref:
+            json.dumps(plain(doc), indent=2, sort_keys=True, allow_nan=False)
+        out = []
+        with pytest.raises(TypeError) as got:
+            write_json(doc, out.append)
+        assert str(got.value) == str(ref.value)
+        assert out == []
+
     def test_finite_entries_whose_sum_overflows_are_written(self):
         doc = {"k": Column([1e308, 1e308])}
         assert written(lambda w: write_json(doc, w)) == reference_json(plain(doc))
