@@ -11,10 +11,9 @@ directly (``from capax import capacities``):
   balancedness,
 * :mod:`capax.tower` -- blowup towers of polarised surfaces and their
   per-level invariants,
-* :mod:`capax.capacities` -- capacity sequences by decomposition DP,
-  nef-divisor enumeration, and closed forms,
-* :mod:`capax.maxplus` -- the numpy kernels: max-plus ball tables and
-  the convex infimum scan for large tables, imported only when they run,
+* :mod:`capax.capacities` -- capacity sequences by decomposition DP
+  (max-plus ball staircases and the convex infimum scan), nef-divisor
+  enumeration, and closed forms,
 * :mod:`capax.asymptotics` -- error terms, asymptotic bands, window
   extrema and convergence verdicts,
 * :mod:`capax.obstructions` -- embedding-obstruction reports,

@@ -15,13 +15,12 @@ Two independent routes compute the same numbers:
 Exact backends flow through both routes unchanged, so agreement is
 exact, which is what the oracle-equivalence tests assert.
 
-The closed forms, the series and their output run on Python ints and
-floats.  So do the convex scans whose work stays under `_PY_SCAN_WORK`
-(`_convex_scan_py`), and the unions of balls whose staircase work stays
-under `_PY_FOLD_WORK` (`_ball_list`, which holds each table by the indices
-where it rises), for rational, float and Q(sqrt d) data alike.  Larger
-folds and scans are numpy code in `maxplus`, imported only when they run,
-so a command that needs neither never loads numpy.
+Everything runs on Python ints, floats and Quads, for rational, float and
+Q(sqrt d) data alike: the closed forms, the series and their output, the
+unions of balls (`_ball_stairs`, which holds each table by the indices
+where it rises and folds each run of equal exact weights as one
+staircase) and the convex scan (`_convex_scan`, the lower envelope of the
+level ends, swept over the table's breakpoints).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 
 from .errors import (
     BelowThreshold,
@@ -45,7 +44,6 @@ from .scalars import (
     binade,
     format_ratio,
     format_scalar,
-    quad_sign,
     rational_parts,
     write_csv,
 )
@@ -295,33 +293,46 @@ def _scaled(xs: list) -> tuple[int | None, list]:
     return None, list(xs)
 
 
-def _quad_pairs(ws: list, d_max: int):
+def _quad_pairs(ws: list):
     """Weights over one field Q(sqrt d) as int pairs over a common
     denominator D, w = (p + q*sqrt d)/D, rationals lifted with q = 0.
 
-    Returns (d, D, [(p, q, float(w))]), or None for other data or when an
-    entry sum |p_i|*t_i + |q_i|*t_i (t_i <= d_max) could reach 2^62."""
+    Returns (d, D, [(p, q)]), or None for other data."""
     fields = {w.d for w in ws if isinstance(w, Quad)}
     if len(fields) != 1 or not all(isinstance(w, (int, Fraction, Quad)) for w in ws):
         return None
     parts = [rational_parts(w) for w in ws]
     den = math.lcm(*(x.denominator for pq in parts for x in pq))
-    pairs = [(int(p * den), int(q * den), float(w)) for (p, q), w in zip(parts, ws)]
-    if sum(abs(p) + abs(q) for p, q, _ in pairs) * d_max >= 2**62:
-        return None
-    return fields.pop(), den, pairs
+    return fields.pop(), den, [(int(p * den), int(q * den)) for p, q in parts]
 
 
-def _stairs(idx: list, val: list, w, tri: list, S: int) -> tuple[list, list]:
-    """Fold the ball series w*d into a table of ints or floats held as a
-    staircase: the indices `idx` at which the table rises and its values
-    `val` there.  Breakpoint (b, v) and level t give the candidate v + w*t
-    at b + tri[t]; the candidates go into a scratch list of the indices
-    0..S, and its running max is the new table.  These are the sums the
-    dense fold takes, so the values are bit-identical to it."""
+def _group_costs(m: int, S: int) -> list:
+    """The staircase of m balls of one weight w: the least index at which
+    their union reaches w*D, for D = 0, 1, ... while it stays <= S.
+
+    c_s of m balls B(w) is w*max{sum t_i : sum t_i(t_i+1)/2 <= s}
+    (Hutchings, "Quantitative embedded contact homology", JDG 2011).  The
+    cost t(t+1)/2 is convex in t, so the cheapest split of D = qm + r is
+    r balls at q + 1 and m - r at q: m*q(q+1)/2 + r(q+1), which rises by
+    q + 1 from D to D + 1.  One ball gives t(t+1)/2."""
+    costs, D = [0], 0
+    while (c := costs[-1] + D // m + 1) <= S:
+        costs.append(c)
+        D += 1
+    return costs
+
+
+def _stairs(idx: list, val: list, w, costs: list, S: int) -> tuple[list, list]:
+    """Fold the staircase (costs[D], w*D) of a run of equal balls
+    (`_group_costs`) into a table of ints or floats held as a staircase:
+    the indices `idx` at which the table rises and its values `val` there.
+    Breakpoint (b, v) and step D give the candidate v + w*D at b + costs[D];
+    the candidates go into a scratch list of the indices 0..S, and its
+    running max is the new table.  For one ball these are the sums that a
+    dense fold takes, so float values are bit-identical to it."""
     sc = [val[0] - 1] * (S + 1)  # below every value: val[0] = 0
-    for t, base in enumerate(tri):
-        x = w * t
+    for D, base in enumerate(costs):
+        x = w * D
         for b, v in zip(idx[:bisect_right(idx, S - base)], val):
             c = v + x
             if c > sc[b + base]:
@@ -335,15 +346,15 @@ def _stairs(idx: list, val: list, w, tri: list, S: int) -> tuple[list, list]:
     return idx, val
 
 
-def _stairs_pairs(idx: list, P: list, Q: list, p: int, q: int, tri: list, S: int,
+def _stairs_pairs(idx: list, P: list, Q: list, p: int, q: int, costs: list, S: int,
                   field: int) -> tuple[list, list, list]:
     """_stairs on a Q(sqrt d) staircase of int pairs (P_j, Q_j) over one
     denominator.  Each candidate is compared by the exact sign of
     dp + dq*sqrt d, written out in the loop: a call per candidate would
     cost more than the fold."""
     sp, sq = [-1] * (S + 1), [0] * (S + 1)  # -1/D, below every value
-    for t, base in enumerate(tri):
-        xp, xq = p * t, q * t
+    for D, base in enumerate(costs):
+        xp, xq = p * D, q * D
         for b, vp, vq in zip(idx[:bisect_right(idx, S - base)], P, Q):
             i = b + base
             cp, cq = vp + xp, vq + xq
@@ -363,93 +374,58 @@ def _stairs_pairs(idx: list, P: list, Q: list, p: int, q: int, tri: list, S: int
     return idx, P, Q
 
 
-def _ball_list(ws: list, ds: list) -> list:
-    """maxplus._ball_table as a list, folded as staircases (`_stairs`):
-    over rational weights a table of K + 1 entries holds only O(sqrt K)
-    distinct values.  Ints and floats fold as they are; two or more
-    Q(sqrt d) weights fold as int pairs over their common denominator
-    (`_quad_pairs`, with no bound on Python ints) and come back as Quads.
-    The dense list is built once, at the end."""
-    S = len(ds) - 1
+def _ball_stairs(ws: list, S: int) -> tuple[list, list]:
+    """The max-plus union of the ball series w*d over the indices 0..S, as
+    a staircase: the indices at which it rises and its values there.  Over
+    rational weights a table of S + 1 entries holds only O(sqrt S) distinct
+    values.
+
+    Each run of m equal exact weights folds as one staircase
+    (`_group_costs`), since its sums are exact.  Floats fold one ball at a
+    time: w*(t_1 + ... + t_m) can round otherwise than the sum of the
+    w*t_i.  Two or more Q(sqrt d) weights fold as int pairs over their
+    common denominator (`_quad_pairs`) and come back as Quads."""
     if not ws:
-        return [0] * (S + 1)
-    tri = [t * (t + 1) // 2 for t in range(ds[-1] + 1)]  # level t of a ball starts at tri[t]
-    if len(ws) < 2 or (quad := _quad_pairs(ws, 0)) is None:
-        idx, val = tri, [ws[0] * t for t in range(len(tri))]
-        for w in ws[1:]:
-            idx, val = _stairs(idx, val, w, tri, S)
+        return [0], [0]
+    quad = _quad_pairs(ws) if len(ws) > 1 else None
+    if any(isinstance(w, float) for w in ws):
+        runs = [(w, 1) for w in ws]
     else:
-        field, den, ((p, q, _), *rest) = quad
-        idx, P, Q = tri, [p * t for t in range(len(tri))], [q * t for t in range(len(tri))]
-        for p, q, _ in rest:
-            idx, P, Q = _stairs_pairs(idx, P, Q, p, q, tri, S, field)
-        val = [Quad(Fraction(a, den), Fraction(b, den), field) for a, b in zip(P, Q)]
+        runs = [(w, len(list(g))) for w, g in groupby(quad[2] if quad else ws)]
+    (w, m), *rest = runs
+    idx = _group_costs(m, S)
+    if quad is None:
+        val = [w * D for D in range(len(idx))]
+        for w, m in rest:
+            idx, val = _stairs(idx, val, w, _group_costs(m, S), S)
+        return idx, val
+    field, den, _ = quad
+    p, q = w
+    P, Q = [p * D for D in range(len(idx))], [q * D for D in range(len(idx))]
+    for (p, q), m in rest:
+        idx, P, Q = _stairs_pairs(idx, P, Q, p, q, _group_costs(m, S), S, field)
+    return idx, [Quad(Fraction(a, den), Fraction(b, den), field) for a, b in zip(P, Q)]
+
+
+def _dense(idx: list, val: list, S: int) -> list:
+    """A staircase's table at every index 0..S."""
     out = []
     for i, j, v in zip(idx, idx[1:] + [S + 1], val):
         out += repeat(v, j - i)
     return out
 
 
-def _stair_work(ws: list, S: int) -> int:
-    """An a-priori bound on the steps of `_ball_list(ws, d_values(S))`:
-    the sum over the folds of (breakpoints of the table so far) * L, with
-    L the levels of a ball.  A pair step counts twice.
-
-    For ints, the table of w_1..w_i has at most min(S + 1, F_i/g_i + 1)
-    breakpoints: its values are multiples of g_i = gcd(w_1..w_i) up to
-    F_i = max sum w_j t_j over sum t_j(t_j + 1)/2 <= S, and Cauchy-Schwarz
-    over sum (t_j + 1/2)^2 <= 2S + i/4 gives
-    2F_i + sum w_j <= sqrt(A_i (8S + i)), A_i = sum w_j^2 (the bound behind
-    the convex scan's 9n/8 shift).  Floats and Quads may rise at every
-    index."""
-    L = d_index(S) + 1
-    if not all(isinstance(w, int) for w in ws):
-        steps = 2 if any(isinstance(w, Quad) for w in ws) else 1
-        return steps * (len(ws) - 1) * (S + 1) * L
-    work = a2 = total = g = 0
-    for i, w in enumerate(ws[:-1], 1):
-        a2, total, g = a2 + w * w, total + w, math.gcd(g, w)
-        top = (math.isqrt(a2 * (8 * S + i)) - total) // 2
-        work += min(S + 1, top // g + 1) * L
-    return work
-
-
-# the work, in dense int fold steps of 40-60 ns (`_ScanData.py_work`'s
-# model, sized on the dense fold; the staircase fold takes fewer steps),
-# under which a convex scan runs in Python, for every data kind: about 30 ms
-# on ints and floats.  A dense Q(sqrt d) pair step cost 230-450 ns.  The
-# golden-triangle scans just under the budget (kmax 44-119, eps 1e-3 to
-# 1e-10) took 71-115 ms with the dense fold against 57-103 ms in `maxplus`,
-# whose numpy import costs a running CLI another 59 ms with its one BLAS
-# thread (113 ms with OpenBLAS's default pool): Python stays the faster
-# pick, by 9-55 ms
-_PY_SCAN_WORK = 500_000
-
-# the staircase work (`_stair_work`) under which `union_of_balls` folds in
-# Python.  On a 2-vCPU x86-64 machine a step costs about 60 ns on ints and
-# 130 ns on pairs (which W counts twice); W over-counts a dense float table.
-# numpy's import alone costs a running CLI 59-78 ms.  The perfbench concave
-# file (weights 3,1,1,1; W = 746,392 at kmax 50,000) folds in 46 ms, against
-# 23 ms in `maxplus._ball_table` plus the import.  The golden concave
-# triangle's 39 Q(sqrt 5) weights break even near kmax 500 (W = 1,218,432;
-# 79 ms, against 25 ms plus the import) and go to numpy past kmax 437
-_PY_FOLD_WORK = 1_000_000
+def _ball_list(ws: list, S: int) -> list:
+    """The table of `_ball_stairs` at every index 0..S."""
+    return _dense(*_ball_stairs(ws, S), S)
 
 
 def union_of_balls(weights: list, K: int, zero) -> CapacitySeries:
-    """Max-plus union of ball series, one ball folded at a time: in Python
-    (`_ball_list`) while the staircase work `_stair_work` stays under
-    `_PY_FOLD_WORK`, else by `maxplus`."""
+    """Max-plus union of ball series, folded as staircases (`_ball_list`)."""
     if not weights:
         return CapacitySeries(method="decomposition", num=[zero] * (K + 1))
     den, ws = _scaled(weights)
-    ds = d_values(K)
-    if _stair_work(ws, K) <= _PY_FOLD_WORK:
-        num = _ball_list(ws, ds)
-    else:
-        from .maxplus import _ball_table
-        num = _ball_table(ws, ds).tolist()
-    return CapacitySeries(method="decomposition", num=num, den=den)
+    return CapacitySeries(method="decomposition", num=_ball_list(ws, K), den=den)
 
 
 def concave_capacity(d: DomainDescriptor, K: int,
@@ -477,7 +453,7 @@ def concave_capacity(d: DomainDescriptor, K: int,
 # ---------------------------------------------------------------------------
 
 class _ScanData:
-    """What both convex scans read of a weight tree.
+    """What the convex scan reads of a weight tree.
 
     The head c and the kept weights ws, sorted down, are ints over one
     denominator `den` for rational data; floats and Quads stay as they are,
@@ -522,61 +498,80 @@ class _ScanData:
     def t_star(self, k):
         return (2 * self.v * k - self.c_f * self.c_f * self.m) / self.gap
 
-    def clears(self, k, t_star, s, cand_f, fbest, ops=(min, max, math.sqrt)) -> bool:
+    def clears(self, k, t_star, s, cand_f, fbest) -> bool:
         """The stopping test after the candidate at s: lb(max(s+1, t_star))
         clears the best candidate by a margin relative to it (b > 0 for
-        every k >= 1).  `ops` are the min, max and sqrt of the arguments'
-        type, so the numpy scan reads the same floats."""
-        least, most, sqrt = ops
-        b = least(cand_f, fbest)
-        u = most(s + 1, t_star)
-        floor = (self.c_f * (sqrt(2 * (k + u)) - 1.5) - sqrt(4 * self.v * (u + self.m))
+        every k >= 1)."""
+        b = min(cand_f, fbest)
+        u = max(s + 1, t_star)
+        floor = (self.c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * self.v * (u + self.m))
                  + self.lift)
         return floor >= b + 1e-9 * abs(b)
 
-    def py_work(self, K: int, budget: float) -> float:
-        """The work of `_convex_scan_py` for k <= K, in int fold steps (see
-        `_PY_SCAN_WORK`), from a bound on each row's stop index; the count
-        ends once it passes `budget`.
-
-        The s = 0 candidate is c*d(k), so row k stops before the first
-        u >= t_star at which lb(u) clears it, and with x = sqrt(u + 9n/8)
-        the equation lb(u) = c*d(k) is a quadratic in x.  The table doubles
-        from 65 entries while a row stops past its end, and folding n
-        weights into L entries takes about (n-1)*L^1.5 steps.  A row probes
-        each level end up to its stop and bisects the last level; a probe
-        costs about 40 steps."""
-        a, b, D = math.sqrt(2) * self.c_f, 2 * math.sqrt(self.v), 2 * self.gap
-        length, probes, work = 65, 0, 0.0
-        for k in range(K, 0, -1):
-            t = d_index(k)
-            r = self.c_f * t * (1 + 1e-6) + 1.5 * self.c_f - self.lift
-            disc = r * r - D * (k - self.m)
-            u = self.t_star(k)
-            if disc >= 0:
-                u = max(u, ((r * b + a * math.sqrt(disc)) / D) ** 2 - self.m)
-            if not u < budget:  # a table that long is over the budget alone
-                return math.inf
-            stop = max(math.ceil(u) - 1, 0)
-            while length <= stop:
-                length = 2 * length + 1
-            t_stop = d_index(k + stop)
-            probes += t_stop - t + t_stop.bit_length() + 1
-            work = max(len(self.ws) - 1, 0) * length ** 1.5 + length + 40 * probes
-            if work > budget:
-                break
-        return work
+    def stop_bound(self, k: int, target: float) -> float:
+        """A u by which row k stops once its best is at most `target`, in
+        the test's units: lb(u) >= target*(1 + 1e-6) for every u >= t_star
+        past the root of that equation, a quadratic in x = sqrt(u + 9n/8)."""
+        r = target * (1 + 1e-6) + 1.5 * self.c_f - self.lift
+        D = 2 * self.gap
+        disc = r * r - D * (k - self.m)
+        u = self.t_star(k)
+        if disc >= 0:
+            x = (2 * math.sqrt(self.v) * r + math.sqrt(2) * self.c_f * math.sqrt(disc)) / D
+            u = max(u, x * x - self.m)
+        return u
 
 
-def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacitySeries:
-    """maxplus._convex_scan in plain Python, one k at a time.
+def _envelope(c, idx: list, val: list, S: int, K: int) -> list:
+    """c_1..c_K as the least of the level ends f_t(k) = c*t - M[T_t - k],
+    T_t = t(t+3)/2, over the levels t >= d(k) whose end lies in a table M
+    of the indices 0..S, held as a staircase (idx, val).
 
-    Row k probes the end of each level {s : d(k+s) = t}, bisects the level
-    where the stopping test first holds and doubles the table when it ends
-    inside a level, as the numpy scan does for every k in lockstep.  The
-    table's values do not depend on its length, and the test reads the
-    floats the numpy scan reads for each kind of data, so the values and
-    the slack are bit-identical."""
+    Sweep k from K down to 1.  Each f_t can only fall as k does, and only at
+    the k where T_t - k is a breakpoint of M; level t joins at k = T_t,
+    where T_t - k = 0 is one.  So c_k is the least of c_{k+1} and the levels
+    that fall or join at k, and the sweep visits these events alone: the
+    breakpoints in each level's window [T_t - K, T_t - 1], cut at S.  Past
+    the cut a level's last value stays in the running minimum.  It is no
+    lower than a candidate of each row below, so a row's value lies between
+    its c_k and the least of its own level ends, which the row's
+    certificate makes equal."""
+    t_max = d_index(S + K + 1) - 1  # the last level that row K reads
+    low = [c * (t_max + 1)] * (K + 1)  # above every candidate
+    for t in range(1, t_max + 1):
+        T, x = t * (t + 3) // 2, c * t
+        i, j = bisect_right(idx, T - K), bisect_right(idx, min(T - 1, S))
+        if i:  # the level's value at k = K, before its first event
+            low[K] = min(low[K], x - val[i - 1])
+        for b, v in zip(idx[i:j], val[i:j]):
+            y = x - v
+            if y < low[T - b]:
+                low[T - b] = y
+    return list(accumulate(low[:0:-1], min))[::-1]
+
+
+def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacitySeries:
+    """c_k = min_s c*d(k+s) - M(s) for k = 0..K, with the certified lower
+    slack (Cristofaro-Gardiner, "Symplectic embeddings from concave toric
+    domains into convex ones", JDG 2019).
+
+    M does not decrease, so the best candidate of a level {s : d(k+s) = t}
+    is its end, and c_k is the lower envelope of the level ends in the
+    table (`_envelope`).  One stopping test per row (`_ScanData.clears`),
+    at the row's last level end in the table, certifies that no later
+    candidate is lower; a table too short for some rows grows to the index
+    that their values bound (`_ScanData.stop_bound`).  The first table is
+    sized from the volume: c_k^2 / 4k tends to the area, gap/2 in the
+    test's units.  The slack is 0 without a dropped tail.
+
+    A row with a tail, over Q(sqrt d) (whose floats need not keep the order
+    of the values), or that no table certifies is walked as the stopping
+    rule reads it: the end of each level up to the first where the test
+    holds, then a bisection of that level, which the test splits in two
+    because inside a level the candidate falls and lb rises.  Its stop index
+    sets the slack, and a walk past `s_ceiling` raises
+    `PruningBoundExceeded`; rows run in increasing k, so it names the
+    smallest such k."""
     c, den, tail, e, unit = data.c, data.den, data.tail, data.e, data.unit
     if den is not None:  # x/den * 2^-e = x*un/ud, rounded once
         un, ud = unit.numerator, den * unit.denominator
@@ -590,13 +585,37 @@ def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> Capaci
         def floats(x):
             return float(x * unit if e else x)
 
-    def table(S):
-        ds = d_values(S)
-        return _ball_list(data.ws, ds), ds
+    def stop(k, target):  # the end of the level where row k stops once its best is at most target
+        u = data.stop_bound(k, target)
+        if not u < s_ceiling:  # past the ceiling, or nan
+            return s_ceiling
+        t = d_index(k + (math.ceil(u) - 1 if u > 1 else 0))
+        return min(t * (t + 3) // 2 - k, s_ceiling)
 
-    M, ds = table(64)
-    num, slack = [c - c], [0.0]
-    for k in range(1, K + 1):
+    # every row's first level ends by index d(K)
+    S = max(stop(K, math.sqrt(2 * data.gap * K)), d_index(K))
+    idx, val = _ball_stairs(data.ws, S)
+    num, slack = [c - c] + [None] * K, [0.0] * (K + 1)
+    rows = range(1, K + 1) if not tail and not isinstance(c, Quad) else []
+    while rows:
+        env, failed, t = _envelope(c, idx, val, S, K), [], 0
+        for k in rows:
+            while (t + 1) * (t + 4) // 2 <= S + k:  # t: the row's last level in the table
+                t += 1
+            p, fb = t * (t + 3) // 2 - k, floats(env[k - 1])
+            if p <= s_ceiling and data.clears(k, data.t_star(k), p, fb, fb):
+                num[k] = env[k - 1]
+            else:
+                failed.append((k, fb))
+        grown = max((stop(k, fb) for k, fb in failed), default=0)
+        if grown <= S:  # no longer table helps: the failed rows are walked
+            break
+        S, rows = grown, [k for k, _ in failed]
+        idx, val = _ball_stairs(data.ws, S)
+    M = _dense(idx, val, S)
+
+    def walk(k):
+        nonlocal M
         t, t_star = d_index(k), data.t_star(k)
         s0, best, fbest, lo = 0, None, math.inf, math.inf
         while True:
@@ -604,8 +623,8 @@ def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> Capaci
             p = min(s1, len(M) - 1, s_ceiling)
             cp = c * t - M[p]
             cf = floats(cp)
-            stop = data.clears(k, t_star, p, cf, fbest)
-            if stop:
+            stop_here = data.clears(k, t_star, p, cf, fbest)
+            if stop_here:
                 a, b = s0, p
                 while a < b:
                     mid = (a + b) // 2
@@ -618,20 +637,21 @@ def _convex_scan_py(data: _ScanData, K: int, s_ceiling: int = 200_000) -> Capaci
                 cf = floats(cp)
             if best is None or cp < best:
                 best, fbest = cp, cf
-            if stop:
-                lo = min(lo, cf - ds[p] * tail)
-                break
+            if stop_here:
+                return best, math.ldexp(fbest - min(lo, cf - d_index(p) * tail), e)
             if p == s_ceiling:
                 raise PruningBoundExceeded(f"no certificate after {s_ceiling} complement indices",
                                            best=best if den is None else Fraction(best, den))
-            if p < s1:  # the table ends inside the level: grow it
+            if p < s1:  # the table ends inside the level: grow it past the row's stop
                 s0 = p + 1
-                M, ds = table(2 * len(M))
+                M = _ball_list(data.ws, max(stop(k, fbest), p + 1))
             else:
-                lo = min(lo, cf - ds[p] * tail)
+                lo = min(lo, cf - d_index(p) * tail)
                 s0, t = s1 + 1, t + 1
-        num.append(best)
-        slack.append(math.ldexp(fbest - lo, e))
+
+    for k in range(1, K + 1):
+        if num[k] is None:
+            num[k], slack[k] = walk(k)
     return CapacitySeries(method="decomposition", num=num, den=den, lower_slack=slack)
 
 
@@ -639,16 +659,9 @@ def convex_capacity(d: DomainDescriptor, K: int,
                     limits: TruncationLimits | None = None,
                     tree: WeightTree | None = None) -> CapacitySeries:
     """Capacities of a convex domain from its weight expansion, by the
-    certified scan: `_convex_scan_py` while its work stays under
-    `_PY_SCAN_WORK`, so that numpy is never imported, else
-    `maxplus._convex_scan`."""
+    certified scan `_convex_scan`."""
     t = tree if tree is not None else convex_weights(d, limits)
-    data = _ScanData(t)
-    if data.py_work(K, _PY_SCAN_WORK) <= _PY_SCAN_WORK:
-        series = _convex_scan_py(data, K)
-    else:
-        from .maxplus import _convex_scan
-        series = _convex_scan(data, K)
+    series = _convex_scan(_ScanData(t), K)
     return CapacitySeries(series.method, series.num, series.den, series.lower_slack,
                           upper_slack=[0.0] * (K + 1), source=f"convex:{d.kind}",
                           backend=t.backend,

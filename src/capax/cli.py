@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -151,6 +150,7 @@ def _emit_json(ns, obj) -> None:
 
 def cmd_weights(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
+    domains.validate(d)
     if d.kind == "curve":
         d, _ = domains.inner_grid_polygon(d, 32)
         if ns.eps is None:
@@ -403,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # numpy's bundled OpenBLAS starts a worker thread per extra core when it
-    # loads, and capax calls no BLAS routine (`maxplus` is elementwise
-    # ufuncs and slicing): one thread saves each child about 0.07 s.  The
-    # caller's own setting wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         ns = build_parser().parse_args(argv)
         return ns.fn(ns)

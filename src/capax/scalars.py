@@ -394,7 +394,7 @@ def bounded(x):
 
 def format_scalar(x) -> str:
     if isinstance(x, float):
-        return repr(float(x))  # collapse numpy scalars
+        return repr(x)
     if isinstance(x, Quad):
         if x.q == 0:
             return str(x.p)

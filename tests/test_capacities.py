@@ -2,15 +2,16 @@ import functools
 import json
 import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
+from itertools import groupby
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capax import capacities, domains, maxplus
+from capax import capacities, domains
 from capax.errors import BelowThreshold, CapaxError, PruningBoundExceeded, SearchSpaceEmpty
 from capax.capacities import (
     _EnumContext,
@@ -34,17 +35,17 @@ from capax.capacities import (
     tower_capacities,
     tower_capacity,
     union_of_balls,
-    _PY_FOLD_WORK,
-    _PY_SCAN_WORK,
     _ball_list,
-    _convex_scan_py,
+    _ball_stairs,
+    _convex_scan,
+    _envelope,
+    _group_costs,
     _quad_pairs,
     _ScanData,
-    _stair_work,
+    _stairs,
 )
-from capax.maxplus import _ball_table, _convex_scan
 from capax.obstructions import obstruct
-from capax.scalars import Quad, format_ratio, format_scalar, quad_sign, write_json
+from capax.scalars import Quad, format_ratio, format_scalar, write_json
 from capax.tower import _dot, blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, random_convex_polygon
@@ -137,7 +138,7 @@ class TestClosedForms:
                                          for m in range(k + 1)), D) for k in range(301)]
         assert all(isinstance(v, Fraction) for v in s.values)
 
-    def test_numpy_forms_match_scalar(self):
+    def test_builders_match_brute_force(self):
         # the builders against brute force at small K: the (m, n) grid for
         # polydisks, the sorted lattice for ellipsoids
         K = 30
@@ -323,6 +324,21 @@ def reference_scan(d, K, limits=None, s_ceiling=None):
     return values, slack
 
 
+def golden_legs(legs):
+    """The golden triangle with its irrational leg on either axis."""
+    one, phi = Quad(1, 0, 5), Quad(Fraction(1, 2), Fraction(1, 2), 5)
+    a, b = (one, phi) if legs == "1,phi" else (phi, one)
+    z = one - one
+    return domains.polygon([(z, z), (a, z), (z, b)], "convex", backend="sqrt:5")
+
+
+@functools.cache
+def golden_reference(legs, eps):
+    """reference_scan of golden_legs(legs) at eps to k = 60: each row's
+    scan is its own, so a smaller K reads a prefix."""
+    return reference_scan(golden_legs(legs), 60, TruncationLimits(eps=eps))
+
+
 @st.composite
 def rational_convex_polygons(draw):
     """Convex polygons with axis contacts: legs a, b = p/q with p <= 8 and
@@ -365,22 +381,16 @@ class TestConvexScan:
     def test_past_the_first_table(self, monkeypatch, d, K):
         sizes = []
 
-        def counting(table):
-            def count(ws, ds):
-                sizes.append(len(ds))
-                return table(ws, ds)
-            return count
+        def count(ws, S):
+            sizes.append(S)
+            return _ball_stairs(ws, S)
 
-        monkeypatch.setattr(maxplus, "_ball_table", counting(_ball_table))
-        monkeypatch.setattr(capacities, "_ball_list", counting(capacities._ball_list))
+        monkeypatch.setattr(capacities, "_ball_stairs", count)
         values, slack = reference_scan(d, K)
-        data = _ScanData(convex_weights(d))
-        for scan in (_convex_scan, _convex_scan_py):
-            sizes.clear()
-            got = scan(data, K)
-            assert max(sizes) > 65  # the table grew past its first 64 indices
-            assert got.values == values
-            assert got.lower_slack == slack
+        got = _convex_scan(_ScanData(convex_weights(d)), K)
+        assert max(sizes) > 64  # the scan read past the reference's first 64 indices
+        assert got.values == values
+        assert got.lower_slack == slack
 
     def test_float_backend_matches_reference(self):
         d = domains.polygon([(float(x), float(y)) for x, y in P6.vertices], "convex",
@@ -391,6 +401,26 @@ class TestConvexScan:
         assert got.values == [float(v) for v in values]
         assert got.lower_slack == slack
 
+    @pytest.mark.parametrize("d, K, limits", [(FIG, 200, None), (P6, 200, None),
+                                              (golden_triangle(), 20, TruncationLimits(eps=1e-6))],
+                             ids=["fig", "p6", "golden"])
+    def test_a_short_first_table_grows(self, monkeypatch, d, K, limits):
+        # the first table holds each row's first level alone: the envelope's
+        # rows fail their certificate and the table grows to their bound, or
+        # a walked row runs off its end and grows it
+        sizes, bound = [], _ScanData.stop_bound
+
+        def count(ws, S):
+            sizes.append(S)
+            return _ball_stairs(ws, S)
+
+        monkeypatch.setattr(capacities, "_ball_stairs", count)
+        monkeypatch.setattr(_ScanData, "stop_bound",
+                            lambda data, k, target: bound(data, k, target) if sizes else 0.0)
+        got = convex_capacity(d, K, limits)
+        assert sizes[0] == d_index(K) < sizes[1]
+        assert (got.values, got.lower_slack) == reference_scan(d, K, limits)
+
     @pytest.mark.parametrize("d, ceiling", [(FIG, 20), (FIG, 40), (P6, 80)],
                              ids=["fig-20", "fig-40", "p6-80"])
     def test_ceiling_raises_for_the_smallest_k(self, d, ceiling):
@@ -398,14 +428,13 @@ class TestConvexScan:
             reference_scan(d, 400, s_ceiling=ceiling)
         values, slack = reference_scan(d, ref.value.k - 1)
         data = _ScanData(convex_weights(d))
-        for scan in (_convex_scan, _convex_scan_py):
-            with pytest.raises(PruningBoundExceeded) as got:
-                scan(data, 400, s_ceiling=ceiling)
-            assert got.value.best == ref.value.best
-            assert str(got.value) == f"no certificate after {ceiling} complement indices"
-            # every k below the reference's passes
-            got = scan(data, ref.value.k - 1, s_ceiling=ceiling)
-            assert (got.values, got.lower_slack) == (values, slack)
+        with pytest.raises(PruningBoundExceeded) as got:
+            _convex_scan(data, 400, s_ceiling=ceiling)
+        assert got.value.best == ref.value.best
+        assert str(got.value) == f"no certificate after {ceiling} complement indices"
+        # every k below the reference's passes
+        got = _convex_scan(data, ref.value.k - 1, s_ceiling=ceiling)
+        assert (got.values, got.lower_slack) == (values, slack)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), eps=st.sampled_from([0.05, 0.3, 1.0]))
@@ -461,86 +490,124 @@ class TestConvexScan:
 
 
 class TestPythonScan:
-    """`_convex_scan_py` runs the numpy scan's rows one at a time on Python
-    ints: the same values, denominator and slack, at any scale."""
+    """The one convex scan runs in Python on every data kind: rational,
+    Q(sqrt d) and float polygons, complete and truncated, at any scale,
+    each against the index-by-index reference."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), cut=st.sampled_from(["complete", "eps", "depth"]),
            lam=st.sampled_from([Fraction(1), Fraction(1, 10**200), Fraction(1, 10**330)]),
            K=st.integers(0, 60))
-    def test_matches_numpy_scan(self, d, cut, lam, K):
-        limits = {"complete": None, "eps": TruncationLimits(eps=float(Fraction(3, 10) * lam)),
+    def test_matches_reference_scan(self, d, cut, lam, K):
+        eps = float(Fraction(3, 10) * lam)
+        limits = {"complete": None, "eps": TruncationLimits(eps=eps),
                   "depth": TruncationLimits(max_depth=1)}[cut]
-        data = _ScanData(convex_weights(scaled(d, lam), limits))
-        got, want = _convex_scan_py(data, K), _convex_scan(data, K)
-        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
-
-    @staticmethod
-    def scans_run(monkeypatch, d, K, limits=None):
-        """convex_capacity(d, K, limits), and which of the two scans it ran."""
-        ran = []
-
-        def spy(scan, name):
-            def run(*args):
-                ran.append(name)
-                return scan(*args)
-            return run
-
-        monkeypatch.setattr(capacities, "_convex_scan_py", spy(_convex_scan_py, "python"))
-        monkeypatch.setattr(maxplus, "_convex_scan", spy(_convex_scan, "numpy"))
-        return convex_capacity(d, K, limits), ran
+        got = convex_capacity(scaled(d, lam), K, limits)
+        if lam == 1:
+            assert (got.values, got.lower_slack) == reference_scan(d, K, limits)
+            return
+        # the reference reads plain floats of the values, which underflow at
+        # 1e-330.  The scan reads its floats in the units of the head's
+        # binade, so its values are lam times those of the unit domain, cut
+        # as the scaled one is (an eps that rounds to 0.0 drops nothing), and
+        # its slack lam times theirs, up to rounding
+        unit = {"complete": None, "eps": TruncationLimits(eps=0.3) if eps else None,
+                "depth": limits}[cut]
+        want = convex_capacity(d, K, unit)
+        assert got.values == [lam * v for v in want.values]
+        assert got.lower_slack == pytest.approx([float(lam) * x for x in want.lower_slack],
+                                                rel=1e-6, abs=1e-300)
 
     @pytest.mark.parametrize("d, K", [(FIG, 60), (P6, 120), (DRAWS[1], 30)],
                              ids=["fig", "p6", "draw-1"])
-    def test_small_rational_scans_run_in_python(self, monkeypatch, d, K):
-        got, ran = self.scans_run(monkeypatch, d, K)
-        assert ran == ["python"]
-        want = _convex_scan(_ScanData(convex_weights(d)), K)
-        assert (got.num, got.lower_slack) == (want.num, want.lower_slack)
+    def test_small_rational_scans_run_in_python(self, d, K):
+        got = convex_capacity(d, K)
+        assert (got.values, got.lower_slack) == reference_scan(d, K)
 
     @pytest.mark.parametrize("d, K", [(golden_triangle(), 20), (FLOAT_P6, 120)],
                              ids=["golden-20", "float-p6-120"])
-    def test_small_quad_and_float_scans_run_in_python(self, monkeypatch, d, K):
+    def test_small_quad_and_float_scans_run_in_python(self, d, K):
         limits = TruncationLimits(eps=1e-6) if d.backend == "sqrt:5" else None
-        got, ran = self.scans_run(monkeypatch, d, K, limits)
-        assert ran == ["python"]
-        want = _convex_scan(_ScanData(convex_weights(d, limits)), K)
-        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
-
-    # the data kind plays no part: each case is over the budget by its own bound
-    @pytest.mark.parametrize("d, K", [(P6, 2000), (FLOAT_P6, 1000)],
-                             ids=["p6-2000", "float-p6-1000"])
-    def test_large_tables_and_float_data_take_the_numpy_scan(self, monkeypatch, d, K):
-        assert _ScanData(convex_weights(d)).py_work(K, math.inf) > _PY_SCAN_WORK
-        _, ran = self.scans_run(monkeypatch, d, K)
-        assert ran == ["numpy"]
+        got = convex_capacity(d, K, limits)
+        values, slack = reference_scan(d, K, limits)
+        assert got.values == values
+        if d.backend == "sqrt:5":
+            assert got.lower_slack == slack
+            return
+        # the float polygon drops a tail of 2*phi, and the reference's bound,
+        # read from the area, stops its rows at other indices than the
+        # scan's, read from the weights: both brackets hold phi * c_k(P6)
+        exact = convex_capacity(P6, K)
+        for k in range(K + 1):
+            c = PHI * float(exact.value(k))
+            assert got.lo(k) - 1e-9 * (1 + c) <= c <= got.hi(k) + 1e-9 * (1 + c)
+            assert values[k] - slack[k] - 1e-9 * (1 + c) <= c
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(legs=st.sampled_from(["1,phi", "phi,1"]),
            eps=st.sampled_from([1e-3, 1e-6, 1e-8, 1e-10]), K=st.integers(0, 60))
-    def test_matches_numpy_scan_on_quads(self, legs, eps, K):
-        # the golden triangle with its irrational leg on either axis
-        one, phi = Quad(1, 0, 5), Quad(Fraction(1, 2), Fraction(1, 2), 5)
-        a, b = (one, phi) if legs == "1,phi" else (phi, one)
-        z = one - one
-        d = domains.polygon([(z, z), (a, z), (z, b)], "convex", backend="sqrt:5")
-        data = _ScanData(convex_weights(d, TruncationLimits(eps=eps)))
-        got, want = _convex_scan_py(data, K), _convex_scan(data, K)
-        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
-        assert all(isinstance(x, Quad) for x in got.num)
+    def test_matches_reference_scan_on_quads(self, legs, eps, K):
+        d, limits = golden_legs(legs), TruncationLimits(eps=eps)
+        got = _convex_scan(_ScanData(convex_weights(d, limits)), K)
+        values, slack = golden_reference(legs, eps)
+        assert (got.num, got.lower_slack) == (values[:K + 1], slack[:K + 1])
+        assert got.den is None and all(isinstance(x, Quad) for x in got.num)
 
     # float data keep an absolute edge tolerance, so the scales stay near 1
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), lam=st.sampled_from([1.0, PHI, 1e6]),
            cut=st.sampled_from(["complete", "eps"]), K=st.integers(0, 60))
-    def test_matches_numpy_scan_on_floats(self, d, lam, cut, K):
+    def test_matches_reference_scan_on_floats(self, d, lam, cut, K):
         f = domains.polygon([(float(x) * lam, float(y) * lam) for x, y in d.vertices],
                             "convex", backend="float", eps=1e-9 * lam)
         limits = TruncationLimits(eps=0.3 * lam) if cut == "eps" else None
-        data = _ScanData(convex_weights(f, limits))
-        got, want = _convex_scan_py(data, K), _convex_scan(data, K)
-        assert (got.num, got.den, got.lower_slack) == (want.num, want.den, want.lower_slack)
-        assert all(isinstance(x, float) for x in got.num)
+        got = _convex_scan(_ScanData(convex_weights(f, limits)), K)
+        values, _ = reference_scan(f, K, limits)
+        assert got.num == [float(v) for v in values]
+        assert got.den is None and all(isinstance(x, float) for x in got.num)
+        # a float polygon can drop a tail (scaled by phi, its coordinates
+        # stand for rationals of large denominator), and the reference's
+        # bound, read from the area, then stops at other indices than the
+        # scan's, read from the weights: the slack brackets lam * c_k(d)
+        exact = convex_capacity(d, K)
+        for k in range(K + 1):
+            c = lam * float(exact.value(k))
+            assert got.num[k] - got.lower_slack[k] - 1e-9 * (1 + c) <= c
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(d=rational_convex_polygons(), cut=st.sampled_from(["complete", "eps", "depth"]),
+           K=st.integers(61, 100))
+    def test_long_scans_match_reference_scan(self, d, cut, K):
+        # past the sizes above: the envelope of the level ends, the
+        # certificate of each row and the walk of the rows that a dropped
+        # tail leaves
+        limits = {"complete": None, "eps": TruncationLimits(eps=0.3),
+                  "depth": TruncationLimits(max_depth=1)}[cut]
+        got = convex_capacity(d, K, limits)
+        assert (got.values, got.lower_slack) == reference_scan(d, K, limits)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(steps=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)), max_size=30),
+           c=st.integers(1, 9), S=st.integers(0, 120), K=st.integers(1, 120))
+    def test_envelope_is_the_least_level_end(self, steps, c, S, K):
+        # a staircase M through index S, rising by 1..5 at gaps of 1..6.  Row
+        # k's value is at most its least level end in the table and at least
+        # its least candidate c*d(k+s) - M(s), s <= S: a level cut at S
+        # leaves the running minimum a value no lower than a candidate.  So
+        # it is exact where the two meet, and at k = K, where nothing is cut
+        M = [0]
+        for gap, rise in steps:
+            M += [M[-1]] * (gap - 1) + [M[-1] + rise]
+        M = (M + [M[-1]] * S)[:S + 1]
+        idx = [0] + [j for j in range(1, S + 1) if M[j] > M[j - 1]]
+        got = _envelope(c, idx, [M[j] for j in idx], S, K)
+        d = d_values(K + S + 1)
+        for k in range(1, K + 1):
+            ends = [c * t - M[t * (t + 3) // 2 - k] for t in range(d[k], d[S + k + 1])]
+            least = min(c * d[k + s] - M[s] for s in range(S + 1))
+            assert least <= got[k - 1] <= min(ends, default=math.inf)
+            if ends and (k == K or least == min(ends)):
+                assert got[k - 1] == min(ends)
 
 
 class TestFloatRecursion:
@@ -574,6 +641,13 @@ class TestFloatRecursion:
         assert [float(w) for w in t.weight_multiset()] == \
             [float(w) for w in exact.weight_multiset()]
         assert convex_capacity(f, 300, tree=t).lower_slack == [0.0] * 301
+
+
+@functools.cache
+def reference_table(ws: tuple, K: int) -> list:
+    """reference_ball_table(ws, d_values(K)), kept for the tests that fold
+    the same drawn lists."""
+    return reference_ball_table(list(ws), np.array(d_values(K)))
 
 
 def reference_ball_table(ws, ds):
@@ -681,107 +755,75 @@ class TestPlainForms:
            K=st.integers(0, 80))
     def test_list_fold_is_the_ball_table(self, ws, K):
         _, ws = _scaled(sorted(ws, reverse=True))
-        table = _ball_table(ws, np.array(d_values(K))).tolist()
+        table = reference_ball_table(ws, np.array(d_values(K)))
         got = union_of_balls(ws, K, ws[0] - ws[0])
-        assert got.num == _ball_list(ws, d_values(K)) == table
+        assert got.num == _ball_list(ws, K) == table
         assert [type(x) for x in got.num] == [type(x) for x in table]
 
     @staticmethod
     def check_single_ball(w, K):
         den, ws = _scaled([w])
-        table = _ball_table(ws, np.array(d_values(K))).tolist()
+        table = reference_ball_table(ws, np.array(d_values(K)))
         got = union_of_balls([w], K, w - w)
         assert (got.num, got.den) == (table, den)
         assert [type(x) for x in got.num] == [type(x) for x in table]
 
 
 class TestQuadPairFold:
-    """The int64-pair fold of Q(sqrt d) tables against the object fold."""
+    """The int-pair fold of Q(sqrt d) tables against the object fold."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(ws=quad_weight_lists(), K=st.integers(0, 60))
     def test_matches_object_fold(self, ws, K):
-        ds = np.array(d_values(K))
-        assert _quad_pairs(ws, int(ds[-1])) is not None
-        got = _ball_table(ws, ds).tolist()
-        assert all(isinstance(x, Quad) for x in got)
-        assert got == reference_ball_table(ws, ds)
+        # the staircase holds the table's breakpoints and its values there
+        assert _quad_pairs(ws) is not None
+        want = reference_table(tuple(ws), K)
+        idx, val = _ball_stairs(ws, K)
+        assert all(isinstance(x, Quad) for x in val)
+        assert idx == breakpoints(want)
+        assert val == [want[j] for j in idx]
 
-    def test_golden_ties_use_the_exact_test(self, monkeypatch):
-        calls = []
-
-        def counting(p, q, d):
-            calls.append((p, q))
-            return quad_sign(p, q, d)
-
-        monkeypatch.setattr(maxplus, "quad_sign", counting)
-        ds = np.array(d_values(120))
-        # phi^-n + phi^-(n+1) = phi^-(n-1): candidates tie exactly
-        ws = [golden_power(n) for n in range(12)] + [golden_power(3)] * 2
-        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
-        assert calls and all(p == 0 and q == 0 for p, q in calls)
-        # on the flat stretches of the unit ball's table, adding phi^-72 ~ 1e-15
-        # gives near-ties of distinct values
-        calls.clear()
-        ws = [Quad.rational(1, 5), golden_power(72)]
-        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
-        assert calls and all(p or q for p, q in calls)
+    def test_golden_ties_use_the_exact_test(self):
+        # phi^-n + phi^-(n+1) = phi^-(n-1): candidates tie exactly, and a tie
+        # is no rise of the staircase.  On the flat stretches of the unit
+        # ball's table, adding phi^-72 ~ 1e-15 gives near-ties of distinct
+        # values, which are rises
+        for ws in ([golden_power(n) for n in range(12)] + [golden_power(3)] * 2,
+                   [Quad.rational(1, 5), golden_power(72)]):
+            want = reference_ball_table(ws, np.array(d_values(120)))
+            idx, val = _ball_stairs(ws, 120)
+            assert idx == breakpoints(want)
+            assert val == [want[j] for j in idx]
 
     @pytest.mark.parametrize("w", [Quad(1, Fraction(29, 7), 5), Quad(-2, Fraction(11, 2), 5),
                                    Quad(Fraction(13, 4), 14, 5)], ids=str)
     @pytest.mark.parametrize("sign", [1, -1])
     def test_weights_a_rounding_apart(self, w, sign):
         # w and w +- phi^-72 differ below the floats' rounding of the table
-        # entries: a filter without its error bound picks the wrong entry
+        # entries: a comparison of floats picks the wrong entry
         ws = [w, w + sign * golden_power(72)]
-        ds = np.array(d_values(40))
-        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
-
-    def test_over_the_guard_takes_the_object_path(self):
-        phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
-        ws = [Quad(2 ** 58, 3, 5), phi, Quad(2 ** 58, -2 ** 57, 5), Fraction(7, 3), phi]
-        ds = np.array(d_values(40))
-        assert _quad_pairs(ws, int(ds[-1])) is None
-        assert _ball_table(ws, ds).tolist() == reference_ball_table(ws, ds)
+        assert _ball_list(ws, 40) == reference_ball_table(ws, np.array(d_values(40)))
 
     def test_huge_weights_at_k0(self):
-        # with d_max = 0 the guard still keeps weights beyond int64 out of
-        # the int64 arrays (the rational case raised OverflowError)
         assert union_of_balls([Fraction(10 ** 23), Fraction(1)], 0, Fraction(0)).values == [0]
         assert union_of_balls([Quad(2 ** 70, 1, 5)], 0, Fraction(0)).values == [0]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(ws=quad_weight_lists(), K=st.integers(0, 60))
     def test_python_fold_matches_object_fold(self, ws, K):
-        got = _ball_list(ws, d_values(K))
+        got = _ball_list(ws, K)
         assert all(isinstance(x, Quad) for x in got)
-        assert got == reference_ball_table(ws, np.array(d_values(K)))
+        assert got == reference_table(tuple(ws), K)
 
     @pytest.mark.parametrize("ws", [
         [golden_power(n) for n in range(12)] + [golden_power(3)] * 2,  # exact ties
         [Quad.rational(1, 5), golden_power(72)],  # near-ties of distinct values
         [Quad(1, Fraction(29, 7), 5), Quad(1, Fraction(29, 7), 5) - golden_power(72)],
         [Quad(2 ** 58, 3, 5), Quad(Fraction(1, 2), Fraction(1, 2), 5),
-         Quad(2 ** 58, -2 ** 57, 5), Fraction(7, 3)],  # past the int64 pairs
+         Quad(2 ** 58, -2 ** 57, 5), Fraction(7, 3)],  # pairs past 2^62
     ], ids=["golden-ties", "unit-plus-phi^-72", "phi^-72-apart", "huge"])
     def test_python_fold_decides_ties_exactly(self, ws):
-        ds = d_values(120)
-        assert _ball_list(ws, ds) == reference_ball_table(ws, np.array(ds))
-
-    @pytest.mark.parametrize("K, folder", [(60, "python"), (2000, "numpy")])
-    def test_small_folds_run_in_python(self, monkeypatch, K, folder):
-        ran = []
-        for module, name in ((capacities, "_ball_list"), (maxplus, "_ball_table")):
-            def spy(*args, fold=getattr(module, name), name=name):
-                ran.append(name)
-                return fold(*args)
-            monkeypatch.setattr(module, name, spy)
-        d = golden_triangle("concave")
-        tree = concave_weights(d, TruncationLimits(eps=1e-8))
-        _, ws = _scaled(sorted(tree.weight_multiset(), reverse=True))
-        assert (_stair_work(ws, K) <= _PY_FOLD_WORK) == (folder == "python")
-        concave_capacity(d, K, tree=tree)
-        assert ran == [{"python": "_ball_list", "numpy": "_ball_table"}[folder]]
+        assert _ball_list(ws, 120) == reference_ball_table(ws, np.array(d_values(120)))
 
     def test_golden_concave_triangle(self):
         d = golden_triangle("concave")
@@ -813,47 +855,97 @@ def breakpoints(table: list) -> list:
     return [0] + [j for j in range(1, len(table)) if table[j] > table[j - 1]]
 
 
+@st.composite
+def repeated_lists(draw, elements):
+    """Up to three runs of 1-4 equal weights, the runs in any order (equal weights may
+    fall in two runs): the shape that `_ball_stairs` folds as one
+    staircase per run."""
+    runs = draw(st.lists(st.tuples(elements, st.integers(1, 4)), min_size=1, max_size=3))
+    return [w for w, m in runs for _ in range(m)]
+
+
+REPEATED_INTS = repeated_lists(st.integers(1, 30))
+REPEATED_QUADS = quad_weight_lists().flatmap(
+    lambda base: repeated_lists(st.sampled_from(base)).map(
+        lambda ws: ws + [next(w for w in base if isinstance(w, Quad))]))
+
+
 class TestStaircaseFold:
-    """`_ball_list` holds each table by its breakpoints; the dense object
-    fold is its reference, and `_stair_work` bounds its steps a priori."""
+    """`_ball_stairs` holds each table by its breakpoints and folds each run
+    of equal exact weights as one staircase; the dense object fold, one
+    ball at a time, is its reference."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(ws=st.one_of(INT_LISTS, FLOAT_LISTS, quad_weight_lists()), K=st.integers(0, 150))
     def test_matches_the_dense_fold(self, ws, K):
-        ds = d_values(K)
-        got = _ball_list(ws, ds)
-        want = reference_ball_table(ws, np.array(ds))
+        got = _ball_list(ws, K)
+        want = reference_ball_table(ws, np.array(d_values(K)))
         assert got == want
         if any(isinstance(w, Quad) for w in ws):
             assert all(isinstance(x, Quad) for x in got)
         else:
             assert [type(x) for x in got] == [type(x) for x in want]
 
+    # ints up to K = 150, as test_matches_the_dense_fold; Q(sqrt d) lists stop
+    # at K = 40, since their reference adds Quads with Fibonacci-sized parts
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ws_K=st.one_of(st.tuples(REPEATED_INTS, st.integers(0, 150)),
+                          st.tuples(REPEATED_QUADS, st.integers(0, 40))))
+    def test_runs_of_equal_weights_fold_as_one(self, ws_K):
+        ws, K = ws_K
+        runs = len([w for w, _ in groupby(ws)])
+        name = "_stairs_pairs" if len(ws) > 1 and _quad_pairs(ws) else "_stairs"
+        with mock.patch.object(capacities, name, wraps=getattr(capacities, name)) as fold:
+            got = _ball_list(ws, K)
+        assert fold.call_count == runs - 1
+        assert got == reference_ball_table(ws, np.array(d_values(K)))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 12), S=st.integers(0, 120))
+    def test_group_costs_are_the_cheapest_splits(self, m, S):
+        # the least sum of t_i(t_i+1)/2 over m balls with sum t_i = D, by a
+        # knapsack over the balls one at a time
+        cheapest = [0] + [math.inf] * S
+        for _ in range(m):
+            cheapest = [min(cheapest[D - t] + t * (t + 1) // 2 for t in range(D + 1))
+                        for D in range(S + 1)]
+        assert _group_costs(m, S) == [x for x in cheapest if x <= S]
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(ws=INT_LISTS.filter(lambda ws: len(ws) > 1), K=st.integers(0, 3000))
     def test_int_bound_covers_every_breakpoint(self, ws, K):
-        ds = d_values(K)
-        L = ds[-1] + 1
-        tri = [t * (t + 1) // 2 for t in range(L)]
-        steps = 0
+        # an int table of the first i weights takes values in multiples of
+        # g = gcd(w_1..w_i) up to F = max sum w_j t_j over
+        # sum t_j(t_j + 1)/2 <= K, and Cauchy-Schwarz over
+        # sum (t_j + 1/2)^2 <= 2K + i/4 gives 2F + sum w_j <= sqrt(A(8K + i)),
+        # A = sum w_j^2: so the staircase holds O(sqrt K) breakpoints.  The
+        # prefix tables fold one ball at a time
+        tri = _group_costs(1, K)
+        idx, val = tri, [ws[0] * t for t in range(len(tri))]
         for i in range(1, len(ws)):
-            idx = breakpoints(_ball_list(ws[:i], ds))
-            bound = (_stair_work(ws[:i + 1], K) - _stair_work(ws[:i], K)) // L
-            assert len(idx) <= bound <= K + 1
-            steps += sum(bisect_right(idx, K - base) for base in tri)
-        assert steps <= _stair_work(ws, K)
-
-    def test_concave_file_stays_in_python(self):
-        # the perfbench concave polygon: 4 weights, O(sqrt K) breakpoints
-        ws = [3, 1, 1, 1]
-        assert _stair_work(ws, 50_000) <= _PY_FOLD_WORK
-        assert len(breakpoints(_ball_list(ws, d_values(50_000)))) < 1_100
+            A, g = sum(w * w for w in ws[:i]), math.gcd(*ws[:i])
+            top = (math.isqrt(A * (8 * K + i)) - sum(ws[:i])) // 2
+            assert len(idx) <= min(K + 1, top // g + 1)
+            idx, val = _stairs(idx, val, ws[i], tri, K)
 
     def test_floats_and_quads_may_rise_everywhere(self):
-        K, L = 1000, d_index(1000) + 1
-        assert _stair_work([0.3, 0.1, 0.1], K) == 2 * (K + 1) * L
-        assert _stair_work([golden_power(1), Fraction(1), golden_power(2)], K) == \
-            2 * 2 * (K + 1) * L
+        # the golden concave triangle's 39 Q(sqrt 5) weights give distinct
+        # sums: its table rises at every index.  The float weights 0.4 and
+        # twelve 0.1s fold one ball at a time and round their sums apart:
+        # more than twice the breakpoints of 4 and twelve 1s
+        tree = concave_weights(golden_triangle("concave"), TruncationLimits(eps=1e-8))
+        assert len(_ball_stairs(sorted(tree.weight_multiset(), reverse=True), 300)[0]) == 301
+        assert len(_ball_stairs([0.4] + [0.1] * 12, 1000)[0]) > \
+            2 * len(_ball_stairs([4] + [1] * 12, 1000)[0])
+
+    def test_concave_file_stays_in_python(self):
+        # the perfbench concave polygon: 4 weights, O(sqrt K) breakpoints,
+        # and the run of three 1s folds as one staircase
+        ws = [3, 1, 1, 1]
+        with mock.patch.object(capacities, "_stairs", wraps=capacities._stairs) as fold:
+            idx, _ = _ball_stairs(ws, 50_000)
+        assert fold.call_count == 1
+        assert len(idx) < 1_100
 
 
 def exhaustive_series(s, kmax: int) -> list:

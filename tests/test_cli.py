@@ -295,6 +295,11 @@ class TestInputBoundary:
         (["capacities", "--domain",
           'polygon:{{"kind":"ellipsoid","a":1,"b":2,"backend":"float","eps":-0.1}}'],
          "input tolerance eps must be finite and >= 0"),
+        # weights validates a curve's descriptor before it polygonises it
+        (["weights", "--domain", "quarter_disk:1", "--eps-backend", "nan"],
+         "input tolerance eps must be finite"),
+        (["weights", "--domain", "quarter_disk:1", "--eps-backend", "-1"],
+         "input tolerance eps must be finite and >= 0"),
         # usage errors: argparse's own exit code, 2, is capax's OBSTRUCTED
         (["capacities", "--domain", "ball:1", "--bogus"], "unrecognized arguments: --bogus"),
         (["capacities", "--domain", "ball:1", "--kmax", "abc"], "argument --kmax"),
@@ -313,7 +318,8 @@ class TestInputBoundary:
             "ball-past-float-range", "square-past-float-range", "ellipsoid-past-float-range",
             "kmax-past-the-ceiling", "rational-depth", "golden-negative-eps", "nan-eps",
             "negative-depth", "nan-eps-backend", "json-nan-eps", "negative-eps-backend",
-            "json-negative-eps",
+            "json-negative-eps", "weights-curve-nan-eps-backend",
+            "weights-curve-negative-eps-backend",
             "unknown-flag", "kmax-not-a-number", "missing-domain",
             "backend-against-a-file", "backend-against-a-polygon-spec"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
@@ -569,11 +575,10 @@ print(",".join(m for m in watched if m in sys.modules))
         return tuple(set(filter(None, line.split(","))) for line in proc.stdout.splitlines())
 
     def test_closed_forms_and_output_do_not_import_numpy(self, fig_file, tmp_path):
-        # numpy serves only the max-plus folds and the convex scans whose
-        # tables are large: the closed forms, the --oracle checks of small
-        # rational polygons and the small Q(sqrt 5) scans and folds never
-        # need it, whatever the data kind.  capax defines its records
-        # without class factories, so dataclasses and inspect stay out too
+        # capax imports no numpy: the closed forms, the --oracle checks and
+        # the Q(sqrt 5) scans and folds run on Python numbers.  capax defines
+        # its records without class factories, so dataclasses and inspect
+        # stay out too
         golden = [["0", "0"], ["1", "0"], ["0", "1/2+1/2*sqrt"]]
         golden_convex = _polygon_file(tmp_path, "golden_convex.json", "convex", golden,
                                       field_d=5)
@@ -592,47 +597,25 @@ print(",".join(m for m in watched if m in sys.modules))
             (["capacities", "--domain", golden_concave, "--kmax", "100", "--eps", "1e-8"], 0),
         ) == (set(), set())
 
-    def test_large_scans_and_folds_import_numpy(self, fig_file, tmp_path):
-        # the fold's gate reads a bound on its staircase: the rational concave
-        # polygon's 4 weights hold about a thousand distinct values at kmax
-        # 50000 and fold in Python, while the same shape with non-dyadic
-        # float vertices rises at nearly every index and goes to numpy
-        concave = _polygon_file(tmp_path, "concave.json", "concave",
-                                [["0", "0"], ["5", "0"], ["2", "1"], ["1", "2"], ["0", "4"]])
+    def test_large_scans_and_folds_load_no_numpy(self, fig_file, tmp_path):
+        # cases that took the numpy kernels while capax had them: the
+        # figure's scan at kmax 20000, the golden convex scan past kmax 120,
+        # the golden concave fold past kmax 437, and the concave polygon with
+        # non-dyadic float vertices, whose table rises at nearly every index
+        golden = [["0", "0"], ["1", "0"], ["0", "1/2+1/2*sqrt"]]
+        golden_convex = _polygon_file(tmp_path, "golden_convex.json", "convex", golden,
+                                      field_d=5)
+        golden_concave = _polygon_file(tmp_path, "golden_concave.json", "concave", golden,
+                                       field_d=5)
         float_concave = _polygon_file(tmp_path, "float_concave.json", "concave",
                                       [[0, 0], [1, 0], [0.3, 0.1], [0.1, 0.3], [0, 1]],
                                       backend="float")
-        assert "numpy" in self.loaded(
-            (["errors", "--domain", f"@{fig_file}", "--kmax", "20000"], 0))[1]
-        assert "numpy" not in self.loaded((["capacities", "--domain", concave, "--kmax", "50000",
-                                            "--format", "csv"], 0))[1]
-        assert "numpy" in self.loaded((["capacities", "--domain", float_concave, "--kmax",
-                                        "50000", "--format", "csv"], 0))[1]
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
-    def test_numpy_scan_starts_no_blas_threads(self, fig_file):
-        # capax calls no BLAS routine, so the CLI keeps OpenBLAS to the
-        # calling thread unless the caller set its own thread count
-        script = f"""
-import os, sys
-import capax.cli
-assert capax.cli.main(["errors", "--domain", "@{fig_file}", "--kmax", "20000",
-                       "--out", os.devnull]) == 0
-print("numpy" in sys.modules, len(os.listdir("/proc/self/task")),
-      os.environ.get("OPENBLAS_NUM_THREADS"))
-"""
-
-        def scan(**caller):
-            env = child_env()
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                  text=True, env={**env, **caller}, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            return proc.stdout.split()
-
-        assert scan() == ["True", "1", "1"]
-        numpy_loaded, _, setting = scan(OPENBLAS_NUM_THREADS="2")
-        assert (numpy_loaded, setting) == ("True", "2")
+        assert "numpy" not in self.loaded(
+            (["errors", "--domain", f"@{fig_file}", "--kmax", "20000"], 0),
+            (["capacities", "--domain", golden_convex, "--kmax", "200", "--eps", "1e-6"], 0),
+            (["capacities", "--domain", golden_concave, "--kmax", "600", "--eps", "1e-8"], 0),
+            (["capacities", "--domain", float_concave, "--kmax", "5000", "--format", "csv"], 0),
+        )[1]
 
 
 P6 = [(0, 0), (7, 0), (7, 2), (5, Fraction(9, 2)), (2, 6), (0, 6)]
