@@ -559,19 +559,19 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
     is its end, and c_k is the lower envelope of the level ends in the
     table (`_envelope`).  One stopping test per row (`_ScanData.clears`),
     at the row's last level end in the table, certifies that no later
-    candidate is lower; a table too short for some rows grows to the index
-    that their values bound (`_ScanData.stop_bound`).  The first table is
-    sized from the volume: c_k^2 / 4k tends to the area, gap/2 in the
-    test's units.  The slack is 0 without a dropped tail.
+    candidate is lower.  The table is sized from the volume: c_k^2 / 4k
+    tends to the area, gap/2 in the test's units, and `_ScanData.stop_bound`
+    gives the index by which a row of that value stops.  The slack is 0
+    without a dropped tail.
 
     A row with a tail, over Q(sqrt d) (whose floats need not keep the order
-    of the values), or that no table certifies is walked as the stopping
-    rule reads it: the end of each level up to the first where the test
-    holds, then a bisection of that level, which the test splits in two
-    because inside a level the candidate falls and lb rises.  Its stop index
-    sets the slack, and a walk past `s_ceiling` raises
-    `PruningBoundExceeded`; rows run in increasing k, so it names the
-    smallest such k."""
+    of the values), or that the table does not certify is walked as the
+    stopping rule reads it: the end of each level up to the first where the
+    test holds, then a bisection of that level, which the test splits in two
+    because inside a level the candidate falls and lb rises.  The walk grows
+    the table as it needs.  Its stop index sets the slack, and a walk past
+    `s_ceiling` raises `PruningBoundExceeded`; rows run in increasing k, so
+    it names the smallest such k."""
     c, den, tail, e, unit = data.c, data.den, data.tail, data.e, data.unit
     if den is not None:  # x/den * 2^-e = x*un/ud, rounded once
         un, ud = unit.numerator, den * unit.denominator
@@ -596,22 +596,14 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
     S = max(stop(K, math.sqrt(2 * data.gap * K)), d_index(K))
     idx, val = _ball_stairs(data.ws, S)
     num, slack = [c - c] + [None] * K, [0.0] * (K + 1)
-    rows = range(1, K + 1) if not tail and not isinstance(c, Quad) else []
-    while rows:
-        env, failed, t = _envelope(c, idx, val, S, K), [], 0
-        for k in rows:
+    if not tail and not isinstance(c, Quad):
+        env, t = _envelope(c, idx, val, S, K), 0
+        for k in range(1, K + 1):
             while (t + 1) * (t + 4) // 2 <= S + k:  # t: the row's last level in the table
                 t += 1
             p, fb = t * (t + 3) // 2 - k, floats(env[k - 1])
             if p <= s_ceiling and data.clears(k, data.t_star(k), p, fb, fb):
                 num[k] = env[k - 1]
-            else:
-                failed.append((k, fb))
-        grown = max((stop(k, fb) for k, fb in failed), default=0)
-        if grown <= S:  # no longer table helps: the failed rows are walked
-            break
-        S, rows = grown, [k for k, _ in failed]
-        idx, val = _ball_stairs(data.ws, S)
     M = _dense(idx, val, S)
 
     def walk(k):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import random
@@ -86,6 +87,49 @@ def golden_ellipsoid_values(K):
 
 FLOAT_P6 = domains.polygon([(x * PHI, y * PHI) for x, y in P6.vertices], "convex",
                            backend="float", eps=1e-9)
+
+
+# lower_slack of truncated scans as maxplus._convex_scan and the former
+# Python row walk both computed it, before either was replaced by the
+# envelope sweep: sha256 of the comma-joined reprs
+FORMER_SCAN_SLACK = {
+    "float-p6-120": "c489029e2b538afbfdf07162fd68f780bfe23a8e849d0eb64fe9855556c3e93d",
+    "float-golden-eps-1e-6": "b1a98744f6f5b9086b2591a5220353e591b001fd7a2570d5856a3fd295269611",
+    "float-fig-phi-eps": "b0132277e22d6fc749580d914f1aea67c45e8b1d6da242629e1194bb8245a094",
+    "fig-1e-200-depth": "15f1415c025f2862438e99dee86733f65da5fa247b5135e7a6fd1a97e8790bed",
+    "p6-1e-200-depth": "c8d28aa45ff34f2cf8d71fd6f1712726750f1ebb2caddded20acaa74a6613a8b",
+    "p6-1e-200-eps": "dfefbb9d7a34477e4c61e75c4064ea21e0d450629637705b7c5f26840fb70373",
+    "thin-1e-200-eps": "319b716500d752aa2c9f9d15556cf3f7d3055b9472e68c14960782e7930192c9",
+    "p6-1e-330-depth": "fa2bd8b2d245fe7dd9e79d9755426228c8e86f0911c0a02b2647f16293a55722",
+    "p6-1e-330-eps": "fa2bd8b2d245fe7dd9e79d9755426228c8e86f0911c0a02b2647f16293a55722",
+}
+
+
+def slack_digest(slack):
+    return hashlib.sha256(",".join(map(repr, slack)).encode()).hexdigest()
+
+
+def slack_case(case):
+    """The domain, K and limits of a FORMER_SCAN_SLACK case."""
+    if case == "float-p6-120":
+        return FLOAT_P6, 120, None
+    if case == "float-golden-eps-1e-6":
+        d = domains.polygon([(0, 0), (1, 0), (0, PHI)], "convex", backend="float", eps=1e-9)
+        return d, 200, TruncationLimits(eps=1e-6)
+    if case == "float-fig-phi-eps":
+        d = domains.polygon([(float(x) * PHI, float(y) * PHI) for x, y in FIG.vertices],
+                            "convex", backend="float", eps=1e-9 * PHI)
+        return d, 200, TruncationLimits(eps=0.3 * PHI)
+    name, rest = case.split("-", 1)
+    scale, cut = rest.rsplit("-", 1)
+    lam = Fraction(1, 10 ** int(scale[3:]))  # scale is "1e-N"
+    d = {"fig": FIG, "p6": P6,
+         "thin": domains.polygon([(0, 0), ("1/2", 0), (0, "1/4")], "convex")}[name]
+    # P6 drops a tail at eps 1 (2 * lam), the thin triangle at eps 0.3
+    # (lam / 2); a float eps that underflows is raised to the least subnormal
+    eps = max(float((Fraction(3, 10) if name == "thin" else 1) * lam), 5e-324)
+    limits = TruncationLimits(max_depth=1) if cut == "depth" else TruncationLimits(eps=eps)
+    return scaled(d, lam), 200, limits
 
 
 def golden_triangle(orientation="convex"):
@@ -307,9 +351,10 @@ def reference_scan(d, K, limits=None, s_ceiling=None):
             if s >= len(M):
                 M = union_of_balls(weights, 2 * len(M) or 64, c - c).values
             cand = c * d_index(k + s) - M[s]
+            cand_f = float(cand)
             if best is None or cand < best:
-                best, best_f = cand, float(cand)
-            lo = min(lo, float(cand) - d_index(s) * tail)
+                best, best_f = cand, cand_f
+            lo = min(lo, cand_f - d_index(s) * tail)
             u = max(s + 1, (2 * v * k - c_f * c_f * m) / (c_f * c_f - 2 * v))
             floor = c_f * (math.sqrt(2 * (k + u)) - 1.5) - math.sqrt(4 * v * (u + m)) + lift
             if floor >= best_f + 1e-9 * abs(best_f):
@@ -404,10 +449,10 @@ class TestConvexScan:
     @pytest.mark.parametrize("d, K, limits", [(FIG, 200, None), (P6, 200, None),
                                               (golden_triangle(), 20, TruncationLimits(eps=1e-6))],
                              ids=["fig", "p6", "golden"])
-    def test_a_short_first_table_grows(self, monkeypatch, d, K, limits):
+    def test_rows_a_short_table_leaves_are_walked(self, monkeypatch, d, K, limits):
         # the first table holds each row's first level alone: the envelope's
-        # rows fail their certificate and the table grows to their bound, or
-        # a walked row runs off its end and grows it
+        # rows fail their certificate and are walked, and a walked row that
+        # runs off the table's end grows it
         sizes, bound = [], _ScanData.stop_bound
 
         def count(ws, S):
@@ -510,7 +555,8 @@ class TestPythonScan:
         # 1e-330.  The scan reads its floats in the units of the head's
         # binade, so its values are lam times those of the unit domain, cut
         # as the scaled one is (an eps that rounds to 0.0 drops nothing), and
-        # its slack lam times theirs, up to rounding
+        # its slack lam times theirs, up to rounding (`test_slack_is_pinned`
+        # holds the slack exactly on fixed cases at these scales)
         unit = {"complete": None, "eps": TruncationLimits(eps=0.3) if eps else None,
                 "depth": limits}[cut]
         want = convex_capacity(d, K, unit)
@@ -536,7 +582,9 @@ class TestPythonScan:
             return
         # the float polygon drops a tail of 2*phi, and the reference's bound,
         # read from the area, stops its rows at other indices than the
-        # scan's, read from the weights: both brackets hold phi * c_k(P6)
+        # scan's, read from the weights: the slack is the pinned one, and
+        # both brackets hold phi * c_k(P6)
+        assert slack_digest(got.lower_slack) == FORMER_SCAN_SLACK["float-p6-120"]
         exact = convex_capacity(P6, K)
         for k in range(K + 1):
             c = PHI * float(exact.value(k))
@@ -569,10 +617,22 @@ class TestPythonScan:
         # stand for rationals of large denominator), and the reference's
         # bound, read from the area, then stops at other indices than the
         # scan's, read from the weights: the slack brackets lam * c_k(d)
+        # (`test_slack_is_pinned` holds it exactly on fixed cases)
         exact = convex_capacity(d, K)
         for k in range(K + 1):
             c = lam * float(exact.value(k))
+            assert 0.0 <= got.lower_slack[k] < math.inf
             assert got.num[k] - got.lower_slack[k] - 1e-9 * (1 + c) <= c
+
+    @pytest.mark.parametrize("case", sorted(FORMER_SCAN_SLACK))
+    def test_slack_is_pinned(self, case):
+        # scans with a dropped tail, whose slack the reference does not
+        # reproduce: float data, where its bound stops at other indices, and
+        # rational data at 10^-200 and 10^-330, where its plain floats round
+        # otherwise or underflow
+        d, K, limits = slack_case(case)
+        got = convex_capacity(d, K, limits)
+        assert slack_digest(got.lower_slack) == FORMER_SCAN_SLACK[case]
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), cut=st.sampled_from(["complete", "eps", "depth"]),
