@@ -1009,7 +1009,6 @@ def series_for_domain(d: DomainDescriptor, K: int,
         # coarse grid denominators keep the recursion tree small; the
         # Hausdorff bound flows into the per-entry slack
         poly, hb = inner_grid_polygon(d, M=max(16, min(48, K)))
-        limits = limits or TruncationLimits(max_depth=512, eps=1e-9)
         series = convex_capacity(poly, K, limits)
         r = float(d.params[-1])
         lam = hb / max(r - hb, 1e-9)

@@ -1,10 +1,10 @@
 """The ``capax`` command line.
 
 Commands: weights | capacities | errors | bounds | tower | obstruct |
-selfcheck.  Exit codes: 0 ok/inconclusive, 1 error, 2 obstructed.
-Identical invocations produce byte-identical output.  --threads is
-accepted and has no effect: every series is computed in one thread, and
-the convex route runs one infimum scan for every numeric backend.
+selfcheck, each taking only the options it reads (`_COMMANDS`).  Exit
+codes: 0 ok/inconclusive, 1 error or usage error, 2 obstructed.
+Identical invocations produce byte-identical output.  --threads, on
+capacities only, is accepted and has no effect: one thread computes all.
 """
 
 from __future__ import annotations
@@ -335,24 +335,44 @@ def cmd_selfcheck(ns) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, domain: bool = True):
-    if domain:
-        p.add_argument("--domain", required=True,
-                       help="ball:a | ellipsoid:a,b | square:s | quarter_disk:r | "
-                            "superellipse:p,r | weights:c;w1,w2 | @file.json")
-    p.add_argument("--kmax", type=int, default=50)
-    p.add_argument("--depth", type=int, default=None, help="recursion depth limit")
-    p.add_argument("--eps", type=float, default=None, dest="eps",
-                   help="weight truncation threshold")
-    p.add_argument("--backend", default=None,
-                   help="exact | sqrt:d | float: that of the inline specs (default "
-                        "exact); a JSON document names its own")
-    p.add_argument("--eps-backend", type=float, default=1e-9,
-                   help="the absolute tolerance of each float input coordinate")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
-    p.add_argument("--window", default=None, help="k0:k1 for window statistics")
-    p.add_argument("--out", default=None, help="write output to a file")
+# each option's flags and argparse settings, stated once
+_OPTIONS = {
+    "--domain": dict(required=True,
+                     help="ball:a | ellipsoid:a,b | square:s | quarter_disk:r | "
+                          "superellipse:p,r | weights:c;w1,w2 | @file.json"),
+    "--from": dict(dest="domain_from", required=True),
+    "--to": dict(dest="domain_to", required=True),
+    "--kmax": dict(type=int, default=50),
+    "--depth": dict(type=int, help="recursion depth limit"),
+    "--eps": dict(type=float, help="weight truncation threshold"),
+    "--backend": dict(help="exact | sqrt:d | float: that of the inline specs (default "
+                           "exact); a JSON document names its own"),
+    "--eps-backend": dict(type=float, default=1e-9,
+                          help="the absolute tolerance of each float input coordinate"),
+    "--format": dict(choices=("csv", "json"), default="json"),
+    "--threads": dict(type=int, default=1, help="accepted; has no effect"),
+    "--window": dict(help="k0:k1 for window statistics"),
+    "--out": dict(help="write output to a file"),
+    "--oracle": dict(action="store_true", help="cross-check against the nef enumeration"),
+}
+
+# each command's function, help and the options it reads, in --help order
+_COMMANDS = {
+    "weights": (cmd_weights, "weight expansion of a domain",
+                "--domain --depth --eps --backend --eps-backend --format --out"),
+    "capacities": (cmd_capacities, "capacity sequence c_0..c_kmax",
+                   "--domain --kmax --depth --eps --backend --eps-backend --format "
+                   "--threads --out --oracle"),
+    "errors": (cmd_errors, "error terms e_k and band",
+               "--domain --kmax --depth --eps --backend --eps-backend --format --window --out"),
+    "bounds": (cmd_bounds, "asymptotic band for a domain",
+               "--domain --backend --eps-backend --format --out"),
+    "tower": (cmd_tower, "per-level tower dump",
+              "--domain --depth --eps --backend --eps-backend --format --out"),
+    "obstruct": (cmd_obstruct, "embedding obstructions between domains",
+                 "--from --to --kmax --depth --eps --backend --eps-backend --out"),
+    "selfcheck": (cmd_selfcheck, "run the built-in sanity battery", ""),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,43 +382,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CapaxError(message)
 
+    def _get_option_tuples(self, option_string):
+        # a flag in full that this command lacks abbreviates no other (`bounds --eps`)
+        if option_string.partition("=")[0] in _OPTIONS:
+            return []
+        return super()._get_option_tuples(option_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="capax", description="capacities of toric domains")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("weights", help="weight expansion of a domain")
-    _add_common(p)
-    p.set_defaults(fn=cmd_weights)
-
-    p = sub.add_parser("capacities", help="capacity sequence c_0..c_kmax")
-    _add_common(p)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the nef enumeration")
-    p.set_defaults(fn=cmd_capacities)
-
-    p = sub.add_parser("errors", help="error terms e_k and band")
-    _add_common(p)
-    p.set_defaults(fn=cmd_errors)
-
-    p = sub.add_parser("bounds", help="asymptotic band for a domain")
-    _add_common(p)
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("tower", help="per-level tower dump")
-    _add_common(p)
-    p.set_defaults(fn=cmd_tower)
-
-    p = sub.add_parser("obstruct", help="embedding obstructions between domains")
-    p.add_argument("--from", dest="domain_from", required=True)
-    p.add_argument("--to", dest="domain_to", required=True)
-    _add_common(p, domain=False)
-    p.set_defaults(fn=cmd_obstruct)
-
-    p = sub.add_parser("selfcheck", help="run the built-in sanity battery")
-    _add_common(p, domain=False)
-    p.set_defaults(fn=cmd_selfcheck)
-
+    for name, (fn, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(fn=fn)
     return ap
 
 

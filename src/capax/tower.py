@@ -180,14 +180,15 @@ def F_of_n(s: PicBasisSurface):
 def tower_dump(tw: Tower) -> dict:
     """Per-level invariants, stable across runs."""
     levels = []
-    for i, s in enumerate(tw.surfaces):
+    for s in tw.surfaces:
         minus_k = tuple(-x for x in s.K)
+        self_ints = [self_int(c.cls) for c in s.curves]
         levels.append({
             "n": s.n,
             "A2": format_scalar(_dot(s.A, s.A)),
             "minus_K_dot_A": format_scalar(_dot(minus_k, s.A)),
             "minus_Kplus_dot_A": format_scalar(k_plus_dot_A(s)),
-            "F": F_of_n(s),
-            "boundary_self_intersections": [self_int(c.cls) for c in s.curves],
+            "F": f_from_self_intersections(self_ints),
+            "boundary_self_intersections": self_ints,
         })
     return {"schema": "capax.tower.v1", "levels": levels}

@@ -1360,6 +1360,14 @@ class TestProperties:
             hi = min(s.hi(k), finer.hi(k) + lam * float(finer.value(k)))
             assert lo <= hi + 1e-9
 
+    def test_curve_series_without_limits_is_complete(self):
+        # the grid polygon is rational, so its expansion ends: an absolute
+        # weight threshold of 1e-9 dropped every piece of a disk of radius 1e-12
+        small = series_for_domain(domains.quarter_disk(Fraction(1, 10 ** 12)), 20)
+        unit = series_for_domain(domains.quarter_disk(1), 20)
+        assert small.values == [v / 10 ** 12 for v in unit.values]
+        assert small.meta["dropped_tail_sum"] == 0.0
+
 
 @st.composite
 def rational_concave_polygons(draw):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import capax
 from capax import capacities, domains, tower
-from capax.cli import main, parse_domain
+from capax.cli import build_parser, main, parse_domain
 from capax.errors import CapaxError
 
 
@@ -304,6 +305,23 @@ class TestInputBoundary:
         (["capacities", "--domain", "ball:1", "--bogus"], "unrecognized arguments: --bogus"),
         (["capacities", "--domain", "ball:1", "--kmax", "abc"], "argument --kmax"),
         (["capacities"], "required: --domain"),
+        # a command takes only the options it reads
+        (["obstruct", "--from", "ball:1", "--to", "ball:2", "--format", "csv", "--out", "{out}"],
+         "unrecognized arguments: --format csv"),
+        (["selfcheck", "--out", "{out}"], "unrecognized arguments: --out"),
+        (["bounds", "--domain", "ball:1", "--window", "9:1", "--out", "{out}"],
+         "unrecognized arguments: --window 9:1"),
+        (["weights", "--domain", "ball:1", "--kmax", "5", "--out", "{out}"],
+         "unrecognized arguments: --kmax 5"),
+        (["tower", "--domain", "square:1", "--kmax", "5", "--out", "{out}"],
+         "unrecognized arguments: --kmax 5"),
+        (["errors", "--domain", "ball:1", "--threads", "2", "--out", "{out}"],
+         "unrecognized arguments: --threads 2"),
+        (["capacities", "--domain", "ball:1", "--window", "1:2", "--out", "{out}"],
+         "unrecognized arguments: --window 1:2"),
+        # a flag in full is not the abbreviation of another: not --eps-backend
+        (["bounds", "--domain", "ball:1", "--eps", "1e-3", "--out", "{out}"],
+         "unrecognized arguments: --eps 1e-3"),
         # a JSON document names its own backend: a flag may only repeat it
         (["capacities", "--domain", f"@{PERF_INPUTS / 'fig.json'}", "--backend", "float"],
          "--backend float disagrees with the document's backend exact"),
@@ -321,9 +339,13 @@ class TestInputBoundary:
             "json-negative-eps", "weights-curve-nan-eps-backend",
             "weights-curve-negative-eps-backend",
             "unknown-flag", "kmax-not-a-number", "missing-domain",
+            "obstruct-format", "selfcheck-out", "bounds-window", "weights-kmax", "tower-kmax",
+            "errors-threads", "capacities-window", "bounds-eps",
             "backend-against-a-file", "backend-against-a-polygon-spec"])
     def test_bad_command_exits_one_with_message(self, capsys, tmp_path, argv, message):
-        argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json") for a in argv]
+        out_file = tmp_path / "out.json"
+        argv = [a.format(missing=tmp_path / "no-such-dir" / "x.json", out=out_file)
+                for a in argv]
         kmax = argv[argv.index("--kmax") + 1] if "--kmax" in argv else ""
         eps = float(argv[argv.index("--eps") + 1]) if "--eps" in argv else 0.0
         if (kmax.isdigit() and int(kmax) > capacities.MAX_KMAX) or eps < 0:
@@ -334,9 +356,28 @@ class TestInputBoundary:
             code = main(argv)
             out, err = capsys.readouterr()
         assert code == 1
-        assert out == ""
+        assert out == "" and not out_file.exists()
         assert err.startswith("capax: ") and err.count("\n") == 1
         assert message in err
+
+    def test_each_command_takes_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        want = {
+            "weights": "--domain --depth --eps --backend --eps-backend --format --out",
+            "capacities": "--domain --kmax --depth --eps --backend --eps-backend --format "
+                          "--threads --out --oracle",
+            "errors": "--domain --kmax --depth --eps --backend --eps-backend --format "
+                      "--window --out",
+            "bounds": "--domain --backend --eps-backend --format --out",
+            "tower": "--domain --depth --eps --backend --eps-backend --format --out",
+            "obstruct": "--from --to --kmax --depth --eps --backend --eps-backend --out",
+            "selfcheck": "",
+        }
+        assert got == {name: set(flags.split()) for name, flags in want.items()}
+        assert sum(map(len, got.values())) == 46
 
     @pytest.mark.parametrize("spec,backend", [
         (f"@{PERF_INPUTS / 'fig.json'}", "exact"),
