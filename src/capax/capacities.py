@@ -26,7 +26,7 @@ level ends, swept over the table's breakpoints).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, groupby, repeat
 
@@ -49,8 +49,6 @@ from .scalars import (
 )
 from .domains import BoundaryProfile, DomainDescriptor, validate
 from .weights import TruncationLimits, WeightTree, concave_weights, convex_weights
-from . import tower as tower_mod
-from .tower import PicBasisSurface, Tower, _dot, k_plus_dot_A
 
 
 def d_index(k: int) -> int:
@@ -322,18 +320,43 @@ def _group_costs(m: int, S: int) -> list:
     return costs
 
 
-def _stairs(idx: list, val: list, w, costs: list, S: int) -> tuple[list, list]:
-    """Fold the staircase (costs[D], w*D) of a run of equal balls
+def _steps_kept(idx: list, costs: list, m: int, S: int, ahead: list | None) -> list:
+    """For each breakpoint j of a staircase, the number of steps D of a run
+    of m equal balls (`_group_costs`) that the fold pairs with it: those
+    with idx[j] + costs[D] <= S and, on exact data, D <= m(L - 1).
+
+    There q = ahead[j] is the first breakpoint after j with
+    val[q] >= val[j] + w (len(idx) if none, and then every D passes), and
+    L = idx[q] - idx[j].  Step D costs (D-1)//m + 1 more than step D - 1,
+    at least L once D > m(L - 1): then (q, D - 1), kept or dropped for the
+    same reason, lands no later than (j, D) and is worth no less, so the
+    running max of the fold is the same without (j, D).  q is searched
+    after j, since val[j] itself reaches val[j] + w when w <= 0."""
+    tops = [bisect_right(costs, S - b) for b in idx]
+    if ahead is None:
+        return tops
+    n = len(idx)
+    return [min(top, m * (idx[q] - b - 1) + 1) if q < n else top
+            for top, b, q in zip(tops, idx, ahead)]
+
+
+def _stairs(idx: list, val: list, w, m: int, S: int) -> tuple[list, list]:
+    """Fold the staircase (costs[D], w*D) of a run of m equal balls
     (`_group_costs`) into a table of ints or floats held as a staircase:
     the indices `idx` at which the table rises and its values `val` there.
     Breakpoint (b, v) and step D give the candidate v + w*D at b + costs[D];
     the candidates go into a scratch list of the indices 0..S, and its
-    running max is the new table.  For one ball these are the sums that a
-    dense fold takes, so float values are bit-identical to it."""
+    running max is the new table.  Each breakpoint takes the steps that
+    `_steps_kept` leaves it, every step on floats, whose sums round.  For
+    one ball these are the sums that a dense fold takes, so float values
+    are bit-identical to it."""
+    costs = _group_costs(m, S)
+    steps = [(base, w * D) for D, base in enumerate(costs)]
+    ahead = None if isinstance(w, float) else \
+        [bisect_left(val, v + w, j + 1) for j, v in enumerate(val)]
     sc = [val[0] - 1] * (S + 1)  # below every value: val[0] = 0
-    for D, base in enumerate(costs):
-        x = w * D
-        for b, v in zip(idx[:bisect_right(idx, S - base)], val):
+    for b, v, top in zip(idx, val, _steps_kept(idx, costs, m, S, ahead)):
+        for base, x in steps[:top]:
             c = v + x
             if c > sc[b + base]:
                 sc[b + base] = c
@@ -346,16 +369,29 @@ def _stairs(idx: list, val: list, w, costs: list, S: int) -> tuple[list, list]:
     return idx, val
 
 
-def _stairs_pairs(idx: list, P: list, Q: list, p: int, q: int, costs: list, S: int,
+def _stairs_pairs(idx: list, P: list, Q: list, p: int, q: int, m: int, S: int,
                   field: int) -> tuple[list, list, list]:
     """_stairs on a Q(sqrt d) staircase of int pairs (P_j, Q_j) over one
-    denominator.  Each candidate is compared by the exact sign of
+    denominator, pruned as on ints.  Each comparison is the exact sign of
     dp + dq*sqrt d, written out in the loop: a call per candidate would
     cost more than the fold."""
+    # `_steps_kept`'s q for each j: val[j] + w rises with j, so one
+    # pointer r, only moving forward, finds the first val[r] >= val[j] + w
+    n, r, ahead = len(idx), 0, []
+    for j, (vp, vq) in enumerate(zip(P, Q)):
+        r = max(r, j + 1)
+        while r < n:
+            dp, dq = P[r] - vp - p, Q[r] - vq - q
+            if (dp >= 0 or dq * dq * field >= dp * dp) if dq >= 0 else \
+                    (dp >= 0 and dp * dp >= dq * dq * field):
+                break
+            r += 1
+        ahead.append(r)
+    costs = _group_costs(m, S)
+    steps = [(base, p * D, q * D) for D, base in enumerate(costs)]
     sp, sq = [-1] * (S + 1), [0] * (S + 1)  # -1/D, below every value
-    for D, base in enumerate(costs):
-        xp, xq = p * D, q * D
-        for b, vp, vq in zip(idx[:bisect_right(idx, S - base)], P, Q):
+    for b, vp, vq, top in zip(idx, P, Q, _steps_kept(idx, costs, m, S, ahead)):
+        for base, xp, xq in steps[:top]:
             i = b + base
             cp, cq = vp + xp, vq + xq
             dp, dq = cp - sp[i], cq - sq[i]
@@ -381,10 +417,12 @@ def _ball_stairs(ws: list, S: int) -> tuple[list, list]:
     values.
 
     Each run of m equal exact weights folds as one staircase
-    (`_group_costs`), since its sums are exact.  Floats fold one ball at a
-    time: w*(t_1 + ... + t_m) can round otherwise than the sum of the
-    w*t_i.  Two or more Q(sqrt d) weights fold as int pairs over their
-    common denominator (`_quad_pairs`) and come back as Quads."""
+    (`_group_costs`), since its sums are exact, and pairs each breakpoint
+    only with the steps that no later breakpoint dominates (`_steps_kept`).
+    Floats fold one ball at a time and pair every step:
+    w*(t_1 + ... + t_m) can round otherwise than the sum of the w*t_i.  Two
+    or more Q(sqrt d) weights fold as int pairs over their common
+    denominator (`_quad_pairs`) and come back as Quads."""
     if not ws:
         return [0], [0]
     quad = _quad_pairs(ws) if len(ws) > 1 else None
@@ -397,13 +435,13 @@ def _ball_stairs(ws: list, S: int) -> tuple[list, list]:
     if quad is None:
         val = [w * D for D in range(len(idx))]
         for w, m in rest:
-            idx, val = _stairs(idx, val, w, _group_costs(m, S), S)
+            idx, val = _stairs(idx, val, w, m, S)
         return idx, val
     field, den, _ = quad
     p, q = w
     P, Q = [p * D for D in range(len(idx))], [q * D for D in range(len(idx))]
     for (p, q), m in rest:
-        idx, P, Q = _stairs_pairs(idx, P, Q, p, q, _group_costs(m, S), S, field)
+        idx, P, Q = _stairs_pairs(idx, P, Q, p, q, m, S, field)
     return idx, [Quad(Fraction(a, den), Fraction(b, den), field) for a, b in zip(P, Q)]
 
 
@@ -557,12 +595,18 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
 
     M does not decrease, so the best candidate of a level {s : d(k+s) = t}
     is its end, and c_k is the lower envelope of the level ends in the
-    table (`_envelope`).  One stopping test per row (`_ScanData.clears`),
-    at the row's last level end in the table, certifies that no later
-    candidate is lower.  The table is sized from the volume: c_k^2 / 4k
-    tends to the area, gap/2 in the test's units, and `_ScanData.stop_bound`
-    gives the index by which a row of that value stops.  The slack is 0
-    without a dropped tail.
+    table (`_envelope`).  One stopping test per level block
+    (`_ScanData.clears`) certifies that no later candidate is lower.  A
+    block is the rows k0..k1 whose last level in the table is the same t,
+    T_t <= S + k < T_{t+1}; row k's test is lb(k, ·) at max(T_t - k + 1,
+    t_star(k)) against env[k-1].  lb rises with k at fixed u, every row's u
+    is at least T_t - k1 + 1, where lb(k0, ·) is least at
+    max(T_t - k1 + 1, t_star(k0)), and env does not decrease: so lb(k0, ·)
+    there against env[k1-1] certifies every row of the block.  A block that
+    fails is halved, down to the rows one at a time.  The table is sized
+    from the volume: c_k^2 / 4k tends to the area, gap/2 in the test's
+    units, and `_ScanData.stop_bound` gives the index by which a row of that
+    value stops.  The slack is 0 without a dropped tail.
 
     A row with a tail, over Q(sqrt d) (whose floats need not keep the order
     of the values), or that the table does not certify is walked as the
@@ -597,13 +641,19 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
     idx, val = _ball_stairs(data.ws, S)
     num, slack = [c - c] + [None] * K, [0.0] * (K + 1)
     if not tail and not isinstance(c, Quad):
-        env, t = _envelope(c, idx, val, S, K), 0
-        for k in range(1, K + 1):
-            while (t + 1) * (t + 4) // 2 <= S + k:  # t: the row's last level in the table
-                t += 1
-            p, fb = t * (t + 3) // 2 - k, floats(env[k - 1])
-            if p <= s_ceiling and data.clears(k, data.t_star(k), p, fb, fb):
-                num[k] = env[k - 1]
+        env, k = _envelope(c, idx, val, S, K), 1
+        while k <= K:  # rows k..k1 end their last level in the table at T
+            t = d_index(S + k + 1) - 1
+            T, k1 = t * (t + 3) // 2, min(K, (t + 1) * (t + 4) // 2 - S - 1)
+            blocks = [(k, k1)]
+            while blocks:
+                a, b = blocks.pop()
+                fb = floats(env[b - 1])
+                if T - a <= s_ceiling and data.clears(a, data.t_star(a), T - b, fb, fb):
+                    num[a:b + 1] = env[a - 1:b]
+                elif a < b:
+                    blocks += [((a + b) // 2 + 1, b), (a, (a + b) // 2)]
+            k = k1 + 1
     M = _dense(idx, val, S)
 
     def walk(k):
@@ -728,8 +778,9 @@ def dkn_upper_data(a2: float, minus_k_dot_a: float, f_value: float,
 
 def _bound_pairings(s: PicBasisSurface) -> tuple:
     """A^2, -K.A, F and K+.A of a surface: the degree bound's k-free data."""
+    from .tower import F_of_n, _dot, k_plus_dot_A
     minus_k = tuple(-x for x in s.K)
-    return (float(_dot(s.A, s.A)), float(_dot(minus_k, s.A)), tower_mod.F_of_n(s),
+    return (float(_dot(s.A, s.A)), float(_dot(minus_k, s.A)), F_of_n(s),
             float(k_plus_dot_A(s)))
 
 
@@ -786,6 +837,7 @@ def alg_capacity_enum(s: PicBasisSurface, k: int, ub=None,
     one, the first leaf of the search, reached by greedy descent, sets the
     bound.  Float data give the exact value of the dyadic rationals they
     hold, a Fraction."""
+    from .tower import _dot
     if k == 0:
         return Fraction(0) if isinstance(s.A[0], float) else s.A[0] - s.A[0]
     ctx = ctx or _EnumContext(s)

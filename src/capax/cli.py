@@ -10,13 +10,31 @@ capacities only, is accepted and has no effect: one thread computes all.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
 from fractions import Fraction
 
-from . import asymptotics, capacities, domains, obstructions, scalars, tower, weights
+from . import capacities, domains, scalars, weights
 from .errors import CapaxError, WindowOutOfRange
+
+
+def _lazy(name: str):
+    """capax.`name`, in sys.modules at once but executed at its first
+    attribute access, so a command compiles and runs only the modules it
+    uses (an uncompiled checkout compiles each module a process runs)."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+asymptotics, obstructions, tower = map(_lazy, ("asymptotics", "obstructions", "tower"))
 
 CSV_HEADER = "# capax-csv v1"
 
@@ -153,10 +171,6 @@ def cmd_weights(ns) -> int:
     domains.validate(d)
     if d.kind == "curve":
         d, _ = domains.inner_grid_polygon(d, 32)
-        if ns.eps is None:
-            ns.eps = 1e-9
-        if ns.depth is None:
-            ns.depth = 512
     if d.kind == "ellipsoid" and not d.is_ball():
         tree = weights.concave_weights(d, _limits(ns))  # ball decomposition
     elif d.is_convex():

@@ -466,6 +466,25 @@ class TestConvexScan:
         assert sizes[0] == d_index(K) < sizes[1]
         assert (got.values, got.lower_slack) == reference_scan(d, K, limits)
 
+    @pytest.mark.parametrize("d, K, most", [(FIG, 20000, 400), (P6, 5000, 100)],
+                             ids=["fig", "p6"])
+    def test_one_certificate_per_level_block(self, monkeypatch, d, K, most):
+        # the rows that end their last level in the table at one index are
+        # certified by one stopping test, not one per row (K of them); a
+        # block that fails is halved, down to the rows one at a time
+        results, clears = [], _ScanData.clears
+
+        def count(*args):
+            results.append(clears(*args))
+            return results[-1]
+
+        monkeypatch.setattr(_ScanData, "clears", count)
+        got = _convex_scan(_ScanData(convex_weights(d)), K)
+        assert len(results) <= most
+        assert not all(results)  # a block was halved
+        assert got.lower_slack == [0.0] * (K + 1)
+        got.assert_nondecreasing()
+
     @pytest.mark.parametrize("d, ceiling", [(FIG, 20), (FIG, 40), (P6, 80)],
                              ids=["fig-20", "fig-40", "p6-80"])
     def test_ceiling_raises_for_the_smallest_k(self, d, ceiling):
@@ -928,6 +947,47 @@ REPEATED_INTS = repeated_lists(st.integers(1, 30))
 REPEATED_QUADS = quad_weight_lists().flatmap(
     lambda base: repeated_lists(st.sampled_from(base)).map(
         lambda ws: ws + [next(w for w in base if isinstance(w, Quad))]))
+# one large weight before runs of small ones: the breakpoints of the first
+# staircase lie far apart, so most steps of the runs are dominated.  Some
+# runs are of zeros or negative weights, whose breakpoint j reaches
+# val[j] + w itself
+LARGE_THEN_SMALL = st.tuples(st.integers(20, 300), repeated_lists(st.integers(-2, 6))).map(
+    lambda wr: [wr[0], *wr[1]])
+
+
+@st.composite
+def signed_quad_lists(draw):
+    """quad_weight_lists with zeros, negated entries and 2^58 + s*2^57*sqrt d
+    (s = +-1, of either sign by d) after the first, positive entry, as in
+    the "huge" case of test_python_fold_decides_ties_exactly: a breakpoint
+    whose value already reaches val + w"""
+    ws = draw(quad_weight_lists())
+    d = next(w.d for w in ws if isinstance(w, Quad))
+    extra = draw(st.lists(st.one_of(st.just(Fraction(0)), st.sampled_from(ws).map(lambda w: -w),
+                                    st.sampled_from([1, -1]).map(
+                                        lambda s: Quad(2 ** 58, s * 2 ** 57, d))),
+                          min_size=1, max_size=3))
+    rest = draw(st.permutations(ws[1:] + extra))
+    return [ws[0], *rest]
+
+
+def unpruned_float_stairs(ws: list, S: int) -> tuple[list, list]:
+    """`_ball_stairs` of float weights by every (breakpoint, step) pair, one
+    ball at a time, steps in the outer loop."""
+    costs = _group_costs(1, S)
+    idx, val = costs, [ws[0] * D for D in range(len(costs))]
+    for w in ws[1:]:
+        sc = [-1.0] * (S + 1)
+        for D, base in enumerate(costs):
+            for b, v in zip(idx, val):
+                if b + base <= S and v + w * D > sc[b + base]:
+                    sc[b + base] = v + w * D
+        idx, val = [], []
+        for i, c in enumerate(sc):
+            if not val or c > val[-1]:
+                idx.append(i)
+                val.append(c)
+    return idx, val
 
 
 class TestStaircaseFold:
@@ -960,6 +1020,43 @@ class TestStaircaseFold:
         assert fold.call_count == runs - 1
         assert got == reference_ball_table(ws, np.array(d_values(K)))
 
+    # the sizes of test_matches_the_dense_fold (ints) and TestQuadPairFold
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ws_K=st.one_of(st.tuples(LARGE_THEN_SMALL, st.integers(0, 150)),
+                          st.tuples(signed_quad_lists(), st.integers(0, 60))))
+    def test_dominated_steps_leave_the_table(self, ws_K):
+        # the fold skips step D of a breakpoint once a later breakpoint's step
+        # D - 1 lands no later and is worth no less: the table is unchanged
+        ws, K = ws_K
+        want = reference_ball_table(ws, np.array(d_values(K)))
+        idx, val = _ball_stairs(ws, K)
+        assert idx == breakpoints(want)
+        assert val == [want[j] for j in idx]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(ws=FLOAT_LISTS, K=st.integers(0, 150))
+    def test_floats_pair_every_step(self, ws, K):
+        # float sums round, so the float fold skips no pair: bit-identical
+        # to the unpruned fold
+        idx, val = _ball_stairs(ws, K)
+        want_idx, want_val = unpruned_float_stairs(ws, K)
+        assert idx == want_idx
+        assert [x.hex() for x in val] == [x.hex() for x in want_val]
+
+    def test_p6_scan_folds_fewer_pairs(self, monkeypatch):
+        # P6's scan table at kmax 5000 (S = 2874): every (breakpoint, step)
+        # pair is 100,839 pairs, of which the fold visits 18,704
+        pairs, kept = [], capacities._steps_kept
+
+        def count(*args):
+            out = kept(*args)
+            pairs.append(sum(out))
+            return out
+
+        monkeypatch.setattr(capacities, "_steps_kept", count)
+        _convex_scan(_ScanData(convex_weights(P6)), 5000)
+        assert sum(pairs) <= 20_000
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(m=st.integers(1, 12), S=st.integers(0, 120))
     def test_group_costs_are_the_cheapest_splits(self, m, S):
@@ -986,7 +1083,7 @@ class TestStaircaseFold:
             A, g = sum(w * w for w in ws[:i]), math.gcd(*ws[:i])
             top = (math.isqrt(A * (8 * K + i)) - sum(ws[:i])) // 2
             assert len(idx) <= min(K + 1, top // g + 1)
-            idx, val = _stairs(idx, val, ws[i], tri, K)
+            idx, val = _stairs(idx, val, ws[i], 1, K)
 
     def test_floats_and_quads_may_rise_everywhere(self):
         # the golden concave triangle's 39 Q(sqrt 5) weights give distinct

@@ -66,6 +66,18 @@ class TestCommands:
         j = json.loads(out)
         assert code == 0 and j["head"] == "3" and j["weights"] == []
 
+    def test_weights_of_a_small_disk_are_complete(self, capsys):
+        # a curve's grid polygon is rational, so its expansion ends with no
+        # threshold; an absolute 1e-9 dropped every piece of the 10^-12 disk
+        trees = []
+        for r in ("1", "1/1000000000000"):
+            code, out = run(capsys, "weights", "--domain", f"quarter_disk:{r}")
+            assert code == 0
+            trees.append(json.loads(out))
+        unit, small = trees
+        assert len(small["weights"]) == len(unit["weights"]) > 0
+        assert small["truncation"]["complete"] and small["truncation"]["dropped_pieces"] == 0
+
     def test_capacities_csv(self, capsys):
         code, out = run(capsys, "capacities", "--domain", "square:1",
                         "--kmax", "8", "--format", "csv")
@@ -637,6 +649,34 @@ print(",".join(m for m in watched if m in sys.modules))
             (["capacities", "--domain", golden_convex, "--kmax", "20", "--eps", "1e-6"], 0),
             (["capacities", "--domain", golden_concave, "--kmax", "100", "--eps", "1e-8"], 0),
         ) == (set(), set())
+
+    @pytest.mark.parametrize("argv, unused", [
+        (("capacities", "--kmax", "60"), {"tower", "asymptotics", "obstructions"}),
+        (("errors", "--kmax", "60"), {"tower", "obstructions"}),
+        (("capacities", "--kmax", "10", "--oracle"), {"asymptotics", "obstructions"}),
+    ], ids=["capacities", "errors", "oracle"])
+    def test_commands_run_only_the_modules_they_use(self, fig_file, argv, unused):
+        # a child run from an uncompiled checkout compiles every module it
+        # runs: `import capax.cli` puts every capax module in sys.modules,
+        # and a command executes only those it uses
+        argv = (*argv, "--domain", f"@{fig_file}", "--out", os.devnull)
+        script = f"""
+import sys, types
+import capax.cli
+print(*sorted(n for n in sys.modules if n.startswith("capax.")))
+assert capax.cli.main({list(argv)!r}) == 0
+print(*sorted(n for n, m in sys.modules.items()
+              if n.startswith("capax.") and type(m) is types.ModuleType))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        present, ran = (set(line.split()) for line in proc.stdout.splitlines())
+        every = {f"capax.{p.stem}" for p in Path(capax.__file__).parent.glob("*.py")} - {
+            "capax.__init__"}
+        assert present == every
+        assert not ran & {f"capax.{m}" for m in unused}
+        assert ("capax.tower" in ran) == ("--oracle" in argv)
 
     def test_large_scans_and_folds_load_no_numpy(self, fig_file, tmp_path):
         # cases that took the numpy kernels while capax had them: the
