@@ -20,7 +20,8 @@ Q(sqrt d) data alike: the closed forms, the series and their output, the
 unions of balls (`_ball_stairs`, which holds each table by the indices
 where it rises and folds each run of equal exact weights as one
 staircase) and the convex scan (`_convex_scan`, the lower envelope of the
-level ends, swept over the table's breakpoints).
+level ends, swept over the table's breakpoints), both on ints for exact
+data: Q(sqrt d) values as the exactly ordered ints of `_quad_ints`.
 """
 
 from __future__ import annotations
@@ -342,7 +343,8 @@ def _steps_kept(idx: list, costs: list, m: int, S: int, ahead: list | None) -> l
 
 def _stairs(idx: list, val: list, w, m: int, S: int) -> tuple[list, list]:
     """Fold the staircase (costs[D], w*D) of a run of m equal balls
-    (`_group_costs`) into a table of ints or floats held as a staircase:
+    (`_group_costs`) into a table of ints (rationals over a denominator, or
+    the Q(sqrt d) images of `_quad_ints`) or floats held as a staircase:
     the indices `idx` at which the table rises and its values `val` there.
     Breakpoint (b, v) and step D give the candidate v + w*D at b + costs[D];
     the candidates go into a scratch list of the indices 0..S, and its
@@ -369,45 +371,35 @@ def _stairs(idx: list, val: list, w, m: int, S: int) -> tuple[list, list]:
     return idx, val
 
 
-def _stairs_pairs(idx: list, P: list, Q: list, p: int, q: int, m: int, S: int,
-                  field: int) -> tuple[list, list, list]:
-    """_stairs on a Q(sqrt d) staircase of int pairs (P_j, Q_j) over one
-    denominator, pruned as on ints.  Each comparison is the exact sign of
-    dp + dq*sqrt d, written out in the loop: a call per candidate would
-    cost more than the fold."""
-    # `_steps_kept`'s q for each j: val[j] + w rises with j, so one
-    # pointer r, only moving forward, finds the first val[r] >= val[j] + w
-    n, r, ahead = len(idx), 0, []
-    for j, (vp, vq) in enumerate(zip(P, Q)):
-        r = max(r, j + 1)
-        while r < n:
-            dp, dq = P[r] - vp - p, Q[r] - vq - q
-            if (dp >= 0 or dq * dq * field >= dp * dp) if dq >= 0 else \
-                    (dp >= 0 and dp * dp >= dq * dq * field):
-                break
-            r += 1
-        ahead.append(r)
-    costs = _group_costs(m, S)
-    steps = [(base, p * D, q * D) for D, base in enumerate(costs)]
-    sp, sq = [-1] * (S + 1), [0] * (S + 1)  # -1/D, below every value
-    for b, vp, vq, top in zip(idx, P, Q, _steps_kept(idx, costs, m, S, ahead)):
-        for base, xp, xq in steps[:top]:
-            i = b + base
-            cp, cq = vp + xp, vq + xq
-            dp, dq = cp - sp[i], cq - sq[i]
-            if (dp > 0 or dq > 0 and dq * dq * field > dp * dp) if dq >= 0 else \
-                    (dp > 0 and dp * dp > dq * dq * field):
-                sp[i], sq[i] = cp, cq
-    idx, P, Q, tp, tq = [], [], [], -2, 0
-    for i, cp, cq in zip(range(S + 1), sp, sq):
-        dp, dq = cp - tp, cq - tq
-        if (dp > 0 or dq > 0 and dq * dq * field > dp * dp) if dq >= 0 else \
-                (dp > 0 and dp * dp > dq * dq * field):
-            tp, tq = cp, cq
-            idx.append(i)
-            P.append(cp)
-            Q.append(cq)
-    return idx, P, Q
+def _quad_ints(ws: list, S: int):
+    """Q(sqrt d) weights as ints that add and compare as their values do,
+    or None for data that `_quad_pairs` refuses.
+
+    w = (p + q*sqrt d)/D maps to p*2^F + q*R, R = isqrt(d*4^F) | 1, which
+    is off from sqrt(d)*2^F by less than 2.  Two sums of at most S + 2
+    weights each then differ in image by 2^F*x + Q*(R - sqrt(d)*2^F), where
+    x = P + Q*sqrt d is D times their difference and |P|, |Q| <= 2B for
+    B = (S + 2)*max(|p|, |q|).  P^2 - d*Q^2 is an integer, nonzero if x is,
+    so then |x| >= 1/(|P| + |Q|*sqrt d) >= 1/(2B(1 + sqrt d)), and
+    2^F > 8B^2(isqrt(d) + 2) puts 2^F*|x| above the error, which is below
+    4B: the images order as the sums do, and are equal when they are.
+
+    Also returns `back`, a sum's image K to its Quad: q = K*R^-1 mod 2^F,
+    taken centred (R is odd, and |q| <= B < 2^(F-1)), p = (K - q*R) >> F."""
+    quad = _quad_pairs(ws)
+    if quad is None:
+        return None
+    d, den, pairs = quad
+    B = (S + 2) * max(1, *(abs(x) for pq in pairs for x in pq))
+    F = (8 * B * B * (math.isqrt(d) + 2)).bit_length()
+    R, mask, half = math.isqrt(d << 2 * F) | 1, (1 << F) - 1, 1 << (F - 1)
+    inv = pow(R, -1, 1 << F)
+
+    def back(K: int) -> Quad:
+        q = ((K * inv + half) & mask) - half
+        return Quad._of(Fraction((K - q * R) >> F, den), Fraction(q, den), d)
+
+    return [(p << F) + q * R for p, q in pairs], back
 
 
 def _ball_stairs(ws: list, S: int) -> tuple[list, list]:
@@ -420,29 +412,24 @@ def _ball_stairs(ws: list, S: int) -> tuple[list, list]:
     (`_group_costs`), since its sums are exact, and pairs each breakpoint
     only with the steps that no later breakpoint dominates (`_steps_kept`).
     Floats fold one ball at a time and pair every step:
-    w*(t_1 + ... + t_m) can round otherwise than the sum of the w*t_i.  Two
-    or more Q(sqrt d) weights fold as int pairs over their common
-    denominator (`_quad_pairs`) and come back as Quads."""
+    w*(t_1 + ... + t_m) can round otherwise than the sum of the w*t_i.
+    Q(sqrt d) weights fold as the ints of `_quad_ints`, and only the
+    breakpoints come back as Quads."""
     if not ws:
         return [0], [0]
-    quad = _quad_pairs(ws) if len(ws) > 1 else None
+    quad = _quad_ints(ws, S)
+    if quad:
+        ws, back = quad
     if any(isinstance(w, float) for w in ws):
         runs = [(w, 1) for w in ws]
     else:
-        runs = [(w, len(list(g))) for w, g in groupby(quad[2] if quad else ws)]
+        runs = [(w, len(list(g))) for w, g in groupby(ws)]
     (w, m), *rest = runs
     idx = _group_costs(m, S)
-    if quad is None:
-        val = [w * D for D in range(len(idx))]
-        for w, m in rest:
-            idx, val = _stairs(idx, val, w, m, S)
-        return idx, val
-    field, den, _ = quad
-    p, q = w
-    P, Q = [p * D for D in range(len(idx))], [q * D for D in range(len(idx))]
-    for (p, q), m in rest:
-        idx, P, Q = _stairs_pairs(idx, P, Q, p, q, m, S, field)
-    return idx, [Quad(Fraction(a, den), Fraction(b, den), field) for a, b in zip(P, Q)]
+    val = [w * D for D in range(len(idx))]
+    for w, m in rest:
+        idx, val = _stairs(idx, val, w, m, S)
+    return idx, list(map(back, val)) if quad else val
 
 
 def _dense(idx: list, val: list, S: int) -> list:
@@ -495,10 +482,11 @@ class _ScanData:
 
     The head c and the kept weights ws, sorted down, are ints over one
     denominator `den` for rational data; floats and Quads stay as they are,
-    with den None.  Every float the stopping test reads is an exact value
-    times 2^-e, 2^e the binade of the head, rounded once: a power of two
-    commutes with rounding in the normal range, so at any scale the test and
-    the slack are those of the unit-size domain.
+    with den None (the scan runs Quads as the ints of `_quad_ints`).  Every
+    float the stopping test reads is an exact value times 2^-e, 2^e the
+    binade of the head, rounded once: a power of two commutes with rounding
+    in the normal range, so at any scale the test and the slack are those
+    of the unit-size domain.
 
     The stopping bound.  A ball has c_j(B(w)) = w*d(j), and
     d(j) < sqrt(2j + 9/4) - 1/2 since (d-1)(d+2)/2 < j, so a ball of the
@@ -608,15 +596,19 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
     units, and `_ScanData.stop_bound` gives the index by which a row of that
     value stops.  The slack is 0 without a dropped tail.
 
-    A row with a tail, over Q(sqrt d) (whose floats need not keep the order
-    of the values), or that the table does not certify is walked as the
-    stopping rule reads it: the end of each level up to the first where the
+    Q(sqrt d) data run as the ints of `_quad_ints`, sized for candidates of
+    up to s_ceiling + K + d(s_ceiling + K) inputs, and turn back into Quads
+    for `floats`, the rows and `PruningBoundExceeded.best`.  A row with a
+    tail, over Q(sqrt d) (whose floats need not keep the order of the
+    values), or that the table does not certify is walked as the stopping
+    rule reads it: the end of each level up to the first where the
     test holds, then a bisection of that level, which the test splits in two
     because inside a level the candidate falls and lb rises.  The walk grows
     the table as it needs.  Its stop index sets the slack, and a walk past
     `s_ceiling` raises `PruningBoundExceeded`; rows run in increasing k, so
     it names the smallest such k."""
-    c, den, tail, e, unit = data.c, data.den, data.tail, data.e, data.unit
+    c, ws, den, tail, e, unit = data.c, data.ws, data.den, data.tail, data.e, data.unit
+    back = None
     if den is not None:  # x/den * 2^-e = x*un/ud, rounded once
         un, ud = unit.numerator, den * unit.denominator
 
@@ -625,8 +617,11 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
     elif isinstance(c, float):
         def floats(x):
             return math.ldexp(x, -e)
-    else:  # Quads
+    else:  # Q(sqrt d): c and ws as the ints of `_quad_ints`, decoded for floats and output
+        (c, *ws), back = _quad_ints([c, *ws], s_ceiling + K + d_index(s_ceiling + K))
+
         def floats(x):
+            x = back(x)
             return float(x * unit if e else x)
 
     def stop(k, target):  # the end of the level where row k stops once its best is at most target
@@ -638,9 +633,9 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
 
     # every row's first level ends by index d(K)
     S = max(stop(K, math.sqrt(2 * data.gap * K)), d_index(K))
-    idx, val = _ball_stairs(data.ws, S)
+    idx, val = _ball_stairs(ws, S)
     num, slack = [c - c] + [None] * K, [0.0] * (K + 1)
-    if not tail and not isinstance(c, Quad):
+    if not tail and not isinstance(data.c, Quad):
         env, k = _envelope(c, idx, val, S, K), 1
         while k <= K:  # rows k..k1 end their last level in the table at T
             t = d_index(S + k + 1) - 1
@@ -682,11 +677,12 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
             if stop_here:
                 return best, math.ldexp(fbest - min(lo, cf - d_index(p) * tail), e)
             if p == s_ceiling:
+                best = back(best) if back else best if den is None else Fraction(best, den)
                 raise PruningBoundExceeded(f"no certificate after {s_ceiling} complement indices",
-                                           best=best if den is None else Fraction(best, den))
+                                           best=best)
             if p < s1:  # the table ends inside the level: grow it past the row's stop
                 s0 = p + 1
-                M = _ball_list(data.ws, max(stop(k, fbest), p + 1))
+                M = _ball_list(ws, max(stop(k, fbest), p + 1))
             else:
                 lo = min(lo, cf - d_index(p) * tail)
                 s0, t = s1 + 1, t + 1
@@ -694,6 +690,8 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
     for k in range(1, K + 1):
         if num[k] is None:
             num[k], slack[k] = walk(k)
+    if back:
+        num = list(map(back, num))
     return CapacitySeries(method="decomposition", num=num, den=den, lower_slack=slack)
 
 

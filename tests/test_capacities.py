@@ -41,12 +41,13 @@ from capax.capacities import (
     _convex_scan,
     _envelope,
     _group_costs,
+    _quad_ints,
     _quad_pairs,
     _ScanData,
     _stairs,
 )
 from capax.obstructions import obstruct
-from capax.scalars import Quad, format_ratio, format_scalar, write_json
+from capax.scalars import Quad, _is_squarefree, format_ratio, format_scalar, quad_sign, write_json
 from capax.tower import _dot, blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, random_convex_polygon
@@ -777,6 +778,64 @@ def quad_weight_lists(draw):
     return ws
 
 
+def pell_solutions(d: int, top: int) -> list:
+    """Every (x, y) with x^2 - d*y^2 = +-1 and x <= top: the convergents of
+    sqrt d that solve it, whose x - y*sqrt d is the least nonzero value of
+    its size."""
+    a0 = math.isqrt(d)
+    m, q, a = 0, 1, a0
+    (h0, h1), (k0, k1) = (1, a0), (0, 1)
+    out = []
+    while h1 <= top:
+        if abs(h1 * h1 - d * k1 * k1) == 1:
+            out.append((h1, k1))
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+    return out
+
+
+@st.composite
+def multiplicities(draw, n: int, total: int) -> list:
+    """n counts >= 0 that sum to `total`."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def quad_int_cases(draw):
+    """(ws, S, n, m): Q(sqrt d) weights and two multiplicity vectors, each
+    summing to at most S + 2, mostly to S + 2 itself.  d is squarefree in
+    2..1000, the weights' coordinates reach 2^100 over a denominator, and
+    Pell solutions x^2 - d*y^2 = +-1 plant the least nonzero differences of
+    their size: x against y*sqrt d, x - y*sqrt d against 0, and x copies
+    of 1 against y copies of sqrt d, at multiplicities up to S + 2."""
+    d = draw(st.integers(2, 1000).filter(_is_squarefree))
+    den = draw(st.integers(1, 2 ** 100))
+    coord = st.integers(-2 ** 100, 2 ** 100)
+    pairs = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["random", "pell-weights", "pell-counts"]))
+    pells = pell_solutions(d, 2 ** 100)
+    x, y = draw(st.sampled_from(pells)) if pells and kind != "random" else (0, 0)
+    if kind == "pell-counts" and x < 2 ** 20:  # x copies of 1/den, y of sqrt(d)/den
+        S = draw(st.integers(max(x - 2, 0), x + 100))
+        ws = [Quad(Fraction(1, den), 0, d), Quad(0, Fraction(1, den), d)]
+        return ws, S, [x, 0], [0, y]
+    S = draw(st.integers(0, 2 ** 20))
+    total = st.one_of(st.just(S + 2), st.integers(0, S + 2))
+    if x:
+        pairs += [(x, 0), (0, y), (x, -y)]
+    ws = [Quad(Fraction(p, den), Fraction(q, den), d) for p, q in pairs]
+    n = draw(multiplicities(len(ws), draw(total)))
+    m = draw(multiplicities(len(ws), draw(total)))
+    if x and draw(st.booleans()):  # k*x against k*y*sqrt d, or k(x - y*sqrt d) against 0
+        k, zeros = draw(total), [0] * (len(ws) - 3)
+        n, m = draw(st.sampled_from([(zeros + [k, 0, 0], zeros + [0, k, 0]),
+                                     (zeros + [0, 0, k], zeros + [0, 0, 0])]))
+    return ws, S, n, m
+
+
 POSITIVE_FRACTIONS = st.fractions(min_value=Fraction(1, 12), max_value=1000,
                                   max_denominator=12).filter(bool)
 POSITIVE_FLOATS = st.floats(min_value=1e-3, max_value=1e3)
@@ -882,6 +941,43 @@ class TestQuadPairFold:
         # entries: a comparison of floats picks the wrong entry
         ws = [w, w + sign * golden_power(72)]
         assert _ball_list(ws, 40) == reference_ball_table(ws, np.array(d_values(40)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=quad_int_cases())
+    def test_quad_ints_order_and_decode_sums_at_the_bound(self, case):
+        # two sums of at most S + 2 weights each: their ints differ with the
+        # sign of the exact difference, and `back` gives each sum's Quad
+        ws, S, n, m = case
+        ints, back = _quad_ints(ws, S)
+        a, b = (sum((w * c for w, c in zip(ws, counts)), ws[0] - ws[0]) for counts in (n, m))
+        ia, ib = (sum(i * c for i, c in zip(ints, counts)) for counts in (n, m))
+        diff = a - b
+        assert (ia > ib) - (ia < ib) == quad_sign(diff.p, diff.q, diff.d)
+        assert back(ia) == a and back(ib) == b
+
+    def test_quad_walk_runs_on_ints(self):
+        # the scan adds and compares the ints of `_quad_ints`: no Quad
+        # subtraction or comparison.  The weight tree and `_ScanData` sort
+        # their Quads, so the count starts at the scan
+        d, limits = golden_triangle(), TruncationLimits(eps=1e-6)
+        tree, scan = convex_weights(d, limits), capacities._convex_scan
+        spies = [mock.patch.object(Quad, name, autospec=True, side_effect=getattr(Quad, name))
+                 for name in ("__sub__", "__lt__")]
+
+        def counted_scan(data, K):
+            with spies[0] as sub, spies[1] as lt:
+                out = scan(data, K)
+            calls.extend([sub.call_count, lt.call_count])
+            return out
+
+        calls = []
+        with mock.patch.object(capacities, "_convex_scan", counted_scan):
+            got = convex_capacity(d, 100, limits, tree=tree)
+        assert calls == [0, 0]
+        assert all(isinstance(x, Quad) for x in got.values)
+        oracle = golden_ellipsoid_values(100)
+        for k in range(101):
+            assert got.lo(k) - 1e-9 <= oracle[k] <= float(got.value(k)) + 1e-9
 
     def test_huge_weights_at_k0(self):
         assert union_of_balls([Fraction(10 ** 23), Fraction(1)], 0, Fraction(0)).values == [0]
@@ -1013,9 +1109,9 @@ class TestStaircaseFold:
                           st.tuples(REPEATED_QUADS, st.integers(0, 40))))
     def test_runs_of_equal_weights_fold_as_one(self, ws_K):
         ws, K = ws_K
+        # Q(sqrt d) runs fold through the int `_stairs` too, as `_quad_ints`
         runs = len([w for w, _ in groupby(ws)])
-        name = "_stairs_pairs" if len(ws) > 1 and _quad_pairs(ws) else "_stairs"
-        with mock.patch.object(capacities, name, wraps=getattr(capacities, name)) as fold:
+        with mock.patch.object(capacities, "_stairs", wraps=capacities._stairs) as fold:
             got = _ball_list(ws, K)
         assert fold.call_count == runs - 1
         assert got == reference_ball_table(ws, np.array(d_values(K)))

@@ -855,8 +855,26 @@ BYTE_PINS = [
      "9d19228c262c2fe487545b2a3615c2ce3635bcf1e55553fb8cecbfb6bb9dd625"),
 ]
 
+# Q(sqrt d) data past the k = 30 golden pins of test_capacities: the golden
+# convex scan and concave fold, and a sqrt:2 weight list with no dropped
+# tail.  Recorded while the Q(sqrt d) fold ran on int pairs and the scan on
+# Quads, before both moved onto the ints of `capacities._quad_ints`
+QUAD_BYTE_PINS = [
+    ("golden-convex-300", ("capacities", "--domain", f"@{PERF_INPUTS / 'golden_convex.json'}",
+                           "--kmax", "300", "--eps", "1e-6"),
+     "f525887c4014bc761e0a963c825545f58df4d1b3c0fcbc1cb84dbd4501454821"),
+    ("golden-concave-2000", ("capacities", "--domain",
+                             f"@{PERF_INPUTS / 'golden_concave.json'}",
+                             "--kmax", "2000", "--eps", "1e-8"),
+     "98dbf27b98f9039f913c12a9067a4bdd5edafe6700de0460ce0cec68c63ffec6"),
+    ("sqrt2-weights-400", ("capacities", "--domain", "weights:5;1,1+1*sqrt,1/2*sqrt",
+                           "--backend", "sqrt:2", "--kmax", "400"),
+     "523411ecc94736c4010c5d490dc8a47174572887791a10437a6caa427cefa96e"),
+]
 
-@pytest.mark.parametrize("name,argv,digest", BYTE_PINS, ids=[p[0] for p in BYTE_PINS])
+
+@pytest.mark.parametrize("name,argv,digest", BYTE_PINS + QUAD_BYTE_PINS,
+                         ids=[p[0] for p in BYTE_PINS + QUAD_BYTE_PINS])
 def test_stdout_bytes_pinned(capsys, name, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
