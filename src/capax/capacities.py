@@ -462,7 +462,7 @@ def concave_capacity(d: DomainDescriptor, K: int,
     certified lower envelope; the tail bound feeds the upper slack.
     """
     t = tree if tree is not None else concave_weights(d, limits)
-    weights = sorted(t.weight_multiset(), reverse=True)
+    weights = t.weight_multiset()  # h-order: weights descending
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
     tail = t.truncation.dropped_tail_sum
     tail_f = float(tail)
@@ -504,7 +504,7 @@ class _ScanData:
 
     def __init__(self, tree: WeightTree):
         multiset = tree.weight_multiset()
-        self.den, (self.c, *self.ws) = _scaled([tree.head] + sorted(multiset, reverse=True))
+        self.den, (self.c, *self.ws) = _scaled([tree.head] + multiset)  # h-order: descending
         self.e = binade(tree.head)
         self.unit = Fraction(2) ** -self.e
         trunc = tree.truncation
@@ -750,18 +750,24 @@ def _simplex_max(c: list, rows: list, rhs: list):
         basis[r] = col
 
 
-def _nef_floor(classes: list, a: list):
+def _nef_floor(curves: list, a: list):
     """min{D.A : D nef, D.H = 1}, exactly; the enumeration's per-degree floor.
 
-    D = H - sum m_i e_i is nef when every boundary curve C (padded class
-    in `classes`) has D.C >= 0, i.e. sum_i -C_i m_i <= C_0 (an e-curve
-    supplies, its owners consume), so the floor is a_0 - max sum a_i m_i
-    for the objective data a = (A_0, -A_1, ..., -A_n)."""
+    D = H - sum m_i e_i is nef when every boundary curve C has D.C >= 0,
+    i.e. sum_{i in hits} m_i - m_own <= degree (an e-curve supplies, its
+    owners consume), so the floor is a_0 - max sum a_i m_i for the
+    objective data a = (A_0, -A_1, ..., -A_n)."""
+    n = len(a) - 1
     rows, rhs = [], []
-    for cls in classes:
-        if any(cls[1:]):
-            rows.append([-x for x in cls[1:]])
-            rhs.append(cls[0])
+    for c in curves:
+        if c.own or c.hits:
+            row = [0] * n
+            if c.own:
+                row[c.own - 1] = -1
+            for i in c.hits:
+                row[i - 1] = 1
+            rows.append(row)
+            rhs.append(c.degree)
     return max(a[0] - _simplex_max(a[1:], rows, rhs), 0)
 
 
@@ -772,14 +778,6 @@ def dkn_upper_data(a2: float, minus_k_dot_a: float, f_value: float,
     kappa = float(minus_k_dot_a) / float(a2)
     dkn = -kappa / 2 + math.sqrt(kappa * kappa / 4 + (2 * k + f_value) / float(a2))
     return max(dkn, 0.0) * float(a2) + float(k_plus)
-
-
-def _bound_pairings(s: PicBasisSurface) -> tuple:
-    """A^2, -K.A, F and K+.A of a surface: the degree bound's k-free data."""
-    from .tower import F_of_n, _dot, k_plus_dot_A
-    minus_k = tuple(-x for x in s.K)
-    return (float(_dot(s.A, s.A)), float(_dot(minus_k, s.A)), F_of_n(s),
-            float(k_plus_dot_A(s)))
 
 
 class _EnumContext:
@@ -797,25 +795,20 @@ class _EnumContext:
         a = [s.A[0]] + [-(s.A[i]) for i in range(1, n + 1)]  # head, a_i >= 0
         a = [Fraction(x) if isinstance(x, float) else x for x in a]
         self.den, self.a = _scaled(a)
-        # one pass over the boundary classes: each curve's degree, the two
-        # owner curves (coefficient -1) and the e-curve (+1) of every blowup
-        classes = [c.cls for c in s.curves]
-        self.curve_gamma = [cls[0] for cls in classes]
+        # each curve's degree, the two owner curves of every blowup (those
+        # whose hits hold it) and its e-curve (the one it owns)
+        self.curve_gamma = [c.degree for c in s.curves]
         self.owners = [[] for _ in range(n + 1)]
         self.ecurve = [None] * (n + 1)
-        for ci, cls in enumerate(classes):
-            for i in range(1, n + 1):
-                if cls[i] == -1:
-                    self.owners[i].append(ci)
-                elif cls[i] == 1:
-                    self.ecurve[i] = ci
-        for i in range(1, n + 1):
-            if len(self.owners[i]) != 2:
-                raise AssertionError(f"blowup {i} has {len(self.owners[i])} owner curves")
-        self.floor = _nef_floor(classes, a)
+        for ci, c in enumerate(s.curves):
+            self.ecurve[c.own] = ci  # a line owns 0, which no blowup reads
+            for i in c.hits:
+                self.owners[i].append(ci)
+        self.floor = _nef_floor(s.curves, a)
         # the degree bound's floats, of A*2^-e with 2^e the head's binade, never underflow
         unit = Fraction(2) ** -binade(s.A[0])
-        self.pairings = _bound_pairings(s._replace(A=tuple(x * unit for x in s.A)))
+        a2, minus_k_dot_a, f, k_plus = s._replace(A=tuple(x * unit for x in s.A)).pairings()
+        self.pairings = (float(a2), float(minus_k_dot_a), f, float(k_plus))
         self.floor_f = float(self.floor * unit)
         # the budget prune's suffix sums: A2_i = sum_{j>=i} a_j^2, S_i = sum_{j>=i} a_j
         self.suffix_sq, self.suffix_sum = [0] * (n + 2), [0] * (n + 2)
@@ -835,11 +828,10 @@ def alg_capacity_enum(s: PicBasisSurface, k: int, ub=None,
     one, the first leaf of the search, reached by greedy descent, sets the
     bound.  Float data give the exact value of the dyadic rationals they
     hold, a Fraction."""
-    from .tower import _dot
     if k == 0:
         return Fraction(0) if isinstance(s.A[0], float) else s.A[0] - s.A[0]
     ctx = ctx or _EnumContext(s)
-    if _dot(ctx.a, ctx.a) <= 0:  # A^2 times den^2
+    if ctx.a[0] * ctx.a[0] <= ctx.suffix_sq[1]:  # A^2 <= 0
         raise SearchSpaceEmpty("polarisation is not big (A^2 <= 0)")
     den = ctx.den or 1
     floor = ctx.floor * den
@@ -982,8 +974,10 @@ def c_plus(k_dot_a: float, a2: float, k2: float, k: int) -> float:
     return 0.5 * k_dot_a + math.sqrt(0.25 * k2 * a2 + 2.0 * a2 * k)
 
 
-def c_plus_reference(k_dot_a: float, a2: float, k2: float, k: int,
-                     tol: float = 1e-12) -> float:
+_C_PLUS_TOL = 1e-12  # c_plus_reference's relative bisection width
+
+
+def c_plus_reference(k_dot_a: float, a2: float, k2: float, k: int) -> float:
     """Independent evaluation: bisect the smallest a >= 0 with
     a(a+kappa) >= (2k - sum(delta_i^2 r_i)/4)/A^2, then return a*A^2."""
     kappa = -k_dot_a / a2
@@ -1000,7 +994,7 @@ def c_plus_reference(k_dot_a: float, a2: float, k2: float, k: int,
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol * (1 + hi):
+        if hi - lo < _C_PLUS_TOL * (1 + hi):
             break
     return hi * a2
 

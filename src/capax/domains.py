@@ -111,9 +111,7 @@ class BoundaryProfile(namedtuple(
 
 
 def polygon(vertices, orientation: str, backend: str = "exact",
-            field_d: int | None = None, eps: float = 0.0) -> DomainDescriptor:
-    if field_d is not None:
-        backend = f"sqrt:{field_d}"
+            eps: float = 0.0) -> DomainDescriptor:
     base, field_d = parse_backend(backend)
     vs = tuple((parse_scalar(x, base, field_d), parse_scalar(y, base, field_d))
                for x, y in vertices)

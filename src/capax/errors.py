@@ -52,7 +52,9 @@ class NotNef(CapaxError):
 
 
 class TowerTooLarge(CapaxError):
-    """A blowup tower needs more blowups than `tower.MAX_BLOWUPS`."""
+    """A blowup tower needs more blowups than `tower.MAX_BLOWUPS`, the most
+    that the nef search, which recurses once per blowup, takes within
+    Python's default limit of 1000 frames."""
 
 
 class UnknownNode(CapaxError):

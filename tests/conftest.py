@@ -25,6 +25,17 @@ def convex_hull(pts):
     return half(pts)[:-1] + half(pts[::-1])[:-1]
 
 
+def dense_class(c, n: int) -> tuple:
+    """The boundary curve c's class as n+1 signed coefficients over
+    (H, e_1, .., e_n): its degree, +1 at its own index, -1 at each hit."""
+    v = [c.degree] + [0] * n
+    if c.own:
+        v[c.own] = 1
+    for i in c.hits:
+        v[i] = -1
+    return tuple(v)
+
+
 def random_convex_polygon(rng: random.Random, max_extra: int = 3):
     """Rational convex polygon with axis contacts, <= 6 vertices,
     coordinate denominators <= 4."""

@@ -16,7 +16,6 @@ from capax import capacities, domains
 from capax.errors import BelowThreshold, CapaxError, PruningBoundExceeded, SearchSpaceEmpty
 from capax.capacities import (
     _EnumContext,
-    _bound_pairings,
     _scaled,
     CapacitySeries,
     alg_capacity_enum,
@@ -50,7 +49,7 @@ from capax.obstructions import obstruct
 from capax.scalars import Quad, _is_squarefree, format_ratio, format_scalar, quad_sign, write_json
 from capax.tower import _dot, blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
-from conftest import convex_hull, random_convex_polygon
+from conftest import convex_hull, dense_class, random_convex_polygon
 
 PHI = (1 + math.sqrt(5)) / 2
 FIG = domains.polygon([(0, 0), (4, 0), (4, 1), (2, 3), (0, 4)], "convex")
@@ -1215,7 +1214,8 @@ def exhaustive_series(s, kmax: int) -> list:
     assert floor > 0
     settled = [[] for _ in range(n + 1)]  # curves by their last positive coefficient
     for c in s.curves:
-        settled[max((i for i in range(1, n + 1) if c.cls[i] > 0), default=0)].append(c.cls)
+        cls = dense_class(c, n)
+        settled[max((i for i in range(1, n + 1) if cls[i] > 0), default=0)].append(cls)
     best = [s.A[0] - s.A[0]] + [None] * kmax
     d = 0
     while True:
@@ -1364,7 +1364,7 @@ class TestNefFloor:
             return float(s.A[0])
         rows, rhs = [], []
         for c in s.curves:
-            cls = tuple(c.cls) + (0,) * (n + 1 - len(c.cls))
+            cls = dense_class(c, n)
             if any(cls[1:]):
                 rows.append([-float(x) for x in cls[1:]])
                 rhs.append(float(cls[0]))
@@ -1432,12 +1432,12 @@ class TestCPlus:
 class TestDkn:
     def test_plane_examples(self):
         s = p2_init(Fraction(1))
-        assert dkn_upper_data(*_bound_pairings(s), 2) == pytest.approx(2.0)
-        assert dkn_upper_data(*_bound_pairings(s), 0) == pytest.approx(1.0)
+        assert dkn_upper_data(*s.pairings(), 2) == pytest.approx(2.0)
+        assert dkn_upper_data(*s.pairings(), 0) == pytest.approx(1.0)
 
     def test_certifies_enum(self):
         s = blowup(p2_init(Fraction(2)), ("H0", "H1"), Fraction(1))
-        pairings = _bound_pairings(s)
+        pairings = s.pairings()
         for k in (0, 1, 5, 11):
             assert float(alg_capacity_enum(s, k)) <= dkn_upper_data(*pairings, k) + 1e-9
 
@@ -1445,20 +1445,20 @@ class TestDkn:
         rng = random.Random(34)
         d = random_convex_polygon(rng)
         tw = build_tower(convex_weights(d))
-        pairings = _bound_pairings(tw.final)
+        pairings = tw.final.pairings()
         for k in (1, 5, 13, 27):
             assert float(alg_capacity_enum(tw.final, k)) <= dkn_upper_data(*pairings, k) + 1e-9
 
     def test_abstract_data_form_matches_surface(self):
-        from capax.tower import _dot, f_from_self_intersections, k_plus_dot_A, self_int
         s = blowup(p2_init(Fraction(3)), ("H0", "H1"), Fraction(1))
-        ints = [self_int(c.cls) for c in s.curves]
+        classes = [dense_class(c, s.n) for c in s.curves]
+        ints = [_dot(v, v) for v in classes]
         abstract = dkn_upper_data(
             float(_dot(s.A, s.A)),
             float(_dot(tuple(-x for x in s.K), s.A)),
-            f_from_self_intersections(ints),
-            float(k_plus_dot_A(s)), 7)
-        assert abstract == pytest.approx(dkn_upper_data(*_bound_pairings(s), 7))
+            ints.count(-1) - 2 * sum(1 + q for q in ints if q < -1),
+            float(sum(_dot(s.A, v) for c, v in zip(s.curves, classes) if c.is_plus)), 7)
+        assert abstract == pytest.approx(dkn_upper_data(*s.pairings(), 7))
 
 
 class TestProperties:

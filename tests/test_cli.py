@@ -176,6 +176,40 @@ class TestCommands:
         code, _ = run(capsys, "obstruct", "--from", "ball:1", "--to", "ball:1")
         assert code == 0
 
+    def test_obstruct_quarter_disk_volume_witness(self, capsys):
+        # a curve's area tolerance: eps and the formula's rounding, relative to the area
+        code, out = run(capsys, "obstruct", "--from", "quarter_disk:1", "--to", "ball:1")
+        j = json.loads(out)
+        assert (code, j["verdict"]) == (2, "OBSTRUCTED")
+        assert j["volumes"] == {"equal_within_tolerance": False,
+                                "from": 0.7853981633974483, "to": 0.5}
+        assert j["witnesses"][-1] == {"criterion": "volume", "from_value": 0.7853981633974483,
+                                      "k": None, "slack": 1.7853984775567137e-09,
+                                      "to_value": 0.5}
+        assert [w["k"] for w in j["witnesses"][:-1]] == [2, 4, 5, 6, 7, 8, 9, 10]
+
+    @pytest.mark.parametrize("to", ["square:1", "ellipsoid:1,2"])
+    def test_obstruct_float_square_is_inadmissible(self, capsys, to):
+        # a float polygon: the shoelace area tolerance, and no scaled-lattice
+        # test, so its rational-sloped edges leave it inadmissible
+        code, out = run(capsys, "obstruct", "--from", "square:1", "--to", to,
+                        "--backend", "float", "--kmax", "10")
+        j = json.loads(out)
+        assert (code, j["verdict"], j["witnesses"]) == (0, "INCONCLUSIVE", [])
+        assert j["admissible"] == {"from": False, "to": to != "square:1"}
+        assert j["volumes"] == {"equal_within_tolerance": True, "from": 1.0, "to": 1.0}
+        assert j["notes"][-1] == ("equal volumes but inadmissible domain: affine-length "
+                                  "criterion not applied")
+
+    def test_errors_float_ball_has_no_rank(self, capsys):
+        # the rational rank of float edge lengths is not decided
+        code, out = run(capsys, "errors", "--domain", "ball:1", "--backend", "float",
+                        "--kmax", "20")
+        j = json.loads(out)
+        assert code == 0
+        assert (j["N_rational_edges"], j["v_rank"], j["limit"]) == (1, None, None)
+        assert j["band"] == [-1.5, -0.5] and j["proven_convergent"] is False
+
     def test_error_exit_is_one(self, capsys):
         code = main(["capacities", "--domain", "nonsense:1"])
         assert code == 1
@@ -567,10 +601,21 @@ class TestOracleRun:
                         "--kmax", "1000", "--oracle")
         assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
 
+    def test_oracle_verifies_at_the_blowup_limit(self):
+        # the triangle (0,0), (n,0), (0,1) expands into n weights, one blowup
+        # each, and the nef search recurses once per blowup: at the limit it
+        # still runs within Python's default frame limit
+        n = tower.MAX_BLOWUPS
+        spec = json.dumps({"kind": "polygon", "orientation": "convex",
+                           "vertices": [[0, 0], [n, 0], [0, 1]]})
+        code, out, err = main_in_child(["capacities", "--domain", f"polygon:{spec}",
+                                        "--kmax", "10", "--oracle"])
+        assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified", err
+
     @pytest.mark.parametrize("command", [["capacities", "--kmax", "3", "--oracle"], ["tower"]])
     def test_refuses_a_tower_past_the_blowup_limit(self, capsys, command):
-        # the triangle (0,0), (n,0), (0,1) expands into n weights, one blowup
-        # each; without the limit a tower of 625 peaked at 686 MB
+        # past the limit the nef search would exhaust Python's frames near
+        # 990 blowups
         n = tower.MAX_BLOWUPS + 1
         spec = json.dumps({"kind": "polygon", "orientation": "convex",
                            "vertices": [["0", "0"], [str(n), "0"], ["0", "1"]]})

@@ -292,7 +292,7 @@ class TestJson:
         d = domains.descriptor_from_json(
             {"kind": "polygon", "orientation": "concave", "vertices": vertices, "field_d": 5})
         assert d.field_d == 5
-        assert d == domains.polygon(vertices, "concave", field_d=5)
+        assert d == domains.polygon(vertices, "concave", backend="sqrt:5")
 
     @pytest.mark.parametrize("field_d", [2 ** 31, 10 ** 21 + 3])
     def test_field_over_the_bound_is_refused(self, field_d):

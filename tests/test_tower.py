@@ -12,20 +12,19 @@ from capax.tower import (
     build_tower,
     k_plus_dot_A,
     p2_init,
-    self_int,
     tower_dump,
     _dot,
     _negative,
 )
 from capax.weights import TruncationLimits, convex_weights
-from conftest import random_convex_polygon
+from conftest import dense_class, random_convex_polygon
 from test_weights import phi_triangle
 
 
 def nef_test(s: PicBasisSurface, cls) -> tuple[bool, object | None]:
     """cls pairs >= 0 with every boundary curve (they generate the curve cone)."""
     for c in s.curves:
-        if _negative(_dot(tuple(cls), c.cls)):
+        if _negative(_dot(tuple(cls), dense_class(c, s.n))):
             return False, c.token
     return True, None
 
@@ -34,16 +33,20 @@ def assert_surface_invariants(s: PicBasisSurface):
     """Cycle closes to -K, adjacent curves meet once, K^2 = 9 - n, A nef:
     the full check that blowup's two-curve nef test stands for."""
     total = (0,) * (s.n + 1)
-    for c in s.curves:
-        assert len(c.cls) == s.n + 1, f"curve {c.token} has a class of length {len(c.cls)}"
-        total = tuple(x + y for x, y in zip(total, c.cls))
+    classes = [dense_class(c, s.n) for c in s.curves]
+    for c, cls in zip(s.curves, classes):
+        assert list(c.hits) == sorted(set(c.hits)) and all(c.own < i <= s.n for i in c.hits), \
+            f"curve {c.token} has hits {c.hits} outside ({c.own}, {s.n}]"
+        assert c.square == _dot(cls, cls), f"curve {c.token} has the wrong square"
+        assert c.pair(s.A) == _dot(s.A, cls), f"curve {c.token} pairs wrongly with A"
+        total = tuple(x + y for x, y in zip(total, cls))
     assert total == tuple(-x for x in s.K)
-    assert self_int(s.K) == 9 - s.n
+    assert _dot(s.K, s.K) == 9 - s.n
     m = len(s.curves)
     for i in range(m):
         for j in range(i + 1, m):
             expected = 1 if (j == i + 1 or (i == 0 and j == m - 1)) else 0
-            got = _dot(s.curves[i].cls, s.curves[j].cls)
+            got = _dot(classes[i], classes[j])
             assert got == expected, f"curves {s.curves[i].token},{s.curves[j].token} meet {got}x"
     ok, bad = nef_test(s, s.A)
     assert ok, f"A is not nef against {bad}"
@@ -54,7 +57,7 @@ class TestP2Init:
         s = p2_init(Fraction(5))
         assert _dot(s.A, s.A) == 25
         assert _dot(tuple(-x for x in s.K), s.A) == 15
-        assert [self_int(c.cls) for c in s.curves] == [1, 1, 1]
+        assert [_dot(dense_class(c, 0), dense_class(c, 0)) for c in s.curves] == [1, 1, 1]
         assert k_plus_dot_A(s) == 5
 
     def test_rejects_nonpositive(self):
@@ -66,12 +69,12 @@ class TestBlowup:
     def test_standard_arithmetic(self):
         s = blowup(p2_init(Fraction(1)), ("H0", "H1"), Fraction(1))
         assert _dot(s.A, s.A) == 0
-        assert sorted(self_int(c.cls) for c in s.curves) == [-1, 0, 0, 1]
+        assert sorted(_dot(v, v) for v in (dense_class(c, 1) for c in s.curves)) == [-1, 0, 0, 1]
 
     def test_k_bookkeeping(self):
         s = blowup(p2_init(Fraction(5)), ("H0", "H1"), Fraction(1))
         assert _dot(tuple(-x for x in s.K), s.A) == 14
-        assert self_int(s.K) == 9 - 1
+        assert _dot(s.K, s.K) == 9 - 1
 
     def test_zero_weight_keeps_a2(self):
         s0 = p2_init(Fraction(3))
@@ -99,9 +102,34 @@ class TestBlowup:
         trees = [convex_weights(random_convex_polygon(rng)) for _ in range(5)]
         # Q(sqrt 5): the full nef check of every level on irrational data
         trees.append(convex_weights(phi_triangle("convex"), TruncationLimits(eps=1e-5)))
+        # floats: each record's pairing with A rounds as the dense product does
+        trees.append(convex_weights(domains.ellipsoid(1, (1 + 5 ** 0.5) / 2, backend="float")))
+        trees.append(convex_weights(domains.polygon(
+            [(0, 0), (2.5, 0), (3.0, 0.7), (2.2, 2.1), (0.9, 2.6), (0, 2.3)], "convex",
+            backend="float", eps=1e-9)))
         for t in trees:
             for s in build_tower(t).surfaces:
                 assert_surface_invariants(s)
+
+    def test_levels_share_the_curves_a_blowup_leaves(self):
+        # a blowup makes three curve records, the two through its node and
+        # the exceptional curve; every other record is the level below's
+        rng = random.Random(23)
+        towers = []
+        while len(towers) < 5:
+            tw = build_tower(convex_weights(random_convex_polygon(rng, max_extra=5)))
+            if len(tw.order) > 1:
+                towers.append(tw)
+        for tw in towers:
+            for nid, lo, hi in zip(tw.order, tw.surfaces, tw.surfaces[1:]):
+                below = {c.token: c for c in lo.curves}
+                made = [c for c in hi.curves if below.get(c.token) is not c]
+                assert len(made) == 3 and len(hi.curves) == len(lo.curves) + 1
+                new = next(c for c in made if c.token == nid)
+                assert (new.degree, new.own, new.hits) == (0, hi.n, ())
+                for c in made:
+                    if c is not new:
+                        assert c.hits == below[c.token].hits + (hi.n,)
 
 
 class TestBuildTower:
@@ -149,8 +177,7 @@ class TestBuildTower:
         for s in tw.surfaces:
             total = [0] * (s.n + 1)
             for c in s.curves:
-                cls = list(c.cls) + [0] * (s.n + 1 - len(c.cls))
-                total = [x + y for x, y in zip(total, cls)]
+                total = [x + y for x, y in zip(total, dense_class(c, s.n))]
             assert total == [-x for x in s.K]
 
 
@@ -210,4 +237,5 @@ class TestF:
         s = blowup(s, ("E", "H1"), Fraction(1))
         assert F_of_n(s) - f_prev <= 5
         e_curve = next(c for c in s.curves if c.token == "E")
-        assert self_int(e_curve.cls) == -3
+        v = dense_class(e_curve, s.n)
+        assert _dot(v, v) == -3
