@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import capacities, domains, scalars, weights
+from . import scalars
 from .errors import CapaxError, WindowOutOfRange
 
 
@@ -34,7 +34,13 @@ def _lazy(name: str):
     return sys.modules[full]
 
 
-asymptotics, obstructions, tower = map(_lazy, ("asymptotics", "obstructions", "tower"))
+asymptotics, capacities, curves, domains, obstructions, tower, weights = map(_lazy, (
+    "asymptotics", "capacities", "curves", "domains", "obstructions", "tower", "weights"))
+# the route modules, which capacities imports as a domain needs them: registered
+# here too, so that every capax module is in sys.modules once capax.cli is (the
+# benchmark's tracer wraps the functions of the modules it finds there)
+for _route in ("closed_forms", "decomposition", "nef"):
+    _lazy(_route)
 
 CSV_HEADER = "# capax-csv v1"
 
@@ -104,9 +110,9 @@ def parse_domain(spec: str, backend: str | None = None,
         if kind == "square":
             return domains.square(val(args[0]), backend=inline, eps=eps)
         if kind == "quarter_disk":
-            return domains.quarter_disk(Fraction(args[0]), eps=eps)
+            return curves.quarter_disk(Fraction(args[0]), eps=eps)
         if kind == "superellipse":
-            return domains.superellipse(Fraction(args[0]), Fraction(args[1]), eps=eps)
+            return curves.superellipse(Fraction(args[0]), Fraction(args[1]), eps=eps)
         if kind == "polygon":
             return _json_domain(json.loads(rest), eps, backend)
         if kind == "weights":
@@ -121,8 +127,10 @@ def parse_domain(spec: str, backend: str | None = None,
     raise CapaxError(f"unknown domain shorthand {kind!r}")
 
 
-def _limits(ns) -> weights.TruncationLimits:
-    return weights.TruncationLimits(max_depth=ns.depth, eps=ns.eps)
+def _limits(ns) -> domains.TruncationLimits:
+    """--depth and --eps, checked for every domain kind, those that never
+    expand into weights too."""
+    return domains.TruncationLimits(max_depth=ns.depth, eps=ns.eps)
 
 
 def _emit(ns, produce) -> None:
@@ -170,13 +178,14 @@ def cmd_weights(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
     domains.validate(d)
     if d.kind == "curve":
-        d, _ = domains.inner_grid_polygon(d, 32)
+        d, _ = curves.inner_grid_polygon(d, 32)
+    limits = _limits(ns)
     if d.kind == "ellipsoid" and not d.is_ball():
-        tree = weights.concave_weights(d, _limits(ns))  # ball decomposition
+        tree = weights.concave_weights(d, limits)  # ball decomposition
     elif d.is_convex():
-        tree = weights.convex_weights(d, _limits(ns))
+        tree = weights.convex_weights(d, limits)
     else:
-        tree = weights.concave_weights(d, _limits(ns))
+        tree = weights.concave_weights(d, limits)
     if ns.format == "csv":
         _emit(ns, lambda write: weights.weights_to_csv(tree, write))
     else:
@@ -186,11 +195,12 @@ def cmd_weights(ns) -> int:
 
 def cmd_capacities(ns) -> int:
     d = parse_domain(ns.domain, ns.backend, ns.eps_backend)
-    series = capacities.series_for_domain(d, ns.kmax, _limits(ns))
+    limits = _limits(ns)
+    series = capacities.series_for_domain(d, ns.kmax, limits)
     if ns.oracle:
         if not d.is_convex():
             raise CapaxError("--oracle needs a convex domain")
-        tw = tower.build_tower(weights.convex_weights(d, _limits(ns)))
+        tw = tower.build_tower(weights.convex_weights(d, limits))
         results = capacities.tower_capacities(tw, series.kmax)
         exact = series.backend != "float" and tw.tail_sum() == 0
         bad = [k for k, res in enumerate(results) if not _agree(series, k, res, exact)]

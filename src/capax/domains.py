@@ -9,7 +9,8 @@ strictly increasing, which is the orientation the weight recursion
 consumes.  Convex regions may open with horizontal and close with
 vertical chain edges; concave regions are graphs of convex functions
 with f(a) = 0, so their chains are strictly monotone in both
-coordinates.
+coordinates.  The smooth curve families live in `capax.curves`, which
+this module imports for curve descriptors alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .scalars import (
     Quad,
     _is_squarefree,
     backend_of,
-    bounded,
     parse_scalar,
     primitive_direction,
 )
@@ -98,6 +98,27 @@ class Edge(namedtuple("Edge", "direction affine_length rational_sloped")):
     __slots__ = ()
 
 
+class TruncationLimits(namedtuple("TruncationLimits", "max_depth eps")):
+    """How far the weight recursion expands a domain: at most `max_depth`
+    levels, and no piece whose weight is below `eps`; None for a backend's
+    default (`resolved`).  Both are checked here, where they are made."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_depth: int | None = None, eps: float | None = None):
+        # a nan or negative threshold drops no piece, yet is not "unlimited"
+        if eps is not None and not eps >= 0:
+            raise InvalidSpec(f"weight threshold must be >= 0, got {eps}")
+        if max_depth is not None and max_depth < 0:
+            raise InvalidSpec(f"depth limit must be >= 0, got {max_depth}")
+        return super().__new__(cls, max_depth, eps)
+
+    def resolved(self, exact: bool) -> tuple[int, float]:
+        depth = self.max_depth if self.max_depth is not None else (4096 if exact else 256)
+        eps = self.eps if self.eps is not None else (0.0 if exact else 1e-9)
+        return depth, eps
+
+
 class BoundaryProfile(namedtuple(
         "BoundaryProfile",
         "a b plus_edges total_affine_plus affine_tol backend chain smooth",
@@ -136,28 +157,6 @@ def square(s, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
     return DomainDescriptor(kind="polygon", orientation="convex",
                             vertices=((z, z), (s, z), (s, s), (z, s)),
                             backend=backend, eps=eps)
-
-
-def quarter_disk(r, eps: float = 1e-12) -> DomainDescriptor:
-    return DomainDescriptor(kind="curve", curve="quarter_disk",
-                            params=(bounded(Fraction(r)),), backend="float", eps=eps)
-
-
-def superellipse(p, r, eps: float = 1e-12) -> DomainDescriptor:
-    p = bounded(Fraction(p))
-    if p < 1:
-        raise NonConvex("superellipse exponent must be >= 1")
-    r = bounded(Fraction(r))
-    if r > 0:  # the curve is evaluated through r^p in floats
-        try:
-            rp = float(r) ** float(p)
-        except OverflowError:
-            rp = math.inf
-        if not 0 < rp < math.inf:
-            raise InvalidSpec(f"superellipse r^p = {float(r)!r}^{float(p)!r} "
-                              "is not a positive finite float")
-    return DomainDescriptor(kind="curve", curve="superellipse",
-                            params=(p, r), backend="float", eps=eps)
 
 
 def weight_list(head, weights, backend: str = "exact", eps: float = 0.0) -> DomainDescriptor:
@@ -258,7 +257,8 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
                                affine_tol=d.tol / max(abs(prim[0]), 1) if rational else 0.0,
                                backend=d.backend, chain=chain)
     if d.kind == "curve":
-        return _validate_curve(d)
+        from . import curves
+        return curves.profile(d)
     if d.kind == "weight_list":
         if any(w < 0 for w in d.weights):
             raise EmptyDomain("negative weight")
@@ -379,45 +379,6 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
                            affine_tol=total_tol, backend=d.backend, chain=tuple(chain))
 
 
-def _curve_geometry(d: DomainDescriptor):
-    """(r, f, fprime) for the curve family, as floats."""
-    if d.curve == "quarter_disk":
-        (r,) = d.params
-        rf = float(r)
-
-        def f(x):
-            return math.sqrt(max(rf * rf - x * x, 0.0))
-
-        def fp(x):
-            return -x / f(x) if f(x) > 0 else -math.inf
-
-        return rf, f, fp
-    if d.curve == "superellipse":
-        p, r = d.params
-        pf, rf = float(p), float(r)
-
-        def f(x):
-            return (max(rf ** pf - x ** pf, 0.0)) ** (1.0 / pf)
-
-        def fp(x):
-            y = f(x)
-            if y <= 0:
-                return -math.inf
-            return -((x / y) ** (pf - 1.0)) if x > 0 else 0.0
-
-        return rf, f, fp
-    raise ValueError(f"unknown curve family {d.curve!r}")
-
-
-def _validate_curve(d: DomainDescriptor) -> BoundaryProfile:
-    r = d.params[-1]
-    if not r > 0:
-        raise EmptyDomain("curve radius must be positive")
-    # axis extents are exact (the stored radius); only interior data is fuzzy
-    return BoundaryProfile(a=r, b=r, plus_edges=(), total_affine_plus=Fraction(0),
-                           affine_tol=0.0, backend="float", chain=None, smooth=True)
-
-
 # ---------------------------------------------------------------------------
 # elementary invariants
 # ---------------------------------------------------------------------------
@@ -432,12 +393,8 @@ def area(d: DomainDescriptor):
     if d.kind == "ellipsoid":
         return d.a * d.b * Fraction(1, 2)
     if d.kind == "curve":
-        if d.curve == "quarter_disk":
-            (r,) = d.params
-            return math.pi * float(r) ** 2 / 4
-        p, r = d.params
-        pf = float(p)
-        return float(r) ** 2 * math.gamma(1 + 1 / pf) ** 2 / math.gamma(1 + 2 / pf)
+        from . import curves
+        return curves.area(d)
     if d.kind == "weight_list":
         sq = sum(w * w for w in d.weights)
         return (sq if d.head is None else d.head * d.head - sq) * Fraction(1, 2)
@@ -466,65 +423,6 @@ def area_tolerance(d: DomainDescriptor) -> float:
         return prod(d.a, d.b) / 2
     sq = sum(prod(w, w) for w in d.weights)
     return (sq if d.head is None else prod(d.head, d.head) + sq) / 2
-
-
-# ---------------------------------------------------------------------------
-# inner grid polygon of the smooth families
-# ---------------------------------------------------------------------------
-
-def inner_grid_polygon(d: DomainDescriptor, M: int) -> tuple[DomainDescriptor, float]:
-    """Inner approximation on the (r/M)-grid with small coordinate
-    denominators, for consumers that feed the weight recursion (simple
-    slopes keep the tree small), and its Hausdorff bound, which carries
-    the extra grid offset."""
-    if d.kind != "curve":
-        raise ValueError("inner_grid_polygon applies to curve families")
-    r = d.params[-1]
-    rf, f, fp = _curve_geometry(d)
-    # the curve's grid points snapped down onto the grid, between the axis ends
-    pts = [(Fraction(0), Fraction(r))]
-    for i in range(1, M):
-        x = Fraction(i, M) * r
-        y = Fraction(math.floor(f(float(x)) / rf * M), M) * r
-        if y > 0:
-            pts.append((x, y))
-    pts.append((Fraction(r), Fraction(0)))
-    # upper hull: traversed x-increasing the chain must turn right throughout
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) >= 0:
-            hull.pop()
-        hull.append(pt)
-    verts = [(Fraction(0), Fraction(0))] + list(reversed(hull))
-    poly = DomainDescriptor(kind="polygon", orientation="convex",
-                            vertices=tuple(verts), backend="exact")
-    # arc-to-chord gaps measured on true curve points, plus the grid offset
-    worst = 0.0
-    xs = [float(p[0]) for p in hull]
-    for x0, x1 in zip(xs, xs[1:]):
-        worst = max(worst, _tangent_gap(f, fp, x0, f(x0), x1, f(x1)))
-    return poly, worst * (1 + 1e-9) + 2 * rf / M
-
-
-def _tangent_gap(f, fp, x0, y0, x1, y1) -> float:
-    # distance from the chord to the intersection of the endpoint tangents
-    s0, s1 = fp(x0), fp(x1)
-    cx, cy = x1 - x0, y1 - y0
-    norm = math.hypot(cx, cy)
-    if norm == 0:
-        return 0.0
-    f0, f1 = f(x0), f(x1)
-    if not math.isfinite(s0):
-        # vertical tangent at x0: intersect x = x0 with tangent at x1
-        xi, yi = x0, f1 + s1 * (x0 - x1)
-    elif not math.isfinite(s1):
-        xi, yi = x1, f0 + s0 * (x1 - x0)
-    elif abs(s0 - s1) < 1e-15:
-        return 0.0
-    else:
-        xi = (f1 - f0 + s0 * x0 - s1 * x1) / (s0 - s1)
-        yi = f0 + s0 * (xi - x0)
-    return abs(cx * (yi - y0) - cy * (xi - x0)) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +457,12 @@ def _descriptor_from_json(obj) -> DomainDescriptor:
     if kind == "ellipsoid":
         return ellipsoid(obj["a"], obj["b"], backend=backend, eps=eps)
     if kind == "curve":
+        from . import curves
         name = obj["name"]
         if name == "quarter_disk":
-            return quarter_disk(obj["r"], eps=eps)
+            return curves.quarter_disk(obj["r"], eps=eps)
         if name == "superellipse":
-            return superellipse(obj["p"], obj["r"], eps=eps)
+            return curves.superellipse(obj["p"], obj["r"], eps=eps)
         raise InvalidSpec(f"unknown curve family {name!r}")
     if kind == "weight_list":
         return weight_list(obj.get("head"), obj.get("weights", ()),

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 from .errors import NotComparable
 from .scalars import rational_parts
-from .domains import DomainDescriptor, area, area_tolerance, validate
+from .domains import DomainDescriptor, TruncationLimits, area, area_tolerance, validate
 from .capacities import series_for_domain
-from .weights import TruncationLimits
 
 VOL_RTOL = 1e-9
 

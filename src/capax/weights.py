@@ -33,9 +33,9 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from .errors import BackendOverflow, InvalidSpec, NonConvex
+from .errors import BackendOverflow, NonConvex
 from .scalars import Column, format_scalar, primitive_direction, write_csv
-from .domains import DomainDescriptor, shoelace_area, validate
+from .domains import DomainDescriptor, TruncationLimits, shoelace_area, validate
 
 INF_NODE = "inf"  # key for the extended node in deficiency maps
 
@@ -54,20 +54,6 @@ class WeightNode(namedtuple("WeightNode",
 class Truncation(namedtuple("Truncation", "max_depth eps dropped_tail_sum dropped_tail_sq "
                                           "dropped_pieces complete")):
     __slots__ = ()
-
-
-class TruncationLimits(namedtuple("TruncationLimits", "max_depth eps", defaults=(None, None))):
-    __slots__ = ()
-
-    def resolved(self, exact: bool) -> tuple[int, float]:
-        # a nan or negative threshold drops no piece, yet is not "unlimited"
-        if self.eps is not None and not self.eps >= 0:
-            raise InvalidSpec(f"weight threshold must be >= 0, got {self.eps}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise InvalidSpec(f"depth limit must be >= 0, got {self.max_depth}")
-        depth = self.max_depth if self.max_depth is not None else (4096 if exact else 256)
-        eps = self.eps if self.eps is not None else (0.0 if exact else 1e-9)
-        return depth, eps
 
 
 class WeightTree:

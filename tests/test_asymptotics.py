@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from capax import domains
+from capax import curves, domains
 from capax.asymptotics import (
     band_for_profile,
     band_from_pairings,
@@ -53,7 +53,7 @@ class TestBands:
         assert (b.lower, b.upper) == (-6.0, -2.0)
 
     def test_quarter_disk_degenerate(self):
-        b = band_for_profile(domains.validate(domains.quarter_disk(1)))
+        b = band_for_profile(domains.validate(curves.quarter_disk(1)))
         assert (b.lower, b.upper) == (-1.0, -1.0)
 
     def test_pairings_form(self):
@@ -91,7 +91,7 @@ class TestEdgeInvariants:
         assert inv.n_rational == 3 and inv.v_rank == 1
 
     def test_quarter_disk(self):
-        inv = edge_invariants(domains.validate(domains.quarter_disk(1)))
+        inv = edge_invariants(domains.validate(curves.quarter_disk(1)))
         assert inv.n_rational == 0 and inv.v_rank == 0
 
     def test_quad_backend_rank_two(self):
@@ -110,7 +110,7 @@ class TestEdgeInvariants:
 
 class TestVerdicts:
     def test_quarter_disk_proven(self):
-        v = convergence_verdict(domains.validate(domains.quarter_disk(1)))
+        v = convergence_verdict(domains.validate(curves.quarter_disk(1)))
         assert v.proven and v.limit == pytest.approx(-1.0)
 
     def test_ball_unproven_with_midpoint(self):

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capax import capacities, domains
+from capax import curves, decomposition, domains
 from capax.errors import BelowThreshold, CapaxError, PruningBoundExceeded, SearchSpaceEmpty
 from capax.capacities import (
-    _EnumContext,
     _scaled,
     CapacitySeries,
     alg_capacity_enum,
@@ -35,6 +34,8 @@ from capax.capacities import (
     tower_capacities,
     tower_capacity,
     union_of_balls,
+)
+from capax.decomposition import (
     _ball_list,
     _ball_stairs,
     _convex_scan,
@@ -45,6 +46,7 @@ from capax.capacities import (
     _ScanData,
     _stairs,
 )
+from capax.nef import _EnumContext
 from capax.obstructions import obstruct
 from capax.scalars import Quad, _is_squarefree, format_ratio, format_scalar, quad_sign, write_json
 from capax.tower import _dot, blowup, build_tower, p2_init
@@ -430,7 +432,7 @@ class TestConvexScan:
             sizes.append(S)
             return _ball_stairs(ws, S)
 
-        monkeypatch.setattr(capacities, "_ball_stairs", count)
+        monkeypatch.setattr(decomposition, "_ball_stairs", count)
         values, slack = reference_scan(d, K)
         got = _convex_scan(_ScanData(convex_weights(d)), K)
         assert max(sizes) > 64  # the scan read past the reference's first 64 indices
@@ -459,7 +461,7 @@ class TestConvexScan:
             sizes.append(S)
             return _ball_stairs(ws, S)
 
-        monkeypatch.setattr(capacities, "_ball_stairs", count)
+        monkeypatch.setattr(decomposition, "_ball_stairs", count)
         monkeypatch.setattr(_ScanData, "stop_bound",
                             lambda data, k, target: bound(data, k, target) if sizes else 0.0)
         got = convex_capacity(d, K, limits)
@@ -959,7 +961,7 @@ class TestQuadPairFold:
         # subtraction or comparison.  The weight tree and `_ScanData` sort
         # their Quads, so the count starts at the scan
         d, limits = golden_triangle(), TruncationLimits(eps=1e-6)
-        tree, scan = convex_weights(d, limits), capacities._convex_scan
+        tree, scan = convex_weights(d, limits), decomposition._convex_scan
         spies = [mock.patch.object(Quad, name, autospec=True, side_effect=getattr(Quad, name))
                  for name in ("__sub__", "__lt__")]
 
@@ -970,7 +972,7 @@ class TestQuadPairFold:
             return out
 
         calls = []
-        with mock.patch.object(capacities, "_convex_scan", counted_scan):
+        with mock.patch.object(decomposition, "_convex_scan", counted_scan):
             got = convex_capacity(d, 100, limits, tree=tree)
         assert calls == [0, 0]
         assert all(isinstance(x, Quad) for x in got.values)
@@ -1110,7 +1112,7 @@ class TestStaircaseFold:
         ws, K = ws_K
         # Q(sqrt d) runs fold through the int `_stairs` too, as `_quad_ints`
         runs = len([w for w, _ in groupby(ws)])
-        with mock.patch.object(capacities, "_stairs", wraps=capacities._stairs) as fold:
+        with mock.patch.object(decomposition, "_stairs", wraps=decomposition._stairs) as fold:
             got = _ball_list(ws, K)
         assert fold.call_count == runs - 1
         assert got == reference_ball_table(ws, np.array(d_values(K)))
@@ -1141,14 +1143,14 @@ class TestStaircaseFold:
     def test_p6_scan_folds_fewer_pairs(self, monkeypatch):
         # P6's scan table at kmax 5000 (S = 2874): every (breakpoint, step)
         # pair is 100,839 pairs, of which the fold visits 18,704
-        pairs, kept = [], capacities._steps_kept
+        pairs, kept = [], decomposition._steps_kept
 
         def count(*args):
             out = kept(*args)
             pairs.append(sum(out))
             return out
 
-        monkeypatch.setattr(capacities, "_steps_kept", count)
+        monkeypatch.setattr(decomposition, "_steps_kept", count)
         _convex_scan(_ScanData(convex_weights(P6)), 5000)
         assert sum(pairs) <= 20_000
 
@@ -1194,7 +1196,7 @@ class TestStaircaseFold:
         # the perfbench concave polygon: 4 weights, O(sqrt K) breakpoints,
         # and the run of three 1s folds as one staircase
         ws = [3, 1, 1, 1]
-        with mock.patch.object(capacities, "_stairs", wraps=capacities._stairs) as fold:
+        with mock.patch.object(decomposition, "_stairs", wraps=decomposition._stairs) as fold:
             idx, _ = _ball_stairs(ws, 50_000)
         assert fold.call_count == 1
         assert len(idx) < 1_100
@@ -1259,6 +1261,54 @@ def enum_towers(draw):
                         backend=f"sqrt:{field}")
     eps = draw(st.sampled_from([1e-2, 1e-3]))
     return build_tower(convex_weights(d, TruncationLimits(eps=eps))).final
+
+
+@st.composite
+def quad_convex_polygons(draw):
+    """Convex polygons over Q(sqrt d), d in {2, 3, 5}, with rational edge
+    directions: the upper chain walks one to four primitive directions
+    (p, -q) of falling slope from (0, a) down to (b, 0), each for a positive
+    length r + s*sqrt d, so a and b are the sums the walk makes.  Their
+    weight expansions are finite."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    primitive = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda v: math.gcd(*v) == 1)
+    dirs = draw(st.lists(primitive, min_size=1, max_size=4, unique=True).filter(
+        lambda ds: any(p for p, _ in ds) and any(q for _, q in ds)))
+    dirs.sort(key=lambda v: math.atan2(v[1], v[0]))  # the slope -q/p falls
+    part = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2]))
+    lengths = draw(st.lists(st.tuples(part, part).filter(any), min_size=len(dirs),
+                            max_size=len(dirs)))
+    zero = Quad(0, 0, d)
+    a = sum((Quad(r, s, d) * q for (_, q), (r, s) in zip(dirs, lengths)), zero)
+    chain = [(zero, a)]
+    for (p, q), (r, s) in zip(dirs, lengths):
+        x, y = chain[-1]
+        chain.append((x + Quad(r, s, d) * p, y - Quad(r, s, d) * q))
+    return domains.polygon([(zero, zero)] + chain[::-1], "convex", backend=f"sqrt:{d}")
+
+
+class TestTwoRouteOracle:
+    """The decomposition route and the nef enumeration agree exactly on
+    every complete expansion (the central oracle), over rational and
+    Q(sqrt d) data alike: the latter fold and scan as the ints of
+    `_quad_ints`, while the enumeration adds and compares Quads."""
+
+    def check(self, d, K):
+        tree = convex_weights(d)
+        assert tree.truncation.complete
+        assert convex_capacity(d, K, tree=tree).values == \
+            alg_capacity_series(build_tower(tree).final, K)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=rational_convex_polygons(), K=st.integers(1, 30))
+    def test_rational_polygons(self, d, K):
+        self.check(d, K)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=quad_convex_polygons(), K=st.integers(1, 30))
+    def test_quad_polygons_with_rational_edge_directions(self, d, K):
+        self.check(d, K)
 
 
 class TestEnum:
@@ -1543,9 +1593,9 @@ class TestProperties:
         # the curve route's bracket, from a coarse grid polygon, and a finer
         # grid polygon's, widened by its own Hausdorff slack, both hold the
         # quarter disk's c_k, so they intersect
-        qd = domains.quarter_disk(1)
+        qd = curves.quarter_disk(1)
         s = series_for_domain(qd, 20)
-        poly, hb = domains.inner_grid_polygon(qd, 96)
+        poly, hb = curves.inner_grid_polygon(qd, 96)
         finer = convex_capacity(poly, 20, TruncationLimits(max_depth=512, eps=1e-9))
         lam = hb / (1 - hb)
         for k in range(21):
@@ -1556,8 +1606,8 @@ class TestProperties:
     def test_curve_series_without_limits_is_complete(self):
         # the grid polygon is rational, so its expansion ends: an absolute
         # weight threshold of 1e-9 dropped every piece of a disk of radius 1e-12
-        small = series_for_domain(domains.quarter_disk(Fraction(1, 10 ** 12)), 20)
-        unit = series_for_domain(domains.quarter_disk(1), 20)
+        small = series_for_domain(curves.quarter_disk(Fraction(1, 10 ** 12)), 20)
+        unit = series_for_domain(curves.quarter_disk(1), 20)
         assert small.values == [v / 10 ** 12 for v in unit.values]
         assert small.meta["dropped_tail_sum"] == 0.0
 

@@ -7,13 +7,14 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capax
-from capax import capacities, domains, tower
+from capax import capacities, closed_forms, domains, nef, tower
 from capax.cli import build_parser, main, parse_domain
 from capax.errors import CapaxError
 
@@ -406,6 +407,27 @@ class TestInputBoundary:
         assert err.startswith("capax: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("command", [
+        ["capacities", "--domain", "ball:1", "--kmax", "3"],
+        ["capacities", "--domain", "ellipsoid:1,2", "--kmax", "3"],
+        ["capacities", "--domain", "square:1", "--kmax", "3"],
+        ["capacities", "--domain", f"@{PERF_INPUTS / 'fig.json'}", "--kmax", "3"],
+        ["obstruct", "--from", "ball:1", "--to", "ball:1", "--kmax", "3"],
+    ], ids=["ball", "ellipsoid", "square", "polygon", "obstruct"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "nan"], "weight threshold must be >= 0, got nan"),
+        (["--eps", "-1"], "weight threshold must be >= 0, got -1.0"),
+        (["--depth", "-1"], "depth limit must be >= 0, got -1"),
+    ], ids=["nan-eps", "negative-eps", "negative-depth"])
+    def test_bad_truncation_limits_exit_one_for_every_kind(self, capsys, command, flags,
+                                                           message):
+        # the closed forms expand no weights, yet refuse the limits as the
+        # weight routes do: the CLI checks them where it reads them
+        code = main([*command, *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"capax: {message}\n"
+
     def test_each_command_takes_the_options_it_reads(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -584,12 +606,12 @@ class TestOracleRun:
     def test_builds_one_enum_context(self, capsys, monkeypatch, fig_file):
         built = []
 
-        class Counting(capacities._EnumContext):
+        class Counting(nef._EnumContext):
             def __init__(self, s):
                 built.append(s.n)
                 super().__init__(s)
 
-        monkeypatch.setattr(capacities, "_EnumContext", Counting)
+        monkeypatch.setattr(nef, "_EnumContext", Counting)
         code, out = run(capsys, "capacities", "--domain", f"@{fig_file}",
                         "--kmax", "20", "--oracle")
         assert code == 0 and json.loads(out)["meta"]["oracle"] == "verified"
@@ -695,33 +717,68 @@ print(",".join(m for m in watched if m in sys.modules))
             (["capacities", "--domain", golden_concave, "--kmax", "100", "--eps", "1e-8"], 0),
         ) == (set(), set())
 
-    @pytest.mark.parametrize("argv, unused", [
-        (("capacities", "--kmax", "60"), {"tower", "asymptotics", "obstructions"}),
-        (("errors", "--kmax", "60"), {"tower", "obstructions"}),
-        (("capacities", "--kmax", "10", "--oracle"), {"asymptotics", "obstructions"}),
-    ], ids=["capacities", "errors", "oracle"])
-    def test_commands_run_only_the_modules_they_use(self, fig_file, argv, unused):
-        # a child run from an uncompiled checkout compiles every module it
-        # runs: `import capax.cli` puts every capax module in sys.modules,
-        # and a command executes only those it uses
-        argv = (*argv, "--domain", f"@{fig_file}", "--out", os.devnull)
+    @staticmethod
+    def modules(argv, code=0):
+        """In a child Python: the capax modules in sys.modules after `import
+        capax.cli`, and those that have executed after main(argv)."""
         script = f"""
-import sys, types
+import os, sys, types
 import capax.cli
 print(*sorted(n for n in sys.modules if n.startswith("capax.")))
-assert capax.cli.main({list(argv)!r}) == 0
+assert capax.cli.main({[*argv, "--out", os.devnull]!r}) == {code}
 print(*sorted(n for n, m in sys.modules.items()
               if n.startswith("capax.") and type(m) is types.ModuleType))
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        present, ran = (set(line.split()) for line in proc.stdout.splitlines())
+        return [set(line.split()) for line in proc.stdout.splitlines()]
+
+    @pytest.mark.parametrize("argv, unused", [
+        (("capacities", "--kmax", "60"),
+         {"tower", "asymptotics", "obstructions", "nef", "closed_forms", "curves"}),
+        (("errors", "--kmax", "60"), {"tower", "obstructions", "nef", "closed_forms", "curves"}),
+        (("capacities", "--kmax", "10", "--oracle"),
+         {"asymptotics", "obstructions", "closed_forms", "curves"}),
+    ], ids=["capacities", "errors", "oracle"])
+    def test_commands_run_only_the_modules_they_use(self, fig_file, argv, unused):
+        # a child run from an uncompiled checkout compiles every module it
+        # runs: `import capax.cli` puts every capax module in sys.modules,
+        # and a command executes only those it uses
+        present, ran = self.modules((*argv, "--domain", f"@{fig_file}"))
         every = {f"capax.{p.stem}" for p in Path(capax.__file__).parent.glob("*.py")} - {
             "capax.__init__"}
         assert present == every
         assert not ran & {f"capax.{m}" for m in unused}
         assert ("capax.tower" in ran) == ("--oracle" in argv)
+        assert "capax.decomposition" in ran
+
+    @pytest.mark.parametrize("argv, code", [
+        (("capacities", "--domain", "ball:1", "--kmax", "100"), 0),
+        (("capacities", "--domain", "ball:1", "--kmax", "100", "--threads", "2"), 0),
+        (("capacities", "--domain", "ellipsoid:1,2", "--kmax", "100"), 0),
+        (("capacities", "--domain", "square:1", "--kmax", "100"), 0),
+        (("obstruct", "--from", "ellipsoid:1,phi", "--to", "ball:sqrt_phi", "--kmax", "50",
+          "--backend", "float"), 2),
+    ], ids=["ball", "ball-threads", "ellipsoid", "square", "obstruct"])
+    def test_closed_forms_run_no_route(self, argv, code):
+        # a closed form runs neither route, the weight recursion nor the
+        # curve code: only the core of capacities and the closed forms
+        ran = self.modules(argv, code)[1]
+        core = {"capax.cli", "capax.errors", "capax.scalars", "capax.domains",
+                "capax.capacities", "capax.closed_forms"}
+        assert ran - {"capax.obstructions"} == core
+        assert ("capax.obstructions" in ran) == (argv[0] == "obstruct")
+
+    def test_route_names_are_served_and_private_names_refused(self):
+        # capacities serves each route's public names from its module; a
+        # private name stays in its module, so patching it here fails loudly
+        assert capacities.ball_capacities is closed_forms.ball_capacities
+        assert capacities.tower_capacity is nef.tower_capacity
+        with pytest.raises(AttributeError):
+            capacities._stairs
+        with pytest.raises(AttributeError), mock.patch.object(capacities, "_stairs"):
+            pass
 
     def test_large_scans_and_folds_load_no_numpy(self, fig_file, tmp_path):
         # cases that took the numpy kernels while capax had them: the
@@ -903,7 +960,7 @@ BYTE_PINS = [
 # Q(sqrt d) data past the k = 30 golden pins of test_capacities: the golden
 # convex scan and concave fold, and a sqrt:2 weight list with no dropped
 # tail.  Recorded while the Q(sqrt d) fold ran on int pairs and the scan on
-# Quads, before both moved onto the ints of `capacities._quad_ints`
+# Quads, before both moved onto the ints of `decomposition._quad_ints`
 QUAD_BYTE_PINS = [
     ("golden-convex-300", ("capacities", "--domain", f"@{PERF_INPUTS / 'golden_convex.json'}",
                            "--kmax", "300", "--eps", "1e-6"),

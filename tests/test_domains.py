@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capax import domains
+from capax import curves, domains
 from capax.errors import (
     AxisContactMissing,
     EmptyDomain,
@@ -35,7 +35,7 @@ class TestValidate:
         assert p.plus_edges[0].affine_length == 1
 
     def test_quarter_disk(self):
-        p = domains.validate(domains.quarter_disk(1))
+        p = domains.validate(curves.quarter_disk(1))
         assert float(p.a) == 1 and float(p.b) == 1
         assert float(p.total_affine_plus) == 0
         assert p.smooth
@@ -170,16 +170,16 @@ class TestArea:
         assert domains.validate(tri).b == scale
 
     def test_quarter_disk(self):
-        assert float(domains.area(domains.quarter_disk(1))) == pytest.approx(math.pi / 4)
+        assert float(domains.area(curves.quarter_disk(1))) == pytest.approx(math.pi / 4)
 
     @pytest.mark.parametrize("p, r", [(2000, 2), (2000, Fraction(1, 2))])
     def test_superellipse_needs_a_finite_positive_power(self, p, r):
         # 2^2000 overflows a float, 0.5^2000 underflows to 0
         with pytest.raises(InvalidSpec, match="positive finite float"):
-            domains.superellipse(p, r)
+            curves.superellipse(p, r)
 
     def test_superellipse_p2_matches_disk(self):
-        a = domains.area(domains.superellipse(2, 1))
+        a = domains.area(curves.superellipse(2, 1))
         assert float(a) == pytest.approx(math.pi / 4, rel=1e-9)
 
 
@@ -230,8 +230,8 @@ def _chain_distance(pt, chain) -> float:
 
 
 CURVES = st.one_of(
-    st.builds(domains.quarter_disk, st.fractions(Fraction(1, 4), 4, max_denominator=16)),
-    st.builds(domains.superellipse, st.fractions(1, 8, max_denominator=8),
+    st.builds(curves.quarter_disk, st.fractions(Fraction(1, 4), 4, max_denominator=16)),
+    st.builds(curves.superellipse, st.fractions(1, 8, max_denominator=8),
               st.fractions(Fraction(1, 4), 4, max_denominator=16)),
 )
 
@@ -241,7 +241,7 @@ class TestPolygonalize:
 
     def test_superellipse_res2_is_triangle(self):
         # the grid point (1/2, 1/2) lies on the chord and leaves the hull
-        poly, hb = domains.inner_grid_polygon(domains.superellipse(2, 1), 2)
+        poly, hb = curves.inner_grid_polygon(curves.superellipse(2, 1), 2)
         assert poly.vertices == (
             (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1)))
@@ -251,21 +251,21 @@ class TestPolygonalize:
     def test_quarter_disk_bounds(self, res, bound):
         # the bound carries the 2r/M grid offset on top of the chord gaps,
         # so it shrinks like 1/M; the circle stays within it of the chain
-        d = domains.quarter_disk(1)
-        poly, hb = domains.inner_grid_polygon(d, res)
+        d = curves.quarter_disk(1)
+        poly, hb = curves.inner_grid_polygon(d, res)
         assert hb <= bound
         chain = [(float(x), float(y)) for x, y in poly.vertices[1:]]
         assert max(_chain_distance(pt, chain) for pt in _curve_points(d, 400)) <= hb
 
     def test_superellipse_inner(self):
-        poly, _ = domains.inner_grid_polygon(domains.superellipse(3, 1), 24)
+        poly, _ = curves.inner_grid_polygon(curves.superellipse(3, 1), 24)
         for x, y in poly.vertices:
             assert x ** 3 + y ** 3 <= 1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(d=CURVES, M=st.integers(2, 64))
     def test_inner_and_monotone(self, d, M):
-        poly, hb = domains.inner_grid_polygon(d, M)
+        poly, hb = curves.inner_grid_polygon(d, M)
         r = d.params[-1]
         for x, y in poly.vertices:  # inner: every vertex inside the curve
             if d.curve == "quarter_disk":
@@ -274,7 +274,7 @@ class TestPolygonalize:
                 p = float(d.params[0])
                 assert float(x / r) ** p + float(y / r) ** p <= 1 + 1e-12
         # the bound does not grow under refinement
-        assert domains.inner_grid_polygon(d, 2 * M)[1] <= hb
+        assert curves.inner_grid_polygon(d, 2 * M)[1] <= hb
         # the curve lies within the bound of the polygon's upper chain
         chain = [(float(x), float(y)) for x, y in poly.vertices[1:]]
         assert max(_chain_distance(pt, chain) for pt in _curve_points(d, 400)) <= hb

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from capax import domains
+from capax import curves, domains
 from capax.obstructions import admissible, obstruct
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -81,7 +81,7 @@ class TestAdmissibility:
         assert admissible(e12_triangle)
 
     def test_smooth_convex(self):
-        assert admissible(domains.quarter_disk(1))
+        assert admissible(curves.quarter_disk(1))
 
     def test_rational_polygon_is_scaled_lattice(self, fig_polygon):
         assert admissible(fig_polygon)

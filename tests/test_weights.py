@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capax import domains
+from capax import curves, domains
 from capax.errors import BackendOverflow, DegenerateEdge
 from capax.scalars import Quad, _primitive_float
 from capax.weights import (
@@ -272,7 +272,7 @@ class TestBalanced:
         assert ok and not offenders
 
     def test_polygonalized_disk_offense_bounded(self):
-        poly, _ = domains.inner_grid_polygon(domains.quarter_disk(1), 64)
+        poly, _ = curves.inner_grid_polygon(curves.quarter_disk(1), 64)
         t = convex_weights(poly)
         ok, offenders = is_balanced(t, 0)
         assert not ok
