@@ -4,9 +4,13 @@ The package exposes its submodules, not a flat namespace; import them
 directly (``from capax import capacities``):
 
 * :mod:`capax.scalars` -- exact rational / Q(sqrt d) / plain float
-  backends,
+  backends and streamed output,
+* :mod:`capax.quad` -- the exact elements of Q(sqrt d), loaded for such
+  data alone,
 * :mod:`capax.domains` -- domain descriptors, validation, elementary
   invariants, truncation limits,
+* :mod:`capax.validation` -- the checks of polygons and weight lists,
+  loaded for those kinds alone,
 * :mod:`capax.curves` -- the smooth curve domains (quarter disk,
   superellipse) and their inner grid polygon,
 * :mod:`capax.weights` -- the weight-expansion recursion, deficiencies,

@@ -1,8 +1,11 @@
 """The ``capax`` command line.
 
 Commands: weights | capacities | errors | bounds | tower | obstruct |
-selfcheck, each taking only the options it reads (`_COMMANDS`).  Exit
-codes: 0 ok/inconclusive, 1 error or usage error, 2 obstructed.
+selfcheck, each taking only the options it reads (`_COMMANDS`).  A call
+whose first argument names a command builds that command's subparser
+alone; any other call (--help, no arguments, an unknown command, an
+option before the command) builds all seven.  Exit codes: 0
+ok/inconclusive, 1 error or usage error, 2 obstructed.
 Identical invocations produce byte-identical output.  --threads, on
 capacities only, is accepted and has no effect: one thread computes all.
 """
@@ -36,11 +39,13 @@ def _lazy(name: str):
 
 asymptotics, capacities, curves, domains, obstructions, tower, weights = map(_lazy, (
     "asymptotics", "capacities", "curves", "domains", "obstructions", "tower", "weights"))
-# the route modules, which capacities imports as a domain needs them: registered
-# here too, so that every capax module is in sys.modules once capax.cli is (the
-# benchmark's tracer wraps the functions of the modules it finds there)
-for _route in ("closed_forms", "decomposition", "nef"):
-    _lazy(_route)
+# the modules that others import as a domain needs them (the routes of
+# capacities, the Q(sqrt d) field, polygon and weight-list validation):
+# registered here too, so that every capax module is in sys.modules once
+# capax.cli is (the benchmark's tracer wraps the functions of the modules it
+# finds there)
+for _name in ("closed_forms", "decomposition", "nef", "quad", "validation"):
+    _lazy(_name)
 
 CSV_HEADER = "# capax-csv v1"
 
@@ -413,10 +418,14 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_option_tuples(option_string)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one.
+    Either parses a call that starts with `command` alike: `_Parser.error`
+    keeps argparse's message alone, which names no other command."""
     ap = _Parser(prog="capax", description="capacities of toric domains")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, flags) in _COMMANDS.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        fn, help_text, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             p.add_argument(flag, **_OPTIONS[flag])
@@ -425,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(argv[0] if argv else None).parse_args(argv)
         return ns.fn(ns)
     except CapaxError as exc:
         print(f"capax: {exc}", file=sys.stderr)

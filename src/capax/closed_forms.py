@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from .errors import CapaxError
-from .scalars import Quad, backend_of
+from .scalars import backend_of
 from .capacities import CapacitySeries, _scaled, d_index, union_of_balls
 
 
@@ -55,7 +55,7 @@ def ellipsoid_capacities(a, b, K: int) -> CapacitySeries:
     else:
         fa, fb = float(sa), float(sb)
         L = min(math.sqrt(2 * (K + 1)) * math.sqrt(fa) * math.sqrt(fb), min(fa, fb) * K)
-        if isinstance(sa, Quad):
+        if not isinstance(sa, float):
             L = Fraction(L)  # Quads compare with it exactly
     while True:
         vals = _lattice_values(sa, sb, L)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, groupby, repeat
 
 from .errors import PruningBoundExceeded
-from .scalars import Quad, binade, rational_parts
+from .scalars import _is_quad, binade, rational_parts
 from .capacities import CapacitySeries, _scaled, d_index, d_values, union_of_balls
 from .weights import concave_weights, convex_weights
 
@@ -38,8 +38,11 @@ def _quad_pairs(ws: list):
     denominator D, w = (p + q*sqrt d)/D, rationals lifted with q = 0.
 
     Returns (d, D, [(p, q)]), or None for other data."""
-    fields = {w.d for w in ws if isinstance(w, Quad)}
-    if len(fields) != 1 or not all(isinstance(w, (int, Fraction, Quad)) for w in ws):
+    quads = [w for w in ws if not isinstance(w, (int, Fraction))]
+    if not quads or not all(map(_is_quad, quads)):
+        return None
+    fields = {w.d for w in quads}
+    if len(fields) != 1:
         return None
     parts = [rational_parts(w) for w in ws]
     den = math.lcm(*(x.denominator for pq in parts for x in pq))
@@ -130,6 +133,7 @@ def _quad_ints(ws: list, S: int):
     quad = _quad_pairs(ws)
     if quad is None:
         return None
+    from .quad import Quad
     d, den, pairs = quad
     B = (S + 2) * max(1, *(abs(x) for pq in pairs for x in pq))
     F = (8 * B * B * (math.isqrt(d) + 2)).bit_length()
@@ -310,6 +314,13 @@ def _envelope(c, idx: list, val: list, S: int, K: int) -> list:
     return list(accumulate(low[:0:-1], min))[::-1]
 
 
+def _ldexp_up(x: float, e: int) -> float:
+    """x*2^e rounded up for x > 0: ldexp rounds to nearest, and below the
+    float range to 0.0, where a slack would understate the error."""
+    y = math.ldexp(x, e)
+    return math.nextafter(y, math.inf) if x > 0 and math.ldexp(y, -e) < x else y
+
+
 def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacitySeries:
     """c_k = min_s c*d(k+s) - M(s) for k = 0..K, with the certified lower
     slack (Cristofaro-Gardiner, "Symplectic embeddings from concave toric
@@ -369,7 +380,7 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
     S = max(stop(K, math.sqrt(2 * data.gap * K)), d_index(K))
     idx, val = _ball_stairs(ws, S)
     num, slack = [c - c] + [None] * K, [0.0] * (K + 1)
-    if not tail and not isinstance(data.c, Quad):
+    if not tail and back is None:
         env, k = _envelope(c, idx, val, S, K), 1
         while k <= K:  # rows k..k1 end their last level in the table at T
             t = d_index(S + k + 1) - 1
@@ -409,7 +420,7 @@ def _convex_scan(data: _ScanData, K: int, s_ceiling: int = 200_000) -> CapacityS
             if best is None or cp < best:
                 best, fbest = cp, cf
             if stop_here:
-                return best, math.ldexp(fbest - min(lo, cf - d_index(p) * tail), e)
+                return best, _ldexp_up(fbest - min(lo, cf - d_index(p) * tail), e)
             if p == s_ceiling:
                 best = back(best) if back else best if den is None else Fraction(best, den)
                 raise PruningBoundExceeded(f"no certificate after {s_ceiling} complement indices",

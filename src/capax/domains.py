@@ -9,8 +9,9 @@ strictly increasing, which is the orientation the weight recursion
 consumes.  Convex regions may open with horizontal and close with
 vertical chain edges; concave regions are graphs of convex functions
 with f(a) = 0, so their chains are strictly monotone in both
-coordinates.  The smooth curve families live in `capax.curves`, which
-this module imports for curve descriptors alone.
+coordinates.  The smooth curve families live in `capax.curves`, and the
+checks of polygons and weight lists in `capax.validation`: `validate`
+imports each for its own kinds alone.
 """
 
 from __future__ import annotations
@@ -20,22 +21,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (
-    AxisContactMissing,
-    CapaxError,
-    EmptyDomain,
-    InvalidSpec,
-    MixedBackend,
-    NonConvex,
-    NotInQuadrant,
-)
-from .scalars import (
-    Quad,
-    _is_squarefree,
-    backend_of,
-    parse_scalar,
-    primitive_direction,
-)
+from .errors import CapaxError, EmptyDomain, InvalidSpec
+from .scalars import parse_scalar, primitive_direction
 
 
 class DomainDescriptor(namedtuple(
@@ -182,8 +169,10 @@ def parse_backend(backend: str) -> tuple[str, int | None]:
     if isinstance(backend, str) and backend.startswith("sqrt:") and backend[5:].isdecimal():
         # more digits than the bound has is over it; int() refuses very long strings
         d = int(backend[5:]) if len(backend) <= 15 else MAX_FIELD_D
-        if d < MAX_FIELD_D and _is_squarefree(d):
-            return "exact", d
+        if d < MAX_FIELD_D:
+            from .quad import _is_squarefree
+            if _is_squarefree(d):
+                return "exact", d
     raise InvalidSpec(f"unknown backend {backend!r}: expected exact, float "
                       "or sqrt:d with d squarefree, 2 <= d < 2^31")
 
@@ -192,15 +181,9 @@ def _zero_of(d: DomainDescriptor):
     if d.backend == "float":
         return 0.0
     if d.field_d is not None:
+        from .quad import Quad
         return Quad.rational(0, d.field_d)
     return Fraction(0)
-
-
-def _check_backend_consistency(values, backend: str):
-    for v in values:
-        if backend_of(v) != backend and not isinstance(v, (int, Fraction)):
-            raise MixedBackend(
-                f"scalar {v!r} has backend {backend_of(v)}, domain is {backend}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +192,6 @@ def _check_backend_consistency(values, backend: str):
 
 def _cross(o, p, q):
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-
-def _dedupe_collinear(d: DomainDescriptor, vs):
-    """Drop repeated vertices and interior points of straight runs.  With
-    each coordinate within e of its value, a cross product of differences
-    u, v is within 2e(|u0|+|u1|+|v0|+|v1|) + 8e^2 of its own."""
-    same = lambda p, q: d.equal(p[0], q[0]) and d.equal(p[1], q[1])
-    out = []
-    for v in vs:
-        if out and same(v, out[-1]):
-            continue
-        out.append(v)
-    if len(out) > 1 and same(out[0], out[-1]):
-        out.pop()
-    n, e = len(out), d.tol
-    keep = []
-    for i in range(n):
-        o, p, q = out[i - 1], out[i], out[(i + 1) % n]
-        u0, u1, v0, v1 = p[0] - o[0], p[1] - o[1], q[0] - o[0], q[1] - o[1]
-        if abs(u0 * v1 - u1 * v0) > 2 * e * (abs(u0) + abs(u1) + abs(v0) + abs(v1)) + 8 * e * e:
-            keep.append(p)
-    return keep
 
 
 def shoelace_area(vs):
@@ -244,6 +205,7 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
     if not 0 <= d.eps < math.inf:  # a nan tolerance makes every comparison false
         raise InvalidSpec(f"input tolerance eps must be finite and >= 0, got {d.eps}")
     if d.kind == "polygon":
+        from .validation import _validate_polygon
         return _validate_polygon(d)
     if d.kind == "ellipsoid":
         if not (d.a > 0 and d.b > 0):
@@ -260,123 +222,9 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
         from . import curves
         return curves.profile(d)
     if d.kind == "weight_list":
-        if any(w < 0 for w in d.weights):
-            raise EmptyDomain("negative weight")
-        if d.head is not None:
-            if d.head < 0 or d.zero(d.head):
-                raise EmptyDomain("a convex weight list needs a positive head")
-            if any(w > d.head for w in d.weights):
-                raise NonConvex("head must dominate every weight")
-            gap = area(d)  # (head^2 - sum w^2)/2, the domain's area
-            if not gap > area_tolerance(d):
-                raise EmptyDomain("weights fill the head's triangle: sum w^2 >= head^2")
-            reduced = _cremona_reduced(d)
-            if not area(reduced) > area_tolerance(reduced):
-                raise NonConvex("the weights are not a ball packing of the head's triangle: "
-                                "after Cremona reduction sum w^2 >= head^2")
-        zero = _zero_of(d)
-        return BoundaryProfile(a=None, b=None, plus_edges=(), total_affine_plus=zero,
-                               affine_tol=0.0, backend=d.backend)
+        from .validation import _validate_weight_list
+        return _validate_weight_list(d)
     raise ValueError(f"unknown domain kind {d.kind!r}")
-
-
-_CREMONA_MOVES = 1000
-
-
-def _cremona_reduced(d: DomainDescriptor) -> DomainDescriptor:
-    """The convex weight list (c; w) after Cremona reduction.
-
-    The balls of a convex domain's expansion pack the head's triangle, and a
-    finite ball packing of B(c) exists exactly when the reduction ends with
-    no negative entry and c^2 > sum w^2 (McDuff-Polterovich, Invent. Math.
-    1994; Karshon-Kessler, JSG 2017).  A move adds
-    delta = c - w_1 - w_2 - w_3 < 0 to c and the three largest weights
-    (zeros pad the list to three).  Exact data compare exactly, and a
-    rational list ends, since each move lowers c by a multiple of one over
-    the common denominator; float data compare with the descriptor's
-    `equal` and `zero` rules.  Past _CREMONA_MOVES moves it gives up."""
-    c, ws = d.head, sorted(d.weights, reverse=True) + [_zero_of(d)] * 3
-    for _ in range(_CREMONA_MOVES):
-        top = ws[0] + ws[1] + ws[2]
-        delta = c - top
-        if not delta < 0 or d.equal(c, top):
-            return DomainDescriptor(kind="weight_list", head=c, weights=tuple(ws),
-                                    backend=d.backend, eps=d.eps)
-        c += delta
-        ws[:3] = [w + delta for w in ws[:3]]
-        if any(x < 0 and not d.zero(x) for x in (c, *ws[:3])):
-            raise NonConvex("the weights are not a ball packing of the head's triangle: "
-                            "Cremona reduction makes an entry negative")
-        ws.sort(reverse=True)
-    raise CapaxError(f"Cremona reduction of the weight list did not end in "
-                     f"{_CREMONA_MOVES} moves")
-
-
-def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
-    vs = list(d.vertices or ())
-    _check_backend_consistency([c for v in vs for c in v], d.backend)
-    if len(vs) < 3:
-        raise EmptyDomain("polygon needs at least 3 vertices")
-    for x, y in vs:
-        if x < -d.tol or y < -d.tol:
-            raise NotInQuadrant(f"vertex ({x}, {y}) leaves the positive quadrant")
-    vs = _dedupe_collinear(d, vs)
-    if len(vs) < 3:
-        raise EmptyDomain("polygon is degenerate after normalization")
-    area2 = shoelace_area(vs)
-    if area2 < 0:
-        vs.reverse()
-        area2 = -area2
-    if not area2 > 0:
-        raise EmptyDomain("polygon has zero area")
-
-    origin = [i for i, v in enumerate(vs) if not v[0] and not v[1]]
-    if not origin:
-        raise AxisContactMissing("the origin must be a vertex")
-    i0 = origin[0]
-    vs = vs[i0:] + vs[:i0]
-
-    if not (d.zero(vs[1][1]) and d.zero(vs[-1][0])):
-        # second vertex off the x-axis or last vertex off the y-axis
-        raise AxisContactMissing(
-            "boundary must leave the origin along the x-axis and return along the y-axis")
-    a, b = vs[1][0], vs[-1][1]
-    if not (a > 0 and b > 0):
-        raise AxisContactMissing("axis contact segments must have positive length")
-
-    chain = list(reversed(vs[1:]))  # (0,b) .. (a,0), upper boundary
-    if d.orientation == "convex":
-        n = len(vs)
-        for i in range(n):
-            if _cross(vs[i - 1], vs[i], vs[(i + 1) % n]) <= 0:
-                raise NonConvex(f"reflex corner at vertex {vs[i]}")
-    elif d.orientation == "concave":
-        for i in range(len(chain) - 1):
-            if not chain[i + 1][0] - chain[i][0] > 0:
-                raise NonConvex("upper boundary is not the graph of a function")
-            if not chain[i][1] - chain[i + 1][1] > 0:
-                raise NonConvex("upper boundary must be strictly decreasing")
-        for i in range(len(chain) - 2):
-            if _cross(chain[i], chain[i + 1], chain[i + 2]) <= 0:
-                raise NonConvex("upper boundary is not convex")
-    else:
-        raise InvalidSpec(f"polygon orientation {d.orientation!r}")
-
-    # dx and dy carry 2 eps each; a length dx/n carries 2 eps/|n|
-    edges = []
-    zero = _zero_of(d)
-    total, total_tol = zero, 0.0
-    for i in range(len(chain) - 1):
-        dx = chain[i + 1][0] - chain[i][0]
-        dy = chain[i + 1][1] - chain[i][1]
-        prim, length, rational = primitive_direction(dx, dy, 4 * d.tol)
-        edges.append(Edge(prim if rational else None,
-                          length if rational else zero, rational))
-        if rational:
-            total = total + length
-            total_tol += 2 * d.tol / max(abs(prim[0]), 1)
-    return BoundaryProfile(a=a, b=b, plus_edges=tuple(edges), total_affine_plus=total,
-                           affine_tol=total_tol, backend=d.backend, chain=tuple(chain))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Three backends, one per kind of input data:
 
 * exact rationals -- plain ``fractions.Fraction`` (and ``int``),
-* exact elements of a real quadratic field Q(sqrt d) -- :class:`Quad`,
+* exact elements of a real quadratic field Q(sqrt d) --
+  :class:`capax.quad.Quad`,
 * plain Python floats.
 
 Plain ints and Fractions are universal constants and coerce into any
-backend.  Arithmetic between a Quad and a float, or two Quads over
-different fields, raises :class:`~capax.errors.MixedBackend`.  Float
-data carry no tolerance of their own: the domain descriptor holds one
+backend.  The helpers here test int, Fraction and float first and import
+`capax.quad` only for other values or the sqrt:d backend.  Float data
+carry no tolerance of their own: the domain descriptor holds one
 absolute tolerance per input coordinate, and validation applies it
 where float input is compared.
 """
@@ -18,210 +19,21 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
-from functools import lru_cache, total_ordering
 from itertools import chain, compress, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, ne, sub
 
 from .errors import DegenerateEdge, InvalidSpec, MixedBackend
 
-RationalLike = int | Fraction
-_ZERO = Fraction(0)
 
-
-@lru_cache(maxsize=None)
-def _is_squarefree(d: int) -> bool:
-    if d < 2:
+def _is_quad(x) -> bool:
+    """x is a Quad.  int, Fraction, float and str are tested first, so
+    rational and float data never execute capax.quad."""
+    if isinstance(x, (int, Fraction, float, str)):
         return False
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 1
-    return True
-
-
-def quad_sign(p, q, d: int) -> int:
-    """Exact sign of p + q*sqrt(d) for rational p, q and squarefree d."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return 1 if q > 0 else -1
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    # opposite signs: compare p^2 with q^2 d
-    lhs, rhs = p * p, q * q * d
-    if p > 0:  # q < 0
-        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-
-@total_ordering
-class Quad:
-    """p + q*sqrt(d) with p, q rational and d squarefree >= 2."""
-
-    __slots__ = ("_p", "_q", "_d")
-
-    def __init__(self, p, q, d: int):
-        if not _is_squarefree(d):
-            raise ValueError(f"field discriminant must be squarefree >= 2, got {d}")
-        self._p = Fraction(p)
-        self._q = Fraction(q)
-        self._d = d
-
-    @classmethod
-    def _of(cls, p: Fraction, q: Fraction, d: int) -> Quad:
-        """A Quad from Fraction parts over a field already checked."""
-        x = object.__new__(cls)
-        x._p, x._q, x._d = p, q, d
-        return x
-
-    @property
-    def p(self) -> Fraction:
-        return self._p
-
-    @property
-    def q(self) -> Fraction:
-        return self._q
-
-    @property
-    def d(self) -> int:
-        return self._d
-
-    @classmethod
-    def rational(cls, x: RationalLike, d: int) -> Quad:
-        return cls(Fraction(x), 0, d)
-
-    @property
-    def is_rational(self) -> bool:
-        return self._q == 0
-
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self._p
-
-    def _align(self, other):
-        """(self', other') over a common field, or None for foreign types."""
-        if isinstance(other, Quad):
-            if other._d == self._d:
-                return self, other
-            if other._q == 0:
-                return self, Quad(other._p, 0, self._d)
-            if self._q == 0:
-                return Quad(self._p, 0, other._d), other
-            raise MixedBackend(f"cannot mix Q(sqrt {self._d}) with Q(sqrt {other._d})")
-        if isinstance(other, (int, Fraction)):
-            return self, Quad._of(Fraction(other), _ZERO, self._d)
-        if isinstance(other, float):
-            raise MixedBackend("cannot mix exact Q(sqrt d) scalars with floats")
-        return None
-
-    def __add__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Quad._of(a._p + b._p, a._q + b._q, a._d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Quad._of(a._p - b._p, a._q - b._q, a._d)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self) -> Quad:
-        return Quad._of(-self._p, -self._q, self._d)
-
-    def __abs__(self) -> Quad:
-        return -self if self.sign() < 0 else self
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return Quad._of(self._p * other, self._q * other, self._d)
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Quad._of(a._p * b._p + a._q * b._q * a._d, a._p * b._q + a._q * b._p, a._d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        norm = b._p * b._p - b._q * b._q * a._d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt d)")
-        inv = Quad(b._p / norm, -b._q / norm, a._d)
-        return a * inv
-
-    def __rtruediv__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b / a
-
-    def sign(self) -> int:
-        """Exact sign of p + q*sqrt(d)."""
-        return quad_sign(self._p, self._q, self._d)
-
-    def __eq__(self, other) -> bool:
-        try:
-            pair = self._align(other)
-        except MixedBackend:
-            return False
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a._p == b._p and a._q == b._q
-
-    def __lt__(self, other) -> bool:
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return (a - b).sign() < 0
-
-    def __hash__(self):
-        if self._q == 0:
-            return hash(self._p)
-        return hash((self._p, self._q, self._d))
-
-    def __bool__(self) -> bool:
-        return self._p != 0 or self._q != 0
-
-    def __float__(self) -> float:
-        p, q = self._p, self._q
-        if (p > 0) == (q > 0) or p == 0 or q == 0:
-            return float(p) + float(q) * math.sqrt(self._d)
-        # p and q of opposite sign cancel: route through the conjugate, whose
-        # terms reinforce, via p + q*sqrt(d) = (p^2 - q^2 d)/(p - q*sqrt(d)).
-        # p and q are scaled by 2^-e to their binade first, so that p^2 - q^2 d
-        # does not underflow; a power of two commutes with rounding
-        e = max(x.numerator.bit_length() - x.denominator.bit_length() for x in (p, q))
-        p, q = p * Fraction(2) ** -e, q * Fraction(2) ** -e
-        conj = float(p) - float(q) * math.sqrt(self._d)
-        return math.ldexp(float(p * p - q * q * self._d) / conj, e)
-
-    def __repr__(self) -> str:
-        return f"Quad({self._p}, {self._q}, {self._d})"
-
-    def __str__(self) -> str:
-        return format_scalar(self)
+    from .quad import Quad
+    return isinstance(x, Quad)
 
 
 def binade(x) -> int:
@@ -234,23 +46,23 @@ def binade(x) -> int:
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, Quad))
+    return isinstance(x, (int, Fraction)) or _is_quad(x)
 
 
 def backend_of(x) -> str:
-    if isinstance(x, Quad):
-        return f"sqrt:{x.d}"
     if isinstance(x, float):
         return "float"
+    if _is_quad(x):
+        return f"sqrt:{x.d}"
     return "exact"
 
 
 def rational_parts(x) -> tuple[Fraction, Fraction]:
     """Coordinates of x over (1, sqrt d); the second entry is 0 for rationals."""
-    if isinstance(x, Quad):
-        return x.p, x.q
     if isinstance(x, (int, Fraction)):
         return Fraction(x), Fraction(0)
+    if _is_quad(x):
+        return x.p, x.q
     raise TypeError(f"no exact coordinates for {type(x).__name__}")
 
 
@@ -281,7 +93,8 @@ def primitive_direction(dx, dy, tol):
     """
     if isinstance(dx, float) or isinstance(dy, float):
         return _primitive_float(dx, dy, tol)
-    if isinstance(dx, Quad) or isinstance(dy, Quad):
+    if _is_quad(dx) or _is_quad(dy):
+        from .quad import _primitive_quad
         return _primitive_quad(dx, dy)
     return _primitive_rational(Fraction(dx), Fraction(dy))
 
@@ -292,31 +105,6 @@ def _primitive_rational(dx: Fraction, dy: Fraction):
     g = fraction_gcd(dx, dy)
     prim = (int(dx / g), int(dy / g))
     return prim, g, True
-
-
-def _primitive_quad(dx, dy):
-    d = dx.d if isinstance(dx, Quad) else dy.d
-    dx = dx if isinstance(dx, Quad) else Quad.rational(dx, d)
-    dy = dy if isinstance(dy, Quad) else Quad.rational(dy, d)
-    zero = Quad.rational(0, d)
-    if dx.is_rational and dy.is_rational:
-        prim, g, _ = _primitive_rational(dx.to_fraction(), dy.to_fraction())
-        return prim, Quad.rational(g, d), True
-    if not dx:
-        prim = (0, 1 if dy.sign() > 0 else -1)
-        return prim, abs(dy), True
-    if not dy:
-        prim = (1 if dx.sign() > 0 else -1, 0)
-        return prim, abs(dx), True
-    slope = dy / dx
-    if not slope.is_rational:
-        return None, zero, False
-    s = slope.to_fraction()
-    n, m = s.denominator, s.numerator  # direction (n, m), slope m/n
-    t = dx / n
-    if t.sign() < 0:
-        n, m, t = -n, -m, -t
-    return (n, m), t, True
 
 
 def _primitive_float(dx: float, dy: float, tol: float):
@@ -341,41 +129,30 @@ def _primitive_float(dx: float, dy: float, tol: float):
     return None, 0.0, False
 
 
-_QUAD_RE = re.compile(
-    r"^\s*(?P<p>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?P<sq>(?P<sgn>[+-])?\s*(?P<r>\d+(?:/\d+)?)\s*\*\s*sqrt)?\s*$"
-)
-
-
 def parse_scalar(text, backend: str = "exact", field_d: int | None = None):
     """Parse "p/q" or "p/q+r/s*sqrt" per the JSON conventions.
 
     The float backend gives a float for every number, the JSON integers
     too.  A value out of range for `bounded` raises InvalidSpec."""
-    if isinstance(text, Quad):
-        return text
     if isinstance(text, (int, Fraction, float)):
         if backend == "float":
             return bounded(float(text))
         if isinstance(text, float):
             raise MixedBackend(f"float literal {text!r} in {backend} backend")
         return bounded(text)
+    if _is_quad(text):
+        return text
     s = str(text).strip()
     if backend == "float":
         return bounded(float(Fraction(s)) if "/" in s else float(s))
     if "sqrt" in s:
         if field_d is None:
             raise ValueError(f"scalar {s!r} needs a field_d")
-        m = _QUAD_RE.match(s)
-        if not m or m.group("sq") is None:
-            raise ValueError(f"cannot parse quadratic scalar {s!r}")
-        p = Fraction(m.group("p")) if m.group("p") else Fraction(0)
-        r = Fraction(m.group("r"))
-        if m.group("sgn") == "-":
-            r = -r
-        return Quad(bounded(p), bounded(r), field_d)
+        from .quad import parse_quad
+        return parse_quad(s, field_d)
     val = bounded(Fraction(s))
     if field_d is not None:
+        from .quad import Quad
         return Quad(val, 0, field_d)
     return val
 
@@ -395,7 +172,7 @@ def bounded(x):
 def format_scalar(x) -> str:
     if isinstance(x, float):
         return repr(x)
-    if isinstance(x, Quad):
+    if _is_quad(x):
         if x.q == 0:
             return str(x.p)
         head = f"{x.p}" if x.p else ""

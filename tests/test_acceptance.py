@@ -31,7 +31,7 @@ from capax.capacities import (
     tower_capacity,
 )
 from capax.cli import main as cli_main
-from capax.scalars import Quad
+from capax.quad import Quad
 from capax.tower import F_of_n, blowup, build_tower, k_plus_dot_A, p2_init
 from capax.weights import (
     TruncationLimits,

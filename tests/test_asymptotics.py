@@ -16,7 +16,7 @@ from capax.asymptotics import (
 )
 from capax.capacities import ball_capacities, d_values, ellipsoid_capacities
 from capax.errors import WindowOutOfRange
-from capax.scalars import Quad
+from capax.quad import Quad
 
 PHI = (1 + math.sqrt(5)) / 2
 

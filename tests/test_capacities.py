@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capax import curves, decomposition, domains
@@ -48,7 +48,8 @@ from capax.decomposition import (
 )
 from capax.nef import _EnumContext
 from capax.obstructions import obstruct
-from capax.scalars import Quad, _is_squarefree, format_ratio, format_scalar, quad_sign, write_json
+from capax.quad import Quad, _is_squarefree, quad_sign
+from capax.scalars import format_ratio, format_scalar, write_json
 from capax.tower import _dot, blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, dense_class, random_convex_polygon
@@ -102,8 +103,10 @@ FORMER_SCAN_SLACK = {
     "p6-1e-200-depth": "c8d28aa45ff34f2cf8d71fd6f1712726750f1ebb2caddded20acaa74a6613a8b",
     "p6-1e-200-eps": "dfefbb9d7a34477e4c61e75c4064ea21e0d450629637705b7c5f26840fb70373",
     "thin-1e-200-eps": "319b716500d752aa2c9f9d15556cf3f7d3055b9472e68c14960782e7930192c9",
-    "p6-1e-330-depth": "fa2bd8b2d245fe7dd9e79d9755426228c8e86f0911c0a02b2647f16293a55722",
-    "p6-1e-330-eps": "fa2bd8b2d245fe7dd9e79d9755426228c8e86f0911c0a02b2647f16293a55722",
+    # re-pinned when the slack below the float range began to round up: it
+    # rounded to 0.0 at every k, now to the least subnormal
+    "p6-1e-330-depth": "f98e6a22aebe3711bb17e0573ef85a434933ad37ebc073d4638222f758f2bd3d",
+    "p6-1e-330-eps": "f98e6a22aebe3711bb17e0573ef85a434933ad37ebc073d4638222f758f2bd3d",
 }
 
 
@@ -654,6 +657,18 @@ class TestPythonScan:
         d, K, limits = slack_case(case)
         got = convex_capacity(d, K, limits)
         assert slack_digest(got.lower_slack) == FORMER_SCAN_SLACK[case]
+
+    @pytest.mark.parametrize("cut", ["depth", "eps"])
+    def test_slack_below_the_float_range_bounds_the_value(self, cut):
+        # the walk scales its slack by 2^e, e the head's binade; at 1e-330
+        # ldexp rounded every slack to 0.0, so value - slack stood above the
+        # capacity wherever the dropped tail had raised the value
+        d, K, limits = slack_case(f"p6-1e-330-{cut}")
+        got, exact = convex_capacity(d, K, limits), convex_capacity(P6, K)
+        lam = Fraction(1, 10**330)
+        assert all(x > 0 for x in got.lower_slack[1:])
+        for k in range(K + 1):
+            assert got.value(k) - Fraction(got.lower_slack[k]) <= lam * exact.value(k)
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(d=rational_convex_polygons(), cut=st.sampled_from(["complete", "eps", "depth"]),
@@ -1288,6 +1303,19 @@ def quad_convex_polygons(draw):
     return domains.polygon([(zero, zero)] + chain[::-1], "convex", backend=f"sqrt:{d}")
 
 
+@st.composite
+def quad_right_triangles(draw):
+    """The legs (a, b) of a right triangle over Q(sqrt d), d in {2, 3, 5}:
+    a = r + s*sqrt d > 0 with s != 0, and b = a*t for a positive rational t,
+    so the hypotenuse has a rational direction and the expansion is finite."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    r = draw(st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2])))
+    s = draw(st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2])))
+    a = Quad(r, s, d)
+    assume(a > 0)
+    return a, a * draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
+
+
 class TestTwoRouteOracle:
     """The decomposition route and the nef enumeration agree exactly on
     every complete expansion (the central oracle), over rational and
@@ -1309,6 +1337,19 @@ class TestTwoRouteOracle:
     @given(d=quad_convex_polygons(), K=st.integers(1, 30))
     def test_quad_polygons_with_rational_edge_directions(self, d, K):
         self.check(d, K)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(legs=quad_right_triangles(), K=st.integers(1, 30))
+    def test_quad_right_triangles_three_ways(self, legs, K):
+        # the triangle (0,0), (a,0), (0,b) is E(a, b), convex and concave at
+        # once: the convex scan, the concave fold and the ellipsoid's lattice
+        # agree exactly, each on its own Q(sqrt d) path
+        a, b = legs
+        z = a - a
+        vs, backend = [(z, z), (a, z), (z, b)], f"sqrt:{a.d}"
+        convex = convex_capacity(domains.polygon(vs, "convex", backend=backend), K)
+        concave = concave_capacity(domains.polygon(vs, "concave", backend=backend), K)
+        assert convex.values == concave.values == ellipsoid_capacities(a, b, K).values
 
 
 class TestEnum:

@@ -736,10 +736,11 @@ print(*sorted(n for n, m in sys.modules.items()
 
     @pytest.mark.parametrize("argv, unused", [
         (("capacities", "--kmax", "60"),
-         {"tower", "asymptotics", "obstructions", "nef", "closed_forms", "curves"}),
-        (("errors", "--kmax", "60"), {"tower", "obstructions", "nef", "closed_forms", "curves"}),
+         {"tower", "asymptotics", "obstructions", "nef", "closed_forms", "curves", "quad"}),
+        (("errors", "--kmax", "60"),
+         {"tower", "obstructions", "nef", "closed_forms", "curves", "quad"}),
         (("capacities", "--kmax", "10", "--oracle"),
-         {"asymptotics", "obstructions", "closed_forms", "curves"}),
+         {"asymptotics", "obstructions", "closed_forms", "curves", "quad"}),
     ], ids=["capacities", "errors", "oracle"])
     def test_commands_run_only_the_modules_they_use(self, fig_file, argv, unused):
         # a child run from an uncompiled checkout compiles every module it
@@ -762,13 +763,78 @@ print(*sorted(n for n, m in sys.modules.items()
           "--backend", "float"), 2),
     ], ids=["ball", "ball-threads", "ellipsoid", "square", "obstruct"])
     def test_closed_forms_run_no_route(self, argv, code):
-        # a closed form runs neither route, the weight recursion nor the
-        # curve code: only the core of capacities and the closed forms
+        # a closed form runs neither route, the weight recursion, the curve
+        # code nor the Q(sqrt d) field: only the core of capacities and the
+        # closed forms.  A square is a polygon descriptor, so it alone runs
+        # polygon validation
         ran = self.modules(argv, code)[1]
         core = {"capax.cli", "capax.errors", "capax.scalars", "capax.domains",
                 "capax.capacities", "capax.closed_forms"}
-        assert ran - {"capax.obstructions"} == core
+        assert ran - {"capax.obstructions", "capax.validation"} == core
         assert ("capax.obstructions" in ran) == (argv[0] == "obstruct")
+        assert ("capax.validation" in ran) == ("square:1" in argv)
+
+    @pytest.mark.parametrize("name, argv, quad", [
+        ("concave.json", ("--kmax", "500", "--format", "csv"), False),
+        ("golden_convex.json", ("--kmax", "20", "--eps", "1e-6"), True),
+        ("golden_concave.json", ("--kmax", "100", "--eps", "1e-8"), True),
+    ], ids=["concave-csv", "golden-convex", "golden-concave"])
+    def test_only_quad_data_run_the_quad_field(self, name, argv, quad):
+        # the benchmark's polygon files: Q(sqrt 5) data execute capax.quad,
+        # rational data never do, and every polygon runs its validation
+        ran = self.modules(("capacities", "--domain", f"@{PERF_INPUTS / name}", *argv))[1]
+        assert ("capax.quad" in ran) == quad
+        assert "capax.validation" in ran
+
+    # the parent's results of the scalar helpers, before Quad left capax.scalars
+    SCALAR_ROWS = [
+        "(True, 'exact', '3', (Fraction(3, 1), Fraction(0, 1)))",
+        "(True, 'exact', '-7/4', (Fraction(-7, 4), Fraction(0, 1)))",
+        "(False, 'float', '0.1', 'no exact coordinates for float')",
+        "(False, 'float', '-0.0', 'no exact coordinates for float')",
+        "[Fraction(3, 4), Fraction(-2, 1), 0.5, 0.3333333333333333, 2, 2.0]",
+        "False",
+        "(True, 'sqrt:5', '1/2-3*sqrt', (Fraction(1, 2), Fraction(-3, 1))) Quad(1/2, -3, 5)",
+        "(True, 'sqrt:5', '2', (Fraction(2, 1), Fraction(0, 1))) Quad(2, 0, 5)",
+        "(True, 'sqrt:2', '-1*sqrt', (Fraction(0, 1), Fraction(-1, 1))) Quad(0, -1, 2)",
+        "True",
+    ]
+
+    @pytest.mark.parametrize("setup", ["", "import capax.cli"], ids=["plain", "lazy"])
+    def test_scalar_helpers_load_quad_for_quads_alone(self, setup):
+        # in a fresh interpreter, imported plainly or registered unexecuted by
+        # capax.cli: the helpers give the same results as when Quad lived in
+        # capax.scalars, and only a Q(sqrt d) value executes capax.quad
+        script = f"""
+import sys, types
+{setup}
+from fractions import Fraction
+from capax import scalars as S
+
+def ran():
+    return type(sys.modules.get("capax.quad")) is types.ModuleType
+
+def row(x):
+    try:
+        parts = S.rational_parts(x)
+    except TypeError as exc:
+        parts = str(exc)
+    return S.is_exact(x), S.backend_of(x), S.format_scalar(x), parts
+
+for x in (3, Fraction(-7, 4), 0.1, -0.0):
+    print(repr(row(x)))
+print(repr([S.parse_scalar(t, b) for t, b in (("3/4", "exact"), (" -2 ", "exact"),
+            ("0.5", "float"), ("1/3", "float"), (2, "exact"), (2, "float"))]))
+print(ran())
+for q in (S.parse_scalar("1/2-3*sqrt", "exact", 5), S.parse_scalar("2", "exact", 5),
+          S.parse_scalar("-1*sqrt", "exact", 2)):
+    print(repr(row(q)), repr(S.parse_scalar(q)))
+print(ran())
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == self.SCALAR_ROWS
 
     def test_route_names_are_served_and_private_names_refused(self):
         # capacities serves each route's public names from its module; a
@@ -981,3 +1047,36 @@ def test_stdout_bytes_pinned(capsys, name, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout, stderr and exit code of the usage surface (help texts, usage
+# errors, option spellings), recorded while every call built the subparsers
+# of all seven commands, at an 80-column terminal
+USAGE_PINS = json.loads((Path(__file__).resolve().parent / "usage_pins.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_PINS))
+def test_usage_bytes_pinned(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    pin = USAGE_PINS[name]
+    try:
+        code = main(pin["argv"])
+    except SystemExit as exc:  # argparse exits after --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (pin["code"], pin["out"], pin["err"])
+
+
+EVERY_COMMAND = ["weights", "capacities", "errors", "bounds", "tower", "obstruct", "selfcheck"]
+
+
+@pytest.mark.parametrize("first, built", [
+    ("errors", ["errors"]), ("selfcheck", ["selfcheck"]), (None, EVERY_COMMAND),
+    ("--kmax", EVERY_COMMAND), ("frobnicate", EVERY_COMMAND), ("-h", EVERY_COMMAND),
+])
+def test_parser_builds_the_named_command_alone(first, built):
+    # a call's first argument, when it names a command, is the one subparser
+    # built; --help, an option or an unknown name needs the whole table
+    sub = next(a for a in build_parser(first)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == built

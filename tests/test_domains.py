@@ -14,7 +14,7 @@ from capax.errors import (
     NonConvex,
     NotInQuadrant,
 )
-from capax.scalars import Quad
+from capax.quad import Quad
 from capax.weights import convex_weights
 
 

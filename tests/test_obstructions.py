@@ -60,14 +60,14 @@ class TestObstruct:
 
     def test_incompatible_fields_not_comparable(self):
         from capax.errors import NotComparable
-        from capax.scalars import Quad
+        from capax.quad import Quad
         d2 = domains.ellipsoid(Quad(1, 0, 2), Quad(0, 1, 2), backend="sqrt:2")
         d3 = domains.ellipsoid(Quad(1, 0, 3), Quad(0, 1, 3), backend="sqrt:3")
         with pytest.raises(NotComparable):
             obstruct(d2, d3, 10)
 
     def test_quad_against_rational_backend(self):
-        from capax.scalars import Quad
+        from capax.quad import Quad
         phi = Quad(Fraction(1, 2), Fraction(1, 2), 5)
         E = domains.ellipsoid(Quad(1, 0, 5), phi, backend="sqrt:5")
         rep = obstruct(E, domains.ball(2), 40)
@@ -91,7 +91,7 @@ class TestAdmissibility:
         assert admissible(half)
 
     def test_quad_scaled_lattice(self):
-        from capax.scalars import Quad
+        from capax.quad import Quad
         s2 = Quad(0, 1, 2)
         z = Quad(0, 0, 2)
         d = domains.polygon([(z, z), (s2, z), (s2, s2), (z, s2)], "convex",
@@ -100,7 +100,7 @@ class TestAdmissibility:
 
     def test_mixed_edge_convex_not_admissible(self):
         # one rational and one irrational upper edge, not a scaled lattice
-        from capax.scalars import Quad
+        from capax.quad import Quad
         z = Quad(0, 0, 2)
         one = Quad(1, 0, 2)
         s2 = Quad(0, 1, 2)

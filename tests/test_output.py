@@ -18,7 +18,8 @@ from capax import capacities
 from capax.asymptotics import ErrorSeries, band_from_pairings
 from capax.capacities import CapacitySeries, ellipsoid_capacities
 from capax.cli import main
-from capax.scalars import CHUNK, Column, Quad, format_scalar, write_csv, write_json
+from capax.quad import Quad
+from capax.scalars import CHUNK, Column, format_scalar, write_csv, write_json
 
 
 def written(produce) -> str:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from capax.errors import MixedBackend
+from capax.quad import Quad
 from capax.scalars import (
-    Quad,
     format_scalar,
     fraction_gcd,
     parse_scalar,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from capax import curves, domains
 from capax.errors import BackendOverflow, DegenerateEdge
-from capax.scalars import Quad, _primitive_float
+from capax.quad import Quad
+from capax.scalars import _primitive_float
 from capax.weights import (
     INF_NODE,
     _piece_ell_plus,
