@@ -255,7 +255,7 @@ def cmd_errors(ns) -> int:
     profile = domains.validate(d)
     has_geometry = profile.a is not None
     band = asymptotics.band_for_profile(profile) if has_geometry else None
-    err = asymptotics.error_series(series, float(domains.area(d)), band=band)
+    err = asymptotics.error_series(series, float(profile.area), band=band)
     if ns.format == "csv":
         _emit(ns, err.to_csv)
         return 0

@@ -76,7 +76,7 @@ def profile(d: DomainDescriptor) -> BoundaryProfile:
         raise EmptyDomain("curve radius must be positive")
     # axis extents are exact (the stored radius); only interior data is fuzzy
     return BoundaryProfile(a=r, b=r, plus_edges=(), total_affine_plus=Fraction(0),
-                           affine_tol=0.0, backend="float", chain=None, smooth=True)
+                           affine_tol=0.0, backend="float", area=area(d), smooth=True)
 
 
 def area(d: DomainDescriptor) -> float:

@@ -203,12 +203,15 @@ def concave_capacity(d: DomainDescriptor, K: int,
     weights = t.weight_multiset()  # h-order: weights descending
     zero = (t.head if t.head is not None else (weights[0] if weights else Fraction(0)))
     tail = t.truncation.dropped_tail_sum
-    tail_f = float(tail)
-    upper = [dk * tail_f for dk in d_values(K)] if tail > 0 else None
+    upper = None
+    if tail > 0:  # d(k)*tail at the tail's binade, rounded up, never 0.0 below the float range
+        e = binade(tail)
+        unit = math.ldexp(tail, -e) if isinstance(tail, float) else float(tail * Fraction(2) ** -e)
+        upper = [_ldexp_up(dk * unit, e) for dk in d_values(K)]
     s = union_of_balls(weights, K, zero - zero)
     return CapacitySeries(s.method, s.num, s.den, upper_slack=upper,
                           source=f"concave:{d.kind}", backend=t.backend,
-                          meta={"dropped_tail_sum": tail_f})
+                          meta={"dropped_tail_sum": float(tail)})
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,13 @@ class TruncationLimits(namedtuple("TruncationLimits", "max_depth eps")):
 
 class BoundaryProfile(namedtuple(
         "BoundaryProfile",
-        "a b plus_edges total_affine_plus affine_tol backend chain smooth",
+        "a b plus_edges total_affine_plus affine_tol backend area chain smooth",
         defaults=(None, False))):
-    """Axis extents and the affine data of the upper boundary.
+    """Axis extents, the affine data of the upper boundary and the area.
 
     `affine_tol` is the absolute tolerance of `total_affine_plus` (0 for
-    exact data); `chain` is the upper-boundary polyline, (0,b) .. (a,0)."""
+    exact data); `area` is the region's Euclidean area (`domains.area`);
+    `chain` is the upper-boundary polyline, (0,b) .. (a,0)."""
 
     __slots__ = ()
 
@@ -200,6 +201,24 @@ def shoelace_area(vs):
     return s * Fraction(1, 2)  # exact on exact data, ints included
 
 
+def walk_chain(chain, e):
+    """The edges of a chain (0,b) .. (a,0), the affine length of its
+    rational-sloped edges with that length's error, and the area under it.
+
+    `e` is the error of one coordinate difference: an edge's direction is
+    tested at 2e, and a length dx/n carries e/|n| (2 eps for polygon
+    vertices, eps for an ellipsoid's legs, 0 for exact pieces)."""
+    zero = chain[0][0] - chain[0][0]
+    edges, total, total_tol = [], zero, 0.0
+    for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
+        prim, length, rational = primitive_direction(x1 - x0, y1 - y0, 2 * e)
+        edges.append(Edge(prim if rational else None, length if rational else zero, rational))
+        if rational:
+            total = total + length
+            total_tol += e / max(abs(prim[0]), 1)
+    return tuple(edges), total, total_tol, shoelace_area([(zero, zero), *reversed(chain)])
+
+
 def validate(d: DomainDescriptor) -> BoundaryProfile:
     """Check the descriptor's invariants and return its boundary profile."""
     if not 0 <= d.eps < math.inf:  # a nan tolerance makes every comparison false
@@ -212,12 +231,9 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
             raise EmptyDomain("ellipsoid needs positive legs")
         zero = _zero_of(d)
         chain = ((zero, d.b), (d.a, zero))
-        prim, length, rational = primitive_direction(d.a - zero, zero - d.b, 2 * d.tol)
-        edge = Edge(prim if rational else None, length if rational else zero, rational)
-        return BoundaryProfile(a=d.a, b=d.b, plus_edges=(edge,),
-                               total_affine_plus=edge.affine_length if rational else zero,
-                               affine_tol=d.tol / max(abs(prim[0]), 1) if rational else 0.0,
-                               backend=d.backend, chain=chain)
+        edges, length, tol, vol = walk_chain(chain, d.tol)
+        return BoundaryProfile(a=d.a, b=d.b, plus_edges=edges, total_affine_plus=length,
+                               affine_tol=tol, backend=d.backend, area=vol, chain=chain)
     if d.kind == "curve":
         from . import curves
         return curves.profile(d)
@@ -232,21 +248,13 @@ def validate(d: DomainDescriptor) -> BoundaryProfile:
 # ---------------------------------------------------------------------------
 
 def area(d: DomainDescriptor):
-    """Euclidean area of the region."""
-    if d.kind == "polygon":
-        profile = validate(d)
-        zero = _zero_of(d)
-        vs = [(zero, zero)] + list(reversed(profile.chain))
-        return shoelace_area(vs)
-    if d.kind == "ellipsoid":
-        return d.a * d.b * Fraction(1, 2)
-    if d.kind == "curve":
-        from . import curves
-        return curves.area(d)
+    """Euclidean area of the region: its profile's `area`, which a caller
+    that holds the profile reads there.  A weight list's is computed here,
+    where its validation reads it."""
     if d.kind == "weight_list":
         sq = sum(w * w for w in d.weights)
         return (sq if d.head is None else d.head * d.head - sq) * Fraction(1, 2)
-    raise ValueError(f"unknown domain kind {d.kind!r}")
+    return validate(d).area
 
 
 def area_tolerance(d: DomainDescriptor) -> float:

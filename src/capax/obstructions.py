@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import NotComparable
 from .scalars import rational_parts
-from .domains import DomainDescriptor, TruncationLimits, area, area_tolerance, validate
+from .domains import DomainDescriptor, TruncationLimits, area_tolerance, validate
 from .capacities import series_for_domain
 
 VOL_RTOL = 1e-9
@@ -118,7 +118,7 @@ def obstruct(dom_from: DomainDescriptor, dom_to: DomainDescriptor, K: int,
             if len(witnesses) >= 8:
                 break
 
-    vf, vt = num(area(dom_from)), num(area(dom_to))
+    vf, vt = num(prof_from.area), num(prof_to.area)
     vol_slack = 0 if exact else (area_tolerance(dom_from) + area_tolerance(dom_to)
                                  + VOL_RTOL * max(abs(vf), abs(vt), 1.0))
     if vf > vt + vol_slack:

@@ -21,7 +21,7 @@ from .weights import WeightTree, linearize
 AXIS_TOKENS = ("H1", "H2")
 
 # the most blowups `build_tower` realizes, set by the nef search:
-# `capacities._dfs_min` recurses once per blowup, and under CPython's
+# `nef._dfs_min` recurses once per blowup, and under CPython's
 # default limit of 1000 frames `--oracle` on the triangle (0,0), (n,0),
 # (0,1) verifies at n = 988 and raises RecursionError at n = 989.  Memory
 # is linear in n, since a level shares every curve record of the level

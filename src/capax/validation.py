@@ -17,16 +17,16 @@ from .errors import (
     NonConvex,
     NotInQuadrant,
 )
-from .scalars import backend_of, primitive_direction
+from .scalars import backend_of
 from .domains import (
     BoundaryProfile,
     DomainDescriptor,
-    Edge,
     _cross,
     _zero_of,
     area,
     area_tolerance,
     shoelace_area,
+    walk_chain,
 )
 
 
@@ -62,21 +62,20 @@ def _dedupe_collinear(d: DomainDescriptor, vs):
 def _validate_weight_list(d: DomainDescriptor) -> BoundaryProfile:
     if any(w < 0 for w in d.weights):
         raise EmptyDomain("negative weight")
+    vol = area(d)  # (head^2 - sum w^2)/2 with a head, sum w^2/2 without
     if d.head is not None:
         if d.head < 0 or d.zero(d.head):
             raise EmptyDomain("a convex weight list needs a positive head")
         if any(w > d.head for w in d.weights):
             raise NonConvex("head must dominate every weight")
-        gap = area(d)  # (head^2 - sum w^2)/2, the domain's area
-        if not gap > area_tolerance(d):
+        if not vol > area_tolerance(d):
             raise EmptyDomain("weights fill the head's triangle: sum w^2 >= head^2")
         reduced = _cremona_reduced(d)
         if not area(reduced) > area_tolerance(reduced):
             raise NonConvex("the weights are not a ball packing of the head's triangle: "
                             "after Cremona reduction sum w^2 >= head^2")
-    zero = _zero_of(d)
-    return BoundaryProfile(a=None, b=None, plus_edges=(), total_affine_plus=zero,
-                           affine_tol=0.0, backend=d.backend)
+    return BoundaryProfile(a=None, b=None, plus_edges=(), total_affine_plus=_zero_of(d),
+                           affine_tol=0.0, backend=d.backend, area=vol)
 
 
 _CREMONA_MOVES = 1000
@@ -161,18 +160,8 @@ def _validate_polygon(d: DomainDescriptor) -> BoundaryProfile:
     else:
         raise InvalidSpec(f"polygon orientation {d.orientation!r}")
 
-    # dx and dy carry 2 eps each; a length dx/n carries 2 eps/|n|
-    edges = []
-    zero = _zero_of(d)
-    total, total_tol = zero, 0.0
-    for i in range(len(chain) - 1):
-        dx = chain[i + 1][0] - chain[i][0]
-        dy = chain[i + 1][1] - chain[i][1]
-        prim, length, rational = primitive_direction(dx, dy, 4 * d.tol)
-        edges.append(Edge(prim if rational else None,
-                          length if rational else zero, rational))
-        if rational:
-            total = total + length
-            total_tol += 2 * d.tol / max(abs(prim[0]), 1)
-    return BoundaryProfile(a=a, b=b, plus_edges=tuple(edges), total_affine_plus=total,
-                           affine_tol=total_tol, backend=d.backend, chain=tuple(chain))
+    # a difference of two vertex coordinates carries 2 eps
+    edges, total, total_tol, vol = walk_chain(chain, 2 * d.tol)
+    return BoundaryProfile(a=a, b=b, plus_edges=edges, total_affine_plus=total,
+                           affine_tol=total_tol, backend=d.backend, area=vol,
+                           chain=tuple(chain))

@@ -34,8 +34,8 @@ from collections import deque, namedtuple
 from fractions import Fraction
 
 from .errors import BackendOverflow, NonConvex
-from .scalars import Column, format_scalar, primitive_direction, write_csv
-from .domains import DomainDescriptor, TruncationLimits, shoelace_area, validate
+from .scalars import Column, format_scalar, write_csv
+from .domains import DomainDescriptor, TruncationLimits, validate, walk_chain
 
 INF_NODE = "inf"  # key for the extended node in deficiency maps
 
@@ -91,24 +91,6 @@ def _rational(x) -> Fraction:
     return q if float(q) == x else Fraction(x)
 
 
-def _piece_area(graph):
-    zero = graph[0][0] - graph[0][0]
-    poly = [(zero, zero)] + list(reversed(graph))
-    return shoelace_area(poly)
-
-
-def _piece_ell_plus(graph):
-    """Affine length of the piece's rational-sloped upper edges."""
-    total = graph[0][0] - graph[0][0]
-    for i in range(len(graph) - 1):
-        dx = graph[i + 1][0] - graph[i][0]
-        dy = graph[i + 1][1] - graph[i][1]
-        _, length, rational = primitive_direction(dx, dy, 0)
-        if rational:
-            total = total + length
-    return total
-
-
 class _Recursion:
     def __init__(self, limits: TruncationLimits, exact: bool, rational: bool):
         self.max_depth, self.eps = limits.resolved(exact)
@@ -125,8 +107,9 @@ class _Recursion:
         self.dropped = 0
 
     def _drop(self, graph):
-        piece_sum = graph[-1][0] + graph[0][1] - _piece_ell_plus(graph)  # a + b - ell
-        piece_sq = 2 * _piece_area(graph)
+        _, ell, _, vol = walk_chain(graph, 0)  # exact data: no error
+        piece_sum = graph[-1][0] + graph[0][1] - ell  # a + b - ell
+        piece_sq = 2 * vol
         self.tail_sum = piece_sum if self.tail_sum is None else self.tail_sum + piece_sum
         self.tail_sq = piece_sq if self.tail_sq is None else self.tail_sq + piece_sq
         self.dropped += 1

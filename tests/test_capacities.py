@@ -49,7 +49,7 @@ from capax.decomposition import (
 from capax.nef import _EnumContext
 from capax.obstructions import obstruct
 from capax.quad import Quad, _is_squarefree, quad_sign
-from capax.scalars import format_ratio, format_scalar, write_json
+from capax.scalars import format_ratio, format_scalar, primitive_direction, write_json
 from capax.tower import _dot, blowup, build_tower, p2_init
 from capax.weights import TruncationLimits, concave_weights, convex_weights
 from conftest import convex_hull, dense_class, random_convex_polygon
@@ -274,6 +274,23 @@ class TestConcave:
         fine = concave_capacity(E, 60, TruncationLimits(eps=1e-12))
         for k in range(61):
             assert coarse.lo(k) - 1e-9 <= fine.value(k) <= coarse.hi(k) + 1e-9
+
+    def test_slack_below_the_float_range_bounds_the_value(self):
+        # the slack was d(k)*float(tail), and float(tail) is 0.0 below about
+        # 1e-308, so value + slack stood below the capacity wherever the
+        # dropped tail had lowered the value; in the normal range it is as it was
+        verts = [(0, 0), (3, 0), (1, Fraction(1, 2)), (0, 2)]
+        lam, depth1 = Fraction(1, 10**330), TruncationLimits(max_depth=1)
+        small = domains.polygon([(x * lam, y * lam) for x, y in verts], "concave")
+        unit = domains.polygon(verts, "concave")
+        assert concave_weights(unit).truncation.complete
+        got, exact = concave_capacity(small, 20, depth1), concave_capacity(unit, 20)
+        assert all(x > 0 for x in got.upper_slack[1:])
+        for k in range(21):
+            assert got.value(k) + Fraction(got.upper_slack[k]) >= lam * exact.value(k)
+        cut = concave_capacity(unit, 20, depth1)
+        tail = float(concave_weights(unit, depth1).truncation.dropped_tail_sum)
+        assert cut.upper_slack == [dk * tail for dk in d_values(20)]
 
 
 
@@ -1316,6 +1333,28 @@ def quad_right_triangles(draw):
     return a, a * draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
 
 
+@st.composite
+def quad_corner_cuts(draw):
+    """A polygon of `quad_convex_polygons` and the polygon left when a line
+    of rational direction cuts one corner of its upper boundary, the axis
+    corners (0, a) and (b, 0) included, at a Q(sqrt d) depth: the corner V
+    between edges of primitive directions u1, u2 becomes the points
+    V - t*u1 and V + rho*t*u2 for a rational rho > 0, inside both edges,
+    and the cut's direction u1 + rho*u2 is rational."""
+    d = draw(quad_convex_polygons())
+    o, *rest = d.vertices
+    ring = [o, *rest[::-1]]  # clockwise: O, (0, a), .., (b, 0)
+    j = draw(st.integers(1, len(ring) - 1))
+    v = ring[j]
+    (u1, r1), (u2, r2) = (primitive_direction(q[0] - p[0], q[1] - p[1], 0)[:2]
+                          for p, q in ((ring[j - 1], v), (v, ring[(j + 1) % len(ring)])))
+    rho = draw(st.builds(Fraction, st.integers(1, 3), st.integers(1, 3)))
+    t = draw(st.builds(Fraction, st.integers(1, 3), st.just(4))) * min(r1, r2 / rho)
+    cut = [(v[0] - t * u1[0], v[1] - t * u1[1]),
+           (v[0] + rho * t * u2[0], v[1] + rho * t * u2[1])]
+    return d, domains.polygon(ring[:j] + cut + ring[j + 1:], "convex", backend=d.backend)
+
+
 class TestTwoRouteOracle:
     """The decomposition route and the nef enumeration agree exactly on
     every complete expansion (the central oracle), over rational and
@@ -1350,6 +1389,20 @@ class TestTwoRouteOracle:
         convex = convex_capacity(domains.polygon(vs, "convex", backend=backend), K)
         concave = concave_capacity(domains.polygon(vs, "concave", backend=backend), K)
         assert convex.values == concave.values == ellipsoid_capacities(a, b, K).values
+
+
+class TestCornerCut:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pair=quad_corner_cuts())
+    def test_cutting_a_corner_lowers_no_capacity(self, pair):
+        # ECH capacities are monotone under inclusion (Hutchings, JDG 2011):
+        # the cut polygon lies inside the whole one, so c_k(cut) <= c_k(P)
+        # exactly, on complete expansions over Q(sqrt d)
+        whole, cut = pair
+        for d in pair:
+            assert convex_weights(d).truncation.complete
+        a, b = convex_capacity(cut, 30), convex_capacity(whole, 30)
+        assert all(a.value(k) <= b.value(k) for k in range(31))
 
 
 class TestEnum:

@@ -1051,13 +1051,21 @@ def test_stdout_bytes_pinned(capsys, name, argv, digest):
 
 # stdout, stderr and exit code of the usage surface (help texts, usage
 # errors, option spellings), recorded while every call built the subparsers
-# of all seven commands, at an 80-column terminal
-USAGE_PINS = json.loads((Path(__file__).resolve().parent / "usage_pins.json").read_text())
+# of all seven commands, at an 80-column terminal (usage_pins.json); and of
+# the calls that read a domain's boundary walk (its edges, affine length and
+# area): bounds, errors, weights and capacities on rational, float,
+# Q(sqrt 2), weight-list and curve data, and obstruct pairs that reach the
+# volume and affine-length criteria, recorded while three copies of the walk
+# and two of the area under a chain existed (walk_pins.json).  The @files
+# are read from the repository root
+USAGE_PINS = {name: pin for f in ("usage_pins.json", "walk_pins.json")
+              for name, pin in json.loads((Path(__file__).resolve().parent / f).read_text()).items()}
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_PINS))
 def test_usage_bytes_pinned(capsys, monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
     pin = USAGE_PINS[name]
     try:
         code = main(pin["argv"])

@@ -12,7 +12,6 @@ from capax.quad import Quad
 from capax.scalars import _primitive_float
 from capax.weights import (
     INF_NODE,
-    _piece_ell_plus,
     _rational,
     TruncationLimits,
     concave_weights,
@@ -380,7 +379,7 @@ class TestZeroEdge:
         graph = [(Fraction(0), Fraction(2)), (Fraction(1), Fraction(1)),
                  (Fraction(1), Fraction(1)), (Fraction(2), Fraction(0))]
         with pytest.raises(DegenerateEdge, match="zero edge vector"):
-            _piece_ell_plus(graph)
+            domains.walk_chain(graph, 0)
 
 
 def test_golden_triangle_at_scale_1e_minus_200_keeps_its_weights():
